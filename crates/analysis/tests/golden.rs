@@ -98,6 +98,14 @@ fn unmarked_functions_may_allocate_and_clean_marked_ones_pass() {
 }
 
 #[test]
+fn a_marked_tile_loop_may_not_allocate_but_its_set_up_may() {
+    let findings = lint_source("crates/serve/src/shard.rs", include_str!("fixtures/hotpath_tile_loop.rs"));
+    assert_eq!(rules_hit(&findings), vec![hotpath::RULE]);
+    assert_eq!(findings[0].line, 10, "only the allocation inside the loop — the buffers built above it are set-up");
+    assert!(findings[0].message.contains(".to_vec"), "names the allocating call: {findings:?}");
+}
+
+#[test]
 fn allow_alloc_escapes_a_deliberate_allocation() {
     let findings = lint_source("crates/serve/src/shard.rs", include_str!("fixtures/hotpath_allowed.rs"));
     assert!(findings.is_empty(), "unexpected: {findings:?}");

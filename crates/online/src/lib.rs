@@ -97,7 +97,7 @@ use ham_data::append::AppendableDataset;
 use ham_data::batch::BatchSampler;
 use ham_data::dataset::{ItemId, SequenceDataset, UserId};
 use ham_faults::FaultInjector;
-use ham_serve::{IvfConfig, ModelRegistry, RecommendRequest, ServingModel};
+use ham_serve::{IvfConfig, ModelRegistry, RecommendRequest, ServeScratch, ServingModel};
 use ham_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -640,13 +640,16 @@ fn shadow_evaluate(
 ) -> ShadowEval {
     let mut candidate_hits = 0usize;
     let mut live_hits = 0usize;
+    // One scratch per model across the whole probe loop: the two catalogues
+    // may differ in size (table growth), and their buffers grow only once.
+    let (mut live_scratch, mut candidate_scratch) = (ServeScratch::new(), ServeScratch::new());
     for (user, history, target) in probes {
         let mut request = RecommendRequest::new(*user, history.clone(), k.max(1));
         request.exclude_seen = false;
-        if live.recommend(&request).iter().any(|scored| scored.item == *target) {
+        if live.recommend_with(&request, &mut live_scratch).iter().any(|scored| scored.item == *target) {
             live_hits += 1;
         }
-        if candidate.recommend(&request).iter().any(|scored| scored.item == *target) {
+        if candidate.recommend_with(&request, &mut candidate_scratch).iter().any(|scored| scored.item == *target) {
             candidate_hits += 1;
         }
     }

@@ -61,9 +61,10 @@ fn incremental_round_advances_served_version_without_pausing() {
 
     // a client hammers the server for the whole duration of the round
     let stop = Arc::new(AtomicBool::new(false));
+    let warmed = Arc::new(AtomicBool::new(false));
     let client = {
         let server = Arc::clone(&server);
-        let stop = Arc::clone(&stop);
+        let (stop, warmed) = (Arc::clone(&stop), Arc::clone(&warmed));
         let histories: Vec<Vec<usize>> = initial.sequences.clone();
         std::thread::spawn(move || {
             let mut served = 0usize;
@@ -79,6 +80,7 @@ fn incremental_round_advances_served_version_without_pausing() {
                             versions.push(response.model_version);
                         }
                         served += 1;
+                        warmed.store(true, Ordering::SeqCst);
                     }
                     Err(error) => panic!("the loop must never pause or shed this client: {error}"),
                 }
@@ -87,6 +89,14 @@ fn incremental_round_advances_served_version_without_pausing() {
             (served, versions)
         })
     };
+
+    // The round below lasts about a millisecond: start it only once the
+    // client is demonstrably in flight, or a late-scheduled client thread
+    // misses the swap altogether (served == 0 on a loaded two-core host).
+    while !warmed.load(Ordering::SeqCst) {
+        assert!(!client.is_finished(), "client thread died before its first response");
+        std::thread::yield_now();
+    }
 
     // fresh traffic arrives; one incremental round retrains + publishes
     let before = server.model_version();

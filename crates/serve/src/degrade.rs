@@ -22,15 +22,15 @@
 //! ## Exactness when nothing degrades
 //!
 //! When every shard answers within budget, the result is **bit-identical to
-//! the classic path**: the per-shard blocks come from the same kernels
-//! (GEMV for a batch of one, packed-panel GEMM otherwise, quantized variants
-//! on a quantized catalogue), the local ranking and k-way merge are the very
-//! functions the classic path uses, and the quantized pre-selection re-ranks
-//! through the same exact f32 kernel. The chaos suite pins this: under any
+//! the classic path**: every shard task ranks its shortlists with the same
+//! fused tile driver (GEMV for a batch of one, packed-panel GEMM tiles
+//! otherwise, quantized variants on a quantized catalogue), the k-way merge
+//! is the very function the classic path uses, and the quantized
+//! pre-selection re-ranks through the same exact f32 kernel. The chaos suite pins this: under any
 //! injected single-shard fault, a response is either bit-identical to the
 //! exact path or explicitly flagged degraded.
 
-use crate::shard::{clear_seen, mark_seen, merge_top_k, ScoredItem, ShardBlock, ShardedCatalog};
+use crate::shard::{select_widths, ScoredItem, ShardedCatalog};
 use ham_data::dataset::ItemId;
 use ham_faults::FaultInjector;
 use ham_tensor::{Matrix, QuantizedQuery};
@@ -46,7 +46,7 @@ use std::time::Instant;
 /// blocks until every task finishes, which is exactly the semantics a
 /// deadline must escape, and a slow shard parked on a shared worker would
 /// starve unrelated work. This bulkhead owns its backlog; abandoned tasks
-/// self-cancel (see [`ShardedCatalog::score_shard_block_faulted`]) so the
+/// self-cancel (see [`ShardedCatalog::rank_shard_faulted`]) so the
 /// queue drains even under sustained shard slowness.
 pub(crate) struct ShardExecutor {
     shared: Arc<ExecutorShared>,
@@ -129,9 +129,9 @@ enum SlotState {
     /// Task not finished (yet, or ever — the batch stops waiting at the
     /// deadline regardless).
     Pending,
-    /// Scored block (dense, or pre-ranked on IVF catalogues) + scoring wall
-    /// time in microseconds.
-    Scores(ShardBlock, u64),
+    /// Per-request shortlists ranked in-task + the task's wall time
+    /// (scoring and select) in microseconds.
+    Ranked(Vec<Vec<ScoredItem>>, u64),
     /// The task panicked (injected or organic); the shard is dropped.
     Panicked,
     /// The task observed cancellation and skipped its work.
@@ -217,7 +217,7 @@ pub(crate) struct BoundedOutcome {
     pub panicked: Vec<usize>,
     /// `(shard id, scoring micros)` of the shards that answered in time.
     pub shard_micros: Vec<(usize, u64)>,
-    /// Wall time of the ranking + merge stage, microseconds.
+    /// Wall time of the k-way merges over the survivors, microseconds.
     pub merge_micros: u64,
     /// Wall time of the exact re-rank (quantized catalogues only).
     pub rerank_micros: u64,
@@ -251,19 +251,18 @@ pub(crate) fn score_bounded(
     let qqueries: Option<Arc<Vec<QuantizedQuery>>> =
         quantized.then(|| Arc::new((0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect()));
     let queries = Arc::new(queries);
-    // Shard tasks are 'static closures, so the per-request ranking inputs the
-    // IVF in-task path needs — the pre-selection widths and owned copies of
-    // the seen histories — ride along behind Arcs (O(total history) copied
-    // once per batch; the dense path ignores them).
-    let select_ks: Arc<Vec<usize>> =
-        Arc::new(ks.iter().map(|&k| if quantized { k.saturating_mul(2) } else { k }).collect());
+    // Shard tasks are 'static closures, so the per-request ranking inputs
+    // they need — the pre-selection widths and owned copies of the seen
+    // histories — ride along behind Arcs (O(total history) copied once per
+    // batch).
+    let select_ks: Arc<Vec<usize>> = Arc::new(select_widths(ks, quantized));
     let owned_seen: Arc<Vec<Option<Vec<ItemId>>>> =
         Arc::new(seen_items.iter().map(|items| items.map(<[ItemId]>::to_vec)).collect());
     let board = Arc::new(SlotBoard::new(shards_total));
     for shard in 0..shards_total {
         if catalog.shards()[shard].is_empty() {
             // An empty shard answers vacuously — no task, no fault surface.
-            board.fill(shard, SlotState::Scores(ShardBlock::Dense(Matrix::zeros(b, 0)), 0));
+            board.fill(shard, SlotState::Ranked(vec![Vec::new(); b], 0));
             continue;
         }
         let catalog = Arc::clone(catalog);
@@ -280,7 +279,7 @@ pub(crate) fn score_bounded(
             }
             let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                catalog.score_shard_block_faulted(
+                catalog.rank_shard_faulted(
                     shard,
                     &queries,
                     qqueries.as_deref().map(Vec::as_slice),
@@ -291,7 +290,7 @@ pub(crate) fn score_bounded(
                 )
             }));
             let state = match result {
-                Ok(Some(block)) => SlotState::Scores(block, started.elapsed().as_micros() as u64),
+                Ok(Some(lists)) => SlotState::Ranked(lists, started.elapsed().as_micros() as u64),
                 Ok(None) => SlotState::Skipped,
                 Err(_) => SlotState::Panicked,
             };
@@ -309,15 +308,15 @@ pub(crate) fn score_bounded(
         let mut slots = board.slots.lock().unwrap_or_else(PoisonError::into_inner);
         std::mem::take(&mut *slots)
     };
-    let mut survivors: Vec<(usize, ShardBlock)> = Vec::with_capacity(shards_total);
+    let mut survivors: Vec<Vec<Vec<ScoredItem>>> = Vec::with_capacity(shards_total);
     let mut timed_out = Vec::new();
     let mut panicked = Vec::new();
     let mut shard_micros = Vec::new();
     for (shard, state) in slots.into_iter().enumerate() {
         match state {
-            SlotState::Scores(block, micros) => {
+            SlotState::Ranked(lists, micros) => {
                 shard_micros.push((shard, micros));
-                survivors.push((shard, block));
+                survivors.push(lists);
             }
             SlotState::Panicked => panicked.push(shard),
             SlotState::Pending | SlotState::Skipped => timed_out.push(shard),
@@ -325,45 +324,11 @@ pub(crate) fn score_bounded(
     }
     let shards_answered = survivors.len();
 
-    // Rank + merge each request over the surviving shards — the same
-    // shard-local ranking, merge and (quantized) exact re-rank as the classic
-    // path, restricted to the shards that answered.
+    // Merge each request over the surviving shards' shortlists — the same
+    // k-way merge and (quantized) exact re-rank as the classic path,
+    // restricted to the shards that answered.
     let merge_started = Instant::now();
-    let mut rerank_micros = 0u64;
-    let mut seen_scratch = vec![false; catalog.num_items()];
-    let mut rankings = Vec::with_capacity(b);
-    for i in 0..b {
-        let seen = match seen_items[i] {
-            Some(items) => {
-                mark_seen(&mut seen_scratch, items);
-                Some(seen_scratch.as_slice())
-            }
-            None => None,
-        };
-        let select_k = select_ks[i];
-        let per_shard: Vec<Vec<ScoredItem>> = survivors
-            .iter()
-            .map(|(shard, block)| match block {
-                ShardBlock::Dense(block) => catalog.shard_top_k(*shard, block.row(i), select_k, seen),
-                // IVF shards ranked in-task with the same select_k and seen
-                // history; the shortlist is already the shard's merge input.
-                ShardBlock::Ranked(lists) => lists[i].clone(),
-            })
-            .collect();
-        let merged = merge_top_k(&per_shard, select_k);
-        let ranked = if quantized {
-            let rerank_started = Instant::now();
-            let ranked = catalog.rerank_exact(merged, queries.row(i), ks[i], seen);
-            rerank_micros += rerank_started.elapsed().as_micros() as u64;
-            ranked
-        } else {
-            merged
-        };
-        if let Some(items) = seen_items[i] {
-            clear_seen(&mut seen_scratch, items);
-        }
-        rankings.push(ranked);
-    }
+    let (rankings, rerank_micros) = catalog.merge_shortlists(survivors, &queries, ks, seen_items, quantized, true);
     let merge_micros = (merge_started.elapsed().as_micros() as u64).saturating_sub(rerank_micros);
 
     BoundedOutcome {

@@ -24,9 +24,9 @@
 //!   requests finish on the snapshot they started with.
 //! * [`server`] — [`RecServer`]: the request layer. Concurrent
 //!   [`RecommendRequest`]s are coalesced by a micro-batching queue into one
-//!   GEMM per shard (scored in parallel on the process-wide work-stealing
-//!   pool, `ham_tensor::pool`), and every [`RecommendResponse`] carries its
-//!   queue/service latency split.
+//!   task per shard — tiled GEMM fused with the in-task top-k select, run in
+//!   parallel on the process-wide work-stealing pool (`ham_tensor::pool`) —
+//!   and every [`RecommendResponse`] carries its queue/service latency split.
 //! * deadlines & degradation — requests carry deadlines
 //!   ([`RecommendRequest::with_deadline`] or
 //!   [`ServerConfig::default_deadline`]): expired-in-queue requests are shed

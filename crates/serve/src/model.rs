@@ -212,12 +212,12 @@ impl ServingModel {
         out
     }
 
-    /// Serves a coalesced batch: the queries are built once, every shard is
-    /// scored with one packed-panel GEMM over the whole batch (in parallel
-    /// across shards on `pool` when given), and each request is ranked and
-    /// merged with its own `k` and seen history (one catalogue bitmap is
-    /// reused across the whole batch inside `top_k_batch`, marked/cleared
-    /// per request in O(history) — no per-request bitmap allocations).
+    /// Serves a coalesced batch: the queries are built once, every shard
+    /// task (in parallel across shards on `pool` when given) scores the
+    /// whole batch against its shard in packed-panel GEMM tiles and ranks
+    /// each request in-task with its own `k` and seen history, and the
+    /// per-shard shortlists are k-way merged — no `b × shard` score block and
+    /// no catalogue-sized bitmap exist on the exact path.
     ///
     /// A batch of one takes the GEMV path of [`Self::recommend`], so a
     /// lonely request gets the same bits whether or not it was queued.
@@ -228,7 +228,7 @@ impl ServingModel {
     /// [`Self::recommend_batch`] with reusable working buffers: a batch of
     /// one takes the allocation-free GEMV path of [`Self::recommend_with`]
     /// (same bits whether or not the request was queued), larger batches take
-    /// the per-shard GEMM path. The dispatcher thread of `RecServer` holds
+    /// the per-shard tiled GEMM path. The dispatcher thread of `RecServer` holds
     /// one [`ServeScratch`] across its whole lifetime.
     pub fn recommend_batch_with(
         &self,

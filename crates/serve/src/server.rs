@@ -745,8 +745,11 @@ fn serve_bounded(
 /// Shapes one request's timing into the flight-recorder span tree:
 /// `request → {queue, service → {batch_assembly, shard_score → {shard_i…},
 /// merge, rerank}}` (or `service → {solo_gemv}` on the batch-of-1 path).
-/// Stage offsets are laid out sequentially from the measured durations —
-/// parallel shard children share the `shard_score` start offset.
+/// Each `shard_i` span covers that shard's whole task — scoring fused with
+/// the in-task select — and `merge` only the coordinator's k-way merges
+/// (see [`StageTrace`]). Stage offsets are laid out sequentially from the
+/// measured durations — parallel shard children share the `shard_score`
+/// start offset.
 fn request_span_tree(queue_micros: u64, service_micros: u64, trace: &StageTrace) -> SpanTree {
     let mut service = SpanTree::leaf("service", queue_micros, service_micros);
     match trace.solo_micros {

@@ -25,6 +25,20 @@
 //! * the merge comparator is the same total preference (higher score first,
 //!   ties to the lower global item id) used by `top_k_indices`.
 //!
+//! ## The batch path: fused tile score→select
+//!
+//! A query batch never materialises its `b × shard_len` score block. Each
+//! shard task walks its shard in column tiles sized so the tile's scores stay
+//! L2-resident, scores a tile with the row-range GEMM into one reusable
+//! buffer, and feeds every row — while it is cache-hot — to that request's
+//! streaming bounded top-k (`ham_tensor::ops::TopKStream`), which carries its
+//! heap and threshold across tiles. Tasks return k-element shortlists; the
+//! caller only merges. Tiling is invisible in the results for the same two
+//! reasons sharding is: a GEMM element's bits do not depend on how rows are
+//! grouped, and the select keeps the exact top-k of every prefix under the
+//! shared comparator. The exact, quantized and deadline-bounded batch paths
+//! all run this one driver (`rank_shard_batch`).
+//!
 //! ## The quantized candidate path
 //!
 //! [`ShardedCatalog::with_quantization`] snapshots every shard's rows as an
@@ -45,7 +59,7 @@ use crate::trace::StageTrace;
 use ham_data::dataset::ItemId;
 use ham_faults::{FaultInjector, ShardFault};
 use ham_tensor::kernels;
-use ham_tensor::ops::{top_k_indices, top_k_indices_masked, top_k_indices_masked_with};
+use ham_tensor::ops::{top_k_indices, top_k_indices_masked, top_k_indices_masked_with, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
 use std::time::{Duration, Instant};
@@ -248,38 +262,29 @@ impl ShardedCatalog {
         self.shards[shard].rows.matvec_transposed_into(query, out);
     }
 
-    /// Scores a query batch against one shard (packed-panel GEMM), returning
-    /// a `queries.rows() × shard_len` block.
-    pub fn shard_scores_batch(&self, shard: usize, queries: &Matrix) -> Matrix {
-        queries.matmul_transposed(&self.shards[shard].rows)
-    }
-
-    /// The degraded path's per-shard scoring unit: applies any injected
+    /// The degraded path's per-shard unit of work: applies any injected
     /// fault for `shard` (a [`ShardFault::Delay`] sleeps cooperatively, a
     /// [`ShardFault::Panic`] panics — the caller runs this under
-    /// `catch_unwind`), then scores the whole query block against the shard.
+    /// `catch_unwind`), then scores the whole query block against the shard
+    /// and **ranks it in-task**: what comes back is each request's shortlist
+    /// (to `select_ks[i]`, seen items masked via `seen_items[i]`), the
+    /// coordinator's k-way merge input.
     ///
-    /// Scoring picks the kernel by batch size so the result is bit-identical
-    /// to the corresponding exact path: a single query goes through the
-    /// fused GEMV (`matvec_transposed` / `quantized_matvec_into`, the very
-    /// kernels `top_k_with_buf` uses — GEMM-of-one-row is *not* bit-equal to
-    /// GEMV), a larger batch through the packed-panel GEMM the batched paths
-    /// use. `qqueries` must be `Some` exactly when the catalogue is
-    /// quantized.
+    /// Flat catalogues go through the fused tile driver
+    /// ([`Self::rank_shard_batch`]) — the very code the classic batched
+    /// paths run, so an undegraded bounded response is bit-identical to the
+    /// classic one (a batch of one scores with the fused GEMV like
+    /// `top_k_with_buf`; GEMM-of-one-row is *not* bit-equal to GEMV; NaN
+    /// starvation differs from the solo path, see `rank_shard_batch`).
+    /// Clustered catalogues route, score and rank with the same routing
+    /// GEMV, panel kernels and fused mask+select as the unbounded IVF paths.
+    /// `qqueries` must be `Some` exactly when the catalogue is quantized.
     ///
     /// Returns `None` when `cancelled` turned true during an injected delay:
     /// the batch already gave up on this shard, so the remaining sleep and
     /// the scoring work are skipped to free the executor worker quickly.
-    ///
-    /// On a clustered catalogue the shard routes, scores and **ranks**
-    /// in-task ([`ShardBlock::Ranked`]): the coordinator has no dense block
-    /// to rank unvisited rows from, so the per-request shortlists (to
-    /// `select_ks[i]`, seen items masked via `seen_items[i]`) come back
-    /// pre-built — computed with the very same routing GEMV, panel kernels
-    /// and fused mask+select as the unbounded IVF paths, so an undegraded
-    /// bounded response stays bit-identical to the classic one.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn score_shard_block_faulted(
+    pub(crate) fn rank_shard_faulted(
         &self,
         shard: usize,
         queries: &Matrix,
@@ -288,7 +293,7 @@ impl ShardedCatalog {
         seen_items: &[Option<Vec<ItemId>>],
         faults: &FaultInjector,
         cancelled: &dyn Fn() -> bool,
-    ) -> Option<ShardBlock> {
+    ) -> Option<Vec<Vec<ScoredItem>>> {
         match faults.shard_fault(shard) {
             Some(ShardFault::Delay(delay)) => {
                 // Sleep in small slices, checking for cancellation between
@@ -312,33 +317,100 @@ impl ShardedCatalog {
         if cancelled() {
             return None;
         }
-        let b = queries.rows();
-        let s = &self.shards[shard];
-        if s.ivf.is_some() {
-            return Some(ShardBlock::Ranked(
-                self.ivf_rank_shard_in_task(shard, queries, qqueries, select_ks, seen_items),
-            ));
-        }
-        Some(ShardBlock::Dense(match qqueries {
-            Some(qq) => {
-                // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
-                let panel = s.quantized.as_ref().expect("quantized scoring on an unquantized catalogue");
-                let mut block = Matrix::zeros(b, panel.rows());
-                if b == 1 {
-                    kernels::quantized_matvec_into(panel, &qq[0], block.row_mut(0));
-                } else {
-                    kernels::quantized_matmul_transposed_into(qq, panel, &mut block);
-                }
-                block
-            }
-            None if b == 1 => Matrix::from_vec(1, s.len(), s.rows.matvec_transposed(queries.row(0))),
-            None => queries.matmul_transposed(&s.rows),
-        }))
+        Some(if self.shards[shard].ivf.is_some() {
+            self.ivf_rank_shard_in_task(shard, queries, qqueries, select_ks, seen_items)
+        } else {
+            self.rank_shard_batch(shard, queries, qqueries, select_ks, seen_items)
+        })
     }
 
-    /// The clustered half of [`Self::score_shard_block_faulted`]: routes,
+    /// The fused score→select driver of the flat (non-IVF) batch paths: one
+    /// shard's shortlists for a whole query batch, computed inside the
+    /// shard's task without ever materialising the `b × shard_len` score
+    /// block.
+    ///
+    /// The shard is walked in column tiles of [`kernels::gemm_tile_rows`]
+    /// items: each tile is scored by the row-range GEMM (the int8 one when
+    /// `qqueries` is given) into one reusable `b × tile` buffer, the seen
+    /// items that fall inside the tile are overwritten with `-inf`, and
+    /// every row of the still cache-hot tile is fed to that request's
+    /// [`TopKStream`], which carries its heap and threshold from tile to
+    /// tile. Request `i` keeps its best `select_ks[i]` items; masked items
+    /// participate at `-inf` in id order, so a request with fewer than
+    /// `select_ks[i]` unseen items pads its tail exactly like the fused
+    /// mask+select of the solo path.
+    ///
+    /// Bit-identity: a GEMM element's bits do not depend on how the rows of
+    /// `B` are grouped (the kernel layer's contract), and the streaming
+    /// select keeps the top-k of every prefix — so tile boundaries change
+    /// neither scores nor ranking. A batch of one scores the whole shard
+    /// with the fused GEMV instead, keeping the solo path's bits.
+    ///
+    /// NaN exception: a NaN score is never ranked, so a request with fewer
+    /// than `select_ks[i]` non-NaN scores here gets a *shorter* shortlist,
+    /// where the solo path (`top_k_with_buf` / `shard_top_k`) pads with the
+    /// NaN items in unspecified order. Allocation: the marked loop body
+    /// allocates nothing, but the kernel entries it calls still pack their
+    /// `B` panel / int8 operands into their own scratch on every call.
+    fn rank_shard_batch<S: AsRef<[ItemId]>>(
+        &self,
+        s: usize,
+        queries: &Matrix,
+        qqueries: Option<&[QuantizedQuery]>,
+        select_ks: &[usize],
+        seen_items: &[Option<S>],
+    ) -> Vec<Vec<ScoredItem>> {
+        let shard = &self.shards[s];
+        let (b, len) = (queries.rows(), shard.len());
+        let panel = qqueries.map(|qq| {
+            // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
+            (qq, shard.quantized.as_ref().expect("quantized scoring on an unquantized catalogue"))
+        });
+        let tile_rows = if b == 1 { len } else { kernels::gemm_tile_rows(b).min(len) };
+        let mut tile = vec![0.0f32; b * tile_rows];
+        let mut streams: Vec<TopKStream> = select_ks.iter().map(|&k| TopKStream::new(k.min(len))).collect();
+        // Every (shard-local item, request row) to mask, in tile order.
+        let mut masked: Vec<(usize, usize)> = Vec::new();
+        for (row, items) in seen_items.iter().enumerate() {
+            let items: &[ItemId] = items.as_ref().map_or(&[], AsRef::as_ref);
+            let in_shard = items.iter().filter(|&&item| item >= shard.offset && item - shard.offset < len);
+            masked.extend(in_shard.map(|&item| (item - shard.offset, row)));
+        }
+        masked.sort_unstable();
+        let mut next_masked = 0;
+        let mut lo = 0;
+        // ham-lint: hot-path
+        while lo < len {
+            let hi = (lo + tile_rows).min(len);
+            let w = hi - lo;
+            let tile = &mut tile[..b * w];
+            match panel {
+                Some((qq, panel)) if b == 1 => kernels::quantized_matvec_into(panel, &qq[0], tile),
+                Some((qq, panel)) => kernels::quantized_matmul_transposed_rows_into(qq, panel, lo..hi, tile),
+                None if b == 1 => shard.rows.matvec_transposed_into(queries.row(0), tile),
+                None => kernels::matmul_transposed_rows_into(queries, &shard.rows, lo..hi, tile),
+            }
+            while let Some(&(local, row)) = masked.get(next_masked).filter(|&&(local, _)| local < hi) {
+                tile[row * w + local - lo] = f32::NEG_INFINITY;
+                next_masked += 1;
+            }
+            for (stream, scores) in streams.iter_mut().zip(tile.chunks_exact(w)) {
+                stream.push_block(lo, scores, |_| false);
+            }
+            lo = hi;
+        }
+        streams
+            .into_iter()
+            .map(|stream| {
+                let ranked = stream.into_sorted().into_iter();
+                ranked.map(|(local, score)| ScoredItem { item: shard.offset + local, score }).collect()
+            })
+            .collect()
+    }
+
+    /// The clustered half of [`Self::rank_shard_faulted`]: routes,
     /// scores and ranks one shard's batch entirely inside the bulkhead task.
-    /// Kernel choice follows the batch size exactly like the dense path —
+    /// Kernel choice follows the batch size exactly like the flat path —
     /// per-cluster GEMV for a batch of one (matching the solo IVF path's
     /// bits), per-cluster packed GEMM otherwise (matching the batched IVF
     /// path's bits).
@@ -699,37 +771,8 @@ impl ShardedCatalog {
         let b = queries.rows();
         let qqueries: Option<Vec<QuantizedQuery>> =
             quantized.then(|| (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
-        let mut blocks: Vec<Option<(IvfShardBlock, u64)>> = self.shards.iter().map(|_| None).collect();
-        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
-        let score_shard = |s: usize| {
-            let started = Instant::now();
-            let block = self.ivf_score_shard_batch(s, queries, qqueries.as_deref());
-            (block, started.elapsed().as_micros() as u64)
-        };
-        match pool {
-            Some(pool) if parallel_useful => pool.scope(|scope| {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    let score_shard = &score_shard;
-                    scope.spawn(move || *block = Some(score_shard(s)));
-                }
-            }),
-            _ => {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    *block = Some(score_shard(s));
-                }
-            }
-        }
-        let mut shard_micros = Vec::new();
-        let blocks: Vec<IvfShardBlock> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| {
-                // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
-                let (block, micros) = b.expect("shard scoring task never ran");
-                shard_micros.push((s, micros));
-                block
-            })
-            .collect();
+        let (blocks, shard_micros) =
+            self.fan_out(pool, |s| self.ivf_score_shard_batch(s, queries, qqueries.as_deref()));
         let rank_started = trace.is_some().then(Instant::now);
         let mut rerank_micros = 0u64;
         let mut scratch = vec![false; self.num_items];
@@ -742,7 +785,7 @@ impl ShardedCatalog {
                 }
                 None => None,
             };
-            let select_k = if quantized { ks[i].saturating_mul(2) } else { ks[i] };
+            let select_k = select_width(ks[i], quantized);
             // Flat merge over every visited cluster of every shard: the merge
             // comparator is a total order, so this equals the hierarchical
             // per-shard merge bit for bit.
@@ -860,9 +903,10 @@ impl ShardedCatalog {
         (s, item - self.shards[s].offset)
     }
 
-    /// Batched [`Self::quantized_top_k_with_buf`]: one int8 GEMM per shard
-    /// (in parallel across shards on `pool` when given), then per-row
-    /// pre-selection, merge and exact re-rank.
+    /// Batched [`Self::quantized_top_k_with_buf`]: every shard task (in
+    /// parallel across shards on `pool` when given) scores its shard in int8
+    /// GEMM tiles and pre-selects each request's quantized top-`2k` in-task,
+    /// then the caller merges and re-ranks exactly.
     ///
     /// Because the re-rank rescores with the exact per-row dot, a batched
     /// quantized request returns the same bits as the single-request
@@ -882,9 +926,9 @@ impl ShardedCatalog {
     }
 
     /// [`Self::quantized_top_k_batch`] with stage timing: when `trace` is
-    /// given, per-shard GEMM durations, the ranking/merge loop and the exact
-    /// re-rank are clocked into it. `None` serves identically with no
-    /// timing overhead beyond one branch.
+    /// given, per-shard task durations (int8 GEMM + in-task select), the
+    /// k-way merges and the exact re-rank are clocked into it. `None` serves
+    /// identically with no timing overhead beyond one branch.
     pub fn quantized_top_k_batch_traced(
         &self,
         queries: &Matrix,
@@ -899,85 +943,19 @@ impl ShardedCatalog {
         if self.is_clustered() {
             return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, true);
         }
-        let qqueries: Vec<QuantizedQuery> = (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect();
-        let mut blocks: Vec<Option<(Matrix, u64)>> = self.shards.iter().map(|_| None).collect();
-        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
-        let score_shard = |s: usize| {
-            let started = Instant::now();
-            // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
-            let panel = self.shards[s].quantized.as_ref().expect("quantized_top_k on an unquantized catalogue");
-            let mut block = Matrix::zeros(b, panel.rows());
-            kernels::quantized_matmul_transposed_into(&qqueries, panel, &mut block);
-            (block, started.elapsed().as_micros() as u64)
-        };
-        match pool {
-            Some(pool) if parallel_useful => pool.scope(|scope| {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    let score_shard = &score_shard;
-                    scope.spawn(move || *block = Some(score_shard(s)));
-                }
-            }),
-            _ => {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    *block = Some(score_shard(s));
-                }
-            }
-        }
-        let mut shard_micros = Vec::new();
-        let blocks: Vec<Matrix> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| {
-                // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
-                let (block, micros) = b.expect("shard scoring task never ran");
-                shard_micros.push((s, micros));
-                block
-            })
-            .collect();
-        let rank_started = trace.is_some().then(Instant::now);
-        let mut rerank_micros = 0u64;
-        let mut scratch = vec![false; self.num_items];
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = match seen_items[i] {
-                Some(items) => {
-                    mark_seen(&mut scratch, items);
-                    Some(scratch.as_slice())
-                }
-                None => None,
-            };
-            let pre_k = ks[i].saturating_mul(2);
-            let per_shard: Vec<Vec<ScoredItem>> =
-                (0..self.shards.len()).map(|s| self.shard_top_k(s, blocks[s].row(i), pre_k, seen)).collect();
-            let candidates = merge_top_k(&per_shard, pre_k);
-            let rerank_started = trace.is_some().then(Instant::now);
-            let merged = self.rerank_exact(candidates, queries.row(i), ks[i], seen);
-            if let Some(at) = rerank_started {
-                rerank_micros += at.elapsed().as_micros() as u64;
-            }
-            if let Some(items) = seen_items[i] {
-                clear_seen(&mut scratch, items);
-            }
-            out.push(merged);
-        }
-        if let Some(trace) = trace {
-            trace.shard_score_micros = shard_micros;
-            let rank_micros = rank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
-            trace.merge_micros = rank_micros.saturating_sub(rerank_micros);
-            trace.rerank_micros = rerank_micros;
-        }
-        out
+        self.flat_top_k_batch_traced(queries, ks, seen_items, pool, trace, true)
     }
 
-    /// Exact global top-k for a query batch: one packed-panel GEMM per shard
-    /// (shards scored in parallel on `pool` when given), then per-row local
-    /// ranking and merging. `ks[i]` and `seen_items[i]` apply to query row
-    /// `i`; a row's seen items are the item ids to exclude (`None` ranks the
-    /// full catalogue; ids outside the catalogue are ignored).
+    /// Exact global top-k for a query batch: every shard task (in parallel
+    /// on `pool` when given) scores its shard tile by tile and ranks each
+    /// request in-task (`rank_shard_batch`), then the caller k-way
+    /// merges the per-shard shortlists. `ks[i]` and `seen_items[i]` apply to
+    /// query row `i`; a row's seen items are the item ids to exclude (`None`
+    /// ranks the full catalogue; ids outside the catalogue are ignored).
     ///
-    /// The ranking stage reuses **one** catalogue bitmap across the whole
-    /// batch, marked and cleared per row in O(history) — no per-request
-    /// bitmap allocation or O(catalogue) zeroing on the serving hot path.
+    /// No `b × shard_len` score block and no catalogue-sized bitmap exist on
+    /// this path: a task's working set is one L2-sized tile buffer and `b`
+    /// k-element heaps.
     ///
     /// # Panics
     /// Panics if `ks` or `seen_items` do not have one entry per query row.
@@ -992,9 +970,9 @@ impl ShardedCatalog {
     }
 
     /// [`Self::top_k_batch`] with stage timing: when `trace` is given,
-    /// per-shard GEMM durations and the ranking/merge loop are clocked into
-    /// it. `None` serves identically with no timing overhead beyond one
-    /// branch.
+    /// per-shard task durations (GEMM + in-task select) and the k-way merges
+    /// are clocked into it. `None` serves identically with no timing
+    /// overhead beyond one branch.
     pub fn top_k_batch_traced(
         &self,
         queries: &Matrix,
@@ -1009,83 +987,117 @@ impl ShardedCatalog {
         if self.is_clustered() {
             return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, false);
         }
-        let mut blocks: Vec<Option<(Matrix, u64)>> = self.shards.iter().map(|_| None).collect();
-        // A single (or single non-empty) shard has nothing to overlap — skip
-        // the pool handoff and score inline on the caller.
-        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
-        let score_shard = |s: usize| {
-            let started = Instant::now();
-            let block = self.shard_scores_batch(s, queries);
-            (block, started.elapsed().as_micros() as u64)
-        };
-        match pool {
-            Some(pool) if parallel_useful => pool.scope(|scope| {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    let score_shard = &score_shard;
-                    scope.spawn(move || *block = Some(score_shard(s)));
-                }
-            }),
-            _ => {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    *block = Some(score_shard(s));
-                }
-            }
-        }
-        let mut shard_micros = Vec::new();
-        let blocks: Vec<Matrix> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| {
-                // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
-                let (block, micros) = b.expect("shard scoring task never ran");
-                shard_micros.push((s, micros));
-                block
-            })
-            .collect();
-        let rank_started = trace.is_some().then(Instant::now);
-        let mut scratch = vec![false; self.num_items];
-        let sole = self.sole_active_shard();
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = match seen_items[i] {
-                Some(items) => {
-                    mark_seen(&mut scratch, items);
-                    Some(scratch.as_slice())
-                }
-                None => None,
-            };
-            // With one active shard the local ranking is the global ranking.
-            let merged = match sole {
-                Some(s) => self.shard_top_k(s, blocks[s].row(i), ks[i], seen),
-                None => {
-                    let per_shard: Vec<Vec<ScoredItem>> =
-                        (0..self.shards.len()).map(|s| self.shard_top_k(s, blocks[s].row(i), ks[i], seen)).collect();
-                    merge_top_k(&per_shard, ks[i])
-                }
-            };
-            if let Some(items) = seen_items[i] {
-                clear_seen(&mut scratch, items);
-            }
-            out.push(merged);
-        }
+        self.flat_top_k_batch_traced(queries, ks, seen_items, pool, trace, false)
+    }
+
+    /// The flat batch path shared by [`Self::top_k_batch_traced`] and
+    /// [`Self::quantized_top_k_batch_traced`]: fan the fused driver out over
+    /// the shards, then merge each request's k-element shortlists. The
+    /// quantized flavour pre-selects `2k` through the int8 panels and
+    /// re-ranks the merged candidates with the exact f32 dot.
+    fn flat_top_k_batch_traced(
+        &self,
+        queries: &Matrix,
+        ks: &[usize],
+        seen_items: &[Option<&[ItemId]>],
+        pool: Option<&ThreadPool>,
+        trace: Option<&mut StageTrace>,
+        quantized: bool,
+    ) -> Vec<Vec<ScoredItem>> {
+        let b = queries.rows();
+        let qqueries: Option<Vec<QuantizedQuery>> =
+            quantized.then(|| (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
+        let select_ks = select_widths(ks, quantized);
+        let (per_shard, shard_micros) =
+            self.fan_out(pool, |s| self.rank_shard_batch(s, queries, qqueries.as_deref(), &select_ks, seen_items));
+        let merge_started = trace.is_some().then(Instant::now);
+        let (out, rerank_micros) =
+            self.merge_shortlists(per_shard, queries, ks, seen_items, quantized, trace.is_some());
         if let Some(trace) = trace {
             trace.shard_score_micros = shard_micros;
-            trace.merge_micros = rank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
+            let merge_micros = merge_started.map_or(0, |at| at.elapsed().as_micros() as u64);
+            trace.merge_micros = merge_micros.saturating_sub(rerank_micros);
+            trace.rerank_micros = rerank_micros;
         }
         out
     }
-}
 
-/// What one shard task hands back to the deadline-bounded coordinator
-/// (`degrade::score_bounded`).
-pub(crate) enum ShardBlock {
-    /// Dense scores for every shard row (`b × shard_len`) — the exact and
-    /// quantized dense paths; the coordinator ranks it per request.
-    Dense(Matrix),
-    /// Per-request pre-ranked shortlists — the IVF paths route, score and
-    /// rank inside the task (the coordinator has no dense block to rank
-    /// unvisited rows from).
-    Ranked(Vec<Vec<ScoredItem>>),
+    /// The coordinator stage after in-task ranking, shared by the classic
+    /// flat batch path and the deadline-bounded one (`degrade`, over the
+    /// shards that answered): k-way merges each request's per-shard
+    /// shortlists (`per_shard[s][i]`, consumed) and, on a quantized
+    /// catalogue, re-ranks the merged `2k` candidates with the exact f32
+    /// dot. Returns the rankings and the microseconds spent re-ranking
+    /// (clocked only when `timed`; 0 otherwise).
+    pub(crate) fn merge_shortlists(
+        &self,
+        mut per_shard: Vec<Vec<Vec<ScoredItem>>>,
+        queries: &Matrix,
+        ks: &[usize],
+        seen_items: &[Option<&[ItemId]>],
+        quantized: bool,
+        timed: bool,
+    ) -> (Vec<Vec<ScoredItem>>, u64) {
+        let mut rerank_micros = 0u64;
+        // The re-rank masks through the global bitmap (exact scores of seen
+        // candidates must stay -inf); the exact flavour never needs one.
+        let mut scratch = vec![false; if quantized { self.num_items } else { 0 }];
+        let mut out = Vec::with_capacity(ks.len());
+        for (i, &k) in ks.iter().enumerate() {
+            let lists: Vec<Vec<ScoredItem>> = per_shard.iter_mut().map(|lists| std::mem::take(&mut lists[i])).collect();
+            let merged = merge_top_k(&lists, select_width(k, quantized));
+            out.push(if quantized {
+                let rerank_started = timed.then(Instant::now);
+                let seen = seen_items[i].map(|items| {
+                    mark_seen(&mut scratch, items);
+                    scratch.as_slice()
+                });
+                let ranked = self.rerank_exact(merged, queries.row(i), k, seen);
+                if let Some(items) = seen_items[i] {
+                    clear_seen(&mut scratch, items);
+                }
+                rerank_micros += rerank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
+                ranked
+            } else {
+                merged
+            });
+        }
+        (out, rerank_micros)
+    }
+
+    /// Runs `task(s)` for every shard — in parallel on `pool` when more than
+    /// one shard is non-empty (a single active shard has nothing to overlap,
+    /// so it skips the pool hand-off), inline on the caller otherwise — and
+    /// returns the results in shard order with each task's wall time as
+    /// `(shard, micros)`.
+    fn fan_out<T: Send>(
+        &self,
+        pool: Option<&ThreadPool>,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, Vec<(usize, u64)>) {
+        let timed = |s: usize| {
+            let started = Instant::now();
+            (task(s), started.elapsed().as_micros() as u64)
+        };
+        let mut slots: Vec<Option<(T, u64)>> = self.shards.iter().map(|_| None).collect();
+        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
+        match pool {
+            Some(pool) if parallel_useful => pool.scope(|scope| {
+                for (s, slot) in slots.iter_mut().enumerate() {
+                    let timed = &timed;
+                    scope.spawn(move || *slot = Some(timed(s)));
+                }
+            }),
+            _ => {
+                for (s, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(timed(s));
+                }
+            }
+        }
+        // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
+        let done = slots.into_iter().map(|slot| slot.expect("shard task never ran"));
+        done.enumerate().map(|(s, (out, micros))| (out, (s, micros))).unzip()
+    }
 }
 
 /// One shard's batched IVF scoring result: the clusters each request visits,
@@ -1126,8 +1138,23 @@ fn rank_panel(
         .collect()
 }
 
+/// Shortlist length a shard ranks a request to: `k` on the exact paths, the
+/// `2k` pre-selection the exact re-rank needs on the quantized ones.
+fn select_width(k: usize, quantized: bool) -> usize {
+    if quantized {
+        k.saturating_mul(2)
+    } else {
+        k
+    }
+}
+
+/// [`select_width`] for every request of a batch.
+pub(crate) fn select_widths(ks: &[usize], quantized: bool) -> Vec<usize> {
+    ks.iter().map(|&k| select_width(k, quantized)).collect()
+}
+
 /// Marks every in-catalogue id of `items` in the bitmap (O(history)).
-pub(crate) fn mark_seen(bits: &mut [bool], items: &[ItemId]) {
+fn mark_seen(bits: &mut [bool], items: &[ItemId]) {
     for &item in items {
         if item < bits.len() {
             bits[item] = true;
@@ -1136,7 +1163,7 @@ pub(crate) fn mark_seen(bits: &mut [bool], items: &[ItemId]) {
 }
 
 /// Clears the marks of [`mark_seen`], leaving the bitmap all-clear again.
-pub(crate) fn clear_seen(bits: &mut [bool], items: &[ItemId]) {
+fn clear_seen(bits: &mut [bool], items: &[ItemId]) {
     for &item in items {
         if item < bits.len() {
             bits[item] = false;

@@ -1,11 +1,11 @@
 //! Stage-level timing of one served batch.
 //!
 //! A [`StageTrace`] is the serving pipeline's timing scratchpad: the batch
-//! path fills in how long query assembly, each shard's scoring GEMM, the
-//! k-way merge and (on the quantized path) the exact re-rank took. The
-//! dispatcher then shapes the totals into per-request
-//! [`SpanTree`](ham_telemetry::SpanTree)s for the flight recorder. Tracing
-//! is requested explicitly (`Option<&mut StageTrace>` threaded through the
+//! path fills in how long query assembly, each shard's task (tile GEMMs
+//! fused with the in-task select), the k-way merges and (on the quantized
+//! path) the exact re-rank took. The dispatcher then shapes the totals into
+//! per-request [`SpanTree`](ham_telemetry::SpanTree)s for the flight
+//! recorder. Tracing is requested explicitly (`Option<&mut StageTrace>` threaded through the
 //! batch entry points), so the untraced hot path carries a `None` check and
 //! nothing else.
 
@@ -14,10 +14,15 @@
 pub struct StageTrace {
     /// Building the batch's query matrix from user ids + histories.
     pub batch_assembly_micros: u64,
-    /// Per-shard scoring time, `(shard index, micros)` — wall-clock inside
-    /// each shard's scoring task, so with parallel shards these overlap.
+    /// Per-shard task time, `(shard index, micros)` — wall-clock inside each
+    /// shard's task, so with parallel shards these overlap. On the flat
+    /// paths a task scores its shard in GEMM tiles **and ranks every
+    /// request's shortlist** before returning; the classic batched IVF path
+    /// only scores its visited panels here.
     pub shard_score_micros: Vec<(usize, u64)>,
-    /// Per-shard local ranking plus the k-way merges across the batch.
+    /// The coordinator's k-way merges of the per-shard shortlists across the
+    /// batch — k-element lists only on the flat paths (the classic batched
+    /// IVF path also ranks its visited panels here).
     pub merge_micros: u64,
     /// Exact f32 re-rank of the merged candidates (quantized path only;
     /// zero on the exact path).

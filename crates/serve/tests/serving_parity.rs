@@ -3,15 +3,20 @@
 //! path must return bit-identical item ids (stable tie-break) to the
 //! single-node `recommend_top_k` ranking, for shard counts 1..8; and the
 //! coalesced GEMM batch path must be bit-identical to the equivalent
-//! unsharded GEMM ranking.
+//! unsharded GEMM ranking — including at every tile boundary of the fused
+//! score→select driver (the proptest at the bottom).
 
 use ham_baselines::{
     BaselineTrainConfig, BprMf, BprMfConfig, Caser, CaserConfig, Gru4Rec, Gru4RecConfig, Hgn, HgnConfig, PopRec,
     SasRec, SasRecConfig, SequentialRecommender,
 };
 use ham_core::{HamConfig, HamModel, HamVariant, Scorer};
-use ham_serve::{RecommendRequest, ServingModel};
+use ham_serve::{RecommendRequest, ServingModel, ShardedCatalog};
+use ham_tensor::kernels::gemm_tile_rows;
 use ham_tensor::ops::top_k_indices_masked;
+use ham_tensor::pool::global_pool;
+use ham_tensor::{Matrix, QuantizedQuery};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 const NUM_USERS: usize = 6;
@@ -164,4 +169,148 @@ fn deep_baselines_serve_identically() {
     ));
     let h = Arc::clone(&hgn);
     assert_parity("HGN", hgn, SequentialRecommender::linear_head, move |u, h2| h.score_all(u, h2));
+}
+
+/// Rows per packed GEMM panel in `ham_tensor::kernels` (tiles are whole
+/// panels — asserted below so this cannot drift silently).
+const GEMM_PANEL: usize = 128;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The fused tile driver against the per-row reference — the unsharded
+    /// GEMM row ranked by the fused mask+select — on ids, order **and score
+    /// bits**, with the shard length placed on either side of the panel and
+    /// tile widths, `k` above the shard length, histories straddling tile
+    /// and shard edges, and one row with fewer than `k` unseen items. The
+    /// quantized flavour (same driver, int8 tiles, `2k` pre-selection,
+    /// exact re-rank) is checked against its own solo path.
+    #[test]
+    fn fused_batch_matches_per_row_reference_at_every_tile_boundary(
+        shards in 1usize..9,
+        batch_pick in 0usize..4,
+        len_pick in 0usize..7,
+        extra in 0usize..8,
+        k_pick in 0usize..3,
+        salt in 0usize..1000,
+    ) {
+        let b = [2usize, 3, 64, 65][batch_pick];
+        let tile = gemm_tile_rows(b);
+        prop_assert_eq!(tile % GEMM_PANEL, 0);
+        // Small batches get tiles of tens of thousands of rows: straddle
+        // their tile edge on one or two shards only, to keep the case cheap.
+        let shards = if tile > 4096 && (3..6).contains(&len_pick) { shards.min(2) } else { shards };
+        let shard_len = [GEMM_PANEL - 1, GEMM_PANEL, GEMM_PANEL + 1, tile - 1, tile, tile + 1, 7][len_pick];
+        // Near-even split: the first `extra` shards hold one more row, so
+        // `w - 1` and `w` (or `w` and `w + 1`) shards sit side by side.
+        let n = shards * shard_len + extra % shards;
+        let k = [1usize, 10, shard_len + 3][k_pick];
+        let d = 4;
+        // Few distinct embedding values: scores tie heavily, so the
+        // lower-id tie-break is decided across tile and shard edges.
+        let w = Matrix::from_vec(n, d, (0..n * d).map(|i| ((i * 7 + i / d + salt) % 4) as f32 - 1.0).collect());
+        let queries = Matrix::from_vec(b, d, (0..b * d).map(|i| ((i * 5 + salt) % 7) as f32 * 0.5 - 1.25).collect());
+
+        // Histories: both sides of the first tile edge of the row's shard,
+        // both ends of that shard, an out-of-catalogue id and a duplicate.
+        // Row 1 has seen everything but three items; row 0 masks nothing.
+        let catalog = ShardedCatalog::from_matrix(&w, shards);
+        let histories: Vec<Vec<usize>> = (0..b)
+            .map(|i| {
+                if i == 1 {
+                    return (0..n).filter(|item| ![0, n / 2, n - 1].contains(item)).collect();
+                }
+                let shard = &catalog.shards()[i % shards];
+                let (lo, hi) = (shard.offset(), shard.offset() + shard.len());
+                let edge = lo + tile;
+                let picks = [edge - 1, edge, edge + 1, lo, hi - 1, hi, (i * 31 + salt) % n, n + 5, lo];
+                picks.into_iter().filter(|&item| item < n || item == n + 5).collect()
+            })
+            .collect();
+        let seen_items: Vec<Option<&[usize]>> =
+            histories.iter().enumerate().map(|(i, h)| (i != 0).then_some(h.as_slice())).collect();
+        let ks = vec![k; b];
+
+        let full = queries.matmul_transposed(&w);
+        let pool = (salt % 2 == 0).then(global_pool);
+        let got = catalog.top_k_batch(&queries, &ks, &seen_items, pool);
+        let quantized = catalog.clone().with_quantization();
+        let got_quantized = quantized.quantized_top_k_batch(&queries, &ks, &seen_items, pool);
+        let (mut scores_buf, mut qquery) = (Vec::new(), QuantizedQuery::quantize(&[]));
+        for i in 0..b {
+            let mut seen = vec![false; n];
+            for &item in seen_items[i].unwrap_or_default() {
+                if item < n {
+                    seen[item] = true;
+                }
+            }
+            let want: Vec<(usize, u32)> = top_k_indices_masked(full.row(i), k, &seen)
+                .into_iter()
+                .map(|item| (item, if seen[item] { f32::NEG_INFINITY } else { full.get(i, item) }.to_bits()))
+                .collect();
+            let served: Vec<(usize, u32)> = got[i].iter().map(|s| (s.item, s.score.to_bits())).collect();
+            prop_assert_eq!(&served, &want, "b = {}, shards = {}, shard_len = {}, k = {}, row {}", b, shards, shard_len, k, i);
+            if i == 1 && k > 3 {
+                // Three unseen items, then the masked tail in ascending id.
+                let tail: Vec<usize> = served[3..].iter().map(|&(item, _)| item).collect();
+                prop_assert!(served[3..].iter().all(|&(_, bits)| bits == f32::NEG_INFINITY.to_bits()));
+                prop_assert!(tail.windows(2).all(|pair| pair[0] < pair[1]), "masked tail not ascending: {:?}", tail);
+            }
+            let bits = seen_items[i].is_some().then_some(seen.as_slice());
+            let solo = quantized.quantized_top_k_with_buf(queries.row(i), k, bits, &mut scores_buf, &mut qquery);
+            prop_assert_eq!(&got_quantized[i], &solo, "int8: b = {}, shards = {}, shard_len = {}, row {}", b, shards, shard_len, i);
+        }
+    }
+}
+
+/// The fused driver's NaN contract at the shard level: an item whose score
+/// is NaN (a poisoned embedding row) is never served and never displaces a
+/// real score, wherever it sits relative to a tile edge; a shard left with
+/// fewer than `k` non-NaN scores contributes a shorter shortlist instead of
+/// padding with NaN items the way the solo path does.
+#[test]
+fn fused_batch_never_ranks_nan_items_and_returns_short_when_starved() {
+    let (b, d) = (64, 4);
+    let tile = gemm_tile_rows(b);
+    let n = 2 * (tile + 50);
+    let poisoned = [0, tile - 1, tile, tile + 1, tile + 50, n - 1];
+    let mut w = Matrix::from_vec(n, d, (0..n * d).map(|i| ((i * 7 + i / d) % 5) as f32 - 2.0).collect());
+    for &item in &poisoned {
+        w.row_mut(item).fill(f32::NAN);
+    }
+    let queries = Matrix::from_vec(b, d, (0..b * d).map(|i| (i % 7) as f32 * 0.5 - 1.25).collect());
+    let catalog = ShardedCatalog::from_matrix(&w, 2);
+    let full = queries.matmul_transposed(&w);
+    let got = catalog.top_k_batch(&queries, &vec![10; b], &vec![None; b], Some(global_pool()));
+    for (i, ranked) in got.iter().enumerate() {
+        // Reference: NaN items masked out of the unsharded row.
+        let nan: Vec<bool> = (0..n).map(|item| poisoned.contains(&item)).collect();
+        let want: Vec<(usize, u32)> = top_k_indices_masked(full.row(i), 10, &nan)
+            .into_iter()
+            .map(|item| (item, full.get(i, item).to_bits()))
+            .collect();
+        let served: Vec<(usize, u32)> = ranked.iter().map(|s| (s.item, s.score.to_bits())).collect();
+        assert_eq!(served, want, "row {i}");
+    }
+
+    // Starved: shard 0 keeps two real scores, the catalogue eight.
+    let mut small = Matrix::from_vec(12, d, (0..12 * d).map(|i| (i % 5) as f32 - 2.0).collect());
+    for item in [0, 1, 3, 5] {
+        small.row_mut(item).fill(f32::NAN);
+    }
+    let catalog = ShardedCatalog::from_matrix(&small, 2);
+    for batch in [1, 3] {
+        let queries = Matrix::from_vec(batch, d, (0..batch * d).map(|i| (i % 3) as f32 + 0.5).collect());
+        let got = catalog.top_k_batch(&queries, &vec![10; batch], &vec![None; batch], None);
+        for (i, ranked) in got.iter().enumerate() {
+            let items: Vec<usize> = ranked.iter().map(|s| s.item).collect();
+            assert_eq!(ranked.len(), 8, "batch {batch} row {i}: {items:?}");
+            assert!(ranked.iter().all(|s| !s.score.is_nan() && ![0, 1, 3, 5].contains(&s.item)));
+            assert!(ranked
+                .windows(2)
+                .all(|p| p[0].score > p[1].score || (p[0].score == p[1].score && p[0].item < p[1].item)));
+            // The solo path pads the starved shard with its NaN items.
+            assert_eq!(catalog.top_k(queries.row(i), 10, None).len(), 10);
+        }
+    }
 }

@@ -23,6 +23,7 @@ use super::{pack_panel_kmajor, quantized_score, row_is_sparse, GEMM_B_PANEL};
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::Matrix;
 use core::arch::x86_64::*;
+use std::ops::Range;
 
 /// Rows of `A` per register tile in the GEMM microkernel: 4 rows × two
 /// 8-float accumulators each is 8 of the 16 ymm registers, leaving room for
@@ -82,18 +83,15 @@ pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
 
 /// Register-blocked `a · bᵀ` into `out` (overwrites): the packed-panel
 /// layout of the portable tier with an explicit [`GEMM_MR`]-row × 16-column
-/// FMA register tile over the panel.
+/// FMA register tile over the panel. Operands are row-major slices of `d > 0`
+/// columns: `a` is `m × d`, `b` is `n × d` (any contiguous row range of a
+/// larger matrix) and `out` is `m × n`.
 #[target_feature(enable = "avx2,fma")]
-pub(super) fn matmul_transposed_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, d) = a.shape();
-    let n = b.rows();
-    if d == 0 {
-        out.as_mut_slice().fill(0.0);
-        return;
-    }
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let out_data = out.as_mut_slice();
+pub(super) fn matmul_transposed_into(a_data: &[f32], b_data: &[f32], d: usize, out_data: &mut [f32]) {
+    let (m, n) = (a_data.len() / d, b_data.len() / d);
+    // The register tiles below store through raw pointers: every store's
+    // bounds argument starts from this length.
+    assert_eq!(out_data.len(), m * n, "avx2::matmul_transposed_into: output is not {m}x{n}");
 
     let mut packed = vec![0.0f32; GEMM_B_PANEL * d];
     let mut j0 = 0;
@@ -295,18 +293,26 @@ const QGEMM_ROW_BLOCK: usize = 2048;
 /// rounding is unchanged, keeping every element bit-identical to the
 /// scalar and portable paths.
 #[target_feature(enable = "avx2")]
-pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &QuantizedMatrix, out: &mut Matrix) {
+pub(super) fn quantized_matmul_transposed_into(
+    queries: &[QuantizedQuery],
+    w: &QuantizedMatrix,
+    rows: Range<usize>,
+    out_data: &mut [f32],
+) {
     let d = w.cols();
-    let n = w.rows();
+    let n = rows.len();
+    // The epilogue below loads zero-points/scales and stores scores through
+    // raw pointers: every bounds argument starts from these two checks.
+    assert!(rows.end <= w.rows(), "avx2::quantized_matmul_transposed_into: rows {rows:?} of {}", w.rows());
+    assert_eq!(out_data.len(), queries.len() * n, "avx2::quantized_matmul_transposed_into: output shape");
     if queries.is_empty() || n == 0 {
         return;
     }
     if d == 0 {
-        out.as_mut_slice().fill(0.0);
+        out_data.fill(0.0);
         return;
     }
     let payload = w.payload();
-    let out_data = out.as_mut_slice();
     let kp = d.div_ceil(2); // i16 (k, k+1) pairs per row
 
     // Per-query broadcast operands: each dword is (s[2g] as i16, s[2g+1] as
@@ -336,7 +342,7 @@ pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &Q
                 if j >= n {
                     break;
                 }
-                let row = &payload[j * d..(j + 1) * d];
+                let row = &payload[(rows.start + j) * d..(rows.start + j + 1) * d];
                 for kg in 0..kp {
                     let slot = (g * kp + kg) * 2 * QGEMM_GROUP + 2 * r;
                     panel[slot] = row[2 * kg] as i16;
@@ -361,11 +367,13 @@ pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &Q
                 }
                 let j0 = block_start + g * QGEMM_GROUP;
                 if j0 + QGEMM_GROUP <= n {
-                    // SAFETY: `j0 + 8 <= n` bounds the zero-point/scale loads
-                    // and the 8-float store into this query's row.
+                    // SAFETY: `j0 + 8 <= n` with `rows.start + n <= w.rows()`
+                    // (asserted on entry) bounds the zero-point/scale loads,
+                    // and with `out_data.len() == queries.len() * n` the
+                    // 8-float store into this query's row.
                     unsafe {
-                        let zp_v = _mm256_loadu_si256(w.zero_points().as_ptr().add(j0) as *const _);
-                        let sc_v = _mm256_loadu_ps(w.scales().as_ptr().add(j0));
+                        let zp_v = _mm256_loadu_si256(w.zero_points().as_ptr().add(rows.start + j0) as *const _);
+                        let sc_v = _mm256_loadu_ps(w.scales().as_ptr().add(rows.start + j0));
                         let diff = _mm256_sub_epi32(acc, _mm256_mullo_epi32(zp_v, qsum_v));
                         let score = _mm256_mul_ps(_mm256_cvtepi32_ps(diff), _mm256_mul_ps(sc_v, qscale_v));
                         _mm256_storeu_ps(out_data.as_mut_ptr().add(qi * n + j0), score);
@@ -375,7 +383,8 @@ pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &Q
                     // SAFETY: `sums` is exactly one 32-byte ymm wide.
                     unsafe { _mm256_storeu_si256(sums.as_mut_ptr() as *mut _, acc) };
                     for (r, &sum) in sums.iter().enumerate().take(n - j0) {
-                        out_data[qi * n + j0 + r] = quantized_score(sum, w.zero_point(j0 + r), w.scale(j0 + r), q);
+                        out_data[qi * n + j0 + r] =
+                            quantized_score(sum, w.zero_point(rows.start + j0 + r), w.scale(rows.start + j0 + r), q);
                     }
                 }
             }

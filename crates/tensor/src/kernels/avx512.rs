@@ -27,6 +27,7 @@ use super::{pack_panel_kmajor, quantized_score, row_is_sparse, GEMM_B_PANEL};
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::Matrix;
 use core::arch::x86_64::*;
+use std::ops::Range;
 
 /// Rows of `A` per register tile in the GEMM microkernel: 4 rows × two
 /// 16-float accumulators each is 8 of the 32 zmm registers, leaving ample
@@ -124,18 +125,15 @@ pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
 
 /// Register-blocked `a · bᵀ` into `out` (overwrites): the packed-panel
 /// layout of the portable tier with an explicit [`GEMM_MR`]-row × 32-column
-/// FMA register tile over the panel.
+/// FMA register tile over the panel. Operands are row-major slices of `d > 0`
+/// columns: `a` is `m × d`, `b` is `n × d` (any contiguous row range of a
+/// larger matrix) and `out` is `m × n`.
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(super) fn matmul_transposed_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, d) = a.shape();
-    let n = b.rows();
-    if d == 0 {
-        out.as_mut_slice().fill(0.0);
-        return;
-    }
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let out_data = out.as_mut_slice();
+pub(super) fn matmul_transposed_into(a_data: &[f32], b_data: &[f32], d: usize, out_data: &mut [f32]) {
+    let (m, n) = (a_data.len() / d, b_data.len() / d);
+    // The register tiles below store through raw pointers: every store's
+    // bounds argument starts from this length.
+    assert_eq!(out_data.len(), m * n, "avx512::matmul_transposed_into: output is not {m}x{n}");
 
     let mut packed = vec![0.0f32; GEMM_B_PANEL * d];
     let mut j0 = 0;
@@ -414,18 +412,26 @@ const QGEMM_ROW_BLOCK: usize = 2048;
 /// scalar and portable paths — integer accumulation is exact, and the one
 /// f32 rounding happens in the same place.
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &QuantizedMatrix, out: &mut Matrix) {
+pub(super) fn quantized_matmul_transposed_into(
+    queries: &[QuantizedQuery],
+    w: &QuantizedMatrix,
+    rows: Range<usize>,
+    out_data: &mut [f32],
+) {
     let d = w.cols();
-    let n = w.rows();
+    let n = rows.len();
+    // The epilogue below loads zero-points/scales and stores scores through
+    // raw pointers: every bounds argument starts from these two checks.
+    assert!(rows.end <= w.rows(), "avx512::quantized_matmul_transposed_into: rows {rows:?} of {}", w.rows());
+    assert_eq!(out_data.len(), queries.len() * n, "avx512::quantized_matmul_transposed_into: output shape");
     if queries.is_empty() || n == 0 {
         return;
     }
     if d == 0 {
-        out.as_mut_slice().fill(0.0);
+        out_data.fill(0.0);
         return;
     }
     let payload = w.payload();
-    let out_data = out.as_mut_slice();
     let kp = d.div_ceil(2); // i16 (k, k+1) pairs per row
 
     // Per-query broadcast operands: each dword is (s[2g] as i16, s[2g+1] as
@@ -455,7 +461,7 @@ pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &Q
                 if j >= n {
                     break;
                 }
-                let row = &payload[j * d..(j + 1) * d];
+                let row = &payload[(rows.start + j) * d..(rows.start + j + 1) * d];
                 for kg in 0..kp {
                     let slot = (g * kp + kg) * 2 * QGEMM_GROUP + 2 * r;
                     panel[slot] = row[2 * kg] as i16;
@@ -480,11 +486,13 @@ pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &Q
                 }
                 let j0 = block_start + g * QGEMM_GROUP;
                 if j0 + QGEMM_GROUP <= n {
-                    // SAFETY: `j0 + 16 <= n` bounds the zero-point/scale
-                    // loads and the 16-float store into this query's row.
+                    // SAFETY: `j0 + 16 <= n` with `rows.start + n <= w.rows()`
+                    // (asserted on entry) bounds the zero-point/scale loads,
+                    // and with `out_data.len() == queries.len() * n` the
+                    // 16-float store into this query's row.
                     unsafe {
-                        let zp_v = _mm512_loadu_si512(w.zero_points().as_ptr().add(j0) as *const _);
-                        let sc_v = _mm512_loadu_ps(w.scales().as_ptr().add(j0));
+                        let zp_v = _mm512_loadu_si512(w.zero_points().as_ptr().add(rows.start + j0) as *const _);
+                        let sc_v = _mm512_loadu_ps(w.scales().as_ptr().add(rows.start + j0));
                         let diff = _mm512_sub_epi32(acc, _mm512_mullo_epi32(zp_v, qsum_v));
                         let score = _mm512_mul_ps(_mm512_cvtepi32_ps(diff), _mm512_mul_ps(sc_v, qscale_v));
                         _mm512_storeu_ps(out_data.as_mut_ptr().add(qi * n + j0), score);
@@ -494,7 +502,8 @@ pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &Q
                     // SAFETY: `sums` is exactly one 64-byte zmm wide.
                     unsafe { _mm512_storeu_si512(sums.as_mut_ptr() as *mut _, acc) };
                     for (r, &sum) in sums.iter().enumerate().take(n - j0) {
-                        out_data[qi * n + j0 + r] = quantized_score(sum, w.zero_point(j0 + r), w.scale(j0 + r), q);
+                        out_data[qi * n + j0 + r] =
+                            quantized_score(sum, w.zero_point(rows.start + j0 + r), w.scale(rows.start + j0 + r), q);
                     }
                 }
             }

@@ -21,6 +21,15 @@
 //!   `A · Bᵀ` whose inner loop is a contiguous axpy over an L1-resident
 //!   transposed panel of `B` (many users, all items: the `Q · Wᵀ`
 //!   batched-evaluation fast path; register-blocked 4×16 FMA tiles on AVX2).
+//! * [`matmul_transposed_rows_into`] /
+//!   [`quantized_matmul_transposed_rows_into`] — the **row-range entry** of
+//!   the scoring GEMMs: `A · B[rows]ᵀ` into a caller's slice, reading the
+//!   rows of `B` in place. It is what the tier kernels actually implement
+//!   (they take row-major slices plus dims; the `&Matrix` entry points above
+//!   are thin wrappers over the full range), and it lets the serving layer
+//!   walk a shard in L2-sized column tiles ([`gemm_tile_rows`]) through one
+//!   reusable buffer instead of materialising the `batch × shard` block —
+//!   with no per-tile copies of `B` anywhere, at freeze or at request time.
 //! * [`matmul`] — cache-blocked `A · B` with a branch-free dense inner loop;
 //!   rows that are mostly zero (the one-hot and masked matrices the autograd
 //!   tape produces) take a bit-identical skip path instead.
@@ -64,6 +73,7 @@
 //! | score one user, few candidate items | [`dot`] per candidate |
 //! | score one user, whole catalogue | [`matvec_transposed`] (serving: [`matvec_transposed_into`]) |
 //! | score a user batch, whole catalogue | [`matmul_transposed`] (`Q·Wᵀ`) |
+//! | score a user batch and rank it, tile by tile | [`matmul_transposed_rows_into`] over [`gemm_tile_rows`]-row tiles |
 //! | dense forward/backward products | [`matmul`] |
 //!
 //! All kernels are exact for exactly-representable inputs (the unit tests
@@ -75,7 +85,12 @@
 //! [`dot`]/[`matvec_transposed`] each row uses one fixed multi-chain
 //! reduction shape that depends only on the row's length, never its
 //! position. That per-row/per-element position-independence is what keeps
-//! the sharded serving layer bit-identical to the single-node path. (The two
+//! the sharded serving layer bit-identical to the single-node path — and it
+//! is load-bearing twice over since the batch path went tiled: the serving
+//! driver scores a shard as a sequence of row-range GEMMs and relies on every
+//! tile element carrying the bits the whole-matrix product would have given
+//! it (`row_range_entries_match_the_full_product_bit_for_bit` pins this per
+//! tier, for ranges that split panels and quantized row groups). (The two
 //! properties differ: a new tier must match its *own* rows across groupings,
 //! not reproduce another tier's chain shape.)
 
@@ -88,6 +103,7 @@ mod portable;
 
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::Matrix;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Column-panel width for the blocked [`matmul`]: the output row segment
@@ -98,6 +114,13 @@ const MATMUL_J_BLOCK: usize = 128;
 /// rows is re-packed k-major and kept L1-resident while every row of `A` is
 /// scored against it (`128 rows × d floats`; 16 KB at d = 32).
 const GEMM_B_PANEL: usize = 128;
+
+/// Output-block budget of one column tile of the scoring GEMM
+/// ([`gemm_tile_rows`]): half a MiB of scores leaves the rest of a 1–2 MiB
+/// L2 to the tile's rows of `B` (256 KiB at 2 048 rows × d = 32) and the
+/// packed panel, so the select that follows the GEMM reads the tile from
+/// cache, not from memory.
+const GEMM_TILE_BYTES: usize = 512 * 1024;
 
 /// Number of independent partial sums in the portable [`dot`]: one full
 /// vector register of accumulators, so the reduction vectorizes instead of
@@ -430,17 +453,8 @@ pub fn matmul_transposed_into_with_tier(tier: KernelTier, a: &Matrix, b: &Matrix
     matmul_transposed_into_impl(checked(tier), a, b, out)
 }
 
+/// The whole-`b` product as a thin wrapper over the row-range entry.
 fn matmul_transposed_into_impl(tier: KernelTier, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    debug_assert_dispatchable(tier);
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_transposed: column dimensions do not agree ({}x{} * ({}x{})^T)",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
     assert_eq!(
         out.shape(),
         (a.rows(), b.rows()),
@@ -450,22 +464,81 @@ fn matmul_transposed_into_impl(tier: KernelTier, a: &Matrix, b: &Matrix, out: &m
         a.rows(),
         b.rows()
     );
-    counters::note(tier, 4 * (a.rows() * a.cols() + b.rows() * b.cols() + a.rows() * b.rows()) as u64);
+    matmul_transposed_rows_into_impl(tier, a, b, 0..b.rows(), out.as_mut_slice())
+}
+
+/// The row-range entry of the scoring GEMM: `a · b[rows]ᵀ` into `out`
+/// (overwritten, row-major `a.rows() × rows.len()`), reading the rows of `b`
+/// in place — no copy of the range is made.
+///
+/// This is what lets a caller walk a large `b` in column tiles of the
+/// product (the serving layer's fused score→select driver sizes them with
+/// [`gemm_tile_rows`]) and reuse one small output buffer: by the
+/// grouping-invariance contract in the module docs, the tile's elements
+/// carry the same bits as the corresponding elements of the full product.
+///
+/// # Panics
+/// Panics if the column dimensions do not agree, `rows` is out of bounds
+/// for `b`, or `out.len() != a.rows() * rows.len()`.
+#[inline]
+pub fn matmul_transposed_rows_into(a: &Matrix, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
+    matmul_transposed_rows_into_impl(dispatch(), a, b, rows, out)
+}
+
+fn matmul_transposed_rows_into_impl(tier: KernelTier, a: &Matrix, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
+    debug_assert_dispatchable(tier);
+    let (m, d) = a.shape();
+    assert_eq!(
+        d,
+        b.cols(),
+        "matmul_transposed: column dimensions do not agree ({}x{} * ({}x{})^T)",
+        m,
+        d,
+        b.rows(),
+        b.cols()
+    );
+    assert!(
+        rows.start <= rows.end && rows.end <= b.rows(),
+        "matmul_transposed_rows_into: rows {rows:?} out of bounds for {} rows",
+        b.rows()
+    );
+    let n = rows.len();
+    assert_eq!(
+        out.len(),
+        m * n,
+        "matmul_transposed_rows_into: output holds {} scores for a {m}x{n} product",
+        out.len()
+    );
+    counters::note(tier, 4 * (m * d + n * d + m * n) as u64);
+    if d == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let (a, b) = (a.as_slice(), &b.as_slice()[rows.start * d..rows.end * d]);
     match tier {
-        KernelTier::Portable => portable::matmul_transposed_into(a, b, out),
+        KernelTier::Portable => portable::matmul_transposed_into(a, b, d, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: every caller validated the tier — `dispatch()` only yields
         // Avx2 after runtime detection, `checked()` asserts it, and the
         // `debug_assert_dispatchable` at the top of this function re-checks
         // it in debug builds — so the avx2+fma features this function
         // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::matmul_transposed_into(a, b, out) },
+        KernelTier::Avx2 => unsafe { avx2::matmul_transposed_into(a, b, d, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::matmul_transposed_into(a, b, out) },
+        KernelTier::Avx512 => unsafe { avx512::matmul_transposed_into(a, b, d, out) },
         #[cfg(not(target_arch = "x86_64"))]
         KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
     }
+}
+
+/// Rows of `B` per column tile of a `batch`-row scoring GEMM such that the
+/// tile's output block (`batch × rows × 4 B`) stays L2-resident next to the
+/// packed panel and the tile's own rows of `B`: a multiple of the GEMM panel
+/// height (128 rows — tiles then never split a packed panel),
+/// 2 048 rows at a batch of 64.
+pub fn gemm_tile_rows(batch: usize) -> usize {
+    (GEMM_TILE_BYTES / (4 * batch.max(1)) / GEMM_B_PANEL).max(1) * GEMM_B_PANEL
 }
 
 /// [`matmul_transposed`] on an explicit tier.
@@ -761,39 +834,81 @@ pub fn quantized_matmul_transposed_into_with_tier(
     quantized_matmul_transposed_into_impl(checked(tier), queries, w, out)
 }
 
+/// The whole-panel product as a thin wrapper over the row-range entry.
 fn quantized_matmul_transposed_into_impl(
     tier: KernelTier,
     queries: &[QuantizedQuery],
     w: &QuantizedMatrix,
     out: &mut Matrix,
 ) {
-    debug_assert_dispatchable(tier);
-    let (n, d) = w.shape();
-    for (b, q) in queries.iter().enumerate() {
-        assert_eq!(q.len(), d, "quantized_matmul_transposed: query {b} length {} for {} columns", q.len(), d);
-    }
     assert_eq!(
         out.shape(),
-        (queries.len(), n),
+        (queries.len(), w.rows()),
         "quantized_matmul_transposed_into: output is {}x{} for a {}x{} product",
         out.rows(),
         out.cols(),
         queries.len(),
-        n
+        w.rows()
+    );
+    quantized_matmul_transposed_rows_into_impl(tier, queries, w, 0..w.rows(), out.as_mut_slice())
+}
+
+/// The row-range entry of the quantized scoring GEMM (the int8 sibling of
+/// [`matmul_transposed_rows_into`]): `out[b][j] ≈ queries[b] ·
+/// w.row(rows.start + j)` into a row-major `queries.len() × rows.len()`
+/// buffer, reading the panel rows in place.
+///
+/// # Panics
+/// Panics if any query length differs from `w.cols()`, `rows` is out of
+/// bounds for `w`, or `out.len() != queries.len() * rows.len()`.
+#[inline]
+pub fn quantized_matmul_transposed_rows_into(
+    queries: &[QuantizedQuery],
+    w: &QuantizedMatrix,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    quantized_matmul_transposed_rows_into_impl(dispatch(), queries, w, rows, out)
+}
+
+fn quantized_matmul_transposed_rows_into_impl(
+    tier: KernelTier,
+    queries: &[QuantizedQuery],
+    w: &QuantizedMatrix,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    debug_assert_dispatchable(tier);
+    let d = w.cols();
+    for (b, q) in queries.iter().enumerate() {
+        assert_eq!(q.len(), d, "quantized_matmul_transposed: query {b} length {} for {} columns", q.len(), d);
+    }
+    assert!(
+        rows.start <= rows.end && rows.end <= w.rows(),
+        "quantized_matmul_transposed_rows_into: rows {rows:?} out of bounds for {} rows",
+        w.rows()
+    );
+    let n = rows.len();
+    assert_eq!(
+        out.len(),
+        queries.len() * n,
+        "quantized_matmul_transposed_rows_into: output holds {} scores for a {}x{n} product",
+        out.len(),
+        queries.len()
     );
     counters::note(tier, (n * d + queries.len() * d + 4 * queries.len() * n) as u64);
     match tier {
-        KernelTier::Portable => portable::quantized_matmul_transposed_into(queries, w, out),
+        KernelTier::Portable => portable::quantized_matmul_transposed_into(queries, w, rows, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: every caller validated the tier — `dispatch()` only yields
         // a SIMD tier after runtime detection, `checked()` asserts it, and
         // the `debug_assert_dispatchable` at the top of this function
         // re-checks it in debug builds — so the features each arm requires
         // are present.
-        KernelTier::Avx2 => unsafe { avx2::quantized_matmul_transposed_into(queries, w, out) },
+        KernelTier::Avx2 => unsafe { avx2::quantized_matmul_transposed_into(queries, w, rows, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::quantized_matmul_transposed_into(queries, w, out) },
+        KernelTier::Avx512 => unsafe { avx512::quantized_matmul_transposed_into(queries, w, rows, out) },
         #[cfg(not(target_arch = "x86_64"))]
         KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
     }
@@ -1101,6 +1216,63 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+    #[test]
+    fn row_range_entries_match_the_full_product_bit_for_bit() {
+        // The fused serving driver's premise: a column tile scored in place
+        // through the row-range entry carries the bits of the full product,
+        // on every tier, for ranges straddling the panel width and the
+        // quantized kernels' row groups — without copying the rows out.
+        let n = 2 * GEMM_B_PANEL + 37;
+        let a = arange_matrix(5, 12, 0.3);
+        let b = arange_matrix(n, 12, 0.7);
+        let qb = QuantizedMatrix::quantize(&b);
+        let qa: Vec<QuantizedQuery> = (0..5).map(|i| QuantizedQuery::quantize(a.row(i))).collect();
+        let ranges = [0..n, 0..GEMM_B_PANEL - 1, GEMM_B_PANEL - 1..GEMM_B_PANEL + 1, 7..7, GEMM_B_PANEL..n, n - 3..n];
+        for tier in available_tiers() {
+            let full = matmul_transposed_with_tier(tier, &a, &b);
+            let mut qfull = Matrix::zeros(5, n);
+            quantized_matmul_transposed_into_with_tier(tier, &qa, &qb, &mut qfull);
+            for rows in ranges.clone() {
+                let w = rows.len();
+                let mut tile = vec![f32::NAN; 5 * w];
+                matmul_transposed_rows_into_impl(tier, &a, &b, rows.clone(), &mut tile);
+                let mut qtile = vec![f32::NAN; 5 * w];
+                quantized_matmul_transposed_rows_into_impl(tier, &qa, &qb, rows.clone(), &mut qtile);
+                for i in 0..5 {
+                    for j in 0..w {
+                        let at = rows.start + j;
+                        assert_eq!(
+                            tile[i * w + j].to_bits(),
+                            full.get(i, at).to_bits(),
+                            "{tier} f32 {rows:?} ({i},{j})"
+                        );
+                        assert_eq!(
+                            qtile[i * w + j].to_bits(),
+                            qfull.get(i, at).to_bits(),
+                            "{tier} int8 {rows:?} ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_range_entry_rejects_rows_past_the_matrix() {
+        let (a, b) = (arange_matrix(2, 4, 1.0), arange_matrix(6, 4, 1.0));
+        matmul_transposed_rows_into(&a, &b, 4..7, &mut [0.0; 6]);
+    }
+
+    #[test]
+    fn gemm_tiles_are_whole_panels_sized_by_the_batch() {
+        assert_eq!(gemm_tile_rows(64), 2048);
+        for batch in [0, 1, 2, 3, 64, 65, 1000, usize::MAX / 8] {
+            let rows = gemm_tile_rows(batch);
+            assert!(rows >= GEMM_B_PANEL && rows.is_multiple_of(GEMM_B_PANEL), "batch {batch}: {rows}");
+            assert!(rows == GEMM_B_PANEL || 4 * batch.max(1) * rows <= GEMM_TILE_BYTES, "batch {batch}: {rows}");
         }
     }
 }

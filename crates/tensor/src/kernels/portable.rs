@@ -15,6 +15,7 @@
 use super::{pack_panel_kmajor, quantized_score, row_is_sparse, DOT_LANES, GEMM_B_PANEL, MATMUL_J_BLOCK};
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::Matrix;
+use std::ops::Range;
 
 /// Dot product with [`DOT_LANES`] independent partial sums.
 ///
@@ -58,16 +59,14 @@ pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
 /// and the packed panel stays L1-resident while every row of `a` is scored
 /// against it. `b` is streamed from memory exactly once regardless of the
 /// batch size; the packing cost is amortised over all rows of `a`.
-pub(super) fn matmul_transposed_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, d) = a.shape();
-    let n = b.rows();
-    let out_data = out.as_mut_slice();
+///
+/// Operands are row-major slices of `d > 0` columns: `a` is `m × d`, `b` is
+/// `n × d` (any contiguous row range of a larger matrix) and `out` is
+/// `m × n`.
+pub(super) fn matmul_transposed_into(a_data: &[f32], b_data: &[f32], d: usize, out_data: &mut [f32]) {
+    let (m, n) = (a_data.len() / d, b_data.len() / d);
+    assert_eq!(out_data.len(), m * n, "portable::matmul_transposed_into: output is not {m}x{n}");
     out_data.fill(0.0);
-    if d == 0 {
-        return;
-    }
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
 
     let mut packed = vec![0.0f32; GEMM_B_PANEL * d];
     let mut j0 = 0;
@@ -194,17 +193,23 @@ pub(super) fn quantized_matvec_into(w: &QuantizedMatrix, q: &QuantizedQuery, out
     }
 }
 
-/// Quantized batched scoring `out[b][j] ≈ queries[b] · w.row(j)`: the
-/// candidate panel is streamed exactly once (outer loop over rows), each row
-/// scored against every quantized query while it is L1-resident.
-pub(super) fn quantized_matmul_transposed_into(queries: &[QuantizedQuery], w: &QuantizedMatrix, out: &mut Matrix) {
+/// Quantized batched scoring `out[b][j] ≈ queries[b] · w.row(rows.start + j)`
+/// over the row range `rows` of the candidate panel: the range is streamed
+/// exactly once (outer loop over rows), each row scored against every
+/// quantized query while it is L1-resident. `out` is `queries.len() ×
+/// rows.len()`.
+pub(super) fn quantized_matmul_transposed_into(
+    queries: &[QuantizedQuery],
+    w: &QuantizedMatrix,
+    rows: Range<usize>,
+    out_data: &mut [f32],
+) {
     let d = w.cols();
-    let n = w.rows();
+    let n = rows.len();
     let payload = w.payload();
-    let out_data = out.as_mut_slice();
-    for j in 0..n {
-        let row = &payload[j * d..(j + 1) * d];
-        let (zp, scale) = (w.zero_point(j), w.scale(j));
+    for (j, r) in rows.enumerate() {
+        let row = &payload[r * d..(r + 1) * d];
+        let (zp, scale) = (w.zero_point(r), w.scale(r));
         for (b, q) in queries.iter().enumerate() {
             out_data[b * n + j] = quantized_score(quantized_dot_i32(row, q.payload()), zp, scale, q);
         }

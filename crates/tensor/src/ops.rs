@@ -95,10 +95,10 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
 /// mask-then-select path, including the degenerate cases where fewer than
 /// `k` items are unmasked and masked items pad the tail of the ranking (in
 /// ascending index order, the `-inf` tie-break). Because the buffer stays
-/// immutable, a caller can rank straight out of a shared score matrix (one
-/// row of a batched `Q·Wᵀ` block) without cloning the row first, and a
-/// serving loop can reuse one seen-bitmap across requests with O(history)
-/// mark/clear instead of O(catalogue) restores.
+/// immutable, a caller can rank straight out of a shared score buffer
+/// without cloning it first, and a serving loop can reuse one seen-bitmap
+/// across requests with O(history) mark/clear instead of O(catalogue)
+/// restores.
 ///
 /// # Panics
 /// Panics if `masked` and `scores` differ in length.
@@ -138,9 +138,20 @@ fn top_k_by_score(n: usize, k: usize, score: impl Fn(usize) -> f32) -> Vec<usize
     if k == 0 {
         return Vec::new();
     }
-    // Heap-based partial selection: O(n log k) time, O(k) extra space.
+    // Heap-based partial selection: O(n log k) time, O(k) extra space. The
+    // effective score is a closure (the mask is folded into it), so the scan
+    // offers candidates one at a time; only slice-fed callers get
+    // `push_block`'s chunk skip.
     if k * 8 <= n {
-        return top_k_by_heap(n, k, &score);
+        let mut stream = TopKStream::new(k);
+        for index in 0..n {
+            stream.offer(index, score(index));
+        }
+        if stream.len() == k {
+            return stream.into_sorted().into_iter().map(|(index, _)| index).collect();
+        }
+        // Rare: NaNs left fewer than k usable scores. Fall through to the
+        // full sort, which pads the ranking with the NaN indices.
     }
     let cmp =
         |a: &usize, b: &usize| score(*b).partial_cmp(&score(*a)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b));
@@ -184,55 +195,124 @@ impl Ord for RankedCandidate {
     }
 }
 
-/// Partial top-k selection with a bounded min-heap (the `k ≪ n` fast path of
-/// [`top_k_by_score`]).
-fn top_k_by_heap(n: usize, k: usize, score: &impl Fn(usize) -> f32) -> Vec<usize> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// Scores per chunk of the streaming select's skip test: two 16-lane (or
+/// four 8-lane) vector compares decide whether any of them can enter the
+/// heap, so the common all-below-threshold chunk costs no scalar work.
+const SELECT_CHUNK: usize = 32;
 
-    // `Reverse` turns the max-heap into a min-heap over "betterness", so the
-    // root is always the worst candidate currently kept. NaN scores are
-    // skipped entirely: if one seeded the heap, the `score > worst_score`
-    // fast filter below would stick at NaN (always false) and silently drop
-    // every later real score.
-    let mut heap: BinaryHeap<Reverse<RankedCandidate>> = BinaryHeap::with_capacity(k + 1);
-    // Hot loop: indices only grow, so a candidate tied with the current worst
-    // can never displace it — once the heap is full, a plain
-    // `score > worst_score` filter is exact and keeps the scan
-    // branch-predictable.
-    let mut worst_score = f32::NEG_INFINITY;
-    for index in 0..n {
-        let score = score(index);
-        if score.is_nan() {
-            continue;
-        }
-        if heap.len() < k {
-            heap.push(Reverse(RankedCandidate { score, index }));
-            if heap.len() == k {
-                worst_score = heap.peek().map_or(f32::NEG_INFINITY, |Reverse(c)| c.score);
+/// Streaming bounded top-k: the one heap-select body of the workspace.
+///
+/// It keeps the best `k` `(index, score)` pairs of a score sequence seen so
+/// far in a bounded min-heap whose root and threshold carry over from call
+/// to call. Feed it one candidate at a time with [`offer`](Self::offer)
+/// (the closure-scored whole-slice scans behind [`top_k_indices`]) or a
+/// block of consecutive scores with [`push_block`](Self::push_block) (one
+/// cache-hot GEMM tile at a time — the fused score→select driver of the
+/// serving layer). Because indices only grow, a candidate tied with the
+/// current worst can never displace it, so once the heap is full a plain
+/// `score > worst` filter is exact; `push_block` applies it a 32-score chunk
+/// at a time, and chunks with no score above the threshold are skipped
+/// without touching the heap. The kept set after any prefix is the top-`k`
+/// of that prefix under the (score desc, index asc) order, so how the
+/// sequence is cut into blocks never changes the result.
+///
+/// NaN scores are skipped entirely: they never enter the heap (a NaN root
+/// would make the `score > worst` filter always false and silently drop
+/// every later real score) and never displace a kept score. A sequence with
+/// fewer than `k` non-NaN scores therefore yields fewer than `k` entries.
+pub struct TopKStream {
+    k: usize,
+    /// `Reverse` turns the max-heap into a min-heap over "betterness", so
+    /// the root is always the worst candidate currently kept.
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<RankedCandidate>>,
+    /// The root's score once `k` candidates are kept (`-inf` before).
+    worst: f32,
+}
+
+impl TopKStream {
+    /// An empty selection of at most `k` candidates (allocates `k` heap
+    /// slots — clamp `k` to the sequence length first).
+    pub fn new(k: usize) -> Self {
+        Self { k, heap: std::collections::BinaryHeap::with_capacity(k), worst: f32::NEG_INFINITY }
+    }
+
+    /// Candidates currently kept (`k` once `k` non-NaN scores were seen).
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True before the first non-NaN score was pushed (or when `k == 0`).
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Offers the next candidate of the sequence; indices must arrive in
+    /// ascending order (the tie-break relies on it). Until `k` candidates
+    /// are kept every non-NaN score enters the heap; after that only a score
+    /// above the current worst replaces the root.
+    // ham-lint: hot-path
+    #[inline]
+    pub fn offer(&mut self, index: usize, score: f32) {
+        use std::cmp::Reverse;
+        if self.heap.len() < self.k {
+            if score.is_nan() {
+                return;
             }
-        } else if score > worst_score {
-            heap.pop();
-            heap.push(Reverse(RankedCandidate { score, index }));
-            worst_score = heap.peek().map_or(f32::NEG_INFINITY, |Reverse(c)| c.score);
+            self.heap.push(Reverse(RankedCandidate { score, index }));
+            if self.heap.len() < self.k {
+                return;
+            }
+        } else if score > self.worst {
+            if let Some(mut root) = self.heap.peek_mut() {
+                *root = Reverse(RankedCandidate { score, index });
+            }
+        } else {
+            return;
+        }
+        self.worst = self.heap.peek().map_or(f32::NEG_INFINITY, |Reverse(c)| c.score);
+    }
+
+    /// Feeds the next block of the sequence: `scores[i]` is the score of
+    /// index `base + i`, and blocks must arrive in ascending index order.
+    /// Items with `masked(i)` (block-local `i`) participate at an effective
+    /// `-inf`, exactly as if the caller had overwritten their score.
+    // ham-lint: hot-path
+    pub fn push_block(&mut self, base: usize, scores: &[f32], masked: impl Fn(usize) -> bool) {
+        if self.k == 0 {
+            return;
+        }
+        // Fill phase: until k candidates are kept, every score is offered
+        // (masked ones at -inf).
+        let mut at = 0;
+        while self.heap.len() < self.k && at < scores.len() {
+            self.offer(base + at, if masked(at) { f32::NEG_INFINITY } else { scores[at] });
+            at += 1;
+        }
+        // Filter phase. The chunk test runs on the raw scores: a masked
+        // item's effective -inf is never above the threshold, so a chunk
+        // with no raw score above it has no effective one either.
+        for chunk in scores[at..].chunks(SELECT_CHUNK) {
+            let worst = self.worst;
+            if chunk.iter().fold(false, |any, &score| any | (score > worst)) {
+                for (j, &score) in chunk.iter().enumerate() {
+                    if score > self.worst && !masked(at + j) {
+                        self.offer(base + at + j, score);
+                    }
+                }
+            }
+            at += chunk.len();
         }
     }
-    if heap.len() < k {
-        // Rare: NaNs left fewer than k usable scores. Fall back to the full
-        // sort path, which pads the ranking with the NaN indices.
-        let cmp = |a: &usize, b: &usize| {
-            score(*b).partial_cmp(&score(*a)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
-        };
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
-        idx.sort_by(cmp);
-        return idx;
+
+    /// The kept candidates as `(index, score)`, best first (descending
+    /// score, ascending index on ties; masked items report `-inf`).
+    pub fn into_sorted(self) -> Vec<(usize, f32)> {
+        let mut kept = self.heap.into_vec();
+        // `Reverse` flips the order back: ascending `Reverse` is descending
+        // betterness.
+        kept.sort_unstable();
+        kept.into_iter().map(|std::cmp::Reverse(c)| (c.index, c.score)).collect()
     }
-    let mut kept: Vec<RankedCandidate> = heap.into_iter().map(|Reverse(c)| c).collect();
-    // Descending by betterness = descending score, ascending index on ties.
-    kept.sort_by(|a, b| b.better_than(a));
-    kept.into_iter().map(|c| c.index).collect()
 }
 
 #[cfg(test)]
@@ -418,6 +498,74 @@ mod tests {
     #[should_panic(expected = "mask bits")]
     fn masked_top_k_rejects_length_mismatch() {
         let _ = top_k_indices_masked(&[1.0, 2.0], 1, &[false]);
+    }
+
+    /// Feeds `scores` to a [`TopKStream`] cut into `block`-sized blocks.
+    fn streamed(scores: &[f32], k: usize, block: usize) -> Vec<(usize, f32)> {
+        let mut stream = TopKStream::new(k);
+        for (b, chunk) in scores.chunks(block).enumerate() {
+            stream.push_block(b * block, chunk, |_| false);
+        }
+        stream.into_sorted()
+    }
+
+    #[test]
+    fn streaming_select_is_independent_of_block_boundaries() {
+        // Deliberate ties, so the lower-index tie-break crosses block edges.
+        let scores: Vec<f32> = (0..500).map(|i| ((i * 7919) % 31) as f32 * 0.5).collect();
+        for k in [1, 7, 33, 62] {
+            let whole: Vec<usize> = top_k_indices(&scores, k);
+            for block in [1, 31, 32, 33, 64, 499, 500] {
+                let got = streamed(&scores, k, block);
+                assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), whole, "k = {k}, block = {block}");
+                assert!(got.iter().all(|&(i, s)| s.to_bits() == scores[i].to_bits()), "scores ride along");
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_select_skips_nan_at_a_tile_edge() {
+        // NaNs on both sides of the 64-score tile edge, the winner after it:
+        // neither NaN is kept, neither displaces a finite score, and the
+        // `score > worst` filter keeps working past them.
+        let mut scores: Vec<f32> = (0..128).map(|i| (i % 10) as f32).collect();
+        scores[63] = f32::NAN;
+        scores[64] = f32::NAN;
+        scores[100] = 50.0;
+        let mut clean = scores.clone();
+        clean[63] = f32::NEG_INFINITY;
+        clean[64] = f32::NEG_INFINITY;
+        let got = streamed(&scores, 4, 64);
+        assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), top_k_indices(&clean, 4));
+        assert_eq!(got[0], (100, 50.0));
+        assert!(got.iter().all(|&(_, s)| !s.is_nan()));
+    }
+
+    #[test]
+    fn streaming_select_survives_an_all_nan_tile() {
+        let mut scores: Vec<f32> = (0..96).map(|i| i as f32 * 0.25).collect();
+        scores[32..64].fill(f32::NAN);
+        let got = streamed(&scores, 3, 32);
+        assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![95, 94, 93]);
+        // All-NaN *first* tile: the heap fills from the second one.
+        let mut scores = vec![f32::NAN; 32];
+        scores.extend((0..32).map(|i| i as f32));
+        let got = streamed(&scores, 3, 32);
+        assert_eq!(got.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![63, 62, 61]);
+    }
+
+    #[test]
+    fn streaming_select_with_nan_before_the_heap_fills() {
+        // A NaN among the first k scores must not seed the heap (its root
+        // would wedge the filter); the heap fills from the next finite one.
+        let scores = [1.0f32, f32::NAN, 2.0, 0.5, 9.0, 0.25];
+        let got = streamed(&scores, 3, 2);
+        assert_eq!(got, vec![(4, 9.0), (2, 2.0), (0, 1.0)]);
+        // Fewer than k finite scores: every finite one comes back, no panic.
+        let sparse = [f32::NAN, 3.0, f32::NAN, f32::NAN, 1.0, f32::NAN];
+        assert_eq!(streamed(&sparse, 4, 2), vec![(1, 3.0), (4, 1.0)]);
+        assert!(streamed(&[f32::NAN; 8], 2, 3).is_empty());
+        assert!(streamed(&sparse, 0, 2).is_empty());
     }
 
     #[test]
