@@ -1,7 +1,7 @@
 //! Generates `BENCH_serving.json`: throughput and latency numbers for the
 //! sharded serving subsystem (`ham-serve`).
 //!
-//! Three sections:
+//! Five sections:
 //!
 //! * **Single-node baseline** — the PR 1 configuration at the same thread
 //!   budget: full-catalogue `score_batch` GEMM over 64-user chunks fanned
@@ -13,6 +13,10 @@
 //! * **Online serving** — requests pushed through the [`RecServer`]
 //!   micro-batching queue from concurrent client threads, with per-request
 //!   latency percentiles (p50/p95/p99) and a model hot-swap mid-run.
+//! * **Solo sizes** — a lone request (one query row through the flat
+//!   driver) with its shard tasks in turn on the caller vs fanned out on the
+//!   pool, across catalogue sizes: the sweep `SOLO_FAN_OUT_MIN_BYTES` (the
+//!   serving model's freeze-time crossover) is set from.
 //! * **IVF retrieval sweep** — cluster-routed approximate candidate
 //!   generation on the largest benchmarked catalogue: recall@10 vs
 //!   throughput across `nprobe` settings, measured paired against the exact
@@ -25,6 +29,7 @@
 
 use ham_core::{HamConfig, HamModel, HamVariant};
 use ham_eval::ranking::top_k_excluding;
+use ham_serve::model::SOLO_FAN_OUT_MIN_BYTES;
 use ham_serve::{
     IvfConfig, LatencyStats, ModelRegistry, RecServer, RecommendRequest, ServerConfig, ServingModel, ShardedCatalog,
     PROBE_ALL,
@@ -171,6 +176,68 @@ fn online_run(model: &Arc<HamModel>, histories: &[Vec<usize>], scale: &BenchScal
         stats: LatencyStats::from_micros(samples).expect("at least one sample"),
         versions_seen,
     }
+}
+
+struct SoloArm {
+    users_per_second: f64,
+    p50_micros: f64,
+}
+
+struct SoloRow {
+    items: usize,
+    quantized: bool,
+    inline: SoloArm,
+    pooled: SoloArm,
+}
+
+const SOLO_SHARDS: usize = 4;
+
+/// One catalogue size of the solo sweep: every request is served twice, as a
+/// one-row `top_k_batch` with no pool (shard tasks in turn on the caller) and
+/// on the global pool (one task per shard, the caller helping) — back to
+/// back, alternating which goes first, so drift hits both arms alike. Going
+/// through the catalogue rather than a `ServingModel` is what lets both arms
+/// run at every size: the model would pick one from its freeze-time plan.
+/// `quantized` rows pre-select through int8 panels and re-rank exactly.
+fn solo_size_row(items: usize, quantized: bool, requests: usize) -> SoloRow {
+    let (model, histories) = bench_model(&BenchScale { items, ..BenchScale::new(false) });
+    let users = histories.len();
+    let serving = ServingModel::from_scorer("solo", model, SOLO_SHARDS).expect("HAM has a linear head");
+    let queries: Vec<Matrix> =
+        (0..users).map(|u| Matrix::from_vec(1, D, serving.query_vector(u, &histories[u]))).collect();
+    let catalog = if quantized { serving.catalog().clone().with_quantization() } else { serving.catalog().clone() };
+    let serve = |u: usize, pool| {
+        let seen = [Some(histories[u].as_slice())];
+        let started = Instant::now();
+        black_box(if quantized {
+            catalog.quantized_top_k_batch(&queries[u], &[K], &seen, pool)
+        } else {
+            catalog.top_k_batch(&queries[u], &[K], &seen, pool)
+        });
+        started.elapsed().as_nanos() as u64
+    };
+    let (mut inline_ns, mut pooled_ns) = (Vec::with_capacity(requests), Vec::with_capacity(requests));
+    for r in 0..requests + users {
+        let u = r % users;
+        let (inline, pooled) = if r % 2 == 0 {
+            let inline = serve(u, None);
+            (inline, serve(u, Some(global_pool())))
+        } else {
+            let pooled = serve(u, Some(global_pool()));
+            (serve(u, None), pooled)
+        };
+        // The first pass over the users is warm-up.
+        if r >= users {
+            inline_ns.push(inline);
+            pooled_ns.push(pooled);
+        }
+    }
+    let arm = |mut ns: Vec<u64>| {
+        ns.sort_unstable();
+        let total_s = ns.iter().sum::<u64>() as f64 / 1e9;
+        SoloArm { users_per_second: ns.len() as f64 / total_s, p50_micros: ns[ns.len() / 2] as f64 / 1e3 }
+    };
+    SoloRow { items, quantized, inline: arm(inline_ns), pooled: arm(pooled_ns) }
 }
 
 /// Scale of the IVF retrieval sweep. Deliberately the **largest** catalogue
@@ -412,6 +479,16 @@ fn main() {
     let online_shards = if quick { 2 } else { 4 };
     let online = online_run(&model, &histories, &scale, online_shards);
 
+    let solo_sizes: &[usize] = if quick { &[10_000, 60_000] } else { &[10_000, 30_000, 60_000, 120_000] };
+    let solo_requests = if quick { 200 } else { 1_000 };
+    eprintln!(
+        "measuring lone requests in turn vs fanned out: {solo_sizes:?} items, {solo_requests} requests per arm..."
+    );
+    let solo_rows: Vec<SoloRow> = [false, true]
+        .iter()
+        .flat_map(|&quantized| solo_sizes.iter().map(move |&items| solo_size_row(items, quantized, solo_requests)))
+        .collect();
+
     let ivf_scale = IvfScale::new(quick);
     eprintln!(
         "measuring IVF retrieval sweep: {} items, {} queries, {} shards...",
@@ -428,9 +505,10 @@ fn main() {
          quantized=true score candidates against int8 panels and re-rank the top-2k through the exact f32 \
          kernel, which keeps the served ranking bit-identical too.\",\n",
     );
+    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     out.push_str(&format!(
-        "  \"d\": {D},\n  \"k\": {K},\n  \"items\": {},\n  \"users\": {},\n  \"pool_threads\": {threads},\n  \
-         \"active_tier\": \"{}\",\n  \"quick\": {quick},\n",
+        "  \"d\": {D},\n  \"k\": {K},\n  \"items\": {},\n  \"users\": {},\n  \"cores\": {cores},\n  \
+         \"pool_threads\": {threads},\n  \"active_tier\": \"{}\",\n  \"quick\": {quick},\n",
         scale.items,
         scale.users,
         active_tier()
@@ -466,6 +544,34 @@ fn main() {
         online.stats.count,
         online.versions_seen
     ));
+    out.push_str(&format!(
+        "  \"solo_sizes\": {{\n    \"description\": \"A lone request (one query row through the flat driver, \
+         k=10, 40 seen items masked) with its shard tasks in turn on the caller (inline) vs one task per shard on \
+         the global pool with the caller helping (pooled). Each request is served both ways back to back, \
+         alternating which goes first; users_per_second is requests over summed latencies, p50 the median \
+         latency; quantized rows pre-select 2k through the int8 panels and re-rank exactly. ServingModel fans a \
+         lone request out from crossover_bytes of f32 catalogue (catalog_bytes = items x d x 4, int8 panels or \
+         not; SOLO_FAN_OUT_MIN_BYTES) when the pool it is handed has at least two workers.\",\n    \
+         \"cores\": {cores}, \"pool_threads\": {threads}, \"shards\": {SOLO_SHARDS}, \"requests_per_arm\": {solo_requests}, \
+         \"crossover_bytes\": {SOLO_FAN_OUT_MIN_BYTES},\n    \"rows\": [\n"
+    ));
+    for (i, r) in solo_rows.iter().enumerate() {
+        let catalog_bytes = r.items * D * 4;
+        let arm = |a: &SoloArm| {
+            format!("{{\"users_per_second\": {:.1}, \"p50_micros\": {:.1}}}", a.users_per_second, a.p50_micros)
+        };
+        out.push_str(&format!(
+            "      {{\"items\": {}, \"quantized\": {}, \"catalog_bytes\": {catalog_bytes}, \"inline\": {}, \
+             \"pooled\": {}, \"pooled_over_inline\": {:.3}}}{}\n",
+            r.items,
+            r.quantized,
+            arm(&r.inline),
+            arm(&r.pooled),
+            r.pooled.users_per_second / r.inline.users_per_second,
+            if i + 1 < solo_rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("    ]\n  },\n");
     out.push_str(&format!(
         "  \"ivf\": {{\n    \"description\": \"Cluster-routed approximate retrieval on the largest \
          benchmarked catalogue: per-shard k-means index, centroid-routed top-nprobe cluster scans, exact f32 \

@@ -198,7 +198,7 @@ pub fn batched_query_scores(
 /// and unmarking the seen items is O(history) with no hashing and no
 /// allocation after construction, so a serving loop can reuse one mask
 /// across every request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SeenMask {
     seen: Vec<bool>,
 }

@@ -31,6 +31,7 @@
 //! exact path or explicitly flagged degraded.
 
 use crate::shard::{select_widths, ScoredItem, ShardedCatalog};
+use ham_core::SeenMask;
 use ham_data::dataset::ItemId;
 use ham_faults::FaultInjector;
 use ham_tensor::{Matrix, QuantizedQuery};
@@ -328,7 +329,9 @@ pub(crate) fn score_bounded(
     // k-way merge and (quantized) exact re-rank as the classic path,
     // restricted to the shards that answered.
     let merge_started = Instant::now();
-    let (rankings, rerank_micros) = catalog.merge_shortlists(survivors, &queries, ks, seen_items, quantized, true);
+    let mut rerank_seen = quantized.then(SeenMask::default);
+    let (rankings, rerank_micros) =
+        catalog.merge_shortlists(survivors, &queries, ks, seen_items, rerank_seen.as_mut(), true);
     let merge_micros = (merge_started.elapsed().as_micros() as u64).saturating_sub(rerank_micros);
 
     BoundedOutcome {

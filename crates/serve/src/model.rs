@@ -2,8 +2,9 @@
 
 use crate::ivf::IvfConfig;
 use crate::request::RecommendRequest;
-use crate::shard::{ScoredItem, ShardedCatalog};
-use ham_core::{LinearHead, Scorer, SeenMask};
+use crate::shard::{FlatScratch, ScoredItem, ShardedCatalog};
+use crate::trace::StageTrace;
+use ham_core::{LinearHead, Scorer};
 use ham_data::dataset::ItemId;
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedQuery};
@@ -20,8 +21,9 @@ use std::sync::Arc;
 ///
 /// Results are **exact**: the single-request path ([`Self::recommend`])
 /// scores each shard with the same GEMV kernel the single-node
-/// `recommend_top_k` uses and is bit-identical to it; the batched path
-/// ([`Self::recommend_batch`]) coalesces the batch into one packed-panel GEMM
+/// `recommend_top_k` uses and is bit-identical to it, with its shard tasks in
+/// turn on the caller or ([`SOLO_FAN_OUT_MIN_BYTES`]) on the pool; the batched
+/// path ([`Self::recommend_batch`]) coalesces the batch into one packed-panel GEMM
 /// per shard and is bit-identical to the equivalent unsharded GEMM ranking
 /// (which agrees with the GEMV path within float rounding, ≤ 1e-5 — the same
 /// contract `score_batch` has had since the kernel layer landed).
@@ -39,6 +41,25 @@ pub struct ServingModel {
     /// timed-out slow shard) can never dangle.
     catalog: Arc<ShardedCatalog>,
     query: ham_core::scorer::QueryFn<'static>,
+    /// The freeze-time plan for a lone request ([`solo_fans_out`]).
+    solo_fan_out: bool,
+}
+
+/// Size of the f32 catalogue (`items × dim × 4` bytes) from which a flat lone
+/// request's shard tasks are worth handing to the pool: about twice a core's
+/// L2 on the reference host. Set from the `solo_sizes` sweep in
+/// `BENCH_serving.json` (2 cores, 4 shards, d = 32): fanned out is 0.88x
+/// in-turn throughput at 10k items (1.3 MB), 1.08x at 30k (3.8 MB), 1.52x at
+/// 60k (7.7 MB) and 1.33x at 120k. Int8 panels are held to the same size,
+/// not to their own bytes: an int8 scan costs 0.7–0.9x the f32 one — it
+/// tracks items — and the sweep's int8 rows cross over where the f32 rows
+/// do (0.89x, 1.13x, 1.32x, 1.47x).
+pub const SOLO_FAN_OUT_MIN_BYTES: usize = 4 << 20;
+
+/// Whether a lone request on `catalog` is big enough to fan its shard scans
+/// out: never on the IVF tiers (they scan a few panels).
+fn solo_fans_out(catalog: &ShardedCatalog) -> bool {
+    !catalog.is_clustered() && catalog.num_items() * catalog.dim() * 4 >= SOLO_FAN_OUT_MIN_BYTES
 }
 
 impl ServingModel {
@@ -64,12 +85,12 @@ impl ServingModel {
         S: Send + Sync + 'static,
         F: for<'m> Fn(&'m S) -> Option<LinearHead<'m>> + Send + Sync + 'static,
     {
-        let catalog = Arc::new(catalog_from_env(head_fn(&model)?.candidates(), num_shards));
+        let catalog = catalog_from_env(head_fn(&model)?.candidates(), num_shards);
         let query = Box::new(move |user: usize, history: &[ItemId]| {
             // ham-lint: allow(panic, "head_fn returned Some at construction and is a pure fn of the immutable model")
             head_fn(&model).expect("model's linear head disappeared after construction").query_vector(user, history)
         });
-        Some(Self { name: name.to_string(), catalog, query })
+        Some(Self::freeze(name.to_string(), catalog, query))
     }
 
     /// Packages a catalogue matrix and a query closure directly (no model
@@ -80,11 +101,7 @@ impl ServingModel {
         num_shards: usize,
         query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'static,
     ) -> Self {
-        Self {
-            name: name.to_string(),
-            catalog: Arc::new(catalog_from_env(candidates, num_shards)),
-            query: Box::new(query),
-        }
+        Self::freeze(name.to_string(), catalog_from_env(candidates, num_shards), Box::new(query))
     }
 
     /// Packages a pre-built catalogue (possibly quantized and/or clustered)
@@ -95,7 +112,21 @@ impl ServingModel {
         catalog: ShardedCatalog,
         query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'static,
     ) -> Self {
-        Self { name: name.to_string(), catalog: Arc::new(catalog), query: Box::new(query) }
+        Self::freeze(name.to_string(), catalog, Box::new(query))
+    }
+
+    /// Every constructor ends here: a lone request's plan is made once, from
+    /// what the snapshot contains.
+    fn freeze(name: String, catalog: ShardedCatalog, query: ham_core::scorer::QueryFn<'static>) -> Self {
+        let solo_fan_out = solo_fans_out(&catalog);
+        Self { name, catalog: Arc::new(catalog), query, solo_fan_out }
+    }
+
+    /// Re-freezes with a rebuilt catalogue. Publish-time construction: the
+    /// `Arc` is fresh and unshared, so this is a move, not a catalogue copy.
+    fn refreeze(self, rebuild: impl FnOnce(ShardedCatalog) -> ShardedCatalog) -> Self {
+        let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
+        Self::freeze(self.name, rebuild(catalog), self.query)
     }
 
     /// Freezes an int8 snapshot of every shard and switches serving to the
@@ -103,12 +134,8 @@ impl ServingModel {
     /// authoritative (the re-rank reads them), so this only adds the panels'
     /// 1 byte/element — and serving results stay bit-identical to the exact
     /// path under the recall guardrail.
-    pub fn with_quantized_catalog(mut self) -> Self {
-        // Publish-time construction: the Arc is freshly made and unshared,
-        // so this is a move, not a catalogue copy.
-        let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
-        self.catalog = Arc::new(catalog.with_quantization());
-        self
+    pub fn with_quantized_catalog(self) -> Self {
+        self.refreeze(ShardedCatalog::with_quantization)
     }
 
     /// Builds the inverted-file cluster index over every shard and switches
@@ -116,18 +143,14 @@ impl ServingModel {
     /// [`ShardedCatalog::with_cluster_index`]). With the default
     /// `nprobe = all` the served bits are unchanged; narrower probes trade
     /// measured recall for sub-linear retrieval cost.
-    pub fn with_cluster_index(mut self, config: &IvfConfig) -> Self {
-        let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
-        self.catalog = Arc::new(catalog.with_cluster_index(config));
-        self
+    pub fn with_cluster_index(self, config: &IvfConfig) -> Self {
+        self.refreeze(|catalog| catalog.with_cluster_index(config))
     }
 
     /// Re-dials the probe width of an already-clustered catalogue (cheap —
     /// no index rebuild).
-    pub fn with_nprobe(mut self, nprobe: usize) -> Self {
-        let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
-        self.catalog = Arc::new(catalog.with_nprobe(nprobe));
-        self
+    pub fn with_nprobe(self, nprobe: usize) -> Self {
+        self.refreeze(|catalog| catalog.with_nprobe(nprobe))
     }
 
     /// Whether requests take the quantized pre-selection path.
@@ -172,8 +195,8 @@ impl ServingModel {
         (self.query)(user, history)
     }
 
-    /// Serves one request exactly: per-shard GEMV, shard-local fused
-    /// masking, k-way merge. Bit-identical to the single-node
+    /// Serves one request exactly: per-shard GEMV fused with the shard-local
+    /// masked select, k-way merge. Bit-identical to the single-node
     /// `recommend_top_k` for every shard count.
     ///
     /// Allocates its own working buffers; a serving loop should hold a
@@ -183,33 +206,52 @@ impl ServingModel {
     }
 
     /// [`Self::recommend`] with reusable working buffers: the shard GEMVs
-    /// write into `scratch`'s score buffer ([`matvec_transposed_into`] — no
-    /// `Vec` per request) and the seen-item bitmap is marked and cleared in
-    /// O(history) instead of being re-allocated per request. Results are
-    /// identical to [`Self::recommend`].
-    ///
-    /// [`matvec_transposed_into`]: ham_tensor::kernels::matvec_transposed_into
-    // ham-lint: hot-path
+    /// write into `scratch`'s score tiles (no `Vec` per request) and the seen
+    /// items are masked from the request's history in O(history). The shard
+    /// tasks run in turn on the caller; results equal [`Self::recommend`]'s.
     pub fn recommend_with(&self, request: &RecommendRequest, scratch: &mut ServeScratch) -> Vec<ScoredItem> {
+        self.recommend_solo(request, None, scratch, None)
+    }
+
+    /// One request through the flat driver as a batch of one row — its shard
+    /// tasks on `pool` when given, timed into `trace` — or, on a clustered
+    /// catalogue, through the solo IVF paths.
+    // ham-lint: hot-path
+    fn recommend_solo(
+        &self,
+        request: &RecommendRequest,
+        pool: Option<&ThreadPool>,
+        scratch: &mut ServeScratch,
+        trace: Option<&mut StageTrace>,
+    ) -> Vec<ScoredItem> {
         let q = self.query_vector(request.user, &request.history);
-        let ServeScratch { scores, seen, qquery, route } = scratch;
-        let seen_bits = if request.exclude_seen {
+        let ServeScratch { flat, scores, qquery, route } = scratch;
+        if self.catalog.is_clustered() {
+            let seen = &mut flat.seen;
+            let seen_items: &[ItemId] = if request.exclude_seen { &request.history } else { &[] };
             seen.resize(self.catalog.num_items());
-            seen.mark(&request.history);
-            Some(seen.bits())
-        } else {
-            None
-        };
-        let out = match (self.catalog.is_clustered(), self.catalog.is_quantized()) {
-            (true, true) => self.catalog.ivf_quantized_top_k_with_buf(&q, request.k, seen_bits, scores, qquery, route),
-            (true, false) => self.catalog.ivf_top_k_with_buf(&q, request.k, seen_bits, scores, route),
-            (false, true) => self.catalog.quantized_top_k_with_buf(&q, request.k, seen_bits, scores, qquery),
-            (false, false) => self.catalog.top_k_with_buf(&q, request.k, seen_bits, scores),
-        };
-        if request.exclude_seen {
-            seen.clear(&request.history);
+            seen.mark(seen_items);
+            let seen_bits = request.exclude_seen.then_some(seen.bits());
+            let out = if self.catalog.is_quantized() {
+                self.catalog.ivf_quantized_top_k_with_buf(&q, request.k, seen_bits, scores, qquery, route)
+            } else {
+                self.catalog.ivf_top_k_with_buf(&q, request.k, seen_bits, scores, route)
+            };
+            seen.clear(seen_items);
+            return out;
         }
-        out
+        let qqueries = self.catalog.is_quantized().then(|| {
+            qquery.requantize(&q);
+            std::slice::from_ref(&*qquery)
+        });
+        // A query of the wrong length is the scoring kernels' to reject.
+        let queries = Matrix::from_vec(1, q.len(), q);
+        let seen_items = [request.exclude_seen.then_some(request.history.as_slice())];
+        // ham-lint: allow(alloc, "empty Vecs; each grows once, to its shard, in its task")
+        flat.tiles.resize_with(self.catalog.num_shards(), Vec::new);
+        let mut out =
+            self.catalog.flat_top_k_batch_traced(&queries, qqueries, &[request.k], &seen_items, pool, trace, flat);
+        out.pop().unwrap_or_default()
     }
 
     /// Serves a coalesced batch: the queries are built once, every shard
@@ -220,13 +262,14 @@ impl ServingModel {
     /// no catalogue-sized bitmap exist on the exact path.
     ///
     /// A batch of one takes the GEMV path of [`Self::recommend`], so a
-    /// lonely request gets the same bits whether or not it was queued.
+    /// lonely request gets the same bits whether or not it was queued — on
+    /// `pool` when the freeze-time plan ([`SOLO_FAN_OUT_MIN_BYTES`]) says so.
     pub fn recommend_batch(&self, requests: &[RecommendRequest], pool: Option<&ThreadPool>) -> Vec<Vec<ScoredItem>> {
         self.recommend_batch_with(requests, pool, &mut ServeScratch::new())
     }
 
     /// [`Self::recommend_batch`] with reusable working buffers: a batch of
-    /// one takes the allocation-free GEMV path of [`Self::recommend_with`]
+    /// one takes the GEMV path of [`Self::recommend_with`] on `scratch`
     /// (same bits whether or not the request was queued), larger batches take
     /// the per-shard tiled GEMM path. The dispatcher thread of `RecServer` holds
     /// one [`ServeScratch`] across its whole lifetime.
@@ -242,21 +285,22 @@ impl ServingModel {
     /// [`Self::recommend_batch_with`] with stage timing: when `trace` is
     /// given, query assembly, per-shard scoring, merging and (on the
     /// quantized path) the exact re-rank are clocked into it. The batch-of-1
-    /// GEMV path is deliberately timed as one opaque `solo` stage — its
-    /// scoring loop stays exactly the untraced code, so a queued lone
-    /// request keeps returning the same bits with or without telemetry.
+    /// GEMV path is timed as one `solo` stage, query building included; when
+    /// it fans out on `pool` the per-shard task times are reported under it.
     pub fn recommend_batch_traced(
         &self,
         requests: &[RecommendRequest],
         pool: Option<&ThreadPool>,
         scratch: &mut ServeScratch,
-        mut trace: Option<&mut crate::trace::StageTrace>,
+        mut trace: Option<&mut StageTrace>,
     ) -> Vec<Vec<ScoredItem>> {
         match requests {
             [] => Vec::new(),
             [single] => {
                 let started = trace.is_some().then(std::time::Instant::now);
-                let out = vec![self.recommend_with(single, scratch)];
+                let pool = pool.filter(|pool| self.solo_fan_out && pool.threads() >= 2);
+                let shard_trace = trace.as_deref_mut().filter(|_| pool.is_some());
+                let out = vec![self.recommend_solo(single, pool, scratch, shard_trace)];
                 if let (Some(trace), Some(at)) = (trace.as_deref_mut(), started) {
                     trace.solo_micros = Some(at.elapsed().as_micros() as u64);
                 }
@@ -284,18 +328,21 @@ impl ServingModel {
     }
 }
 
-/// Reusable working buffers for the single-request serving path: the shard
-/// score buffer (grown once to the largest shard) and a [`SeenMask`]
-/// (marked and cleared per request in O(history), the same bitmap type the
-/// single-node recommend paths use).
+/// Reusable working buffers for the single-request serving path: the flat
+/// driver's per-shard score tiles (grown once to the largest shard) and
+/// seen bitmap, the quantized-query buffer, and the solo IVF paths' score
+/// and routing buffers.
 ///
-/// Invariant between calls: the mask is all-clear. The recommend paths
+/// Invariant between calls: the bitmap is all-clear. The recommend paths
 /// restore it on every normal return; after a panic unwound through a
 /// serving call, call [`Self::reset`] before reuse.
 #[derive(Debug)]
 pub struct ServeScratch {
+    /// The flat driver's tiles; its bitmap (marked and cleared per request
+    /// in O(history)) also masks the solo IVF paths.
+    flat: FlatScratch,
+    /// Panel score buffer of the solo IVF paths.
     scores: Vec<f32>,
-    seen: SeenMask,
     /// Reusable quantized-query buffer for the quantized serving path
     /// (re-quantized in place per request — no allocation after warmup).
     qquery: QuantizedQuery,
@@ -307,13 +354,14 @@ pub struct ServeScratch {
 impl ServeScratch {
     /// An empty scratch; buffers are grown on first use.
     pub fn new() -> Self {
-        Self { scores: Vec::new(), seen: SeenMask::new(0), qquery: QuantizedQuery::quantize(&[]), route: Vec::new() }
+        let (flat, qquery) = (FlatScratch::default(), QuantizedQuery::quantize(&[]));
+        Self { flat, scores: Vec::new(), qquery, route: Vec::new() }
     }
 
     /// Restores the all-clear invariant (used after a serving call panicked
     /// mid-request, when the request's marks may still be set).
     pub fn reset(&mut self) {
-        self.seen.reset();
+        self.flat.seen.reset();
     }
 }
 
@@ -382,6 +430,53 @@ mod tests {
         let request = RecommendRequest::new(0, vec![3, 7], 5);
         let batched = serving.recommend_batch(std::slice::from_ref(&request), None);
         assert_eq!(batched[0], serving.recommend(&request));
+    }
+
+    /// The freeze-time plan: a lone request is big enough to fan out from
+    /// [`SOLO_FAN_OUT_MIN_BYTES`] of f32 catalogue, int8 panels or not —
+    /// never on the IVF tiers.
+    #[test]
+    fn lone_requests_are_big_enough_to_fan_out_from_the_byte_crossover() {
+        let d = 8;
+        let at = SOLO_FAN_OUT_MIN_BYTES / (4 * d);
+        let catalogue = |items: usize| ShardedCatalog::from_matrix(&Matrix::zeros(items, d), 4);
+        assert!(solo_fans_out(&catalogue(at)));
+        assert!(!solo_fans_out(&catalogue(at - 1)), "below the crossover the driver stays on the caller");
+        assert!(solo_fans_out(&catalogue(at).with_quantization()), "an int8 scan costs by items, like the f32 one");
+        assert!(!solo_fans_out(&catalogue(at - 1).with_quantization()));
+        let clustered = catalogue(at).with_cluster_index(&IvfConfig { clusters: 2, nprobe: 1, iters: 1, seed: 1 });
+        assert!(!solo_fans_out(&clustered));
+        // The plan is taken at every freeze, builder calls included.
+        let tiny = ServingModel::from_parts("tiny", &Matrix::zeros(64, d), 4, |_, _| vec![0.0; 8]);
+        assert!(!tiny.solo_fan_out && !tiny.with_quantized_catalog().solo_fan_out);
+    }
+
+    /// A lone request whose plan says "fan out" runs its shard tasks on the
+    /// handed pool when that has two workers or more — same bits — and
+    /// reports them under its one solo stage; on a one-worker pool, or when
+    /// the plan says "in turn", it stays on the caller and reports the solo
+    /// stage only.
+    #[test]
+    fn a_fanned_out_lone_request_reports_its_shard_tasks() {
+        let model = ham();
+        let mut serving = ServingModel::from_scorer("ham", Arc::clone(&model), 4).unwrap();
+        let request = RecommendRequest::new(1, vec![3, 7, 29], 5);
+        for (plan, workers) in [(false, 2), (true, 1), (true, 2)] {
+            serving.solo_fan_out = plan;
+            let mut trace = StageTrace::new();
+            let served = serving.recommend_batch_traced(
+                std::slice::from_ref(&request),
+                Some(&ThreadPool::new(workers)),
+                &mut ServeScratch::new(),
+                Some(&mut trace),
+            );
+            assert_eq!(served[0], serving.recommend(&request));
+            assert!(trace.solo_micros.is_some());
+            let shards: Vec<usize> = trace.shard_score_micros.iter().map(|&(s, _)| s).collect();
+            // (HAM_RETRIEVAL=ivf clusters the catalogue: the solo IVF path has no shard tasks.)
+            let fans_out = plan && workers >= 2 && !serving.is_clustered();
+            assert_eq!(shards, if fans_out { vec![0, 1, 2, 3] } else { vec![] }, "plan {plan}, {workers} workers");
+        }
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub struct ServerConfig {
     /// non-empty but below `max_batch`. Zero drains immediately (lowest
     /// latency, least coalescing).
     pub coalesce_wait: Duration,
-    /// Score the shards of a batch in parallel on the process-wide worker
-    /// pool. Disable to dedicate the pool to other work.
+    /// Score the shards of a batch — and of a lone request, when the model's
+    /// freeze-time plan finds the catalogue big enough — in parallel on the
+    /// process-wide worker pool. Disable to dedicate the pool to other work.
     pub parallel_shards: bool,
     /// Admission control: requests arriving while the queue already holds
     /// this many are **shed** — [`RecServer::submit`] returns
@@ -477,8 +478,8 @@ impl Drop for RecServer {
 
 fn dispatch_loop(shared: &ServerShared) {
     // One scratch for the dispatcher's lifetime: the batch-of-1 GEMV path
-    // scores every shard into the same reused buffer and marks/clears the
-    // seen bitmap in O(history) — no per-request allocation on the hot path.
+    // scores its shards into the same reused tiles — no score allocation per
+    // request on the hot path.
     let mut scratch = ServeScratch::new();
     // The bulkhead executor for deadline-bounded shard scoring, spawned by
     // the first batch that needs it and reused for the dispatcher's life.
@@ -584,10 +585,11 @@ fn serve_batch(
                 if trace.rerank_micros > 0 {
                     metrics.stage_rerank.record(trace.rerank_micros);
                 }
-                for &(shard, micros) in &trace.shard_score_micros {
-                    metrics.shard(&shared.telemetry, shard).score_micros.record(micros);
-                }
             }
+        }
+        // Batches, and lone requests that fanned out on the pool.
+        for &(shard, micros) in &trace.shard_score_micros {
+            metrics.shard(&shared.telemetry, shard).score_micros.record(micros);
         }
     }
     for (((enqueued, _deadline, slot), items), meta) in waiters.into_iter().zip(rankings).zip(metas) {
@@ -744,28 +746,29 @@ fn serve_bounded(
 
 /// Shapes one request's timing into the flight-recorder span tree:
 /// `request → {queue, service → {batch_assembly, shard_score → {shard_i…},
-/// merge, rerank}}` (or `service → {solo_gemv}` on the batch-of-1 path).
-/// Each `shard_i` span covers that shard's whole task — scoring fused with
-/// the in-task select — and `merge` only the coordinator's k-way merges
+/// merge, rerank}}`, or `service → {solo_gemv → {shard_i…}}` on the
+/// batch-of-1 path (shard children only when the request fanned out on the
+/// pool). Each `shard_i` span covers that shard's whole task — scoring fused
+/// with the in-task select — and `merge` only the coordinator's k-way merges
 /// (see [`StageTrace`]). Stage offsets are laid out sequentially from the
-/// measured durations — parallel shard children share the `shard_score`
-/// start offset.
+/// measured durations — parallel shard children share their parent's start
+/// offset.
 fn request_span_tree(queue_micros: u64, service_micros: u64, trace: &StageTrace) -> SpanTree {
+    let with_shards = |stage: SpanTree, at: u64| {
+        let shards = trace.shard_score_micros.iter();
+        shards.fold(stage, |stage, &(s, micros)| stage.with_child(SpanTree::leaf(format!("shard_{s}"), at, micros)))
+    };
     let mut service = SpanTree::leaf("service", queue_micros, service_micros);
     match trace.solo_micros {
         Some(solo) => {
-            service = service.with_child(SpanTree::leaf("solo_gemv", queue_micros, solo));
+            service = service.with_child(with_shards(SpanTree::leaf("solo_gemv", queue_micros, solo), queue_micros));
         }
         None => {
             let mut at = queue_micros;
             service = service.with_child(SpanTree::leaf("batch_assembly", at, trace.batch_assembly_micros));
             at += trace.batch_assembly_micros;
             let score_wall = trace.max_shard_micros();
-            let mut score = SpanTree::leaf("shard_score", at, score_wall);
-            for &(s, micros) in &trace.shard_score_micros {
-                score = score.with_child(SpanTree::leaf(format!("shard_{s}"), at, micros));
-            }
-            service = service.with_child(score);
+            service = service.with_child(with_shards(SpanTree::leaf("shard_score", at, score_wall), at));
             at += score_wall;
             service = service.with_child(SpanTree::leaf("merge", at, trace.merge_micros));
             at += trace.merge_micros;

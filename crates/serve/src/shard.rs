@@ -25,7 +25,7 @@
 //! * the merge comparator is the same total preference (higher score first,
 //!   ties to the lower global item id) used by `top_k_indices`.
 //!
-//! ## The batch path: fused tile score→select
+//! ## The flat driver: fused tile score→select
 //!
 //! A query batch never materialises its `b × shard_len` score block. Each
 //! shard task walks its shard in column tiles sized so the tile's scores stay
@@ -36,8 +36,11 @@
 //! caller only merges. Tiling is invisible in the results for the same two
 //! reasons sharding is: a GEMM element's bits do not depend on how rows are
 //! grouped, and the select keeps the exact top-k of every prefix under the
-//! shared comparator. The exact, quantized and deadline-bounded batch paths
-//! all run this one driver (`rank_shard_batch`).
+//! shared comparator. The exact, quantized and deadline-bounded paths all run
+//! this one driver (`rank_shard_batch`), and so does a lone request: a batch
+//! of one row whose single tile is the whole shard, scored by the fused GEMV,
+//! its shard tasks in turn on the caller or — per the serving model's
+//! freeze-time plan — in parallel on the pool.
 //!
 //! ## The quantized candidate path
 //!
@@ -56,6 +59,7 @@
 
 use crate::ivf::{ClusterIndex, IvfConfig, PROBE_ALL};
 use crate::trace::StageTrace;
+use ham_core::SeenMask;
 use ham_data::dataset::ItemId;
 use ham_faults::{FaultInjector, ShardFault};
 use ham_tensor::kernels;
@@ -128,6 +132,20 @@ pub struct ShardedCatalog {
     /// ([`crate::ivf::PROBE_ALL`] = every cluster, the exact endpoint).
     /// Ignored until a cluster index is built.
     nprobe: usize,
+}
+
+/// What the flat driver keeps between calls when its caller holds on to it
+/// (the dispatcher's [`ServeScratch`](crate::ServeScratch)).
+#[derive(Debug, Default)]
+pub(crate) struct FlatScratch {
+    /// Shard `s`'s task scores into `tiles[s]` (disjoint `&mut` when the
+    /// tasks run on the pool), grown once to the shard; a task past the end
+    /// allocates and frees its own. Measured on `serve_solo_120k`: +4%
+    /// `users_per_s` over per-task tiles, 17 of 20 pairs (CHANGES.md, PR 13).
+    pub(crate) tiles: Vec<Vec<f32>>,
+    /// The catalogue bitmap a re-rank masks through; all-clear between
+    /// calls, [`SeenMask::reset`] restores that after a panic.
+    pub(crate) seen: SeenMask,
 }
 
 impl ShardedCatalog {
@@ -271,11 +289,10 @@ impl ShardedCatalog {
     /// coordinator's k-way merge input.
     ///
     /// Flat catalogues go through the fused tile driver
-    /// ([`Self::rank_shard_batch`]) — the very code the classic batched
-    /// paths run, so an undegraded bounded response is bit-identical to the
-    /// classic one (a batch of one scores with the fused GEMV like
-    /// `top_k_with_buf`; GEMM-of-one-row is *not* bit-equal to GEMV; NaN
-    /// starvation differs from the solo path, see `rank_shard_batch`).
+    /// ([`Self::rank_shard_batch`]) — the very code the classic paths run,
+    /// so an undegraded bounded response is bit-identical to the classic one
+    /// (a batch of one scores with the fused GEMV, as every lone request
+    /// does; GEMM-of-one-row is *not* bit-equal to GEMV).
     /// Clustered catalogues route, score and rank with the same routing
     /// GEMV, panel kernels and fused mask+select as the unbounded IVF paths.
     /// `qqueries` must be `Some` exactly when the catalogue is quantized.
@@ -320,38 +337,39 @@ impl ShardedCatalog {
         Some(if self.shards[shard].ivf.is_some() {
             self.ivf_rank_shard_in_task(shard, queries, qqueries, select_ks, seen_items)
         } else {
-            self.rank_shard_batch(shard, queries, qqueries, select_ks, seen_items)
+            self.rank_shard_batch(shard, queries, qqueries, select_ks, seen_items, &mut Vec::new())
         })
     }
 
-    /// The fused score→select driver of the flat (non-IVF) batch paths: one
-    /// shard's shortlists for a whole query batch, computed inside the
-    /// shard's task without ever materialising the `b × shard_len` score
-    /// block.
+    /// The fused score→select driver of the flat (non-IVF) paths: one
+    /// shard's shortlists for a whole query batch — or a lone request, a
+    /// batch of one — computed inside the shard's task without ever
+    /// materialising the `b × shard_len` score block.
     ///
     /// The shard is walked in column tiles of [`kernels::gemm_tile_rows`]
     /// items: each tile is scored by the row-range GEMM (the int8 one when
-    /// `qqueries` is given) into one reusable `b × tile` buffer, the seen
+    /// `qqueries` is given) into `tile`, grown to `b × tile` scores, the seen
     /// items that fall inside the tile are overwritten with `-inf`, and
     /// every row of the still cache-hot tile is fed to that request's
     /// [`TopKStream`], which carries its heap and threshold from tile to
     /// tile. Request `i` keeps its best `select_ks[i]` items; masked items
     /// participate at `-inf` in id order, so a request with fewer than
-    /// `select_ks[i]` unseen items pads its tail exactly like the fused
-    /// mask+select of the solo path.
+    /// `select_ks[i]` unseen items pads its tail with them, exactly like the
+    /// single-node fused mask+select.
     ///
     /// Bit-identity: a GEMM element's bits do not depend on how the rows of
     /// `B` are grouped (the kernel layer's contract), and the streaming
     /// select keeps the top-k of every prefix — so tile boundaries change
-    /// neither scores nor ranking. A batch of one scores the whole shard
-    /// with the fused GEMV instead, keeping the solo path's bits.
+    /// neither scores nor ranking. A batch of one scores the whole shard as
+    /// one tile with the fused GEMV, the single-node `recommend_top_k` bits.
     ///
-    /// NaN exception: a NaN score is never ranked, so a request with fewer
-    /// than `select_ks[i]` non-NaN scores here gets a *shorter* shortlist,
-    /// where the solo path (`top_k_with_buf` / `shard_top_k`) pads with the
-    /// NaN items in unspecified order. Allocation: the marked loop body
-    /// allocates nothing, but the kernel entries it calls still pack their
-    /// `B` panel / int8 operands into their own scratch on every call.
+    /// A NaN score is never ranked, so a request with fewer than
+    /// `select_ks[i]` non-NaN scores here gets a *shorter* shortlist, solo
+    /// or batched. Allocation: given a `tile` that is long enough, the body
+    /// allocates only the mask list and the selects whose heaps become the
+    /// shortlists it returns, but the GEMM entries it calls for `b > 1` still
+    /// pack their `B` panel / int8 operands into their own scratch.
+    // ham-lint: hot-path
     fn rank_shard_batch<S: AsRef<[ItemId]>>(
         &self,
         s: usize,
@@ -359,6 +377,7 @@ impl ShardedCatalog {
         qqueries: Option<&[QuantizedQuery]>,
         select_ks: &[usize],
         seen_items: &[Option<S>],
+        tile: &mut Vec<f32>,
     ) -> Vec<Vec<ScoredItem>> {
         let shard = &self.shards[s];
         let (b, len) = (queries.rows(), shard.len());
@@ -367,9 +386,14 @@ impl ShardedCatalog {
             (qq, shard.quantized.as_ref().expect("quantized scoring on an unquantized catalogue"))
         });
         let tile_rows = if b == 1 { len } else { kernels::gemm_tile_rows(b).min(len) };
-        let mut tile = vec![0.0f32; b * tile_rows];
+        if tile.len() < b * tile_rows {
+            // ham-lint: allow(alloc, "a kept tile grows once to its shard; every score is written before it is read")
+            *tile = vec![0.0; b * tile_rows];
+        }
+        // ham-lint: allow(alloc, "one select per request row; each one's k-slot heap becomes the shortlist it returns")
         let mut streams: Vec<TopKStream> = select_ks.iter().map(|&k| TopKStream::new(k.min(len))).collect();
         // Every (shard-local item, request row) to mask, in tile order.
+        // ham-lint: allow(alloc, "O(history in this shard) entries")
         let mut masked: Vec<(usize, usize)> = Vec::new();
         for (row, items) in seen_items.iter().enumerate() {
             let items: &[ItemId] = items.as_ref().map_or(&[], AsRef::as_ref);
@@ -379,7 +403,6 @@ impl ShardedCatalog {
         masked.sort_unstable();
         let mut next_masked = 0;
         let mut lo = 0;
-        // ham-lint: hot-path
         while lo < len {
             let hi = (lo + tile_rows).min(len);
             let w = hi - lo;
@@ -403,8 +426,10 @@ impl ShardedCatalog {
             .into_iter()
             .map(|stream| {
                 let ranked = stream.into_sorted().into_iter();
+                // ham-lint: allow(alloc, "the shortlist is the task's result, k elements, collected in place over the select's heap")
                 ranked.map(|(local, score)| ScoredItem { item: shard.offset + local, score }).collect()
             })
+            // ham-lint: allow(alloc, "one slot per request row for the shortlists above")
             .collect()
     }
 
@@ -530,21 +555,10 @@ impl ShardedCatalog {
             .collect()
     }
 
-    /// Index of the only non-empty shard, when there is exactly one — the
-    /// degenerate layout where per-shard ranking already *is* the global
-    /// ranking and the k-way merge (and the parallel fan-out) can be
-    /// bypassed.
-    fn sole_active_shard(&self) -> Option<usize> {
-        let mut active = self.shards.iter().enumerate().filter(|(_, s)| !s.is_empty());
-        match (active.next(), active.next()) {
-            (Some((s, _)), None) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Exact global top-k for one query: per-shard GEMV + local ranking,
-    /// then the k-way merge. `seen` is the global seen-item bitmap (length
-    /// `num_items`) or `None` to rank the full catalogue.
+    /// Exact global top-k for one query: the flat driver with one query row
+    /// and the shard tasks in turn on the caller, then the k-way merge.
+    /// `seen` is the global seen-item bitmap (length `num_items`) or `None`
+    /// to rank the full catalogue.
     ///
     /// Bit-identical to scoring the unsharded matrix and ranking once, for
     /// any shard count.
@@ -552,11 +566,14 @@ impl ShardedCatalog {
         self.top_k_with_buf(query, k, seen, &mut Vec::new())
     }
 
-    /// [`Self::top_k`] with a caller-provided score buffer: every shard GEMV
-    /// writes into `scores_buf` (grown once to the largest shard, then
-    /// reused), so a serving loop holding the buffer performs no score
-    /// allocation per request.
-    // ham-lint: hot-path
+    /// [`Self::top_k`] with a caller-provided score buffer: every shard task
+    /// scores into `scores_buf` (grown once to the largest shard, then
+    /// reused). A compatibility entry point — the driver masks from an item
+    /// list, so each call walks the bitmap (O(`num_items`)) to rebuild one; a
+    /// serving loop calls [`ServingModel::recommend_with`], which masks from
+    /// the request's history.
+    ///
+    /// [`ServingModel::recommend_with`]: crate::ServingModel::recommend_with
     pub fn top_k_with_buf(
         &self,
         query: &[f32],
@@ -565,27 +582,9 @@ impl ShardedCatalog {
         scores_buf: &mut Vec<f32>,
     ) -> Vec<ScoredItem> {
         if self.is_clustered() {
-            // ham-lint: allow(alloc, "IVF fallback only — the serving loop passes a scratch route_buf instead")
             return self.ivf_top_k_with_buf(query, k, seen, scores_buf, &mut Vec::new());
         }
-        let max_len = self.shards.iter().map(Shard::len).max().unwrap_or(0);
-        if scores_buf.len() < max_len {
-            scores_buf.resize(max_len, 0.0);
-        }
-        if let Some(s) = self.sole_active_shard() {
-            let scores = &mut scores_buf[..self.shards[s].len()];
-            self.shard_scores_into(s, query, scores);
-            return self.shard_top_k(s, scores, k, seen);
-        }
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| {
-                let scores = &mut scores_buf[..self.shards[s].len()];
-                self.shard_scores_into(s, query, scores);
-                self.shard_top_k(s, scores, k, seen)
-            })
-            // ham-lint: allow(alloc, "the returned per-shard rankings are the response payload, k elements each")
-            .collect();
-        merge_top_k(&per_shard, k)
+        self.solo_from_bitmap(query, None, k, seen, scores_buf)
     }
 
     /// Global top-k through the quantized candidate path: per-shard int8
@@ -601,7 +600,9 @@ impl ShardedCatalog {
     /// tiers and shard counts by construction.
     ///
     /// `qquery` is the reusable query-quantization scratch
-    /// (re-quantized in place from `query` on every call).
+    /// (re-quantized in place from `query` on every call). Like
+    /// [`Self::top_k_with_buf`], a compatibility entry point that walks the
+    /// bitmap per call.
     ///
     /// # Panics
     /// Panics if the catalogue was not quantized
@@ -617,23 +618,34 @@ impl ShardedCatalog {
         if self.is_clustered() {
             return self.ivf_quantized_top_k_with_buf(query, k, seen, scores_buf, qquery, &mut Vec::new());
         }
-        let pre_k = k.saturating_mul(2);
         qquery.requantize(query);
-        let max_len = self.shards.iter().map(Shard::len).max().unwrap_or(0);
-        if scores_buf.len() < max_len {
-            scores_buf.resize(max_len, 0.0);
+        self.solo_from_bitmap(query, Some(qquery), k, seen, scores_buf)
+    }
+
+    /// How the bitmap solo entry points run the flat driver: the marked bits
+    /// become the request's seen-item list, the shard tasks run in turn with
+    /// `scores_buf` as the one tile they share, and the quantized re-rank
+    /// masks through the caller's bits.
+    fn solo_from_bitmap(
+        &self,
+        query: &[f32],
+        qquery: Option<&QuantizedQuery>,
+        k: usize,
+        seen: Option<&[bool]>,
+        scores_buf: &mut Vec<f32>,
+    ) -> Vec<ScoredItem> {
+        let seen_items: Option<Vec<ItemId>> = seen.map(|bits| (0..bits.len()).filter(|&item| bits[item]).collect());
+        let queries = Matrix::from_vec(1, query.len(), query.to_vec());
+        let qqueries = qquery.map(std::slice::from_ref);
+        let select_k = select_width(k, qquery.is_some());
+        let rank = |s| self.rank_shard_batch(s, &queries, qqueries, &[select_k], &[seen_items.as_deref()], scores_buf);
+        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len()).flat_map(rank).collect();
+        let merged = merge_top_k(&per_shard, select_k);
+        if qquery.is_some() {
+            self.rerank_exact(merged, query, k, seen)
+        } else {
+            merged
         }
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| {
-                // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
-                let panel = self.shards[s].quantized.as_ref().expect("quantized_top_k on an unquantized catalogue");
-                let scores = &mut scores_buf[..self.shards[s].len()];
-                kernels::quantized_matvec_into(panel, qquery, scores);
-                self.shard_top_k(s, scores, pre_k, seen)
-            })
-            .collect();
-        let candidates = merge_top_k(&per_shard, pre_k);
-        self.rerank_exact(candidates, query, k, seen)
     }
 
     /// Exact-or-approximate global top-k through the cluster-routed IVF
@@ -772,19 +784,14 @@ impl ShardedCatalog {
         let qqueries: Option<Vec<QuantizedQuery>> =
             quantized.then(|| (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
         let (blocks, shard_micros) =
-            self.fan_out(pool, |s| self.ivf_score_shard_batch(s, queries, qqueries.as_deref()));
+            self.fan_out(pool, &mut [], |s, _| self.ivf_score_shard_batch(s, queries, qqueries.as_deref()));
         let rank_started = trace.is_some().then(Instant::now);
         let mut rerank_micros = 0u64;
-        let mut scratch = vec![false; self.num_items];
+        let mut scratch = SeenMask::new(self.num_items);
         let mut out = Vec::with_capacity(b);
         for i in 0..b {
-            let seen = match seen_items[i] {
-                Some(items) => {
-                    mark_seen(&mut scratch, items);
-                    Some(scratch.as_slice())
-                }
-                None => None,
-            };
+            scratch.mark(seen_items[i].unwrap_or_default());
+            let seen = seen_items[i].map(|_| scratch.bits());
             let select_k = select_width(ks[i], quantized);
             // Flat merge over every visited cluster of every shard: the merge
             // comparator is a total order, so this equals the hierarchical
@@ -810,9 +817,7 @@ impl ShardedCatalog {
             } else {
                 candidates
             };
-            if let Some(items) = seen_items[i] {
-                clear_seen(&mut scratch, items);
-            }
+            scratch.clear(seen_items[i].unwrap_or_default());
             out.push(merged);
         }
         if let Some(trace) = trace {
@@ -943,7 +948,8 @@ impl ShardedCatalog {
         if self.is_clustered() {
             return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, true);
         }
-        self.flat_top_k_batch_traced(queries, ks, seen_items, pool, trace, true)
+        let qqueries: Vec<QuantizedQuery> = (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect();
+        self.flat_top_k_batch_traced(queries, Some(&qqueries), ks, seen_items, pool, trace, &mut FlatScratch::default())
     }
 
     /// Exact global top-k for a query batch: every shard task (in parallel
@@ -987,32 +993,35 @@ impl ShardedCatalog {
         if self.is_clustered() {
             return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, false);
         }
-        self.flat_top_k_batch_traced(queries, ks, seen_items, pool, trace, false)
+        self.flat_top_k_batch_traced(queries, None, ks, seen_items, pool, trace, &mut FlatScratch::default())
     }
 
-    /// The flat batch path shared by [`Self::top_k_batch_traced`] and
-    /// [`Self::quantized_top_k_batch_traced`]: fan the fused driver out over
-    /// the shards, then merge each request's k-element shortlists. The
-    /// quantized flavour pre-selects `2k` through the int8 panels and
-    /// re-ranks the merged candidates with the exact f32 dot.
-    fn flat_top_k_batch_traced(
+    /// The flat path of the batch calls above and of a lone request (a
+    /// one-row `queries`): fan the fused driver out over the shards, then
+    /// merge each request's k-element shortlists. With `qqueries` (row `i`'s
+    /// quantized query) the shards pre-select `2k` through their int8 panels
+    /// and the merged candidates are re-ranked with the exact f32 dot. A
+    /// caller that keeps `scratch` with one tile per shard spares later
+    /// calls their score-tile allocations.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn flat_top_k_batch_traced(
         &self,
         queries: &Matrix,
+        qqueries: Option<&[QuantizedQuery]>,
         ks: &[usize],
         seen_items: &[Option<&[ItemId]>],
         pool: Option<&ThreadPool>,
         trace: Option<&mut StageTrace>,
-        quantized: bool,
+        scratch: &mut FlatScratch,
     ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        let qqueries: Option<Vec<QuantizedQuery>> =
-            quantized.then(|| (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
-        let select_ks = select_widths(ks, quantized);
-        let (per_shard, shard_micros) =
-            self.fan_out(pool, |s| self.rank_shard_batch(s, queries, qqueries.as_deref(), &select_ks, seen_items));
+        let select_ks = select_widths(ks, qqueries.is_some());
+        let (per_shard, shard_micros) = self.fan_out(pool, &mut scratch.tiles, |s, tile| {
+            self.rank_shard_batch(s, queries, qqueries, &select_ks, seen_items, tile)
+        });
         let merge_started = trace.is_some().then(Instant::now);
+        let rerank_seen = qqueries.is_some().then_some(&mut scratch.seen);
         let (out, rerank_micros) =
-            self.merge_shortlists(per_shard, queries, ks, seen_items, quantized, trace.is_some());
+            self.merge_shortlists(per_shard, queries, ks, seen_items, rerank_seen, trace.is_some());
         if let Some(trace) = trace {
             trace.shard_score_micros = shard_micros;
             let merge_micros = merge_started.map_or(0, |at| at.elapsed().as_micros() as u64);
@@ -1023,74 +1032,75 @@ impl ShardedCatalog {
     }
 
     /// The coordinator stage after in-task ranking, shared by the classic
-    /// flat batch path and the deadline-bounded one (`degrade`, over the
-    /// shards that answered): k-way merges each request's per-shard
-    /// shortlists (`per_shard[s][i]`, consumed) and, on a quantized
-    /// catalogue, re-ranks the merged `2k` candidates with the exact f32
-    /// dot. Returns the rankings and the microseconds spent re-ranking
-    /// (clocked only when `timed`; 0 otherwise).
+    /// flat path and the deadline-bounded one (`degrade`, over the shards
+    /// that answered): k-way merges each request's per-shard shortlists
+    /// (`per_shard[s][i]`, consumed) and, given `rerank_seen` — the
+    /// quantized flavour — re-ranks the merged `2k` candidates with the
+    /// exact f32 dot, masking through that bitmap (exact scores of seen
+    /// candidates must stay `-inf`). Returns the rankings and the
+    /// microseconds spent re-ranking (clocked only when `timed`; else 0).
     pub(crate) fn merge_shortlists(
         &self,
         mut per_shard: Vec<Vec<Vec<ScoredItem>>>,
         queries: &Matrix,
         ks: &[usize],
         seen_items: &[Option<&[ItemId]>],
-        quantized: bool,
+        mut rerank_seen: Option<&mut SeenMask>,
         timed: bool,
     ) -> (Vec<Vec<ScoredItem>>, u64) {
         let mut rerank_micros = 0u64;
-        // The re-rank masks through the global bitmap (exact scores of seen
-        // candidates must stay -inf); the exact flavour never needs one.
-        let mut scratch = vec![false; if quantized { self.num_items } else { 0 }];
+        if let Some(seen) = rerank_seen.as_deref_mut() {
+            seen.resize(self.num_items);
+        }
         let mut out = Vec::with_capacity(ks.len());
         for (i, &k) in ks.iter().enumerate() {
             let lists: Vec<Vec<ScoredItem>> = per_shard.iter_mut().map(|lists| std::mem::take(&mut lists[i])).collect();
-            let merged = merge_top_k(&lists, select_width(k, quantized));
-            out.push(if quantized {
-                let rerank_started = timed.then(Instant::now);
-                let seen = seen_items[i].map(|items| {
-                    mark_seen(&mut scratch, items);
-                    scratch.as_slice()
-                });
-                let ranked = self.rerank_exact(merged, queries.row(i), k, seen);
-                if let Some(items) = seen_items[i] {
-                    clear_seen(&mut scratch, items);
+            let merged = merge_top_k(&lists, select_width(k, rerank_seen.is_some()));
+            out.push(match rerank_seen.as_deref_mut() {
+                Some(seen) => {
+                    let rerank_started = timed.then(Instant::now);
+                    let items = seen_items[i].unwrap_or_default();
+                    seen.mark(items);
+                    let ranked = self.rerank_exact(merged, queries.row(i), k, seen_items[i].map(|_| seen.bits()));
+                    seen.clear(items);
+                    rerank_micros += rerank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
+                    ranked
                 }
-                rerank_micros += rerank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
-                ranked
-            } else {
-                merged
+                None => merged,
             });
         }
         (out, rerank_micros)
     }
 
-    /// Runs `task(s)` for every shard — in parallel on `pool` when more than
-    /// one shard is non-empty (a single active shard has nothing to overlap,
-    /// so it skips the pool hand-off), inline on the caller otherwise — and
-    /// returns the results in shard order with each task's wall time as
-    /// `(shard, micros)`.
+    /// Runs `task(s, tile)` for every shard — in parallel on `pool` when more
+    /// than one shard is non-empty (a single active shard has nothing to
+    /// overlap, so it skips the pool hand-off), in turn on the caller
+    /// otherwise — and returns the results in shard order with each task's
+    /// wall time as `(shard, micros)`. Shard `s`'s score tile is `tiles[s]`;
+    /// past the end of `tiles`, an empty one that lives as long as the task.
     fn fan_out<T: Send>(
         &self,
         pool: Option<&ThreadPool>,
-        task: impl Fn(usize) -> T + Sync,
+        tiles: &mut [Vec<f32>],
+        task: impl Fn(usize, &mut Vec<f32>) -> T + Sync,
     ) -> (Vec<T>, Vec<(usize, u64)>) {
-        let timed = |s: usize| {
+        let timed = |s: usize, tile: Option<&mut Vec<f32>>| {
             let started = Instant::now();
-            (task(s), started.elapsed().as_micros() as u64)
+            (task(s, tile.unwrap_or(&mut Vec::new())), started.elapsed().as_micros() as u64)
         };
         let mut slots: Vec<Option<(T, u64)>> = self.shards.iter().map(|_| None).collect();
+        let mut tiles = tiles.iter_mut();
         let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
         match pool {
             Some(pool) if parallel_useful => pool.scope(|scope| {
                 for (s, slot) in slots.iter_mut().enumerate() {
-                    let timed = &timed;
-                    scope.spawn(move || *slot = Some(timed(s)));
+                    let (timed, tile) = (&timed, tiles.next());
+                    scope.spawn(move || *slot = Some(timed(s, tile)));
                 }
             }),
             _ => {
                 for (s, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(timed(s));
+                    *slot = Some(timed(s, tiles.next()));
                 }
             }
         }
@@ -1151,24 +1161,6 @@ fn select_width(k: usize, quantized: bool) -> usize {
 /// [`select_width`] for every request of a batch.
 pub(crate) fn select_widths(ks: &[usize], quantized: bool) -> Vec<usize> {
     ks.iter().map(|&k| select_width(k, quantized)).collect()
-}
-
-/// Marks every in-catalogue id of `items` in the bitmap (O(history)).
-fn mark_seen(bits: &mut [bool], items: &[ItemId]) {
-    for &item in items {
-        if item < bits.len() {
-            bits[item] = true;
-        }
-    }
-}
-
-/// Clears the marks of [`mark_seen`], leaving the bitmap all-clear again.
-fn clear_seen(bits: &mut [bool], items: &[ItemId]) {
-    for &item in items {
-        if item < bits.len() {
-            bits[item] = false;
-        }
-    }
 }
 
 /// "Better recommendation" ordering: higher score wins, ties go to the lower
@@ -1336,5 +1328,42 @@ mod tests {
             top_k_indices(full.row(1), 5),
             "no residual masking"
         );
+    }
+
+    /// A caller that keeps its `FlatScratch` scores request after request
+    /// into the same per-shard tiles (disjoint `&mut` for the tasks under a
+    /// pool), and a reused scratch never leaks one request's masks or
+    /// shortlists into the next.
+    #[test]
+    fn kept_scratch_reuses_its_tiles_and_carries_nothing_over() {
+        let w = catalogue(41, 6);
+        let cat = ShardedCatalog::from_matrix(&w, 4).with_quantization();
+        let pool = ThreadPool::new(2);
+        let requests: Vec<(Matrix, Vec<ItemId>)> = (0..3)
+            .map(|r| {
+                (
+                    Matrix::from_vec(1, 6, (0..6).map(|j| ((r * 6 + j) as f32 * 0.37).sin()).collect()),
+                    vec![r, 10 + r, 40],
+                )
+            })
+            .collect();
+        for pool in [None, Some(&pool)] {
+            for quantized in [false, true] {
+                let mut kept = FlatScratch::default();
+                kept.tiles.resize_with(cat.num_shards(), Vec::new);
+                let mut tile_ptrs = Vec::new();
+                for (queries, history) in &requests {
+                    let qq = quantized.then(|| vec![QuantizedQuery::quantize(queries.row(0))]);
+                    let seen = [Some(history.as_slice())];
+                    let serve = |scratch: &mut FlatScratch| {
+                        cat.flat_top_k_batch_traced(queries, qq.as_deref(), &[7], &seen, pool, None, scratch)
+                    };
+                    assert_eq!(serve(&mut kept), serve(&mut FlatScratch::default()), "quantized = {quantized}");
+                    assert!(kept.tiles.iter().all(|tile| !tile.is_empty()), "a kept tile went unused");
+                    tile_ptrs.push(kept.tiles.iter().map(|tile| tile.as_ptr()).collect::<Vec<_>>());
+                }
+                assert!(tile_ptrs.windows(2).all(|pair| pair[0] == pair[1]), "tiles were reallocated between requests");
+            }
+        }
     }
 }

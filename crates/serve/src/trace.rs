@@ -3,11 +3,13 @@
 //! A [`StageTrace`] is the serving pipeline's timing scratchpad: the batch
 //! path fills in how long query assembly, each shard's task (tile GEMMs
 //! fused with the in-task select), the k-way merges and (on the quantized
-//! path) the exact re-rank took. The dispatcher then shapes the totals into
-//! per-request [`SpanTree`](ham_telemetry::SpanTree)s for the flight
-//! recorder. Tracing is requested explicitly (`Option<&mut StageTrace>` threaded through the
-//! batch entry points), so the untraced hot path carries a `None` check and
-//! nothing else.
+//! path) the exact re-rank took; a lone request fills in its one `solo`
+//! stage, plus the per-shard task times when it fanned out on the pool. The
+//! dispatcher then shapes the totals into per-request
+//! [`SpanTree`](ham_telemetry::SpanTree)s for the flight recorder. Tracing is
+//! requested explicitly (`Option<&mut StageTrace>` threaded through the batch
+//! entry points), so the untraced hot path carries a `None` check and nothing
+//! else.
 
 /// Collected stage durations of one served batch (all microseconds).
 #[derive(Debug, Clone, Default)]
@@ -18,7 +20,8 @@ pub struct StageTrace {
     /// shard's task, so with parallel shards these overlap. On the flat
     /// paths a task scores its shard in GEMM tiles **and ranks every
     /// request's shortlist** before returning; the classic batched IVF path
-    /// only scores its visited panels here.
+    /// only scores its visited panels here. A lone request reports its tasks
+    /// only when they ran on the pool (children of the `solo` stage).
     pub shard_score_micros: Vec<(usize, u64)>,
     /// The coordinator's k-way merges of the per-shard shortlists across the
     /// batch — k-element lists only on the flat paths (the classic batched
@@ -27,8 +30,8 @@ pub struct StageTrace {
     /// Exact f32 re-rank of the merged candidates (quantized path only;
     /// zero on the exact path).
     pub rerank_micros: u64,
-    /// The whole single-request GEMV path, when the batch had one request
-    /// and bypassed the stages above.
+    /// The whole single-request GEMV path — query building, shard tasks,
+    /// merge and re-rank — when the batch had one request.
     pub solo_micros: Option<u64>,
 }
 

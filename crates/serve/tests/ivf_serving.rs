@@ -88,11 +88,17 @@ proptest! {
         }
     }
 
-    /// Approximate serving is still deterministic: at any `nprobe`, the
-    /// batched GEMM path must return the same bits as the solo GEMV path —
-    /// routing is a per-request centroid GEMV either way, so riding in a
-    /// batch never changes which clusters a request visits or what it
-    /// returns.
+    /// Approximate serving is still deterministic: at any `nprobe`, routing
+    /// is a per-request centroid GEMV whether a request rides in a batch or
+    /// alone, so both visit the same clusters. What differs is the scoring
+    /// kernel, and the batched IVF path promises what the flat batch path
+    /// promises. f32: every served score is the packed-panel GEMM's bits (a
+    /// GEMM element does not depend on how the panel rows are grouped, so
+    /// the unclustered `Q·Wᵀ` is the per-cluster reference), ranked under
+    /// the shared comparator, and agreeing with the solo GEMV ranking within
+    /// float rounding (1e-5) — on some kernel tiers the two differ in the
+    /// last bit. int8: the exact re-rank rescores with the per-row dot, so
+    /// batched and solo are bit-identical.
     #[test]
     fn batch_path_matches_solo_at_any_nprobe(
         n in 12usize..50,
@@ -119,12 +125,25 @@ proptest! {
         let requests: Vec<RecommendRequest> =
             (0..shared.len()).map(|u| RecommendRequest::new(u, vec![(u * 5) % n, (u * 11) % n], k)).collect();
         let batched = model.recommend_batch(&requests, None);
+        let query_rows: Vec<&[f32]> = shared.iter().map(Vec::as_slice).collect();
+        let gemm = Matrix::from_rows(&query_rows).matmul_transposed(&w);
         for (i, request) in requests.iter().enumerate() {
             let solo = model.recommend(request);
-            prop_assert_eq!(
-                bits(&batched[i]), bits(&solo),
-                "n={} shards={} nprobe={} k={} user={} quantize={}", n, shards, nprobe, k, i, quantize
-            );
+            let case = format!("n={n} shards={shards} nprobe={nprobe} k={k} user={i} quantize={quantize}");
+            if quantize == 1 {
+                prop_assert_eq!(bits(&batched[i]), bits(&solo), "{}", case);
+                continue;
+            }
+            prop_assert_eq!(batched[i].len(), solo.len(), "{}", case);
+            for (got, want) in batched[i].iter().zip(&solo) {
+                let reference = if request.history.contains(&got.item) { f32::NEG_INFINITY } else { gemm.get(i, got.item) };
+                prop_assert_eq!(got.score.to_bits(), reference.to_bits(), "GEMM bits of item {}: {}", got.item, case);
+                prop_assert!(got.score == want.score || (got.score - want.score).abs() <= 1e-5, "{}", case);
+            }
+            for pair in batched[i].windows(2) {
+                let ordered = pair[0].score > pair[1].score || (pair[0].score == pair[1].score && pair[0].item < pair[1].item);
+                prop_assert!(ordered, "batched ranking out of order: {}", case);
+            }
         }
     }
 

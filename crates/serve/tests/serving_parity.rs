@@ -4,17 +4,25 @@
 //! single-node `recommend_top_k` ranking, for shard counts 1..8; and the
 //! coalesced GEMM batch path must be bit-identical to the equivalent
 //! unsharded GEMM ranking — including at every tile boundary of the fused
-//! score→select driver (the proptest at the bottom).
+//! score→select driver. A lone request rides that same driver as a batch of
+//! one row, in turn on the caller or fanned out on a pool: the proptests at
+//! the bottom pin both against the single-node ranking, and the `RecServer`
+//! test serves lone requests above the fan-out crossover.
 
 use ham_baselines::{
     BaselineTrainConfig, BprMf, BprMfConfig, Caser, CaserConfig, Gru4Rec, Gru4RecConfig, Hgn, HgnConfig, PopRec,
     SasRec, SasRecConfig, SequentialRecommender,
 };
 use ham_core::{HamConfig, HamModel, HamVariant, Scorer};
-use ham_serve::{RecommendRequest, ServingModel, ShardedCatalog};
-use ham_tensor::kernels::gemm_tile_rows;
+use ham_faults::FaultInjector;
+use ham_serve::model::SOLO_FAN_OUT_MIN_BYTES;
+use ham_serve::{
+    merge_top_k, ModelRegistry, RecServer, RecommendRequest, ScoredItem, ServerConfig, ServingModel, ShardedCatalog,
+};
+use ham_telemetry::Telemetry;
+use ham_tensor::kernels::{self, gemm_tile_rows};
 use ham_tensor::ops::top_k_indices_masked;
-use ham_tensor::pool::global_pool;
+use ham_tensor::pool::{global_pool, ThreadPool};
 use ham_tensor::{Matrix, QuantizedQuery};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -73,6 +81,11 @@ where
             assert_eq!(got, want, "{label}: GEMM parity, shards = {shards}, user = {}", request.user);
         }
     }
+}
+
+/// Ids with score bits, for bit-exact comparisons.
+fn bits(list: &[ScoredItem]) -> Vec<(usize, u32)> {
+    list.iter().map(|s| (s.item, s.score.to_bits())).collect()
 }
 
 fn quick_train_config() -> BaselineTrainConfig {
@@ -261,13 +274,88 @@ proptest! {
             prop_assert_eq!(&got_quantized[i], &solo, "int8: b = {}, shards = {}, shard_len = {}, row {}", b, shards, shard_len, i);
         }
     }
+
+    /// The solo driver — a lone request as a batch of one row — with its
+    /// shard tasks in turn on the caller, on a one-worker pool (the caller
+    /// helps) and on a three-worker pool: ids, order **and score bits** equal
+    /// the single-node ranking (one GEMV over the unsharded matrix, fused
+    /// mask+select), for histories on both sides of every shard edge with an
+    /// out-of-catalogue id and a duplicate, and `k` up to past the catalogue.
+    /// The int8 flavour is held to the quantized solo algorithm rebuilt from
+    /// its public parts (int8 GEMV, `shard_top_k` to `2k`, merge, exact
+    /// re-rank) — and through a `ServingModel`, whatever pool it is handed.
+    #[test]
+    fn solo_driver_matches_single_node_on_any_pool(
+        shards in 1usize..9,
+        n in 9usize..90,
+        pool_pick in 0usize..3,
+        k_pick in 0usize..3,
+        salt in 0usize..1000,
+    ) {
+        let d = 4;
+        let k = [1usize, 10, n + 3][k_pick];
+        let owned_pool = [None, Some(1), Some(3)][pool_pick].map(ThreadPool::new);
+        let pool = owned_pool.as_ref();
+        let w = Matrix::from_vec(n, d, (0..n * d).map(|i| ((i * 7 + i / d + salt) % 4) as f32 - 1.0).collect());
+        let query: Vec<f32> = (0..d).map(|i| ((i * 5 + salt) % 7) as f32 * 0.5 - 1.25).collect();
+        let catalog = ShardedCatalog::from_matrix(&w, shards);
+        let mut history: Vec<usize> =
+            catalog.shards().iter().flat_map(|s| [s.offset().wrapping_sub(1), s.offset()]).filter(|&item| item < n).collect();
+        history.extend([n - 1, n + 5, salt % n, salt % n]);
+        let exclude_seen = salt % 5 != 0;
+        let mut seen = vec![false; n];
+        for &item in history.iter().filter(|&&item| exclude_seen && item < n) {
+            seen[item] = true;
+        }
+        let effective = |item: usize, score: f32| (item, if seen[item] { f32::NEG_INFINITY } else { score }.to_bits());
+        let case = format!("shards = {shards}, n = {n}, pool = {:?}, k = {k}, salt = {salt}", pool.map(ThreadPool::threads));
+
+        // f32: one GEMV over the unsharded matrix, ranked once.
+        let scores = w.matvec_transposed(&query);
+        let want: Vec<(usize, u32)> =
+            top_k_indices_masked(&scores, k, &seen).into_iter().map(|item| effective(item, scores[item])).collect();
+        let one_row = Matrix::from_vec(1, d, query.clone());
+        let seen_items = [exclude_seen.then_some(history.as_slice())];
+        let got = catalog.top_k_batch(&one_row, &[k], &seen_items, pool);
+        prop_assert_eq!(bits(&got[0]), want.clone(), "f32 driver: {}", case);
+
+        // int8: today's quantized solo algorithm, from its public parts.
+        let quantized = catalog.clone().with_quantization();
+        let qquery = QuantizedQuery::quantize(&query);
+        let preselected: Vec<Vec<ScoredItem>> = (0..shards)
+            .map(|s| {
+                let panel = quantized.shards()[s].quantized().expect("quantized above");
+                let mut shard_scores = vec![0.0; panel.rows()];
+                kernels::quantized_matvec_into(panel, &qquery, &mut shard_scores);
+                quantized.shard_top_k(s, &shard_scores, 2 * k, Some(&seen))
+            })
+            .collect();
+        let mut want_int8: Vec<(usize, u32)> = merge_top_k(&preselected, 2 * k)
+            .iter()
+            .map(|candidate| effective(candidate.item, kernels::dot(w.row(candidate.item), &query)))
+            .collect();
+        want_int8.sort_by(|a, b| f32::from_bits(b.1).total_cmp(&f32::from_bits(a.1)).then(a.0.cmp(&b.0)));
+        want_int8.truncate(k);
+        let got_int8 = quantized.quantized_top_k_batch(&one_row, &[k], &seen_items, pool);
+        prop_assert_eq!(bits(&got_int8[0]), want_int8.clone(), "int8 driver: {}", case);
+
+        // Through a ServingModel: `recommend`, and a queued batch of one.
+        let request = RecommendRequest { user: 0, history, k, exclude_seen, deadline: None };
+        for (model_catalog, want) in [(catalog, want), (quantized, want_int8)] {
+            let q = query.clone();
+            let model = ServingModel::from_catalog("solo", model_catalog, move |_, _| q.clone());
+            prop_assert_eq!(bits(&model.recommend(&request)), want.clone(), "recommend: {}", case);
+            let queued = model.recommend_batch(std::slice::from_ref(&request), pool);
+            prop_assert_eq!(bits(&queued[0]), want, "queued alone: {}", case);
+        }
+    }
 }
 
 /// The fused driver's NaN contract at the shard level: an item whose score
 /// is NaN (a poisoned embedding row) is never served and never displaces a
 /// real score, wherever it sits relative to a tile edge; a shard left with
-/// fewer than `k` non-NaN scores contributes a shorter shortlist instead of
-/// padding with NaN items the way the solo path does.
+/// fewer than `k` non-NaN scores contributes a shorter shortlist — to a
+/// batch and to a lone request alike, which rides the same driver.
 #[test]
 fn fused_batch_never_ranks_nan_items_and_returns_short_when_starved() {
     let (b, d) = (64, 4);
@@ -309,8 +397,80 @@ fn fused_batch_never_ranks_nan_items_and_returns_short_when_starved() {
             assert!(ranked
                 .windows(2)
                 .all(|p| p[0].score > p[1].score || (p[0].score == p[1].score && p[0].item < p[1].item)));
-            // The solo path pads the starved shard with its NaN items.
-            assert_eq!(catalog.top_k(queries.row(i), 10, None).len(), 10);
+            // A lone request starves the same way: the batch of one and the
+            // solo entry point return the same eight items, bit for bit.
+            let solo = catalog.top_k(queries.row(i), 10, None);
+            assert_eq!(solo.len(), 8, "solo, batch {batch} row {i}");
+            assert!(solo.iter().all(|s| !s.score.is_nan() && ![0, 1, 3, 5].contains(&s.item)));
+            if batch == 1 {
+                assert_eq!(&solo, ranked);
+            }
         }
+    }
+}
+
+/// Lone requests through a `RecServer` on a catalogue just above the fan-out
+/// crossover: served whole (`shards_answered == num_shards`) with the bits of
+/// `ServingModel::recommend`, request after request on the dispatcher's one
+/// scratch; a panic in the query builder and a panic inside a shard task (a
+/// query of the wrong length, rejected by the scoring kernel — on the pool
+/// when the host has two cores) are each answered `degraded` through the solo
+/// retry, and the request after each is served whole again. Fanned-out
+/// requests report their shard tasks under the `solo_gemv` span and in the
+/// per-shard histograms; on a one-core host the one-worker pool keeps them
+/// inline and they report the one stage only.
+#[test]
+fn lone_requests_above_the_crossover_fan_out_and_survive_panics() {
+    let (d, shards) = (32, 4);
+    let n = SOLO_FAN_OUT_MIN_BYTES / (4 * d) + 1000;
+    let w = Matrix::from_vec(n, d, (0..n * d).map(|i| ((i * 31 + i / d) % 61) as f32 / 30.0 - 1.0).collect());
+    let model = ServingModel::from_catalog("big", ShardedCatalog::from_matrix(&w, shards), move |user, _| {
+        assert!(user != 90, "unknown user {user}");
+        let len = if user == 91 { d + 1 } else { d };
+        (0..len).map(|c| ((c * 13 + user * 7) % 17) as f32 / 8.0 - 1.0).collect()
+    });
+    let fans_out = global_pool().threads() >= 2;
+    let registry = Arc::new(ModelRegistry::new(model));
+    let telemetry = Telemetry::with_flight_capacity(16);
+    let server = RecServer::start_instrumented(
+        Arc::clone(&registry),
+        ServerConfig::default(),
+        telemetry.clone(),
+        FaultInjector::disabled(),
+    );
+    let request = |user: usize| {
+        RecommendRequest::new(user, (0..30).map(|t| (user * 7919 + t * (n / 29)) % n).chain([n + 3]).collect(), 10)
+    };
+    let mut whole = 0u64;
+    for user in [1, 2, 90, 3, 91, 4] {
+        let response = server.submit(request(user)).expect("admitted");
+        if user >= 90 {
+            assert!(response.degraded && response.items.is_empty(), "user {user}: a panic answers degraded and empty");
+            assert_eq!(response.shards_answered, 0);
+            continue;
+        }
+        whole += 1;
+        assert!(!response.degraded, "user {user}");
+        assert_eq!(response.shards_answered, shards, "user {user}");
+        let want = registry.current().model.recommend(&request(user));
+        assert_eq!(bits(&response.items), bits(&want), "user {user}");
+        assert_eq!(response.items.len(), 10);
+    }
+    assert_eq!(server.stats().panic_isolated, 2);
+    assert_eq!(server.stats().degraded, 2);
+
+    let snap = telemetry.snapshot().expect("telemetry enabled");
+    assert_eq!(snap.histogram("serve_stage_solo_gemv_micros").map(|h| h.count), Some(whole));
+    for shard in 0..shards {
+        let samples = snap.histogram(&format!("serve_shard_{shard}_score_micros")).map(|h| h.count);
+        assert_eq!(samples, fans_out.then_some(whole), "shard {shard}");
+    }
+    let flight = telemetry.flight().expect("telemetry enabled");
+    let solo_spans: Vec<_> = flight.last(16).into_iter().filter_map(|tree| tree.find("solo_gemv").cloned()).collect();
+    assert_eq!(solo_spans.len() as u64, whole);
+    for span in solo_spans {
+        let children: Vec<&str> = span.children.iter().map(|child| child.name.as_str()).collect();
+        let expected: Vec<String> = (0..if fans_out { shards } else { 0 }).map(|s| format!("shard_{s}")).collect();
+        assert_eq!(children, expected, "solo_gemv children");
     }
 }

@@ -38,6 +38,21 @@ impl TierCells {
         const STRIPE: Stripe = Stripe { calls: AtomicU64::new(0), bytes: AtomicU64::new(0) };
         Self { stripes: [STRIPE; STRIPES] }
     }
+
+    /// Two relaxed adds on the calling thread's stripe.
+    #[inline]
+    fn note(&self, bytes: u64) {
+        let stripe = &self.stripes[thread_stripe()];
+        stripe.calls.fetch_add(1, Ordering::Relaxed);
+        stripe.bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// `(calls, bytes)` summed over the stripes.
+    fn totals(&self) -> (u64, u64) {
+        self.stripes.iter().fold((0, 0), |(calls, bytes), stripe| {
+            (calls + stripe.calls.load(Ordering::Relaxed), bytes + stripe.bytes.load(Ordering::Relaxed))
+        })
+    }
 }
 
 static CELLS: [TierCells; TIERS] = [TierCells::new(), TierCells::new(), TierCells::new()];
@@ -75,9 +90,7 @@ fn tier_index(tier: KernelTier) -> usize {
 /// stripe.
 #[inline]
 pub(super) fn note(tier: KernelTier, bytes: u64) {
-    let stripe = &CELLS[tier_index(tier)].stripes[thread_stripe()];
-    stripe.calls.fetch_add(1, Ordering::Relaxed);
-    stripe.bytes.fetch_add(bytes, Ordering::Relaxed);
+    CELLS[tier_index(tier)].note(bytes);
 }
 
 /// One tier's accumulated dispatch totals.
@@ -95,13 +108,7 @@ pub struct TierCounters {
 /// Current totals for every tier (zero entries included, portable first).
 pub fn snapshot() -> [TierCounters; TIERS] {
     let read = |tier: KernelTier| {
-        let cells = &CELLS[tier_index(tier)];
-        let mut calls = 0u64;
-        let mut bytes = 0u64;
-        for stripe in &cells.stripes {
-            calls += stripe.calls.load(Ordering::Relaxed);
-            bytes += stripe.bytes.load(Ordering::Relaxed);
-        }
+        let (calls, bytes) = CELLS[tier_index(tier)].totals();
         TierCounters { tier, calls, bytes }
     };
     [read(KernelTier::Portable), read(KernelTier::Avx2), read(KernelTier::Avx512)]
@@ -124,20 +131,27 @@ mod tests {
 
     #[test]
     fn note_accumulates_and_snapshot_sums_stripes() {
-        // Counters are process-global, so assert on deltas.
-        let before = snapshot()[tier_index(KernelTier::Portable)];
+        // The process-global cells are noted by every kernel call of every
+        // sibling test, so the exact totals are asserted on cells of this
+        // test's own — the same type, note and sum the globals go through.
+        let cells = TierCells::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        note(KernelTier::Portable, 64);
+                        cells.note(64);
                     }
                 });
             }
         });
+        let (calls, bytes) = cells.totals();
+        assert_eq!(calls, 400);
+        assert_eq!(bytes, 400 * 64);
+        // The global path: tiers in snapshot order, and monotone under note.
+        let before = snapshot()[tier_index(KernelTier::Portable)];
+        note(KernelTier::Portable, 64);
         let after = snapshot()[tier_index(KernelTier::Portable)];
-        assert_eq!(after.calls - before.calls, 400);
-        assert_eq!(after.bytes - before.bytes, 400 * 64);
+        assert!(after.calls > before.calls && after.bytes >= before.bytes + 64);
         assert_eq!(after.tier, KernelTier::Portable);
     }
 }

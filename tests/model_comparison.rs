@@ -52,13 +52,17 @@ fn ham_inference_is_faster_than_the_convolutional_baseline() {
     let ham = Method::Ham(HamVariant::HamSM).fit(&train_sequences, dataset.num_items, windows, &cfg);
     let caser = Method::Caser.fit(&train_sequences, dataset.num_items, windows, &cfg);
 
-    let ham_time = measure_scoring_time(&users, |u, h| ham.score_all(u, h));
-    let caser_time = measure_scoring_time(&users, |u, h| caser.score_all(u, h));
+    // Each measurement is a few milliseconds on a machine shared with the
+    // other tests of this binary, so one descheduling can double it: the best
+    // of a few alternating repetitions is what each model costs.
+    let (mut ham_best, mut caser_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        ham_best = ham_best.min(measure_scoring_time(&users, |u, h| ham.score_all(u, h)).seconds_per_user);
+        caser_best = caser_best.min(measure_scoring_time(&users, |u, h| caser.score_all(u, h)).seconds_per_user);
+    }
     assert!(
-        ham_time.seconds_per_user < caser_time.seconds_per_user,
-        "HAM ({:.2e}s/user) should be faster than Caser ({:.2e}s/user) at test time",
-        ham_time.seconds_per_user,
-        caser_time.seconds_per_user
+        ham_best < caser_best,
+        "HAM ({ham_best:.2e}s/user) should be faster than Caser ({caser_best:.2e}s/user) at test time"
     );
 }
 
