@@ -22,15 +22,16 @@
 //! ## Exactness when nothing degrades
 //!
 //! When every shard answers within budget, the result is **bit-identical to
-//! the classic path**: every shard task ranks its shortlists with the same
-//! fused tile driver (GEMV for a batch of one, packed-panel GEMM tiles
-//! otherwise, quantized variants on a quantized catalogue), the k-way merge
-//! is the very function the classic path uses, and the quantized
-//! pre-selection re-ranks through the same exact f32 kernel. The chaos suite pins this: under any
-//! injected single-shard fault, a response is either bit-identical to the
-//! exact path or explicitly flagged degraded.
+//! the classic path**: every shard task makes the classic path's own
+//! per-shard ranking call (`ShardedCatalog::rank_shard` — GEMV for a batch of
+//! one, packed-panel GEMM tiles otherwise, int8 on a quantized catalogue,
+//! cluster-routed on a clustered one), the k-way merge is the very function
+//! the classic path uses, and the quantized pre-selection re-ranks through
+//! the same exact f32 kernel. The chaos suite pins this: under any injected
+//! single-shard fault, a response is either bit-identical to the exact path
+//! or explicitly flagged degraded.
 
-use crate::shard::{select_widths, ScoredItem, ShardedCatalog};
+use crate::shard::{quantize_rows, select_widths, ScoredItem, ShardedCatalog};
 use ham_core::SeenMask;
 use ham_data::dataset::ItemId;
 use ham_faults::FaultInjector;
@@ -249,8 +250,7 @@ pub(crate) fn score_bounded(
     let b = queries.rows();
     let shards_total = catalog.num_shards();
     let quantized = catalog.is_quantized();
-    let qqueries: Option<Arc<Vec<QuantizedQuery>>> =
-        quantized.then(|| Arc::new((0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect()));
+    let qqueries: Option<Arc<Vec<QuantizedQuery>>> = quantized.then(|| Arc::new(quantize_rows(&queries)));
     let queries = Arc::new(queries);
     // Shard tasks are 'static closures, so the per-request ranking inputs
     // they need — the pre-selection widths and owned copies of the seen

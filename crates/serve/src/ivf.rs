@@ -134,6 +134,9 @@ pub(crate) struct ClusterIndex {
     qpanels: Vec<QuantizedMatrix>,
     /// `ids[j][p]`: shard-local row id of panel `j`'s row `p` (ascending).
     ids: Vec<Vec<usize>>,
+    /// The inverse of `ids`: `slots[i] = (j, p)` for shard-local row `i` —
+    /// how a seen item finds its score in a panel without a search.
+    slots: Vec<(usize, usize)>,
 }
 
 impl ClusterIndex {
@@ -144,7 +147,13 @@ impl ClusterIndex {
     pub(crate) fn build(rows: &Matrix, config: &IvfConfig, seed_salt: u64) -> Self {
         let (n, d) = rows.shape();
         if n == 0 {
-            return Self { centroids: Matrix::zeros(0, d), panels: Vec::new(), qpanels: Vec::new(), ids: Vec::new() };
+            return Self {
+                centroids: Matrix::zeros(0, d),
+                panels: Vec::new(),
+                qpanels: Vec::new(),
+                ids: Vec::new(),
+                slots: Vec::new(),
+            };
         }
         let k = config.clusters_for(n);
         let result = kmeans_rows(rows, k, config.iters, config.seed ^ seed_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -157,7 +166,13 @@ impl ClusterIndex {
         let centroids = result.centroids.gather_rows(&keep);
         let ids: Vec<Vec<usize>> = keep.iter().map(|&j| std::mem::take(&mut ids[j])).collect();
         let panels: Vec<Matrix> = ids.iter().map(|cluster| rows.gather_rows(cluster)).collect();
-        Self { centroids, panels, qpanels: Vec::new(), ids }
+        let mut slots = vec![(0, 0); n];
+        for (j, cluster) in ids.iter().enumerate() {
+            for (p, &i) in cluster.iter().enumerate() {
+                slots[i] = (j, p);
+            }
+        }
+        Self { centroids, panels, qpanels: Vec::new(), ids, slots }
     }
 
     /// Snapshots every panel as int8 (called when the owning catalogue is
@@ -199,6 +214,11 @@ impl ClusterIndex {
     pub(crate) fn cluster_ids(&self, j: usize) -> &[usize] {
         &self.ids[j]
     }
+
+    /// The `(cluster, panel row)` holding shard-local row `local`.
+    pub(crate) fn slot(&self, local: usize) -> (usize, usize) {
+        self.slots[local]
+    }
 }
 
 #[cfg(test)]
@@ -223,6 +243,7 @@ mod tests {
             assert!(!ids.is_empty(), "cluster {j} kept while empty");
             for (p, &local) in ids.iter().enumerate() {
                 assert_eq!(index.panel(j).row(p), w.row(local));
+                assert_eq!(index.slot(local), (j, p));
             }
         }
     }

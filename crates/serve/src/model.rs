@@ -2,7 +2,7 @@
 
 use crate::ivf::IvfConfig;
 use crate::request::RecommendRequest;
-use crate::shard::{FlatScratch, ScoredItem, ShardedCatalog};
+use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardedCatalog};
 use crate::trace::StageTrace;
 use ham_core::{LinearHead, Scorer};
 use ham_data::dataset::ItemId;
@@ -48,12 +48,12 @@ pub struct ServingModel {
 /// Size of the f32 catalogue (`items × dim × 4` bytes) from which a flat lone
 /// request's shard tasks are worth handing to the pool: about twice a core's
 /// L2 on the reference host. Set from the `solo_sizes` sweep in
-/// `BENCH_serving.json` (2 cores, 4 shards, d = 32): fanned out is 0.88x
-/// in-turn throughput at 10k items (1.3 MB), 1.08x at 30k (3.8 MB), 1.52x at
-/// 60k (7.7 MB) and 1.33x at 120k. Int8 panels are held to the same size,
+/// `BENCH_serving.json` (2 cores, 4 shards, d = 32): fanned out is 0.76x
+/// in-turn throughput at 10k items (1.3 MB), 0.99x at 30k (3.8 MB), 1.38x at
+/// 60k (7.7 MB) and 1.46x at 120k. Int8 panels are held to the same size,
 /// not to their own bytes: an int8 scan costs 0.7–0.9x the f32 one — it
 /// tracks items — and the sweep's int8 rows cross over where the f32 rows
-/// do (0.89x, 1.13x, 1.32x, 1.47x).
+/// do (0.83x, 0.97x, 1.22x, 1.37x).
 pub const SOLO_FAN_OUT_MIN_BYTES: usize = 4 << 20;
 
 /// Whether a lone request on `catalog` is big enough to fan its shard scans
@@ -139,7 +139,7 @@ impl ServingModel {
     }
 
     /// Builds the inverted-file cluster index over every shard and switches
-    /// serving to the cluster-routed IVF paths (see
+    /// every shard task to cluster-routed scoring (see
     /// [`ShardedCatalog::with_cluster_index`]). With the default
     /// `nprobe = all` the served bits are unchanged; narrower probes trade
     /// measured recall for sub-linear retrieval cost.
@@ -158,7 +158,7 @@ impl ServingModel {
         self.catalog.is_quantized()
     }
 
-    /// Whether requests take the cluster-routed IVF paths.
+    /// Whether requests are scored cluster-routed (the IVF tier).
     pub fn is_clustered(&self) -> bool {
         self.catalog.is_clustered()
     }
@@ -213,9 +213,8 @@ impl ServingModel {
         self.recommend_solo(request, None, scratch, None)
     }
 
-    /// One request through the flat driver as a batch of one row — its shard
-    /// tasks on `pool` when given, timed into `trace` — or, on a clustered
-    /// catalogue, through the solo IVF paths.
+    /// One request through the shard driver as a batch of one row — its shard
+    /// tasks on `pool` when given, timed into `trace`.
     // ham-lint: hot-path
     fn recommend_solo(
         &self,
@@ -225,21 +224,7 @@ impl ServingModel {
         trace: Option<&mut StageTrace>,
     ) -> Vec<ScoredItem> {
         let q = self.query_vector(request.user, &request.history);
-        let ServeScratch { flat, scores, qquery, route } = scratch;
-        if self.catalog.is_clustered() {
-            let seen = &mut flat.seen;
-            let seen_items: &[ItemId] = if request.exclude_seen { &request.history } else { &[] };
-            seen.resize(self.catalog.num_items());
-            seen.mark(seen_items);
-            let seen_bits = request.exclude_seen.then_some(seen.bits());
-            let out = if self.catalog.is_quantized() {
-                self.catalog.ivf_quantized_top_k_with_buf(&q, request.k, seen_bits, scores, qquery, route)
-            } else {
-                self.catalog.ivf_top_k_with_buf(&q, request.k, seen_bits, scores, route)
-            };
-            seen.clear(seen_items);
-            return out;
-        }
+        let ServeScratch { flat, qquery } = scratch;
         let qqueries = self.catalog.is_quantized().then(|| {
             qquery.requantize(&q);
             std::slice::from_ref(&*qquery)
@@ -249,8 +234,7 @@ impl ServingModel {
         let seen_items = [request.exclude_seen.then_some(request.history.as_slice())];
         // ham-lint: allow(alloc, "empty Vecs; each grows once, to its shard, in its task")
         flat.tiles.resize_with(self.catalog.num_shards(), Vec::new);
-        let mut out =
-            self.catalog.flat_top_k_batch_traced(&queries, qqueries, &[request.k], &seen_items, pool, trace, flat);
+        let mut out = self.catalog.rank_batch(&queries, qqueries, &[request.k], &seen_items, pool, trace, flat);
         out.pop().unwrap_or_default()
     }
 
@@ -318,44 +302,35 @@ impl ServingModel {
                 if let (Some(trace), Some(at)) = (trace.as_deref_mut(), assembly_started) {
                     trace.batch_assembly_micros = at.elapsed().as_micros() as u64;
                 }
-                if self.catalog.is_quantized() {
-                    self.catalog.quantized_top_k_batch_traced(&queries, &ks, &seen, pool, trace)
-                } else {
-                    self.catalog.top_k_batch_traced(&queries, &ks, &seen, pool, trace)
-                }
+                let qqueries = self.catalog.is_quantized().then(|| quantize_rows(&queries));
+                let scratch = &mut FlatScratch::default();
+                self.catalog.rank_batch(&queries, qqueries.as_deref(), &ks, &seen, pool, trace, scratch)
             }
         }
     }
 }
 
-/// Reusable working buffers for the single-request serving path: the flat
-/// driver's per-shard score tiles (grown once to the largest shard) and
-/// seen bitmap, the quantized-query buffer, and the solo IVF paths' score
-/// and routing buffers.
+/// Reusable working buffers for the single-request serving path: the shard
+/// driver's per-shard score tiles (each grown once to what its shard's task
+/// scores at a time) and seen bitmap, and the quantized-query buffer.
 ///
 /// Invariant between calls: the bitmap is all-clear. The recommend paths
 /// restore it on every normal return; after a panic unwound through a
 /// serving call, call [`Self::reset`] before reuse.
 #[derive(Debug)]
 pub struct ServeScratch {
-    /// The flat driver's tiles; its bitmap (marked and cleared per request
-    /// in O(history)) also masks the solo IVF paths.
+    /// The driver's tiles and the bitmap the quantized re-rank masks through
+    /// (marked and cleared per request in O(history)).
     flat: FlatScratch,
-    /// Panel score buffer of the solo IVF paths.
-    scores: Vec<f32>,
     /// Reusable quantized-query buffer for the quantized serving path
     /// (re-quantized in place per request — no allocation after warmup).
     qquery: QuantizedQuery,
-    /// Reusable centroid-score buffer for the cluster-routed IVF path
-    /// (grown once to the largest per-shard cluster count).
-    route: Vec<f32>,
 }
 
 impl ServeScratch {
     /// An empty scratch; buffers are grown on first use.
     pub fn new() -> Self {
-        let (flat, qquery) = (FlatScratch::default(), QuantizedQuery::quantize(&[]));
-        Self { flat, scores: Vec::new(), qquery, route: Vec::new() }
+        Self { flat: FlatScratch::default(), qquery: QuantizedQuery::quantize(&[]) }
     }
 
     /// Restores the all-clear invariant (used after a serving call panicked
@@ -473,9 +448,55 @@ mod tests {
             assert_eq!(served[0], serving.recommend(&request));
             assert!(trace.solo_micros.is_some());
             let shards: Vec<usize> = trace.shard_score_micros.iter().map(|&(s, _)| s).collect();
-            // (HAM_RETRIEVAL=ivf clusters the catalogue: the solo IVF path has no shard tasks.)
-            let fans_out = plan && workers >= 2 && !serving.is_clustered();
+            let fans_out = plan && workers >= 2;
             assert_eq!(shards, if fans_out { vec![0, 1, 2, 3] } else { vec![] }, "plan {plan}, {workers} workers");
+        }
+    }
+
+    /// A clustered batch runs the same fan-out as a flat one: one timed shard
+    /// task per shard (route + scan + in-task select), whatever the tier.
+    #[test]
+    fn a_clustered_batch_reports_one_task_per_shard() {
+        let config = IvfConfig { clusters: 3, nprobe: 2, iters: 2, seed: 5 };
+        let clustered = || ServingModel::from_scorer("ham", ham(), 4).unwrap().with_cluster_index(&config);
+        let requests: Vec<RecommendRequest> = (0..3).map(|u| RecommendRequest::new(u, vec![u, 7, 29], 5)).collect();
+        for serving in [clustered(), clustered().with_quantized_catalog()] {
+            for pool in [None, Some(&ThreadPool::new(2))] {
+                let mut trace = StageTrace::new();
+                let served =
+                    serving.recommend_batch_traced(&requests, pool, &mut ServeScratch::new(), Some(&mut trace));
+                assert_eq!(served, serving.recommend_batch(&requests, None));
+                let shards: Vec<usize> = trace.shard_score_micros.iter().map(|&(s, _)| s).collect();
+                assert_eq!(shards, vec![0, 1, 2, 3]);
+                assert!(trace.solo_micros.is_none());
+            }
+        }
+    }
+
+    /// The dispatcher keeps one scratch across `ModelRegistry::publish`: its
+    /// tiles and bitmap must follow the snapshot through a change of shard
+    /// count, catalogue size and tier (a flat tile is its shard, an IVF one
+    /// the shard's widest panel) and carry nothing from one model to the next.
+    #[test]
+    fn one_scratch_serves_across_a_hot_swap_of_shards_size_and_tier() {
+        let catalogue = |items: usize| {
+            Matrix::from_vec(items, 6, (0..items * 6).map(|i| ((i * 37) % 41) as f32 * 0.25 - 5.0).collect())
+        };
+        let query = |user: usize, history: &[ItemId]| -> Vec<f32> {
+            (0..6).map(|j| ((user * 6 + j + history.len()) as f32 * 0.37).sin()).collect()
+        };
+        let config = IvfConfig { clusters: 5, nprobe: 2, iters: 3, seed: 9 };
+        let flat = || ServingModel::from_catalog("flat", ShardedCatalog::from_matrix(&catalogue(50), 4), query);
+        let clustered = |name: &str| {
+            let catalog = ShardedCatalog::from_matrix(&catalogue(90), 2).with_cluster_index(&config);
+            ServingModel::from_catalog(name, catalog, query)
+        };
+        let mut scratch = ServeScratch::new();
+        for serving in [flat(), clustered("ivf"), clustered("ivf-int8").with_quantized_catalog(), flat()] {
+            for user in 0..4 {
+                let request = RecommendRequest::new(user, vec![user, 13, 49], 8);
+                assert_eq!(serving.recommend_with(&request, &mut scratch), serving.recommend(&request), "{serving:?}");
+            }
         }
     }
 

@@ -749,7 +749,8 @@ fn serve_bounded(
 /// merge, rerank}}`, or `service → {solo_gemv → {shard_i…}}` on the
 /// batch-of-1 path (shard children only when the request fanned out on the
 /// pool). Each `shard_i` span covers that shard's whole task — scoring fused
-/// with the in-task select — and `merge` only the coordinator's k-way merges
+/// with the in-task select, and before it the cluster routing when the
+/// catalogue is clustered — and `merge` only the coordinator's k-way merges
 /// (see [`StageTrace`]). Stage offsets are laid out sequentially from the
 /// measured durations — parallel shard children share their parent's start
 /// offset.

@@ -25,7 +25,7 @@
 //! * the merge comparator is the same total preference (higher score first,
 //!   ties to the lower global item id) used by `top_k_indices`.
 //!
-//! ## The flat driver: fused tile score→select
+//! ## The shard driver: fused tile score→select
 //!
 //! A query batch never materialises its `b × shard_len` score block. Each
 //! shard task walks its shard in column tiles sized so the tile's scores stay
@@ -36,11 +36,25 @@
 //! caller only merges. Tiling is invisible in the results for the same two
 //! reasons sharding is: a GEMM element's bits do not depend on how rows are
 //! grouped, and the select keeps the exact top-k of every prefix under the
-//! shared comparator. The exact, quantized and deadline-bounded paths all run
-//! this one driver (`rank_shard_batch`), and so does a lone request: a batch
-//! of one row whose single tile is the whole shard, scored by the fused GEMV,
-//! its shard tasks in turn on the caller or — per the serving model's
-//! freeze-time plan — in parallel on the pool.
+//! shared comparator. Every path is this one driver — `fan_out` over
+//! `rank_shard`, then `merge_shortlists` — exact, quantized or
+//! deadline-bounded, and so is a lone request: a batch of one row whose
+//! single tile is the whole shard, scored by the fused GEMV, its shard tasks
+//! in turn on the caller or — per the serving model's freeze-time plan — in
+//! parallel on the pool.
+//!
+//! ## IVF on the same driver
+//!
+//! A clustered shard ([`ShardedCatalog::with_cluster_index`]) changes only
+//! what `rank_shard` does inside the task: instead of walking the shard's
+//! tiles it routes each request to its `nprobe` nearest clusters and treats
+//! every visited cluster's panel as one tile — scored once for the block
+//! into the same scratch, masked by `-inf` overwrite, ranked while hot, the
+//! per-cluster shortlists merged in-task. Fan-out, tracing, fault injection,
+//! the k-way merge and the quantized re-rank are the flat ones, so a one-row
+//! batch scores with the GEMV wherever it came from, and `nprobe = all` is
+//! bit-identical to flat serving (panels only regroup rows; see
+//! [`crate::ivf`]).
 //!
 //! ## The quantized candidate path
 //!
@@ -63,7 +77,7 @@ use ham_core::SeenMask;
 use ham_data::dataset::ItemId;
 use ham_faults::{FaultInjector, ShardFault};
 use ham_tensor::kernels;
-use ham_tensor::ops::{top_k_indices, top_k_indices_masked, top_k_indices_masked_with, TopKStream};
+use ham_tensor::ops::{top_k_indices, top_k_indices_masked, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
 use std::time::{Duration, Instant};
@@ -128,20 +142,21 @@ pub struct ShardedCatalog {
     shards: Vec<Shard>,
     num_items: usize,
     dim: usize,
-    /// Clusters visited per shard per request on the IVF paths
+    /// Clusters visited per shard per request on a clustered catalogue
     /// ([`crate::ivf::PROBE_ALL`] = every cluster, the exact endpoint).
     /// Ignored until a cluster index is built.
     nprobe: usize,
 }
 
-/// What the flat driver keeps between calls when its caller holds on to it
+/// What the shard driver keeps between calls when its caller holds on to it
 /// (the dispatcher's [`ServeScratch`](crate::ServeScratch)).
 #[derive(Debug, Default)]
 pub(crate) struct FlatScratch {
     /// Shard `s`'s task scores into `tiles[s]` (disjoint `&mut` when the
-    /// tasks run on the pool), grown once to the shard; a task past the end
-    /// allocates and frees its own. Measured on `serve_solo_120k`: +4%
-    /// `users_per_s` over per-task tiles, 17 of 20 pairs (CHANGES.md, PR 13).
+    /// tasks run on the pool), grown once to the shard — to its widest panel
+    /// when clustered; a task past the end allocates and frees its own.
+    /// Measured on `serve_solo_120k`: +4% `users_per_s` over per-task tiles,
+    /// 17 of 20 pairs (CHANGES.md, PR 13).
     pub(crate) tiles: Vec<Vec<f32>>,
     /// The catalogue bitmap a re-rank masks through; all-clear between
     /// calls, [`SeenMask::reset`] restores that after a panic.
@@ -187,8 +202,8 @@ impl ShardedCatalog {
     }
 
     /// Builds a per-shard inverted-file index ([`ClusterIndex`]) with the
-    /// deterministic seeded k-means and switches serving to the
-    /// cluster-routed IVF paths, visiting `config.nprobe` clusters per shard
+    /// deterministic seeded k-means and switches every shard task to
+    /// cluster-routed scoring, visiting `config.nprobe` clusters per shard
     /// per request. With `nprobe = all` (the [`IvfConfig::auto`] default)
     /// results stay bit-identical to the exact paths; narrower probes trade
     /// measured recall for sub-linear scan cost.
@@ -212,13 +227,13 @@ impl ShardedCatalog {
         self
     }
 
-    /// Clusters visited per shard per request on the IVF paths.
+    /// Clusters visited per shard per request on a clustered catalogue.
     pub fn nprobe(&self) -> usize {
         self.nprobe
     }
 
-    /// Whether every shard carries a cluster index (serving then routes
-    /// through the IVF paths).
+    /// Whether every shard carries a cluster index (its task then scores
+    /// only the clusters each request routes to).
     pub fn is_clustered(&self) -> bool {
         self.shards.iter().all(|s| s.ivf.is_some())
     }
@@ -280,22 +295,13 @@ impl ShardedCatalog {
         self.shards[shard].rows.matvec_transposed_into(query, out);
     }
 
-    /// The degraded path's per-shard unit of work: applies any injected
-    /// fault for `shard` (a [`ShardFault::Delay`] sleeps cooperatively, a
-    /// [`ShardFault::Panic`] panics — the caller runs this under
-    /// `catch_unwind`), then scores the whole query block against the shard
-    /// and **ranks it in-task**: what comes back is each request's shortlist
-    /// (to `select_ks[i]`, seen items masked via `seen_items[i]`), the
-    /// coordinator's k-way merge input.
-    ///
-    /// Flat catalogues go through the fused tile driver
-    /// ([`Self::rank_shard_batch`]) — the very code the classic paths run,
-    /// so an undegraded bounded response is bit-identical to the classic one
-    /// (a batch of one scores with the fused GEMV, as every lone request
-    /// does; GEMM-of-one-row is *not* bit-equal to GEMV).
-    /// Clustered catalogues route, score and rank with the same routing
-    /// GEMV, panel kernels and fused mask+select as the unbounded IVF paths.
-    /// `qqueries` must be `Some` exactly when the catalogue is quantized.
+    /// The degraded path's per-shard unit of work: the fault prelude, then
+    /// [`Self::rank_shard`] — the very call the classic path makes, so an
+    /// undegraded bounded response is bit-identical to the classic one. An
+    /// injected [`ShardFault::Delay`] sleeps cooperatively, a
+    /// [`ShardFault::Panic`] panics (the caller runs this under
+    /// `catch_unwind`). `qqueries` must be `Some` exactly when the catalogue
+    /// is quantized.
     ///
     /// Returns `None` when `cancelled` turned true during an injected delay:
     /// the batch already gave up on this shard, so the remaining sleep and
@@ -334,11 +340,27 @@ impl ShardedCatalog {
         if cancelled() {
             return None;
         }
-        Some(if self.shards[shard].ivf.is_some() {
-            self.ivf_rank_shard_in_task(shard, queries, qqueries, select_ks, seen_items)
-        } else {
-            self.rank_shard_batch(shard, queries, qqueries, select_ks, seen_items, &mut Vec::new())
-        })
+        Some(self.rank_shard(shard, queries, qqueries, select_ks, seen_items, &mut Vec::new()))
+    }
+
+    /// Ranks one shard for a query block — the one per-shard call of every
+    /// serving path: flat or clustered catalogue, lone request (a block of
+    /// one row) or batch, classic or deadline-bounded. Request `i` gets its
+    /// best `select_ks[i]` items of shard `s` with `seen_items[i]` masked;
+    /// `tile` is the task's score scratch, grown as needed.
+    fn rank_shard<S: AsRef<[ItemId]>>(
+        &self,
+        s: usize,
+        queries: &Matrix,
+        qqueries: Option<&[QuantizedQuery]>,
+        select_ks: &[usize],
+        seen_items: &[Option<S>],
+        tile: &mut Vec<f32>,
+    ) -> Vec<Vec<ScoredItem>> {
+        match &self.shards[s].ivf {
+            Some(index) => self.rank_shard_ivf(s, index, queries, qqueries, select_ks, seen_items, tile),
+            None => self.rank_shard_batch(s, queries, qqueries, select_ks, seen_items, tile),
+        }
     }
 
     /// The fused score→select driver of the flat (non-IVF) paths: one
@@ -433,99 +455,82 @@ impl ShardedCatalog {
             .collect()
     }
 
-    /// The clustered half of [`Self::rank_shard_faulted`]: routes,
-    /// scores and ranks one shard's batch entirely inside the bulkhead task.
-    /// Kernel choice follows the batch size exactly like the flat path —
-    /// per-cluster GEMV for a batch of one (matching the solo IVF path's
-    /// bits), per-cluster packed GEMM otherwise (matching the batched IVF
-    /// path's bits).
-    fn ivf_rank_shard_in_task(
+    /// The clustered body of [`Self::rank_shard`]. Every request routes with
+    /// its own centroid GEMV (batching never changes *which* clusters a
+    /// request visits) to its top-`nprobe` clusters; each cluster some
+    /// request visits is scored once for the whole block into `tile` —
+    /// fused GEMV for one row, packed-panel GEMM otherwise, through the
+    /// int8 panel when `qqueries` is given — its seen rows are overwritten
+    /// with `-inf` exactly as the flat body masks a tile (the index maps an
+    /// item to its panel row, so masking is O(history in this shard)), and
+    /// it is ranked, while hot, for every request that visits it. A
+    /// request's per-cluster shortlists are then k-way merged into its shard
+    /// shortlist.
+    // ham-lint: hot-path
+    #[allow(clippy::too_many_arguments)]
+    fn rank_shard_ivf<S: AsRef<[ItemId]>>(
         &self,
-        shard: usize,
+        s: usize,
+        index: &ClusterIndex,
         queries: &Matrix,
         qqueries: Option<&[QuantizedQuery]>,
         select_ks: &[usize],
-        seen_items: &[Option<Vec<ItemId>>],
+        seen_items: &[Option<S>],
+        tile: &mut Vec<f32>,
     ) -> Vec<Vec<ScoredItem>> {
+        let shard = &self.shards[s];
         let b = queries.rows();
-        let s = &self.shards[shard];
-        // ham-lint: allow(panic, "only called for shards the IVF dispatch selected, which requires the index")
-        let index = s.ivf.as_ref().expect("ivf_rank_shard_in_task on an unclustered shard");
-        let c = index.num_clusters();
-        if c == 0 {
-            return vec![Vec::new(); b];
+        let probe = self.nprobe.min(index.num_clusters());
+        // ham-lint: allow(alloc, "one routing score per cluster, reused by every request row")
+        let mut route = vec![0.0; index.num_clusters()];
+        // Every (cluster, request row) visit, grouped by cluster.
+        // ham-lint: allow(alloc, "the visited list: nprobe entries per request row")
+        let mut visits: Vec<(usize, usize)> = Vec::with_capacity(b * probe);
+        for row in 0..b {
+            index.centroids().matvec_transposed_into(queries.row(row), &mut route);
+            visits.extend(top_k_indices(&route, probe).into_iter().map(|j| (j, row)));
         }
-        let probe = self.nprobe.min(c);
-        let mut union = vec![false; c];
-        let visited: Vec<Vec<usize>> = (0..b)
-            .map(|i| {
-                let route = index.centroids().matvec_transposed(queries.row(i));
-                let v = top_k_indices(&route, probe);
-                for &j in &v {
-                    union[j] = true;
-                }
-                v
-            })
-            .collect();
-        let blocks: Vec<Option<Matrix>> = (0..c)
-            .map(|j| {
-                if !union[j] {
-                    return None;
-                }
-                Some(match qqueries {
-                    Some(qq) => {
-                        let panel = index.qpanel(j);
-                        let mut block = Matrix::zeros(b, panel.rows());
-                        if b == 1 {
-                            kernels::quantized_matvec_into(panel, &qq[0], block.row_mut(0));
-                        } else {
-                            kernels::quantized_matmul_transposed_into(qq, panel, &mut block);
-                        }
-                        block
-                    }
-                    None if b == 1 => Matrix::from_vec(
-                        1,
-                        index.cluster_ids(j).len(),
-                        index.panel(j).matvec_transposed(queries.row(0)),
-                    ),
-                    None => queries.matmul_transposed(index.panel(j)),
-                })
-            })
-            .collect();
-        // Shard-local seen bitmap, marked and cleared per request in
-        // O(history ∩ shard).
-        let mut local_seen = vec![false; s.len()];
-        let mark = |bits: &mut [bool], items: &[ItemId], value: bool| {
-            for &item in items {
-                if item >= s.offset && item < s.offset + bits.len() {
-                    bits[item - s.offset] = value;
-                }
-            }
-        };
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = seen_items[i].as_deref();
-            if let Some(items) = seen {
-                mark(&mut local_seen, items, true);
-            }
-            let mut lists = Vec::with_capacity(visited[i].len());
-            for &j in &visited[i] {
-                // ham-lint: allow(panic, "the loop above scored every visited cluster before ranking")
-                let block = blocks[j].as_ref().expect("visited cluster left unscored");
-                lists.push(rank_panel(
-                    s.offset,
-                    index.cluster_ids(j),
-                    block.row(i),
-                    select_ks[i],
-                    seen.is_some().then_some(local_seen.as_slice()),
-                ));
-            }
-            if let Some(items) = seen {
-                mark(&mut local_seen, items, false);
-            }
-            out.push(merge_top_k(&lists, select_ks[i]));
+        visits.sort_unstable();
+        let tile_len = b * index.max_panel_len();
+        if tile.len() < tile_len {
+            // ham-lint: allow(alloc, "a kept tile grows once to the block's widest panel; every score is written before it is read")
+            *tile = vec![0.0; tile_len];
         }
-        out
+        // Every (cluster, request row, panel row) to mask, in cluster order.
+        // ham-lint: allow(alloc, "O(history in this shard) entries")
+        let mut masked: Vec<(usize, usize, usize)> = Vec::new();
+        for (row, items) in seen_items.iter().enumerate() {
+            let items: &[ItemId] = items.as_ref().map_or(&[], AsRef::as_ref);
+            let in_shard = items.iter().filter(|&&item| item >= shard.offset && item - shard.offset < shard.len());
+            masked.extend(in_shard.map(|&item| index.slot(item - shard.offset)).map(|(j, p)| (j, row, p)));
+        }
+        masked.sort_unstable();
+        let mut next_masked = 0;
+        // ham-lint: allow(alloc, "per request row, one shortlist slot per visited cluster")
+        let mut lists: Vec<Vec<Vec<ScoredItem>>> = (0..b).map(|_| Vec::with_capacity(probe)).collect();
+        for visitors in visits.chunk_by(|a, b| a.0 == b.0) {
+            let j = visitors[0].0;
+            let ids = index.cluster_ids(j);
+            let w = ids.len();
+            let tile = &mut tile[..b * w];
+            match qqueries {
+                Some(qq) if b == 1 => kernels::quantized_matvec_into(index.qpanel(j), &qq[0], tile),
+                Some(qq) => kernels::quantized_matmul_transposed_rows_into(qq, index.qpanel(j), 0..w, tile),
+                None if b == 1 => index.panel(j).matvec_transposed_into(queries.row(0), tile),
+                None => kernels::matmul_transposed_rows_into(queries, index.panel(j), 0..w, tile),
+            }
+            while let Some(&(cluster, row, p)) = masked.get(next_masked).filter(|&&(cluster, ..)| cluster <= j) {
+                if cluster == j {
+                    tile[row * w + p] = f32::NEG_INFINITY;
+                }
+                next_masked += 1;
+            }
+            for &(_, row) in visitors {
+                lists[row].push(rank_panel(shard.offset, ids, &tile[row * w..(row + 1) * w], select_ks[row]));
+            }
+        }
+        // ham-lint: allow(alloc, "the per-request shard shortlists are the task's result")
+        lists.iter().zip(select_ks).map(|(lists, &k)| merge_top_k(lists, k)).collect()
     }
 
     /// Ranks one shard's score slice locally: top `min(k, len)` items as
@@ -555,12 +560,13 @@ impl ShardedCatalog {
             .collect()
     }
 
-    /// Exact global top-k for one query: the flat driver with one query row
-    /// and the shard tasks in turn on the caller, then the k-way merge.
-    /// `seen` is the global seen-item bitmap (length `num_items`) or `None`
-    /// to rank the full catalogue.
+    /// Global top-k for one query: the shard driver with one query row and
+    /// the shard tasks in turn on the caller, then the k-way merge. `seen` is
+    /// the global seen-item bitmap (length `num_items`) or `None` to rank
+    /// the full catalogue.
     ///
-    /// Bit-identical to scoring the unsharded matrix and ranking once, for
+    /// On a flat catalogue — and on a clustered one at `nprobe = all` —
+    /// bit-identical to scoring the unsharded matrix and ranking once, for
     /// any shard count.
     pub fn top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
         self.top_k_with_buf(query, k, seen, &mut Vec::new())
@@ -581,9 +587,6 @@ impl ShardedCatalog {
         seen: Option<&[bool]>,
         scores_buf: &mut Vec<f32>,
     ) -> Vec<ScoredItem> {
-        if self.is_clustered() {
-            return self.ivf_top_k_with_buf(query, k, seen, scores_buf, &mut Vec::new());
-        }
         self.solo_from_bitmap(query, None, k, seen, scores_buf)
     }
 
@@ -615,17 +618,28 @@ impl ShardedCatalog {
         scores_buf: &mut Vec<f32>,
         qquery: &mut QuantizedQuery,
     ) -> Vec<ScoredItem> {
-        if self.is_clustered() {
-            return self.ivf_quantized_top_k_with_buf(query, k, seen, scores_buf, qquery, &mut Vec::new());
-        }
         qquery.requantize(query);
         self.solo_from_bitmap(query, Some(qquery), k, seen, scores_buf)
     }
 
-    /// How the bitmap solo entry points run the flat driver: the marked bits
-    /// become the request's seen-item list, the shard tasks run in turn with
-    /// `scores_buf` as the one tile they share, and the quantized re-rank
-    /// masks through the caller's bits.
+    /// [`Self::top_k_with_buf`] under the name and signature the benchmark's
+    /// per-layer replay calls on a clustered catalogue: the driver routes
+    /// inside each shard task, so `_route_buf` goes unused.
+    pub fn ivf_top_k_with_buf(
+        &self,
+        query: &[f32],
+        k: usize,
+        seen: Option<&[bool]>,
+        scores_buf: &mut Vec<f32>,
+        _route_buf: &mut Vec<f32>,
+    ) -> Vec<ScoredItem> {
+        self.top_k_with_buf(query, k, seen, scores_buf)
+    }
+
+    /// How the bitmap solo entry points run the shard driver: the marked
+    /// bits become the request's seen-item list, the shard tasks run in turn
+    /// with `scores_buf` as the one tile they share, and the quantized
+    /// re-rank masks through the caller's bits.
     fn solo_from_bitmap(
         &self,
         query: &[f32],
@@ -634,11 +648,11 @@ impl ShardedCatalog {
         seen: Option<&[bool]>,
         scores_buf: &mut Vec<f32>,
     ) -> Vec<ScoredItem> {
-        let seen_items: Option<Vec<ItemId>> = seen.map(|bits| (0..bits.len()).filter(|&item| bits[item]).collect());
+        let seen_items = seen.map(marked_items);
         let queries = Matrix::from_vec(1, query.len(), query.to_vec());
         let qqueries = qquery.map(std::slice::from_ref);
         let select_k = select_width(k, qquery.is_some());
-        let rank = |s| self.rank_shard_batch(s, &queries, qqueries, &[select_k], &[seen_items.as_deref()], scores_buf);
+        let rank = |s| self.rank_shard(s, &queries, qqueries, &[select_k], &[seen_items.as_deref()], scores_buf);
         let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len()).flat_map(rank).collect();
         let merged = merge_top_k(&per_shard, select_k);
         if qquery.is_some() {
@@ -646,228 +660,6 @@ impl ShardedCatalog {
         } else {
             merged
         }
-    }
-
-    /// Exact-or-approximate global top-k through the cluster-routed IVF
-    /// paths: per shard, one centroid GEMV routes to the top-`nprobe`
-    /// clusters, only those panels are scored (per-row GEMV — the same
-    /// kernel, so panel scores equal shard scores bit for bit), each panel
-    /// is ranked through the fused mask+select with the panel→global id
-    /// translation, and the per-cluster shortlists run through the usual
-    /// k-way merge. With `nprobe = all` this is bit-identical — ids, order,
-    /// scores — to [`Self::top_k_with_buf`] (pinned by the serving suite).
-    ///
-    /// `route_buf` is the reusable centroid-score buffer (grown once to the
-    /// largest per-shard cluster count), so a serving loop holding a scratch
-    /// performs no score allocation per request.
-    ///
-    /// # Panics
-    /// Panics if no cluster index was built ([`Self::with_cluster_index`]).
-    pub fn ivf_top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-        route_buf: &mut Vec<f32>,
-    ) -> Vec<ScoredItem> {
-        self.grow_ivf_bufs(scores_buf, route_buf);
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| self.ivf_shard_candidates(s, query, k, seen, scores_buf, route_buf, None))
-            .collect();
-        merge_top_k(&per_shard, k)
-    }
-
-    /// The quantized composition of the IVF path: routing and cluster
-    /// selection as in [`Self::ivf_top_k_with_buf`], but each visited panel
-    /// is scored through its int8 snapshot pre-selecting the quantized
-    /// top-`2k`, and the merged candidates get the **exact f32 re-rank** —
-    /// so the int8 path becomes sub-linear too, with the same recall
-    /// guardrail semantics as shard-level quantized serving.
-    ///
-    /// # Panics
-    /// Panics if the catalogue was not both quantized and clustered.
-    pub fn ivf_quantized_top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-        qquery: &mut QuantizedQuery,
-        route_buf: &mut Vec<f32>,
-    ) -> Vec<ScoredItem> {
-        let pre_k = k.saturating_mul(2);
-        qquery.requantize(query);
-        self.grow_ivf_bufs(scores_buf, route_buf);
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| self.ivf_shard_candidates(s, query, pre_k, seen, scores_buf, route_buf, Some(qquery)))
-            .collect();
-        let candidates = merge_top_k(&per_shard, pre_k);
-        self.rerank_exact(candidates, query, k, seen)
-    }
-
-    /// Grows the score and routing buffers to the largest panel / cluster
-    /// count across shards (once; subsequent calls are no-ops).
-    fn grow_ivf_bufs(&self, scores_buf: &mut Vec<f32>, route_buf: &mut Vec<f32>) {
-        let max_panel = self.shards.iter().filter_map(|s| s.ivf.as_ref()).map(ClusterIndex::max_panel_len).max();
-        let max_clusters = self.shards.iter().map(Shard::num_clusters).max().unwrap_or(0);
-        if let Some(max_panel) = max_panel {
-            if scores_buf.len() < max_panel {
-                scores_buf.resize(max_panel, 0.0);
-            }
-        }
-        if route_buf.len() < max_clusters {
-            route_buf.resize(max_clusters, 0.0);
-        }
-    }
-
-    /// One shard's IVF shortlist for one query: route, visit the top-`nprobe`
-    /// clusters, rank each visited panel to `select_k` (through the int8
-    /// panel when `qquery` is given), and merge the per-cluster lists into
-    /// the shard's top-`select_k`. Masked items participate at `-inf` through
-    /// the panel-local→global id translation, so tie-breaks and degenerate
-    /// padding match the shard-level fused mask+select exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn ivf_shard_candidates(
-        &self,
-        s: usize,
-        query: &[f32],
-        select_k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut [f32],
-        route_buf: &mut [f32],
-        qquery: Option<&QuantizedQuery>,
-    ) -> Vec<ScoredItem> {
-        let shard = &self.shards[s];
-        // ham-lint: allow(panic, "IVF entry points are only reachable on clustered catalogues")
-        let index = shard.ivf.as_ref().expect("IVF serving on a catalogue without a cluster index");
-        let c = index.num_clusters();
-        if c == 0 {
-            return Vec::new();
-        }
-        let route = &mut route_buf[..c];
-        index.centroids().matvec_transposed_into(query, route);
-        let visited = top_k_indices(route, self.nprobe.min(c));
-        let local_seen = seen.map(|bits| &bits[shard.offset..shard.offset + shard.len()]);
-        let mut lists = Vec::with_capacity(visited.len());
-        for j in visited {
-            let ids = index.cluster_ids(j);
-            let scores = &mut scores_buf[..ids.len()];
-            match qquery {
-                Some(qq) => kernels::quantized_matvec_into(index.qpanel(j), qq, scores),
-                None => index.panel(j).matvec_transposed_into(query, scores),
-            }
-            lists.push(rank_panel(shard.offset, ids, scores, select_k, local_seen));
-        }
-        merge_top_k(&lists, select_k)
-    }
-
-    /// The batched IVF path shared by [`Self::top_k_batch_traced`] and
-    /// [`Self::quantized_top_k_batch_traced`] on clustered catalogues: per
-    /// shard, every request routes with its own centroid GEMV (the same
-    /// kernel and bits as the solo path — batching never changes *which*
-    /// clusters a request visits), then the union of visited clusters is
-    /// scored with one packed-panel GEMM per cluster over the whole batch.
-    /// Panel GEMM bits equal the shard GEMM bits row for row (ascending-`k`
-    /// accumulation is grouping-independent), so at `nprobe = all` this is
-    /// bit-identical to the dense batched paths.
-    fn ivf_top_k_batch_traced(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-        trace: Option<&mut StageTrace>,
-        quantized: bool,
-    ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        let qqueries: Option<Vec<QuantizedQuery>> =
-            quantized.then(|| (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
-        let (blocks, shard_micros) =
-            self.fan_out(pool, &mut [], |s, _| self.ivf_score_shard_batch(s, queries, qqueries.as_deref()));
-        let rank_started = trace.is_some().then(Instant::now);
-        let mut rerank_micros = 0u64;
-        let mut scratch = SeenMask::new(self.num_items);
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            scratch.mark(seen_items[i].unwrap_or_default());
-            let seen = seen_items[i].map(|_| scratch.bits());
-            let select_k = select_width(ks[i], quantized);
-            // Flat merge over every visited cluster of every shard: the merge
-            // comparator is a total order, so this equals the hierarchical
-            // per-shard merge bit for bit.
-            let mut lists = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                let Some(index) = shard.ivf.as_ref() else { continue };
-                let local_seen = seen.map(|bits| &bits[shard.offset..shard.offset + shard.len()]);
-                for &j in &blocks[s].visited[i] {
-                    // ham-lint: allow(panic, "the scoring task scored every visited cluster before returning its block")
-                    let block = blocks[s].blocks[j].as_ref().expect("visited cluster left unscored");
-                    lists.push(rank_panel(shard.offset, index.cluster_ids(j), block.row(i), select_k, local_seen));
-                }
-            }
-            let candidates = merge_top_k(&lists, select_k);
-            let merged = if quantized {
-                let rerank_started = trace.is_some().then(Instant::now);
-                let ranked = self.rerank_exact(candidates, queries.row(i), ks[i], seen);
-                if let Some(at) = rerank_started {
-                    rerank_micros += at.elapsed().as_micros() as u64;
-                }
-                ranked
-            } else {
-                candidates
-            };
-            scratch.clear(seen_items[i].unwrap_or_default());
-            out.push(merged);
-        }
-        if let Some(trace) = trace {
-            trace.shard_score_micros = shard_micros;
-            let rank_micros = rank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
-            trace.merge_micros = rank_micros.saturating_sub(rerank_micros);
-            trace.rerank_micros = rerank_micros;
-        }
-        out
-    }
-
-    /// One shard's batched IVF scoring: per-request routing GEMVs, then one
-    /// panel GEMM per cluster in the union of visited clusters.
-    fn ivf_score_shard_batch(&self, s: usize, queries: &Matrix, qqueries: Option<&[QuantizedQuery]>) -> IvfShardBlock {
-        let b = queries.rows();
-        // ham-lint: allow(panic, "IVF entry points are only reachable on clustered catalogues")
-        let index = self.shards[s].ivf.as_ref().expect("IVF serving on a catalogue without a cluster index");
-        let c = index.num_clusters();
-        if c == 0 {
-            return IvfShardBlock { visited: vec![Vec::new(); b], blocks: Vec::new() };
-        }
-        let probe = self.nprobe.min(c);
-        let mut union = vec![false; c];
-        let visited: Vec<Vec<usize>> = (0..b)
-            .map(|i| {
-                let route = index.centroids().matvec_transposed(queries.row(i));
-                let v = top_k_indices(&route, probe);
-                for &j in &v {
-                    union[j] = true;
-                }
-                v
-            })
-            .collect();
-        let blocks: Vec<Option<Matrix>> = (0..c)
-            .map(|j| {
-                if !union[j] {
-                    return None;
-                }
-                Some(match qqueries {
-                    Some(qq) => {
-                        let panel = index.qpanel(j);
-                        let mut block = Matrix::zeros(b, panel.rows());
-                        kernels::quantized_matmul_transposed_into(qq, panel, &mut block);
-                        block
-                    }
-                    None => queries.matmul_transposed(index.panel(j)),
-                })
-            })
-            .collect();
-        IvfShardBlock { visited, blocks }
     }
 
     /// Re-scores `candidates` with the exact f32 per-row dot (the same
@@ -927,37 +719,17 @@ impl ShardedCatalog {
         seen_items: &[Option<&[ItemId]>],
         pool: Option<&ThreadPool>,
     ) -> Vec<Vec<ScoredItem>> {
-        self.quantized_top_k_batch_traced(queries, ks, seen_items, pool, None)
+        let qqueries = quantize_rows(queries);
+        self.rank_batch(queries, Some(&qqueries), ks, seen_items, pool, None, &mut FlatScratch::default())
     }
 
-    /// [`Self::quantized_top_k_batch`] with stage timing: when `trace` is
-    /// given, per-shard task durations (int8 GEMM + in-task select), the
-    /// k-way merges and the exact re-rank are clocked into it. `None` serves
-    /// identically with no timing overhead beyond one branch.
-    pub fn quantized_top_k_batch_traced(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-        trace: Option<&mut StageTrace>,
-    ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        assert_eq!(ks.len(), b, "quantized_top_k_batch: {} k values for {} queries", ks.len(), b);
-        assert_eq!(seen_items.len(), b, "quantized_top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
-        if self.is_clustered() {
-            return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, true);
-        }
-        let qqueries: Vec<QuantizedQuery> = (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect();
-        self.flat_top_k_batch_traced(queries, Some(&qqueries), ks, seen_items, pool, trace, &mut FlatScratch::default())
-    }
-
-    /// Exact global top-k for a query batch: every shard task (in parallel
-    /// on `pool` when given) scores its shard tile by tile and ranks each
-    /// request in-task (`rank_shard_batch`), then the caller k-way
-    /// merges the per-shard shortlists. `ks[i]` and `seen_items[i]` apply to
-    /// query row `i`; a row's seen items are the item ids to exclude (`None`
-    /// ranks the full catalogue; ids outside the catalogue are ignored).
+    /// Global top-k for a query batch: every shard task (in parallel on
+    /// `pool` when given) scores its shard tile by tile — its visited
+    /// cluster panels on a clustered catalogue — and ranks each request
+    /// in-task (`rank_shard`), then the caller k-way merges the
+    /// per-shard shortlists. `ks[i]` and `seen_items[i]` apply to query row
+    /// `i`; a row's seen items are the item ids to exclude (`None` ranks the
+    /// full catalogue; ids outside the catalogue are ignored).
     ///
     /// No `b × shard_len` score block and no catalogue-sized bitmap exist on
     /// this path: a task's working set is one L2-sized tile buffer and `b`
@@ -972,39 +744,23 @@ impl ShardedCatalog {
         seen_items: &[Option<&[ItemId]>],
         pool: Option<&ThreadPool>,
     ) -> Vec<Vec<ScoredItem>> {
-        self.top_k_batch_traced(queries, ks, seen_items, pool, None)
+        self.rank_batch(queries, None, ks, seen_items, pool, None, &mut FlatScratch::default())
     }
 
-    /// [`Self::top_k_batch`] with stage timing: when `trace` is given,
-    /// per-shard task durations (GEMM + in-task select) and the k-way merges
-    /// are clocked into it. `None` serves identically with no timing
-    /// overhead beyond one branch.
-    pub fn top_k_batch_traced(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-        trace: Option<&mut StageTrace>,
-    ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        assert_eq!(ks.len(), b, "top_k_batch: {} k values for {} queries", ks.len(), b);
-        assert_eq!(seen_items.len(), b, "top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
-        if self.is_clustered() {
-            return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, false);
-        }
-        self.flat_top_k_batch_traced(queries, None, ks, seen_items, pool, trace, &mut FlatScratch::default())
-    }
-
-    /// The flat path of the batch calls above and of a lone request (a
-    /// one-row `queries`): fan the fused driver out over the shards, then
-    /// merge each request's k-element shortlists. With `qqueries` (row `i`'s
-    /// quantized query) the shards pre-select `2k` through their int8 panels
-    /// and the merged candidates are re-ranked with the exact f32 dot. A
-    /// caller that keeps `scratch` with one tile per shard spares later
-    /// calls their score-tile allocations.
+    /// The classic path of every catalogue, for a batch or a lone request (a
+    /// one-row `queries`): fan [`Self::rank_shard`] out over the shards,
+    /// then merge each request's k-element shortlists. With `qqueries` (row
+    /// `i`'s quantized query) the shards pre-select `2k` through their int8
+    /// panels and the merged candidates are re-ranked with the exact f32
+    /// dot. When `trace` is given, the per-shard task durations, the k-way
+    /// merges and the re-rank are clocked into it. A caller that keeps
+    /// `scratch` with one tile per shard spares later calls their score-tile
+    /// allocations.
+    ///
+    /// # Panics
+    /// Panics if `ks` or `seen_items` do not have one entry per query row.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn flat_top_k_batch_traced(
+    pub(crate) fn rank_batch(
         &self,
         queries: &Matrix,
         qqueries: Option<&[QuantizedQuery]>,
@@ -1014,9 +770,12 @@ impl ShardedCatalog {
         trace: Option<&mut StageTrace>,
         scratch: &mut FlatScratch,
     ) -> Vec<Vec<ScoredItem>> {
+        let b = queries.rows();
+        assert_eq!(ks.len(), b, "top_k_batch: {} k values for {} queries", ks.len(), b);
+        assert_eq!(seen_items.len(), b, "top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
         let select_ks = select_widths(ks, qqueries.is_some());
         let (per_shard, shard_micros) = self.fan_out(pool, &mut scratch.tiles, |s, tile| {
-            self.rank_shard_batch(s, queries, qqueries, &select_ks, seen_items, tile)
+            self.rank_shard(s, queries, qqueries, &select_ks, seen_items, tile)
         });
         let merge_started = trace.is_some().then(Instant::now);
         let rerank_seen = qqueries.is_some().then_some(&mut scratch.seen);
@@ -1110,42 +869,31 @@ impl ShardedCatalog {
     }
 }
 
-/// One shard's batched IVF scoring result: the clusters each request visits,
-/// and a scored block for every cluster in the union of visited sets.
-struct IvfShardBlock {
-    /// `visited[i]`: cluster ids request row `i` routes to.
-    visited: Vec<Vec<usize>>,
-    /// `blocks[j]`: the `b × panel_len` score block of cluster `j`, `None`
-    /// when no request in the batch visits it.
-    blocks: Vec<Option<Matrix>>,
+/// Ranks one cluster panel's (already masked) score slice to its top
+/// `select_k` as global item ids: `ids` translates a panel row to its
+/// shard-local id, `offset` that to the catalogue. Each panel keeps its ids
+/// ascending, so the select's lower-index tie-break is the global-id one.
+// ham-lint: hot-path
+fn rank_panel(offset: usize, ids: &[usize], scores: &[f32], select_k: usize) -> Vec<ScoredItem> {
+    let mut stream = TopKStream::new(select_k.min(scores.len()));
+    stream.push_block(0, scores, |_| false);
+    let ranked = stream.into_sorted().into_iter();
+    // ham-lint: allow(alloc, "the cluster's shortlist, k elements, collected in place over the select's heap")
+    ranked.map(|(p, score)| ScoredItem { item: offset + ids[p], score }).collect()
 }
 
-/// Ranks one cluster panel's score slice to its top `select_k`: the fused
-/// mask+select with the panel-local → shard-local id translation (`ids`),
-/// emitting global item ids (`offset + shard-local id`). `local_seen` is the
-/// seen bitmap in *shard-local* index space (the global bitmap sliced to the
-/// shard's range, or a task-local bitmap on the bounded path). Masked items
-/// participate at `-inf`, and since each panel keeps its ids ascending, the
-/// panel-index tie-break reproduces the global-id tie-break exactly.
-fn rank_panel(
-    offset: usize,
-    ids: &[usize],
-    scores: &[f32],
-    select_k: usize,
-    local_seen: Option<&[bool]>,
-) -> Vec<ScoredItem> {
-    let local = match local_seen {
-        Some(bits) => top_k_indices_masked_with(scores, select_k, |p| bits[ids[p]]),
-        None => top_k_indices(scores, select_k),
-    };
-    local
-        .into_iter()
-        .map(|p| {
-            let masked = local_seen.is_some_and(|bits| bits[ids[p]]);
-            let score = if masked { f32::NEG_INFINITY } else { scores[p] };
-            ScoredItem { item: offset + ids[p], score }
-        })
-        .collect()
+/// The set bits of a seen bitmap as ascending item ids. Clear 64-byte
+/// chunks are skipped by an OR-fold, which vectorises (`contains(&true)`
+/// does not): the compatibility wrappers walk a catalogue-sized bitmap that
+/// holds a history's few dozen marks.
+fn marked_items(bits: &[bool]) -> Vec<ItemId> {
+    let mut items = Vec::new();
+    for (c, chunk) in bits.chunks(64).enumerate() {
+        if chunk.iter().fold(false, |any, &bit| any | bit) {
+            items.extend((0..chunk.len()).filter(|&i| chunk[i]).map(|i| c * 64 + i));
+        }
+    }
+    items
 }
 
 /// Shortlist length a shard ranks a request to: `k` on the exact paths, the
@@ -1156,6 +904,11 @@ fn select_width(k: usize, quantized: bool) -> usize {
     } else {
         k
     }
+}
+
+/// Every query row of a batch, quantized for the int8 panels.
+pub(crate) fn quantize_rows(queries: &Matrix) -> Vec<QuantizedQuery> {
+    (0..queries.rows()).map(|i| QuantizedQuery::quantize(queries.row(i))).collect()
 }
 
 /// [`select_width`] for every request of a batch.
@@ -1330,6 +1083,26 @@ mod tests {
         );
     }
 
+    /// The chunk-skipping bitmap walk lists exactly what the per-item walk
+    /// does, wherever the marks fall relative to its 64-item chunks.
+    #[test]
+    fn marked_items_equals_the_per_item_walk() {
+        let last_only = |n: usize| (0..n).map(|i| i + 1 == n).collect::<Vec<bool>>();
+        let cases = [
+            vec![],
+            vec![true; 130],
+            vec![false; 130],
+            last_only(64),
+            last_only(65),
+            last_only(200),
+            (0..157).map(|i| i % 63 == 0 || i == 64).collect(),
+        ];
+        for bits in cases {
+            let naive: Vec<ItemId> = (0..bits.len()).filter(|&i| bits[i]).collect();
+            assert_eq!(marked_items(&bits), naive, "{} bits", bits.len());
+        }
+    }
+
     /// A caller that keeps its `FlatScratch` scores request after request
     /// into the same per-shard tiles (disjoint `&mut` for the tasks under a
     /// pool), and a reused scratch never leaks one request's masks or
@@ -1356,7 +1129,7 @@ mod tests {
                     let qq = quantized.then(|| vec![QuantizedQuery::quantize(queries.row(0))]);
                     let seen = [Some(history.as_slice())];
                     let serve = |scratch: &mut FlatScratch| {
-                        cat.flat_top_k_batch_traced(queries, qq.as_deref(), &[7], &seen, pool, None, scratch)
+                        cat.rank_batch(queries, qq.as_deref(), &[7], &seen, pool, None, scratch)
                     };
                     assert_eq!(serve(&mut kept), serve(&mut FlatScratch::default()), "quantized = {quantized}");
                     assert!(kept.tiles.iter().all(|tile| !tile.is_empty()), "a kept tile went unused");

@@ -23,6 +23,7 @@ use ham_serve::{
     PROBE_ALL,
 };
 use ham_telemetry::Telemetry;
+use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedQuery};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -144,6 +145,59 @@ proptest! {
                 let ordered = pair[0].score > pair[1].score || (pair[0].score == pair[1].score && pair[0].item < pair[1].item);
                 prop_assert!(ordered, "batched ranking out of order: {}", case);
             }
+        }
+    }
+
+    /// "A lonely request gets the same bits whether or not it was queued"
+    /// holds on a clustered catalogue too: at any `nprobe`, the solo call, a
+    /// one-row batch — in turn, on a one-worker pool, on a three-worker pool —
+    /// and a server response from the deadline-bounded path (armed by an
+    /// injector whose rule names no shard) all score the row with the fused
+    /// GEMV and return identical ids, order and score bits, f32 and int8.
+    #[test]
+    fn a_one_row_batch_is_the_solo_request_at_any_nprobe(
+        n in 12usize..60,
+        shards in 1usize..5,
+        nprobe in 1usize..7,
+        k in 1usize..9,
+        seed in 0usize..500,
+    ) {
+        let d = 8usize;
+        let q = query(d, seed);
+        let history = vec![seed % n, (seed * 7 + 3) % n];
+        let seen: Vec<bool> = (0..n).map(|item| history.contains(&item)).collect();
+        let config = IvfConfig { clusters: 0, nprobe, iters: 4, seed: 0xC0 };
+        let clustered = ShardedCatalog::from_matrix(&catalogue(n, d, seed), shards).with_cluster_index(&config);
+        let queries = Matrix::from_rows(&[&q]);
+        let seen_lists = [Some(history.as_slice())];
+        let pools = [None, Some(ThreadPool::new(1)), Some(ThreadPool::new(3))];
+        for quantize in [false, true] {
+            let case = format!("n={n} shards={shards} nprobe={nprobe} k={k} seed={seed} quantize={quantize}");
+            let catalog = if quantize { clustered.clone().with_quantization() } else { clustered.clone() };
+            let solo = if quantize {
+                catalog.quantized_top_k_with_buf(&q, k, Some(&seen), &mut Vec::new(), &mut QuantizedQuery::quantize(&[]))
+            } else {
+                catalog.top_k(&q, k, Some(&seen))
+            };
+            for pool in &pools {
+                let batched = if quantize {
+                    catalog.quantized_top_k_batch(&queries, &[k], &seen_lists, pool.as_ref())
+                } else {
+                    catalog.top_k_batch(&queries, &[k], &seen_lists, pool.as_ref())
+                };
+                let workers = pool.as_ref().map_or(0, ThreadPool::threads);
+                prop_assert_eq!(bits(&batched[0]), bits(&solo), "one-row batch, {} pool workers: {}", workers, case);
+            }
+            let lookup = q.clone();
+            let model = ServingModel::from_catalog("one-row", catalog, move |_, _| lookup.clone());
+            let faults = FaultInjector::parse("seed=5;shard_slow=99:1ms").expect("valid fault spec");
+            let server_config = ServerConfig { coalesce_wait: Duration::ZERO, ..ServerConfig::default() };
+            let registry = Arc::new(ModelRegistry::new(model));
+            let server = RecServer::start_instrumented(registry, server_config, Telemetry::disabled(), faults);
+            let response = server.submit(RecommendRequest::new(0, history.clone(), k)).expect("admitted");
+            server.shutdown();
+            prop_assert!(!response.degraded, "{}", case);
+            prop_assert_eq!(bits(&response.items), bits(&solo), "bounded path: {}", case);
         }
     }
 

@@ -113,23 +113,6 @@ pub fn top_k_indices_masked(scores: &[f32], k: usize, masked: &[bool]) -> Vec<us
     top_k_by_score(scores.len(), k, |i| if masked[i] { f32::NEG_INFINITY } else { scores[i] })
 }
 
-/// Closure-masked variant of [`top_k_indices_masked`]: ranks `scores` exactly
-/// as [`top_k_indices`] would after overwriting `scores[i] = -inf` for every
-/// `i` with `masked(i)`, but the mask is an arbitrary predicate instead of a
-/// pre-materialised bitmap slice.
-///
-/// This exists for ranking *permuted* score buffers against a bitmap laid out
-/// in a different index space: an inverted-file cluster panel stores catalogue
-/// rows gathered out of order, so its score buffer cannot be masked by slicing
-/// the per-shard seen bitmap — the predicate translates the panel-local index
-/// to the bitmap's space instead (`|j| seen[ids[j]]`). Semantics otherwise
-/// match [`top_k_indices_masked`] bit for bit: masked items participate at
-/// `-inf` and pad the tail in ascending index order when fewer than `k`
-/// survive.
-pub fn top_k_indices_masked_with(scores: &[f32], k: usize, masked: impl Fn(usize) -> bool) -> Vec<usize> {
-    top_k_by_score(scores.len(), k, |i| if masked(i) { f32::NEG_INFINITY } else { scores[i] })
-}
-
 /// Shared body of [`top_k_indices`] / [`top_k_indices_masked`]: ranks the
 /// indices `0..n` by the effective score `score(i)` (descending, ties to the
 /// lower index).
@@ -455,29 +438,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The predicate-masked variant agrees bit for bit with the bitmap
-    /// variant when the predicate is a plain bitmap lookup, and supports
-    /// translated index spaces (the permuted-panel use case).
-    #[test]
-    fn predicate_masked_top_k_matches_bitmap_variant() {
-        let scores: Vec<f32> = (0..90).map(|i| ((i * 53) % 37) as f32 * 0.5).collect();
-        let masked: Vec<bool> = (0..scores.len()).map(|i| i % 4 == 1).collect();
-        for k in [1, 3, 11, 80, 90] {
-            assert_eq!(
-                top_k_indices_masked_with(&scores, k, |i| masked[i]),
-                top_k_indices_masked(&scores, k, &masked),
-                "k = {k}"
-            );
-        }
-        // Translated index space: panel order [2, 0, 1] over a 3-item bitmap.
-        // Global id 0 (panel position 1, the best raw score) is seen, so the
-        // panel positions holding ids 2 and 1 win in score order.
-        let ids = [2usize, 0, 1];
-        let panel_scores = [3.0f32, 9.0, 1.0];
-        let seen = [true, false, false];
-        assert_eq!(top_k_indices_masked_with(&panel_scores, 2, |j| seen[ids[j]]), vec![0, 2]);
     }
 
     #[test]
