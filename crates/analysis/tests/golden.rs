@@ -47,6 +47,51 @@ fn target_feature_fn_must_not_be_crate_public() {
 }
 
 #[test]
+fn template_target_feature_attribute_is_legal_only_in_the_template_file() {
+    let src = include_str!("fixtures/template_attr_misplaced.rs");
+    let misplaced = lint_source("crates/tensor/src/kernels/avx2.rs", src);
+    assert_eq!(rules_hit(&misplaced), vec![unsafe_audit::RULE]);
+    assert_eq!(misplaced[0].line, 4, "the finding points at the attribute");
+    assert!(misplaced[0].message.contains("kernels/simd.rs"), "names the template file: {misplaced:?}");
+    let in_place = lint_source("crates/tensor/src/kernels/simd.rs", src);
+    assert!(in_place.is_empty(), "unexpected: {in_place:?}");
+}
+
+#[test]
+fn a_templated_kernel_must_not_be_crate_public_either() {
+    let findings = lint_source("crates/tensor/src/kernels/simd.rs", include_str!("fixtures/template_pub_kernel.rs"));
+    assert_eq!(rules_hit(&findings), vec![unsafe_audit::RULE]);
+    assert_eq!(findings[0].line, 5, "the finding points at the fn");
+    assert!(findings[0].message.contains("dispatcher"), "explains the reachability rule: {findings:?}");
+}
+
+#[test]
+fn the_template_is_stamped_only_from_a_tier_module_with_that_modules_tier() {
+    let from_dispatcher =
+        lint_source("crates/tensor/src/kernels/mod.rs", include_str!("fixtures/template_invoked_from_dispatcher.rs"));
+    assert_eq!(rules_hit(&from_dispatcher), vec![unsafe_audit::RULE]);
+    assert_eq!(from_dispatcher[0].line, 4);
+    assert!(from_dispatcher[0].message.contains("tier module"), "explains who may stamp: {from_dispatcher:?}");
+
+    let src = include_str!("fixtures/template_wrong_tier.rs");
+    let wrong_tier = lint_source("crates/tensor/src/kernels/avx2.rs", src);
+    assert_eq!(rules_hit(&wrong_tier), vec![unsafe_audit::RULE]);
+    assert!(wrong_tier[0].message.contains("own tier"), "an avx512f literal inside avx2.rs: {wrong_tier:?}");
+    // Not AVX-512's either: each tier module has one literal, and this one
+    // drops the `avx512bw` its int8 kernels need.
+    let partial = lint_source("crates/tensor/src/kernels/avx512.rs", src);
+    assert_eq!(rules_hit(&partial), vec![unsafe_audit::RULE]);
+    assert!(partial[0].message.contains("avx512f,avx512bw"), "names the expected literal: {partial:?}");
+}
+
+#[test]
+fn the_template_macro_must_stay_private_to_the_kernel_module() {
+    let findings = lint_source("crates/tensor/src/kernels/simd.rs", include_str!("fixtures/template_exported.rs"));
+    assert_eq!(rules_hit(&findings), vec![unsafe_audit::RULE, unsafe_audit::RULE]);
+    assert_eq!((findings[0].line, findings[1].line), (2, 6), "#[macro_export] and the pub re-export are both flagged");
+}
+
+#[test]
 fn tier_modules_must_stay_private_and_unreexported() {
     let findings = lint_source("crates/tensor/src/kernels/mod.rs", include_str!("fixtures/tier_reexport.rs"));
     assert_eq!(rules_hit(&findings), vec![unsafe_audit::RULE, unsafe_audit::RULE]);

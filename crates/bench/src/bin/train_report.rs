@@ -8,8 +8,8 @@
 //! blocks per step. The pooling-only variant (HAMm, manual gradients) is the
 //! headline row; HAMs_m exercises the batched autograd tape the synergy
 //! variants train on. Tiers are forced in-process with `force_tier`, so one
-//! run compares the portable reference tier against the explicit AVX2+FMA
-//! tier on identical data; throughput is read from the trainer's own
+//! run compares every tier the CPU supports (portable reference, AVX2+FMA,
+//! AVX-512) on identical data; throughput is read from the trainer's own
 //! `EpochStats::pairs_per_sec` (warm epochs only).
 //!
 //! Run from the repository root (`--quick` shrinks the workload for CI):
@@ -46,10 +46,8 @@ fn main() {
     profile.mean_seq_len = 40.0;
     let data = profile.generate(2024);
 
-    let mut tiers = vec![KernelTier::Portable];
-    if KernelTier::Avx2.supported() {
-        tiers.push(KernelTier::Avx2);
-    }
+    let tiers: Vec<KernelTier> =
+        [KernelTier::Portable, KernelTier::Avx2, KernelTier::Avx512].into_iter().filter(|t| t.supported()).collect();
     let variants: [(&'static str, HamConfig); 2] = [
         ("HAMm", HamConfig::for_variant(HamVariant::HamM).with_dimensions(32, 5, 2, 3, 1)),
         ("HAMs_m", HamConfig::for_variant(HamVariant::HamSM).with_dimensions(32, 5, 2, 3, 2)),
@@ -92,11 +90,12 @@ fn main() {
         "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = legacy per-instance path, 32/256/1024 = GEMM-tiled batches, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only manual gradients (the headline), HAMs_m = batched autograd tape. Generated by train_report.\",\n",
     );
     out.push_str(&format!(
-        "  \"users\": {},\n  \"items\": {},\n  \"d\": 32,\n  \"epochs\": {},\n  \"avx2_tier_available\": {},\n",
+        "  \"users\": {},\n  \"items\": {},\n  \"d\": 32,\n  \"epochs\": {},\n  \"avx2_tier_available\": {},\n  \"avx512_tier_available\": {},\n",
         profile.num_users,
         data.num_items,
         epochs,
         KernelTier::Avx2.supported(),
+        KernelTier::Avx512.supported(),
     ));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {

@@ -12,7 +12,7 @@
 //! scalar loops they replace:
 //!
 //! * [`dot`] — multi-accumulator dot product (eight scalar partial sums on
-//!   the portable tier, four 8-wide FMA chains on AVX2).
+//!   the portable tier, four `LANES`-wide FMA chains on the SIMD tiers).
 //! * [`matvec_transposed`] / [`matvec_transposed_into`] — `W · q` for one
 //!   query against the whole catalogue in one fused pass over `W` (one user,
 //!   all items: the serving fast path; the `_into` variant writes a caller
@@ -20,7 +20,8 @@
 //! * [`matmul_transposed`] / [`matmul_transposed_into`] — packed-panel
 //!   `A · Bᵀ` whose inner loop is a contiguous axpy over an L1-resident
 //!   transposed panel of `B` (many users, all items: the `Q · Wᵀ`
-//!   batched-evaluation fast path; register-blocked 4×16 FMA tiles on AVX2).
+//!   batched-evaluation fast path; register-blocked 4 × `2·LANES` FMA tiles
+//!   on the SIMD tiers).
 //! * [`matmul_transposed_rows_into`] /
 //!   [`quantized_matmul_transposed_rows_into`] — the **row-range entry** of
 //!   the scoring GEMMs: `A · B[rows]ᵀ` into a caller's slice, reading the
@@ -43,8 +44,17 @@
 //! | tier | selected when | implementation |
 //! |---|---|---|
 //! | [`KernelTier::Portable`] | always available (the fallback) | safe multi-accumulator loops in `portable.rs`; vectorize under `-C target-cpu=native`, stay correct (scalar/SSE2) without it |
-//! | [`KernelTier::Avx2`] | `x86_64` with `avx2`+`fma` detected at runtime | explicit `std::arch` microkernels in `avx2.rs`; need **no** `target-cpu=native` to emit vector FMAs |
-//! | [`KernelTier::Avx512`] | `x86_64` with `avx512f`+`avx512bw` detected at runtime | 16-wide `std::arch` microkernels in `avx512.rs`; preferred over AVX2 when present |
+//! | [`KernelTier::Avx2`] | `x86_64` with `avx2`+`fma` detected at runtime | the explicit `std::arch` kernel template of `simd.rs` stamped at `LANES` = 8 by `avx2.rs`; needs **no** `target-cpu=native` to emit vector FMAs |
+//! | [`KernelTier::Avx512`] | `x86_64` with `avx512f`+`avx512bw` detected at runtime | the same template stamped at `LANES` = 16 by `avx512.rs`; preferred over AVX2 when present |
+//!
+//! The two SIMD tiers are **one source**: every explicit-SIMD kernel body is
+//! written once in `simd.rs` against a small lane vocabulary, and each tier
+//! module is that vocabulary (renamed intrinsics, its horizontal sums) plus
+//! one `simd_tier_kernels!` line. `portable.rs` stays hand-written on
+//! purpose — it is the safe reference every tier-parity test compares
+//! against, and its shapes (eight scalar partial sums, `+=` rather than FMA)
+//! are not the SIMD tiers'. Every `*_impl` dispatcher below routes through
+//! the single `on_tier!` arm, which carries the SAFETY argument once.
 //!
 //! The dispatcher resolves the tier **once** per process (cached in an
 //! atomic): the `HAM_KERNEL_TIER` environment variable wins if set
@@ -84,8 +94,11 @@
 //! chain in ascending-`k` order regardless of tile path, and for
 //! [`dot`]/[`matvec_transposed`] each row uses one fixed multi-chain
 //! reduction shape that depends only on the row's length, never its
-//! position. That per-row/per-element position-independence is what keeps
-//! the sharded serving layer bit-identical to the single-node path — and it
+//! position (on the SIMD tiers: whole `4·LANES` steps into four named
+//! accumulators, then up to three lone `LANES`-chunks into accumulators 0, 1,
+//! 2 in order, one fixed-order horizontal sum, a scalar-FMA tail). That
+//! per-row/per-element position-independence is what keeps the sharded
+//! serving layer bit-identical to the single-node path — and it
 //! is load-bearing twice over since the batch path went tiled: the serving
 //! driver scores a shard as a sequence of row-range GEMMs and relies on every
 //! tile element carrying the bits the whole-matrix product would have given
@@ -93,6 +106,12 @@
 //! tier, for ranges that split panels and quantized row groups). (The two
 //! properties differ: a new tier must match its *own* rows across groupings,
 //! not reproduce another tier's chain shape.)
+
+// Declared ahead of the tier modules: `simd_tier_kernels!` is in textual
+// scope for the modules that follow, and nowhere outside `kernels`.
+#[cfg(target_arch = "x86_64")]
+#[macro_use]
+mod simd;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -289,8 +308,8 @@ pub fn force_tier(tier: Option<KernelTier>) {
 }
 
 /// Packs `jw` rows of `b` (starting at row `j0`) k-major into `packed`:
-/// `packed[k * jw + jj] = b[j0 + jj][k]` — the transposed panel both GEMM
-/// tiers stream their inner loops over.
+/// `packed[k * jw + jj] = b[j0 + jj][k]` — the transposed panel every tier's
+/// GEMM streams its inner loop over.
 fn pack_panel_kmajor(b_data: &[f32], d: usize, j0: usize, jw: usize, packed: &mut [f32]) {
     for jj in 0..jw {
         let b_row = &b_data[(j0 + jj) * d..(j0 + jj + 1) * d];
@@ -323,6 +342,31 @@ fn quantized_score(acc: i32, zp: i32, scale_r: f32, q: &QuantizedQuery) -> f32 {
     (scale_r * q.scale()) * (acc - zp * q.sum()) as f32
 }
 
+/// The one dispatch arm: runs `kernel(args…)` on `tier`'s implementation —
+/// the safe portable reference, or that tier's instantiation of the SIMD
+/// template. Every `*_impl` function below ends in it.
+macro_rules! on_tier {
+    ($tier:expr, $kernel:ident($($arg:expr),*)) => {
+        match $tier {
+            KernelTier::Portable => portable::$kernel($($arg),*),
+            // SAFETY: (both SIMD arms) every `*_impl` caller validated the
+            // tier — `dispatch()` only yields a SIMD tier after runtime
+            // feature detection, `checked()` asserts support for an explicit
+            // one, and the `debug_assert_dispatchable` at the top of each
+            // `*_impl` re-checks it in debug builds — so the CPU features the
+            // arm's kernels were compiled for (avx2+fma, resp.
+            // avx512f+avx512bw) are present.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => unsafe { avx2::$kernel($($arg),*) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => unsafe { avx512::$kernel($($arg),*) },
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
+        }
+    };
+}
+
 /// Dot product of two equal-length slices (tier-dispatched).
 ///
 /// # Panics
@@ -344,21 +388,7 @@ fn dot_impl(tier: KernelTier, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_dispatchable(tier);
     assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
     counters::note(tier, 8 * a.len() as u64);
-    match tier {
-        KernelTier::Portable => portable::dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // Avx2 after runtime detection, `checked()` asserts it, and the
-        // `debug_assert_dispatchable` at the top of this function re-checks
-        // it in debug builds — so the avx2+fma features this function
-        // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::dot(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::dot(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, dot(a, b))
 }
 
 /// Scores one query against every row of `w`: returns `w · q`, i.e.
@@ -400,30 +430,16 @@ fn matvec_transposed_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], out: &mu
     assert_eq!(q.len(), d, "matvec_transposed: query length {} does not match {} columns", q.len(), d);
     assert_eq!(out.len(), n, "matvec_transposed_into: buffer holds {} scores for {} rows", out.len(), n);
     counters::note(tier, 4 * (n * d + d + n) as u64);
-    match tier {
-        KernelTier::Portable => portable::matvec_transposed_into(w, q, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // Avx2 after runtime detection, `checked()` asserts it, and the
-        // `debug_assert_dispatchable` at the top of this function re-checks
-        // it in debug builds — so the avx2+fma features this function
-        // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::matvec_transposed_into(w, q, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::matvec_transposed_into(w, q, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, matvec_transposed_into(w, q, out))
 }
 
 /// Blocked matrix product `a · bᵀ` (the batched `Q · Wᵀ` scoring GEMM).
 ///
 /// `B` is processed in panels of `GEMM_B_PANEL` rows, each re-packed k-major
 /// so the innermost loop streams contiguously over an L1-resident panel; the
-/// AVX2 tier additionally register-blocks 4 rows × 16 columns of output per
-/// FMA tile. `B` is streamed from memory exactly once regardless of the
-/// batch size. Each output element accumulates in ascending-`k` order, so
+/// SIMD tiers additionally register-block 4 rows × `2·LANES` columns of
+/// output per FMA tile (4×16 on AVX2, 4×32 on AVX-512). `B` is streamed from
+/// memory exactly once regardless of the batch size. Each output element accumulates in ascending-`k` order, so
 /// results are bit-identical however the rows of `B` are grouped (the
 /// sharded serving layer relies on this).
 ///
@@ -515,21 +531,7 @@ fn matmul_transposed_rows_into_impl(tier: KernelTier, a: &Matrix, b: &Matrix, ro
         return;
     }
     let (a, b) = (a.as_slice(), &b.as_slice()[rows.start * d..rows.end * d]);
-    match tier {
-        KernelTier::Portable => portable::matmul_transposed_into(a, b, d, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // Avx2 after runtime detection, `checked()` asserts it, and the
-        // `debug_assert_dispatchable` at the top of this function re-checks
-        // it in debug builds — so the avx2+fma features this function
-        // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::matmul_transposed_into(a, b, d, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::matmul_transposed_into(a, b, d, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, matmul_transposed_into(a, b, d, out))
 }
 
 /// Rows of `B` per column tile of a `batch`-row scoring GEMM such that the
@@ -585,21 +587,7 @@ fn matmul_impl(tier: KernelTier, a: &Matrix, b: &Matrix) -> Matrix {
     );
     let mut out = Matrix::zeros(a.rows(), b.cols());
     counters::note(tier, 4 * (a.rows() * a.cols() + b.rows() * b.cols() + a.rows() * b.cols()) as u64);
-    match tier {
-        KernelTier::Portable => portable::matmul_into(a, b, &mut out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // Avx2 after runtime detection, `checked()` asserts it, and the
-        // `debug_assert_dispatchable` at the top of this function re-checks
-        // it in debug builds — so the avx2+fma features this function
-        // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::matmul_into(a, b, &mut out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::matmul_into(a, b, &mut out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, matmul_into(a, b, &mut out));
     out
 }
 
@@ -628,21 +616,7 @@ fn axpy_impl(tier: KernelTier, out: &mut [f32], alpha: f32, x: &[f32]) {
     debug_assert_dispatchable(tier);
     assert_eq!(out.len(), x.len(), "axpy: length mismatch {} vs {}", out.len(), x.len());
     counters::note(tier, 12 * x.len() as u64);
-    match tier {
-        KernelTier::Portable => portable::axpy(out, alpha, x),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // Avx2 after runtime detection, `checked()` asserts it, and the
-        // `debug_assert_dispatchable` at the top of this function re-checks
-        // it in debug builds — so the avx2+fma features this function
-        // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::axpy(out, alpha, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::axpy(out, alpha, x) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, axpy(out, alpha, x))
 }
 
 /// Batched scatter of rank-1 row updates:
@@ -703,21 +677,7 @@ fn axpy_rows_impl(
         panic!("axpy_rows: source row {bad} out of bounds for {} rows", src.rows());
     }
     counters::note(tier, 12 * (dst_rows.len() * dst.cols()) as u64);
-    match tier {
-        KernelTier::Portable => portable::axpy_rows(dst, dst_rows, scales, src, src_rows),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // Avx2 after runtime detection, `checked()` asserts it, and the
-        // `debug_assert_dispatchable` at the top of this function re-checks
-        // it in debug builds — so the avx2+fma features this function
-        // requires are present.
-        KernelTier::Avx2 => unsafe { avx2::axpy_rows(dst, dst_rows, scales, src, src_rows) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::axpy_rows(dst, dst_rows, scales, src, src_rows) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, axpy_rows(dst, dst_rows, scales, src, src_rows))
 }
 
 /// Scores one row of a quantized candidate panel against a quantized query:
@@ -749,21 +709,7 @@ fn quantized_dot_impl(tier: KernelTier, w: &QuantizedMatrix, row: usize, q: &Qua
     assert_eq!(q.len(), w.cols(), "quantized_dot: query length {} does not match {} columns", q.len(), w.cols());
     counters::note(tier, 2 * w.cols() as u64);
     let p = w.row(row);
-    let acc = match tier {
-        KernelTier::Portable => portable::quantized_dot_i32(p, q.payload()),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // a SIMD tier after runtime detection, `checked()` asserts it, and
-        // the `debug_assert_dispatchable` at the top of this function
-        // re-checks it in debug builds — so the features each arm requires
-        // are present.
-        KernelTier::Avx2 => unsafe { avx2::quantized_dot_i32(p, q.payload()) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::quantized_dot_i32(p, q.payload()) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    };
+    let acc = on_tier!(tier, quantized_dot_i32(p, q.payload()));
     quantized_score(acc, w.zero_point(row), w.scale(row), q)
 }
 
@@ -792,21 +738,7 @@ fn quantized_matvec_into_impl(tier: KernelTier, w: &QuantizedMatrix, q: &Quantiz
     assert_eq!(q.len(), d, "quantized_matvec: query length {} does not match {} columns", q.len(), d);
     assert_eq!(out.len(), n, "quantized_matvec_into: buffer holds {} scores for {} rows", out.len(), n);
     counters::note(tier, (n * d + d + 4 * n) as u64);
-    match tier {
-        KernelTier::Portable => portable::quantized_matvec_into(w, q, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // a SIMD tier after runtime detection, `checked()` asserts it, and
-        // the `debug_assert_dispatchable` at the top of this function
-        // re-checks it in debug builds — so the features each arm requires
-        // are present.
-        KernelTier::Avx2 => unsafe { avx2::quantized_matvec_into(w, q, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::quantized_matvec_into(w, q, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, quantized_matvec_into(w, q, out))
 }
 
 /// Quantized batched scoring `out[b][j] ≈ queries[b] · w.row(j)`: the int8
@@ -897,21 +829,7 @@ fn quantized_matmul_transposed_rows_into_impl(
         queries.len()
     );
     counters::note(tier, (n * d + queries.len() * d + 4 * queries.len() * n) as u64);
-    match tier {
-        KernelTier::Portable => portable::quantized_matmul_transposed_into(queries, w, rows, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller validated the tier — `dispatch()` only yields
-        // a SIMD tier after runtime detection, `checked()` asserts it, and
-        // the `debug_assert_dispatchable` at the top of this function
-        // re-checks it in debug builds — so the features each arm requires
-        // are present.
-        KernelTier::Avx2 => unsafe { avx2::quantized_matmul_transposed_into(queries, w, rows, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
-        KernelTier::Avx512 => unsafe { avx512::quantized_matmul_transposed_into(queries, w, rows, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
-    }
+    on_tier!(tier, quantized_matmul_transposed_into(queries, w, rows, out))
 }
 
 /// Validates an explicitly requested tier (the `*_with_tier` entry points)
@@ -963,7 +881,7 @@ mod tests {
     #[test]
     fn dot_matches_naive_for_all_tail_lengths() {
         for tier in available_tiers() {
-            for len in 0..40 {
+            for len in 0..=200 {
                 let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
                 let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.73).cos()).collect();
                 let fast = dot_with_tier(tier, &a, &b);
@@ -1092,7 +1010,7 @@ mod tests {
     #[test]
     fn axpy_matches_naive_for_all_tail_lengths() {
         for tier in available_tiers() {
-            for len in 0..40 {
+            for len in 0..=200 {
                 let x: Vec<f32> = (0..len).map(|i| (i as f32 * 0.41).sin()).collect();
                 let mut out: Vec<f32> = (0..len).map(|i| (i as f32 * 0.19).cos()).collect();
                 let expected: Vec<f32> = out.iter().zip(&x).map(|(o, v)| o + 0.75 * v).collect();

@@ -8,7 +8,7 @@
 //! multi-accumulator shapes into vector FMAs, without it they still beat the
 //! naive single-accumulator loops on scalar/SSE2 codegen.
 //!
-//! Accumulation-order contract (shared with the AVX2 tier): every output
+//! Accumulation-order contract (shared with the SIMD tiers): every output
 //! element is one accumulation chain in ascending-`k` order, so results do
 //! not depend on how rows are grouped into panels or shards.
 

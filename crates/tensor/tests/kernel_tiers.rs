@@ -2,7 +2,8 @@
 //! AVX-512) must agree with the portable reference tier on every kernel —
 //! ≤ 1e-5 on arbitrary floats, **bit-exact** on integer-valued inputs (whose
 //! products and sums are exactly representable, so any accumulation order and
-//! FMA contraction yield the same bits) — across tail lengths 0..40 and odd
+//! FMA contraction yield the same bits) — across tail lengths 0..=200 (two `4 * LANES` main
+//! steps of `dot` plus every remainder rung at both lane widths) and odd
 //! shapes. Also pins the dispatch machinery: `HAM_KERNEL_TIER` forcing is
 //! honored (verified in a subprocess so the one-time resolution actually runs
 //! under the variable) and `force_tier` overrides in-process.
@@ -29,6 +30,13 @@ fn close(a: f32, b: f32) -> bool {
     (a - b).abs() <= 1e-5 * (1.0 + a.abs().max(b.abs()))
 }
 
+/// [`close`] against an explicit accumulated magnitude `Σ|a_k · b_k|`: what a
+/// long row needs, whose terms can cancel to a result far smaller than the
+/// sums the rounding happened in. Only the lengths past 40 use it.
+fn close_at(a: f32, b: f32, magnitude: f32) -> bool {
+    (a - b).abs() <= 1e-5 * (1.0 + magnitude)
+}
+
 fn float_matrix(rows: usize, cols: usize, seed: &[f32]) -> Matrix {
     Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| seed[i % seed.len()] * ((i % 17) as f32 - 8.0)).collect())
 }
@@ -43,7 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dot_tiers_agree_on_floats(values in proptest::collection::vec(-4.0f32..4.0, 0..40)) {
+    fn dot_tiers_agree_on_floats(values in proptest::collection::vec(-4.0f32..4.0, 0..201)) {
         let a = values.clone();
         let b: Vec<f32> = values.iter().rev().map(|v| v * 0.75 + 0.125).collect();
         let portable = dot_with_tier(KernelTier::Portable, &a, &b);
@@ -64,6 +72,25 @@ proptest! {
             matvec_transposed_into_with_tier(simd, &w, &q, &mut fast);
             for j in 0..n {
                 prop_assert!(close(reference[j], fast[j]), "{simd} n={n} d={d} j={j}");
+            }
+        }
+    }
+
+    /// The lengths that reach `dot`'s `4 * LANES` main step. Rows this long
+    /// cancel to results far below the sums they were rounded in, so the
+    /// bound scales with the accumulated magnitude instead of the result.
+    #[test]
+    fn long_matvec_tiers_agree_on_floats(n in 1usize..70, d in 40usize..201, scale in 0.1f32..2.0) {
+        let w = float_matrix(n, d, &[scale, -scale * 0.5, scale * 0.25]);
+        let q: Vec<f32> = (0..d).map(|k| (k as f32 * 0.31).sin() * scale).collect();
+        let mut reference = vec![0.0f32; n];
+        matvec_transposed_into_with_tier(KernelTier::Portable, &w, &q, &mut reference);
+        for simd in simd_tiers() {
+            let mut fast = vec![0.0f32; n];
+            matvec_transposed_into_with_tier(simd, &w, &q, &mut fast);
+            for j in 0..n {
+                let magnitude: f32 = w.row(j).iter().zip(&q).map(|(x, y)| (x * y).abs()).sum();
+                prop_assert!(close_at(reference[j], fast[j], magnitude), "{simd} n={n} d={d} j={j}");
             }
         }
     }
@@ -153,11 +180,11 @@ proptest! {
 }
 
 /// Bit-exactness on integer-valued inputs, all four kernels, every tail
-/// length 0..40 (dot/matvec) and a sweep of odd shapes (GEMM/matmul).
+/// length 0..=200 (dot/axpy) and a sweep of odd shapes (GEMM/matmul).
 #[test]
 fn tiers_are_bit_exact_on_integer_values() {
     for simd in simd_tiers() {
-        for len in 0..40 {
+        for len in 0..=200 {
             let a: Vec<f32> = (0..len).map(|i| (i % 11) as f32 - 5.0).collect();
             let b: Vec<f32> = (0..len).map(|i| (i % 7) as f32 - 3.0).collect();
             let portable = dot_with_tier(KernelTier::Portable, &a, &b);
@@ -170,7 +197,17 @@ fn tiers_are_bit_exact_on_integer_values() {
             axpy_with_tier(simd, &mut axpy_fast, 3.0, &a);
             assert_eq!(axpy_ref, axpy_fast, "{simd} axpy len {len}");
         }
-        for (m, n, d) in [(1, 1, 1), (3, 17, 5), (4, 33, 39), (5, 130, 8), (7, 40, 32), (2, 16, 16)] {
+        for (m, n, d) in [
+            (1, 1, 1),
+            (3, 17, 5),
+            (4, 33, 39),
+            (5, 130, 8),
+            (7, 40, 32),
+            (2, 16, 16),
+            (3, 9, 80),
+            (2, 21, 150),
+            (1, 5, 200),
+        ] {
             let a = integer_matrix(m, d, 1);
             let b = integer_matrix(n, d, 7);
             let q: Vec<f32> = (0..d).map(|k| (k % 5) as f32 - 2.0).collect();
@@ -198,16 +235,24 @@ fn tiers_are_bit_exact_on_integer_values() {
 #[test]
 fn simd_gemv_rows_are_position_independent() {
     for simd in simd_tiers() {
-        let w = float_matrix(57, 23, &[0.9, -0.2, 0.6]);
-        let q: Vec<f32> = (0..23).map(|k| (k as f32 * 0.17).cos()).collect();
-        let mut full = vec![0.0f32; 57];
-        matvec_transposed_into_with_tier(simd, &w, &q, &mut full);
-        for (start, len) in [(0usize, 10usize), (10, 21), (31, 26), (56, 1)] {
-            let shard = Matrix::from_vec(len, 23, w.as_slice()[start * 23..(start + len) * 23].to_vec());
-            let mut part = vec![0.0f32; len];
-            matvec_transposed_into_with_tier(simd, &shard, &q, &mut part);
-            for j in 0..len {
-                assert_eq!(part[j].to_bits(), full[start + j].to_bits(), "{simd} shard {start}+{len} row {j}");
+        // d = 23 never reaches a main step; 80 / 96 / 150 run one or two of
+        // them and then each remainder rung of `dot` at both lane widths.
+        for d in [23, 80, 96, 150] {
+            let w = float_matrix(57, d, &[0.9, -0.2, 0.6]);
+            let q: Vec<f32> = (0..d).map(|k| (k as f32 * 0.17).cos()).collect();
+            let mut full = vec![0.0f32; 57];
+            matvec_transposed_into_with_tier(simd, &w, &q, &mut full);
+            for (start, len) in [(0usize, 10usize), (10, 21), (31, 26), (56, 1)] {
+                let shard = Matrix::from_vec(len, d, w.as_slice()[start * d..(start + len) * d].to_vec());
+                let mut part = vec![0.0f32; len];
+                matvec_transposed_into_with_tier(simd, &shard, &q, &mut part);
+                for j in 0..len {
+                    assert_eq!(
+                        part[j].to_bits(),
+                        full[start + j].to_bits(),
+                        "{simd} d={d} shard {start}+{len} row {j}"
+                    );
+                }
             }
         }
     }

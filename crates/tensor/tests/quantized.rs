@@ -149,3 +149,22 @@ proptest! {
         }
     }
 }
+
+/// Every tail of the integer dot: lengths 0..=100 run its `2 * LANES` step
+/// zero to six times at 8 lanes and zero to three at 16, each followed by
+/// every scalar-tail length, and all tiers must still agree bit for bit.
+#[test]
+fn quantized_dot_is_bit_identical_across_tiers_for_all_tail_lengths() {
+    for d in 0..=100usize {
+        let w = Matrix::from_vec(3, d, (0..3 * d).map(|i| ((i * 29) % 37) as f32 * 0.19 - 3.3).collect());
+        let qf: Vec<f32> = (0..d).map(|k| ((k * 11) % 17) as f32 * 0.23 - 1.7).collect();
+        let (qw, qq) = (QuantizedMatrix::quantize(&w), QuantizedQuery::quantize(&qf));
+        for j in 0..3 {
+            let reference = quantized_dot_with_tier(KernelTier::Portable, &qw, j, &qq);
+            for tier in all_tiers() {
+                let got = quantized_dot_with_tier(tier, &qw, j, &qq);
+                assert_eq!(got.to_bits(), reference.to_bits(), "{tier} d={d} row {j}");
+            }
+        }
+    }
+}
