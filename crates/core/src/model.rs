@@ -12,6 +12,7 @@ use ham_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A (trained or untrained) Hybrid Associations Model.
 ///
@@ -23,6 +24,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// following the heterogeneous item-embedding scheme of SASRec that the
 /// paper adopts to model asymmetric item transitions.
+///
+/// `W` is held behind an [`Arc`] so a serving snapshot frozen from the model
+/// (`ham_serve::ServingModel::from_scorer`) shares it instead of copying it.
+/// Nothing mutates it in place: training replaces it whole, so a snapshot
+/// keeps the table it was frozen with, and cloning a model shares it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HamModel {
     config: HamConfig,
@@ -30,7 +36,7 @@ pub struct HamModel {
     num_items: usize,
     pub(crate) user_emb: Matrix,
     pub(crate) item_emb_in: Matrix,
-    pub(crate) item_emb_out: Matrix,
+    pub(crate) item_emb_out: Arc<Matrix>,
 }
 
 impl HamModel {
@@ -50,7 +56,7 @@ impl HamModel {
             num_items,
             user_emb: Matrix::xavier_uniform(num_users, config.d, &mut rng),
             item_emb_in: Matrix::xavier_uniform(num_items, config.d, &mut rng),
-            item_emb_out: Matrix::xavier_uniform(num_items, config.d, &mut rng),
+            item_emb_out: Arc::new(Matrix::xavier_uniform(num_items, config.d, &mut rng)),
         }
     }
 
@@ -74,7 +80,7 @@ impl HamModel {
         for table in [&user_emb, &item_emb_in, &item_emb_out] {
             assert_eq!(table.cols(), config.d, "HamModel: embedding width must equal config.d");
         }
-        Self { config, num_users, num_items, user_emb, item_emb_in, item_emb_out }
+        Self { config, num_users, num_items, user_emb, item_emb_in, item_emb_out: Arc::new(item_emb_out) }
     }
 
     /// The model's hyper-parameters.

@@ -7,6 +7,7 @@ use ham_data::dataset::ItemId;
 use ham_tensor::ops::top_k_indices;
 use ham_tensor::Matrix;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A model that can score every catalogue item for a user, one user at a time
 /// or in batches.
@@ -61,7 +62,7 @@ impl Scorer for crate::model::HamModel {
     }
 
     fn linear_head(&self) -> Option<LinearHead<'_>> {
-        Some(LinearHead::new(self.candidate_item_embeddings(), move |u, h| self.query_vector(u, h)))
+        Some(LinearHead::shared(&self.item_emb_out, move |u, h| self.query_vector(u, h)))
     }
 }
 
@@ -79,7 +80,7 @@ impl Scorer for crate::generalized::GeneralizedHamModel {
     }
 
     fn linear_head(&self) -> Option<LinearHead<'_>> {
-        Some(LinearHead::new(self.base().candidate_item_embeddings(), move |u, h| self.query_vector(u, h)))
+        Some(LinearHead::shared(&self.base().item_emb_out, move |u, h| self.query_vector(u, h)))
     }
 }
 
@@ -98,6 +99,9 @@ pub type QueryFn<'m> = Box<dyn Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 
 /// per-shard top-k exactly.
 pub struct LinearHead<'m> {
     candidates: &'m Matrix,
+    /// The same matrix as the model's shared handle, when the model keeps
+    /// `W` behind an [`Arc`] ([`Self::shared`]).
+    shared: Option<&'m Arc<Matrix>>,
     query: QueryFn<'m>,
 }
 
@@ -105,12 +109,28 @@ impl<'m> LinearHead<'m> {
     /// Builds a head from the candidate matrix and a query-vector closure.
     /// The closure must return `candidates.cols()` values per call.
     pub fn new(candidates: &'m Matrix, query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'm) -> Self {
-        Self { candidates, query: Box::new(query) }
+        Self { candidates, shared: None, query: Box::new(query) }
+    }
+
+    /// [`Self::new`] for a model that keeps `W` behind an [`Arc`]: a serving
+    /// snapshot built from this head shares the matrix instead of copying it
+    /// ([`Self::shared_candidates`]).
+    pub fn shared(
+        candidates: &'m Arc<Matrix>,
+        query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'm,
+    ) -> Self {
+        Self { candidates, shared: Some(candidates), query: Box::new(query) }
     }
 
     /// The candidate-embedding matrix `W` (one row per item).
     pub fn candidates(&self) -> &'m Matrix {
         self.candidates
+    }
+
+    /// A new handle to `W` when the head was built with [`Self::shared`];
+    /// `None` for a head over a plain borrow, whose rows a snapshot copies.
+    pub fn shared_candidates(&self) -> Option<Arc<Matrix>> {
+        self.shared.cloned()
     }
 
     /// The embedding dimension `d` shared by queries and candidates.
@@ -359,6 +379,8 @@ mod tests {
         let config = HamConfig::for_variant(HamVariant::HamSX).with_dimensions(8, 4, 2, 2, 2);
         let model = HamModel::new(3, 15, config, 5);
         let head = Scorer::linear_head(&model).expect("HAM has a linear head");
+        let shared = head.shared_candidates().expect("HAM's head shares W");
+        assert!(std::ptr::eq(&*shared, model.candidate_item_embeddings()), "the handle is the model's own W");
         assert_eq!(head.num_items(), 15);
         assert_eq!(head.dim(), 8);
         let seq = vec![1usize, 4, 9];

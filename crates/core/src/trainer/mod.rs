@@ -44,6 +44,7 @@ pub(crate) use ham_data::batch::PreparedInstance;
 use ham_data::dataset::ItemId;
 use ham_telemetry::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Instances per autograd gradient block: the span of one batched tape and
@@ -128,14 +129,14 @@ impl HamParams {
         let mut store = ParamStore::new();
         let u = store.add_embedding("U", model.user_emb.clone());
         let v = store.add_embedding("V", model.item_emb_in.clone());
-        let w = store.add_embedding("W", model.item_emb_out.clone());
+        let w = store.add_embedding("W", (*model.item_emb_out).clone());
         Self { store, u, v, w }
     }
 
     fn write_back(&self, model: &mut HamModel) {
         model.user_emb = self.store.value(self.u).clone();
         model.item_emb_in = self.store.value(self.v).clone();
-        model.item_emb_out = self.store.value(self.w).clone();
+        model.item_emb_out = Arc::new(self.store.value(self.w).clone());
     }
 }
 
@@ -343,7 +344,8 @@ mod tests {
 
     fn max_model_diff(a: &HamModel, b: &HamModel) -> f32 {
         let mut diff = 0.0f32;
-        for (x, y) in [(&a.user_emb, &b.user_emb), (&a.item_emb_in, &b.item_emb_in), (&a.item_emb_out, &b.item_emb_out)]
+        for (x, y) in
+            [(&a.user_emb, &b.user_emb), (&a.item_emb_in, &b.item_emb_in), (&*a.item_emb_out, &*b.item_emb_out)]
         {
             for (p, q) in x.as_slice().iter().zip(y.as_slice()) {
                 diff = diff.max((p - q).abs());
@@ -353,7 +355,7 @@ mod tests {
     }
 
     fn models_bit_identical(a: &HamModel, b: &HamModel) -> bool {
-        [(&a.user_emb, &b.user_emb), (&a.item_emb_in, &b.item_emb_in), (&a.item_emb_out, &b.item_emb_out)]
+        [(&a.user_emb, &b.user_emb), (&a.item_emb_in, &b.item_emb_in), (&*a.item_emb_out, &*b.item_emb_out)]
             .iter()
             .all(|(x, y)| x.as_slice().iter().zip(y.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits()))
     }

@@ -657,8 +657,9 @@ fn shadow_evaluate(
 }
 
 /// Freezes a model snapshot into a named, sharded serving snapshot. Takes
-/// the snapshot by value: it is already an owned copy, so publishing must
-/// not memcpy the embedding tables a second time.
+/// the snapshot by value: it is already an owned copy, and the serving
+/// snapshot keeps it whole — the shards are row ranges of its shared output
+/// table — so publishing does not copy the embedding tables a second time.
 fn freeze(model: HamModel, shards: usize, quantize: bool, ivf: Option<IvfConfig>, round: u64) -> ServingModel {
     let serving = ServingModel::from_scorer(&format!("ham-online-r{round}"), Arc::new(model), shards.max(1))
         // ham-lint: allow(panic, "HamModel::linear_head is total — every HAM model exposes its output embeddings")
@@ -682,13 +683,13 @@ fn freeze_corrupted(
     ivf: Option<IvfConfig>,
     round: u64,
 ) -> ServingModel {
-    let candidates = model.candidate_item_embeddings().clone();
     let model = Arc::new(model);
+    let query_model = Arc::clone(&model);
     let serving = ServingModel::from_parts(
         &format!("ham-online-r{round}-corrupted"),
-        &candidates,
+        model.candidate_item_embeddings(),
         shards.max(1),
-        move |user, history| model.query_vector(user, history).iter().map(|q| -q).collect(),
+        move |user, history| query_model.query_vector(user, history).iter().map(|q| -q).collect(),
     );
     let serving = if quantize { serving.with_quantized_catalog() } else { serving };
     match ivf {

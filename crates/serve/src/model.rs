@@ -13,7 +13,8 @@ use std::sync::Arc;
 /// A model snapshot prepared for online serving.
 ///
 /// Construction freezes the model's linear head into (1) a [`ShardedCatalog`]
-/// — the candidate matrix split row-wise across shards — and (2) an owned
+/// — the candidate matrix split row-wise across shards, as row ranges of the
+/// model's own table when its head shares it — and (2) an owned
 /// query builder, so the serving loop needs no lifetime ties back into the
 /// training-side model types. Build one from any [`Scorer`]
 /// ([`Self::from_scorer`]) or from anything else exposing a [`LinearHead`]
@@ -77,15 +78,24 @@ impl ServingModel {
     /// `ham_baselines::SequentialRecommender::linear_head`. Returns `None`
     /// when `head_fn` does.
     ///
-    /// The catalogue rows are copied into the shards once, here; the query
-    /// builder re-derives the (cheap) head per call, so the `Arc`'d model is
-    /// the only thing kept alive.
+    /// A head that shares its candidate matrix ([`LinearHead::shared`], as
+    /// the HAM models' do) is not copied: the shards are row ranges of the
+    /// model's own table. A head over a plain borrow (the baselines) has its
+    /// rows copied once, here. The query builder re-derives the (cheap) head
+    /// per call, so the `Arc`'d model is the only other thing kept alive.
     pub fn from_head_fn<S, F>(name: &str, model: Arc<S>, num_shards: usize, head_fn: F) -> Option<Self>
     where
         S: Send + Sync + 'static,
         F: for<'m> Fn(&'m S) -> Option<LinearHead<'m>> + Send + Sync + 'static,
     {
-        let catalog = catalog_from_env(head_fn(&model)?.candidates(), num_shards);
+        let catalog = {
+            let head = head_fn(&model)?;
+            match head.shared_candidates() {
+                Some(w) => ShardedCatalog::from_shared(w, num_shards),
+                None => ShardedCatalog::from_matrix(head.candidates(), num_shards),
+            }
+        };
+        let catalog = with_env_retrieval(catalog);
         let query = Box::new(move |user: usize, history: &[ItemId]| {
             // ham-lint: allow(panic, "head_fn returned Some at construction and is a pure fn of the immutable model")
             head_fn(&model).expect("model's linear head disappeared after construction").query_vector(user, history)
@@ -101,7 +111,8 @@ impl ServingModel {
         num_shards: usize,
         query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'static,
     ) -> Self {
-        Self::freeze(name.to_string(), catalog_from_env(candidates, num_shards), Box::new(query))
+        let catalog = with_env_retrieval(ShardedCatalog::from_matrix(candidates, num_shards));
+        Self::freeze(name.to_string(), catalog, Box::new(query))
     }
 
     /// Packages a pre-built catalogue (possibly quantized and/or clustered)
@@ -346,12 +357,11 @@ impl Default for ServeScratch {
     }
 }
 
-/// Shards `w` and, when the process-wide retrieval override is armed
-/// (`HAM_RETRIEVAL=ivf`), builds the cluster index at construction — with
-/// the exact `nprobe = all` endpoint unless `HAM_IVF_NPROBE` narrows it, so
-/// the override forces the IVF *code paths* without changing served bits.
-fn catalog_from_env(w: &Matrix, num_shards: usize) -> ShardedCatalog {
-    let catalog = ShardedCatalog::from_matrix(w, num_shards);
+/// Builds the cluster index over `catalog` when the process-wide retrieval
+/// override is armed (`HAM_RETRIEVAL=ivf`) — with the exact `nprobe = all`
+/// endpoint unless `HAM_IVF_NPROBE` narrows it, so the override forces the
+/// IVF *code paths* without changing served bits.
+fn with_env_retrieval(catalog: ShardedCatalog) -> ShardedCatalog {
     match IvfConfig::from_env() {
         Some(config) => catalog.with_cluster_index(&config),
         None => catalog,
@@ -497,6 +507,62 @@ mod tests {
                 let request = RecommendRequest::new(user, vec![user, 13, 49], 8);
                 assert_eq!(serving.recommend_with(&request, &mut scratch), serving.recommend(&request), "{serving:?}");
             }
+        }
+    }
+
+    /// A HAM snapshot is row ranges of the model's own output table, not a
+    /// copy of it; a `from_parts` catalogue and a baseline's head (a plain
+    /// borrow of its table) are copied.
+    #[test]
+    fn from_scorer_shares_the_models_table_and_plain_heads_are_copied() {
+        let model = ham();
+        let w = model.candidate_item_embeddings();
+        let d = w.cols();
+        let shared = ServingModel::from_scorer("ham", Arc::clone(&model), 3).unwrap();
+        for shard in shared.catalog().shards() {
+            assert_eq!(shard.rows().as_ptr(), w.as_slice()[shard.offset() * d..].as_ptr(), "shard {}", shard.offset());
+        }
+        let parts = ServingModel::from_parts("copied", w, 3, |_, _| vec![0.0; 8]);
+        let first = &parts.catalog().shards()[0];
+        assert_ne!(first.rows().as_ptr(), w.as_slice().as_ptr());
+        assert_eq!(first.rows(), &w.as_slice()[..first.len() * d]);
+
+        let pop = Arc::new(ham_baselines::PopRec::fit(&[vec![1, 2, 3], vec![3, 4]], 30));
+        let head = ham_baselines::SequentialRecommender::linear_head(&*pop).unwrap();
+        assert!(head.shared_candidates().is_none(), "a baseline's head borrows its table");
+        let baseline =
+            ServingModel::from_head_fn("pop", Arc::clone(&pop), 3, ham_baselines::SequentialRecommender::linear_head)
+                .unwrap();
+        assert_ne!(baseline.catalog().shards()[0].rows().as_ptr(), head.candidates().as_slice().as_ptr());
+    }
+
+    /// The int8 and IVF tiers derive their panels from a shard's range at
+    /// freeze, so a shared snapshot serves them with the bits of a copied one.
+    #[test]
+    fn tiers_built_on_a_shared_snapshot_serve_the_bits_of_a_copied_one() {
+        let model = ham();
+        let query_model = Arc::clone(&model);
+        let shared = || ServingModel::from_scorer("shared", Arc::clone(&model), 3).unwrap();
+        let copied = || {
+            let query_model = Arc::clone(&query_model);
+            let query = move |user: usize, history: &[ItemId]| query_model.query_vector(user, history);
+            ServingModel::from_parts("copied", model.candidate_item_embeddings(), 3, query)
+        };
+        let config = IvfConfig { clusters: 3, nprobe: 2, iters: 2, seed: 5 };
+        let tiers: [fn(ServingModel, &IvfConfig) -> ServingModel; 3] = [
+            |serving, _| serving.with_quantized_catalog(),
+            |serving, config| serving.with_cluster_index(config),
+            |serving, config| serving.with_cluster_index(config).with_quantized_catalog(),
+        ];
+        let bits = |list: &[ScoredItem]| list.iter().map(|s| (s.item, s.score.to_bits())).collect::<Vec<_>>();
+        let requests: Vec<RecommendRequest> = (0..4).map(|u| RecommendRequest::new(u, vec![u, 7, 29], 6)).collect();
+        for tier in tiers {
+            let (shared, copied) = (tier(shared(), &config), tier(copied(), &config));
+            for request in &requests {
+                assert_eq!(bits(&shared.recommend(request)), bits(&copied.recommend(request)));
+            }
+            let (a, b) = (shared.recommend_batch(&requests, None), copied.recommend_batch(&requests, None));
+            assert!(a.iter().zip(&b).all(|(a, b)| bits(a) == bits(b)), "batched lists differ");
         }
     }
 

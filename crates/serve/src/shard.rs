@@ -7,6 +7,12 @@
 //! kernels, rank each shard locally, and merge the per-shard top-k lists
 //! into the global top-k with a k-way heap.
 //!
+//! A shard is a row range, not a copy: every shard reads the one `W` the
+//! catalogue holds behind an `Arc` — the model's own table when the
+//! catalogue was frozen from a model that shares it
+//! ([`ShardedCatalog::from_shared`]) — through the row-range GEMV and GEMM
+//! entries of the kernel layer, which score rows in place.
+//!
 //! ## Exactness
 //!
 //! The merge is *exact*, not approximate: any item of the global top-k is by
@@ -80,6 +86,8 @@ use ham_tensor::kernels;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One recommended item with its model score.
@@ -91,16 +99,19 @@ pub struct ScoredItem {
     pub score: f32,
 }
 
-/// A contiguous row range of the candidate matrix, owned by one shard.
+/// A contiguous row range of the candidate matrix, served by one shard.
 #[derive(Debug, Clone)]
 pub struct Shard {
     offset: usize,
-    rows: Matrix,
-    /// Int8 snapshot of `rows` for the quantized pre-selection path
-    /// (`None` until [`ShardedCatalog::with_quantization`]).
+    len: usize,
+    /// The whole candidate matrix, shared by every shard of the catalogue;
+    /// this shard is its rows `offset..offset + len`.
+    candidates: Arc<Matrix>,
+    /// Int8 snapshot of the shard's rows for the quantized pre-selection
+    /// path (`None` until [`ShardedCatalog::with_quantization`]).
     quantized: Option<QuantizedMatrix>,
-    /// Inverted-file index over `rows` for cluster-routed retrieval
-    /// (`None` until [`ShardedCatalog::with_cluster_index`]).
+    /// Inverted-file index over the shard's rows for cluster-routed
+    /// retrieval (`None` until [`ShardedCatalog::with_cluster_index`]).
     ivf: Option<ClusterIndex>,
 }
 
@@ -112,17 +123,29 @@ impl Shard {
 
     /// Number of items in the shard.
     pub fn len(&self) -> usize {
-        self.rows.rows()
+        self.len
     }
 
     /// True when the shard holds no items (more shards than items).
     pub fn is_empty(&self) -> bool {
-        self.rows.rows() == 0
+        self.len == 0
     }
 
-    /// The shard's slice of the candidate matrix.
-    pub fn rows(&self) -> &Matrix {
-        &self.rows
+    /// The shard's rows of the candidate matrix, row-major (`len × dim`).
+    pub fn rows(&self) -> &[f32] {
+        let d = self.candidates.cols();
+        &self.candidates.as_slice()[self.offset * d..(self.offset + self.len) * d]
+    }
+
+    /// The shard's rows as global row ids of the candidate matrix.
+    fn range(&self) -> Range<usize> {
+        self.offset..self.offset + self.len
+    }
+
+    /// A copy of the shard's rows — what the freeze-time int8 and IVF builds
+    /// read; dropped once they are built.
+    fn rows_matrix(&self) -> Matrix {
+        Matrix::from_vec(self.len, self.candidates.cols(), self.rows().to_vec())
     }
 
     /// The shard's int8 panel, when the catalogue was quantized.
@@ -164,13 +187,24 @@ pub(crate) struct FlatScratch {
 }
 
 impl ShardedCatalog {
-    /// Splits `w` into `num_shards` near-even contiguous row ranges (the
-    /// first `n % num_shards` shards hold one extra row). Shards beyond the
-    /// item count come out empty and are handled gracefully everywhere.
+    /// Splits a copy of `w` into `num_shards` near-even contiguous row
+    /// ranges — [`Self::from_shared`] over a fresh handle.
     ///
     /// # Panics
     /// Panics if `num_shards` is zero.
     pub fn from_matrix(w: &Matrix, num_shards: usize) -> Self {
+        Self::from_shared(Arc::new(w.clone()), num_shards)
+    }
+
+    /// Splits `w` into `num_shards` near-even contiguous row ranges (the
+    /// first `n % num_shards` shards hold one extra row) without copying
+    /// it: every shard reads its range of the one shared matrix. Shards
+    /// beyond the item count come out empty and are handled gracefully
+    /// everywhere.
+    ///
+    /// # Panics
+    /// Panics if `num_shards` is zero.
+    pub fn from_shared(w: Arc<Matrix>, num_shards: usize) -> Self {
         assert!(num_shards > 0, "ShardedCatalog: need at least one shard");
         let (n, d) = w.shape();
         let base = n / num_shards;
@@ -179,8 +213,7 @@ impl ShardedCatalog {
         let mut offset = 0;
         for s in 0..num_shards {
             let len = base + usize::from(s < extra);
-            let rows = Matrix::from_vec(len, d, w.as_slice()[offset * d..(offset + len) * d].to_vec());
-            shards.push(Shard { offset, rows, quantized: None, ivf: None });
+            shards.push(Shard { offset, len, candidates: Arc::clone(&w), quantized: None, ivf: None });
             offset += len;
         }
         Self { shards, num_items: n, dim: d, nprobe: PROBE_ALL }
@@ -193,7 +226,7 @@ impl ShardedCatalog {
     /// tiers compose in either construction order.
     pub fn with_quantization(mut self) -> Self {
         for shard in &mut self.shards {
-            shard.quantized = Some(QuantizedMatrix::quantize(&shard.rows));
+            shard.quantized = Some(QuantizedMatrix::quantize(&shard.rows_matrix()));
             if let Some(ivf) = &mut shard.ivf {
                 ivf.quantize_panels();
             }
@@ -209,7 +242,7 @@ impl ShardedCatalog {
     /// measured recall for sub-linear scan cost.
     pub fn with_cluster_index(mut self, config: &IvfConfig) -> Self {
         for shard in &mut self.shards {
-            let mut index = ClusterIndex::build(&shard.rows, config, shard.offset as u64);
+            let mut index = ClusterIndex::build(&shard.rows_matrix(), config, shard.offset as u64);
             if shard.quantized.is_some() {
                 index.quantize_panels();
             }
@@ -281,7 +314,9 @@ impl ShardedCatalog {
 
     /// Scores one query against one shard (fused GEMV over the shard rows).
     pub fn shard_scores(&self, shard: usize, query: &[f32]) -> Vec<f32> {
-        self.shards[shard].rows.matvec_transposed(query)
+        let mut out = vec![0.0; self.shards[shard].len];
+        self.shard_scores_into(shard, query, &mut out);
+        out
     }
 
     /// [`Self::shard_scores`] into a caller-provided buffer (overwritten) —
@@ -292,7 +327,8 @@ impl ShardedCatalog {
     /// Panics if `out.len()` is not the shard's length.
     // ham-lint: hot-path
     pub fn shard_scores_into(&self, shard: usize, query: &[f32], out: &mut [f32]) {
-        self.shards[shard].rows.matvec_transposed_into(query, out);
+        let shard = &self.shards[shard];
+        kernels::matvec_transposed_rows_into(&shard.candidates, query, shard.range(), out);
     }
 
     /// The degraded path's per-shard unit of work: the fault prelude, then
@@ -429,11 +465,12 @@ impl ShardedCatalog {
             let hi = (lo + tile_rows).min(len);
             let w = hi - lo;
             let tile = &mut tile[..b * w];
+            let rows = shard.offset + lo..shard.offset + hi;
             match panel {
                 Some((qq, panel)) if b == 1 => kernels::quantized_matvec_into(panel, &qq[0], tile),
                 Some((qq, panel)) => kernels::quantized_matmul_transposed_rows_into(qq, panel, lo..hi, tile),
-                None if b == 1 => shard.rows.matvec_transposed_into(queries.row(0), tile),
-                None => kernels::matmul_transposed_rows_into(queries, &shard.rows, lo..hi, tile),
+                None if b == 1 => kernels::matvec_transposed_rows_into(&shard.candidates, queries.row(0), rows, tile),
+                None => kernels::matmul_transposed_rows_into(queries, &shard.candidates, rows, tile),
             }
             while let Some(&(local, row)) = masked.get(next_masked).filter(|&&(local, _)| local < hi) {
                 tile[row * w + local - lo] = f32::NEG_INFINITY;
@@ -679,12 +716,7 @@ impl ShardedCatalog {
             .into_iter()
             .map(|c| {
                 let masked = seen.is_some_and(|bits| bits[c.item]);
-                let score = if masked {
-                    f32::NEG_INFINITY
-                } else {
-                    let (s, local) = self.locate(c.item);
-                    kernels::dot(self.shards[s].rows.row(local), query)
-                };
+                let score = if masked { f32::NEG_INFINITY } else { kernels::dot(self.candidates().row(c.item), query) };
                 ScoredItem { item: c.item, score }
             })
             .collect();
@@ -693,11 +725,10 @@ impl ShardedCatalog {
         exact
     }
 
-    /// Shard index and shard-local row of a global item id.
-    fn locate(&self, item: usize) -> (usize, usize) {
-        debug_assert!(item < self.num_items);
-        let s = self.shards.partition_point(|sh| sh.offset + sh.len() <= item);
-        (s, item - self.shards[s].offset)
+    /// The candidate matrix whose row ranges the shards are: every shard
+    /// holds a handle to it, and a catalogue has at least one shard.
+    fn candidates(&self) -> &Matrix {
+        &self.shards[0].candidates
     }
 
     /// Batched [`Self::quantized_top_k_with_buf`]: every shard task (in
@@ -986,8 +1017,8 @@ mod tests {
         assert_eq!(lens, vec![4, 3, 3]);
         let offsets: Vec<usize> = cat.shards().iter().map(Shard::offset).collect();
         assert_eq!(offsets, vec![0, 4, 7]);
-        // Row 6 of the catalogue is row 2 of shard 1.
-        assert_eq!(cat.shards()[1].rows().row(2), w.row(6));
+        // Shard 1 is rows 4..7 of the catalogue, read in place.
+        assert_eq!(cat.shards()[1].rows(), &w.as_slice()[4 * 4..7 * 4]);
     }
 
     #[test]

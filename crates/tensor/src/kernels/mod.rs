@@ -16,7 +16,9 @@
 //! * [`matvec_transposed`] / [`matvec_transposed_into`] — `W · q` for one
 //!   query against the whole catalogue in one fused pass over `W` (one user,
 //!   all items: the serving fast path; the `_into` variant writes a caller
-//!   buffer so the serving loop allocates nothing per request).
+//!   buffer so the serving loop allocates nothing per request;
+//!   [`matvec_transposed_rows_into`] scores a row range of `W` in place, the
+//!   same per-row [`dot`], for shards of a shared catalogue).
 //! * [`matmul_transposed`] / [`matmul_transposed_into`] — packed-panel
 //!   `A · Bᵀ` whose inner loop is a contiguous axpy over an L1-resident
 //!   transposed panel of `B` (many users, all items: the `Q · Wᵀ`
@@ -82,6 +84,7 @@
 //! |---|---|
 //! | score one user, few candidate items | [`dot`] per candidate |
 //! | score one user, whole catalogue | [`matvec_transposed`] (serving: [`matvec_transposed_into`]) |
+//! | score one user against one shard's rows, in place | [`matvec_transposed_rows_into`] |
 //! | score a user batch, whole catalogue | [`matmul_transposed`] (`Q·Wᵀ`) |
 //! | score a user batch and rank it, tile by tile | [`matmul_transposed_rows_into`] over [`gemm_tile_rows`]-row tiles |
 //! | dense forward/backward products | [`matmul`] |
@@ -431,6 +434,43 @@ fn matvec_transposed_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], out: &mu
     assert_eq!(out.len(), n, "matvec_transposed_into: buffer holds {} scores for {} rows", out.len(), n);
     counters::note(tier, 4 * (n * d + d + n) as u64);
     on_tier!(tier, matvec_transposed_into(w, q, out))
+}
+
+/// The row-range entry of the GEMV: `out[j] = w.row(rows.start + j) · q`
+/// into `out` (overwritten), reading the rows of `w` in place. Each row is
+/// the tier's [`dot`] — the very per-row kernel [`matvec_transposed_into`]
+/// runs — so a range scores with the bits the whole-matrix GEMV gives those
+/// rows. It lets a shard that shares its catalogue's matrix scan its own
+/// range without a copy.
+///
+/// # Panics
+/// Panics if `q.len() != w.cols()`, `rows` is out of bounds for `w`, or
+/// `out.len() != rows.len()`.
+#[inline]
+pub fn matvec_transposed_rows_into(w: &Matrix, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+    matvec_transposed_rows_into_impl(dispatch(), w, q, rows, out)
+}
+
+// ham-lint: hot-path
+fn matvec_transposed_rows_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+    debug_assert_dispatchable(tier);
+    let (n, d) = (rows.len(), w.cols());
+    assert_eq!(q.len(), d, "matvec_transposed: query length {} does not match {} columns", q.len(), d);
+    assert!(
+        rows.start <= rows.end && rows.end <= w.rows(),
+        "matvec_transposed_rows_into: rows {rows:?} out of bounds for {} rows",
+        w.rows()
+    );
+    assert_eq!(out.len(), n, "matvec_transposed_rows_into: buffer holds {} scores for {} rows", out.len(), n);
+    counters::note(tier, 4 * (n * d + d + n) as u64);
+    if d == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let rows = w.as_slice()[rows.start * d..rows.end * d].chunks_exact(d);
+    for (o, row) in out.iter_mut().zip(rows) {
+        *o = on_tier!(tier, dot(row, q));
+    }
 }
 
 /// Blocked matrix product `a · bᵀ` (the batched `Q · Wᵀ` scoring GEMM).
@@ -1177,11 +1217,39 @@ mod tests {
         }
     }
 
+    /// The GEMV's row-range entry scores a range with the whole-matrix
+    /// GEMV's bits, on every tier and at widths that exercise every rung of
+    /// the `dot` reduction (full steps, lone chunks, scalar tail).
+    #[test]
+    fn row_range_gemv_matches_the_full_gemv_bit_for_bit() {
+        for d in [0, 1, 12, 32, 47, 83, 200] {
+            let w = arange_matrix(41, d, 0.7);
+            let q: Vec<f32> = (0..d).map(|k| (k as f32 * 0.37).sin()).collect();
+            for tier in available_tiers() {
+                let mut full = vec![f32::NAN; 41];
+                matvec_transposed_into_with_tier(tier, &w, &q, &mut full);
+                for rows in [0..41, 0..1, 5..5, 16..33, 40..41] {
+                    let mut part = vec![f32::NAN; rows.len()];
+                    matvec_transposed_rows_into_impl(tier, &w, &q, rows.clone(), &mut part);
+                    let want: Vec<u32> = full[rows.clone()].iter().map(|s| s.to_bits()).collect();
+                    let got: Vec<u32> = part.iter().map(|s| s.to_bits()).collect();
+                    assert_eq!(got, want, "{tier} d = {d} rows {rows:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn row_range_entry_rejects_rows_past_the_matrix() {
         let (a, b) = (arange_matrix(2, 4, 1.0), arange_matrix(6, 4, 1.0));
         matmul_transposed_rows_into(&a, &b, 4..7, &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_range_gemv_rejects_rows_past_the_matrix() {
+        matvec_transposed_rows_into(&arange_matrix(6, 4, 1.0), &[1.0; 4], 4..7, &mut [0.0; 3]);
     }
 
     #[test]
