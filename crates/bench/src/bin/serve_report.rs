@@ -114,6 +114,8 @@ struct OnlineRow {
     throughput_rps: f64,
     stats: LatencyStats,
     versions_seen: Vec<u64>,
+    /// Mean coalesced batch size: requests completed per batch drained.
+    requests_per_batch: f64,
 }
 
 /// Pushes requests through the micro-batching server from concurrent client
@@ -170,11 +172,13 @@ fn online_run(model: &Arc<HamModel>, histories: &[Vec<usize>], scale: &BenchScal
     swap.join().expect("publisher thread panicked");
     let elapsed = started.elapsed().as_secs_f64();
     versions_seen.sort_unstable();
+    let counters = server.stats();
     OnlineRow {
         label: format!("{}_shards_{}_clients", shards, scale.clients),
         throughput_rps: total_requests as f64 / elapsed,
         stats: LatencyStats::from_micros(samples).expect("at least one sample"),
         versions_seen,
+        requests_per_batch: counters.completed as f64 / counters.batches.max(1) as f64,
     }
 }
 
@@ -533,7 +537,7 @@ fn main() {
     out.push_str("  ],\n");
     out.push_str(&format!("  \"best_sharded_over_single_node\": {:.3},\n", best_sharded / single_ups));
     out.push_str(&format!(
-        "  \"online\": {{\"config\": \"{}\", \"throughput_rps\": {:.1}, \"latency_micros\": {{\"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}, \"requests\": {}, \"model_versions_served\": {:?}}},\n",
+        "  \"online\": {{\"config\": \"{}\", \"throughput_rps\": {:.1}, \"latency_micros\": {{\"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}, \"requests\": {}, \"requests_per_batch\": {:.2}, \"model_versions_served\": {:?}}},\n",
         online.label,
         online.throughput_rps,
         online.stats.mean_micros,
@@ -542,6 +546,7 @@ fn main() {
         online.stats.p99_micros,
         online.stats.max_micros,
         online.stats.count,
+        online.requests_per_batch,
         online.versions_seen
     ));
     out.push_str(&format!(

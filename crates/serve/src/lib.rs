@@ -10,13 +10,16 @@
 //! same kernels:
 //!
 //! * [`shard`] — [`ShardedCatalog`]: the candidate matrix `W` split row-wise
-//!   into per-worker shards. Each shard is scored with the existing GEMV /
+//!   into per-worker shards — row ranges of one shared `W`, the model's own
+//!   table when its head shares it, never a copy per shard. Each shard is
+//!   scored in place with the existing GEMV /
 //!   packed-panel GEMM kernels, seen items are masked shard-locally through
 //!   the fused mask+select top-k (no `-inf` writes), and the per-shard top-k
 //!   lists are merged by a k-way heap into the **exact** global top-k —
 //!   bit-identical ids, stable tie-break, for every shard count.
 //! * [`model`] — [`ServingModel`]: a frozen serving snapshot (sharded
-//!   catalogue + owned query builder) constructed from any
+//!   catalogue + owned query builder; a HAM snapshot shares the model's
+//!   output table instead of copying it) constructed from any
 //!   [`ham_core::Scorer`] or anything else with a [`ham_core::LinearHead`]
 //!   (all `ham-baselines` recommenders qualify).
 //! * [`registry`] — [`ModelRegistry`]: versioned `Arc` hot-swap, so a
@@ -27,6 +30,9 @@
 //!   task per shard — tiled GEMM fused with the in-task top-k select, run in
 //!   parallel on the process-wide work-stealing pool (`ham_tensor::pool`) —
 //!   and every [`RecommendResponse`] carries its queue/service latency split.
+//!   The dispatcher lingers for company only when concurrency is evident, so
+//!   a lone caller is answered as soon as the dispatcher wakes;
+//!   [`ServerStats`] counts batches and lingers.
 //! * deadlines & degradation — requests carry deadlines
 //!   ([`RecommendRequest::with_deadline`] or
 //!   [`ServerConfig::default_deadline`]): expired-in-queue requests are shed

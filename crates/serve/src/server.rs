@@ -6,8 +6,11 @@
 //! the catalogue is one packed-panel GEMM that streams `W` once instead of
 //! `B` times. The [`RecServer`] therefore enqueues every request, and a
 //! dispatcher thread drains the queue in batches of up to
-//! [`ServerConfig::max_batch`], optionally lingering for
-//! [`ServerConfig::coalesce_wait`] to let concurrent callers pile on. Each
+//! [`ServerConfig::max_batch`]. When there is company — the queue holds two
+//! or more requests at pickup, or the previous pickup took two or more — it
+//! first lingers up to [`ServerConfig::coalesce_wait`] to let concurrent
+//! callers pile on; a lone caller is served as soon as the dispatcher wakes,
+//! since no second request can arrive while it waits for its answer. Each
 //! drained batch is served from the registry's current model snapshot —
 //! hot-swaps between batches never pause traffic — and every response carries
 //! its own queue/service latency split.
@@ -33,9 +36,11 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Upper bound on requests coalesced into one scoring batch.
     pub max_batch: usize,
-    /// How long the dispatcher lingers for more arrivals once the queue is
-    /// non-empty but below `max_batch`. Zero drains immediately (lowest
-    /// latency, least coalescing).
+    /// The longest the dispatcher lingers for more arrivals before draining
+    /// a queue below `max_batch`. It lingers only under evident concurrency
+    /// — two or more requests queued at pickup, or two or more taken by the
+    /// previous pickup — so a lone caller never waits on it. Zero never
+    /// lingers (lowest latency, least coalescing).
     pub coalesce_wait: Duration,
     /// Score the shards of a batch — and of a lone request, when the model's
     /// freeze-time plan finds the catalogue big enough — in parallel on the
@@ -184,6 +189,10 @@ struct ServerCounters {
     shard_deadline_miss: Counter,
     /// Shards dropped from a merge because their scoring task panicked.
     shard_panic: Counter,
+    /// Batches drained from the queue.
+    batches: Counter,
+    /// Pickups that lingered for company before draining.
+    lingered: Counter,
     queue_depth: Gauge,
 }
 
@@ -226,6 +235,8 @@ impl ServeMetrics {
         registry.register_counter("serve_responses_degraded_total", &counters.degraded);
         registry.register_counter("serve_shard_deadline_miss_total", &counters.shard_deadline_miss);
         registry.register_counter("serve_shard_panic_total", &counters.shard_panic);
+        registry.register_counter("serve_batches_total", &counters.batches);
+        registry.register_counter("serve_lingers_total", &counters.lingered);
         registry.register_gauge("serve_queue_depth", &counters.queue_depth);
         Some(Self {
             queue_micros: registry.histogram("serve_queue_micros"),
@@ -286,6 +297,12 @@ pub struct ServerStats {
     pub shard_deadline_misses: u64,
     /// Shard-batch scoring tasks dropped because they panicked.
     pub shard_panics: u64,
+    /// Batches the dispatcher drained from the queue; `completed / batches`
+    /// is the mean coalesced batch size.
+    pub batches: u64,
+    /// Pickups at which the dispatcher lingered up to
+    /// [`ServerConfig::coalesce_wait`] for company before draining.
+    pub lingered: u64,
     /// Requests currently waiting in the queue.
     pub queue_depth: usize,
 }
@@ -328,7 +345,8 @@ impl RecServer {
     /// (`serve_requests_{admitted,shed,completed,panic_isolated}_total`,
     /// `serve_requests_deadline_expired_total`,
     /// `serve_responses_degraded_total`, `serve_shard_*_total`,
-    /// `serve_queue_depth`), per-request latency histograms
+    /// `serve_batches_total`, `serve_lingers_total`, `serve_queue_depth`),
+    /// per-request latency histograms
     /// (`serve_{queue,service,total}_micros`, `serve_batch_size`), stage
     /// histograms (`serve_stage_*_micros`), per-shard score histograms and
     /// per-request span trees in the handle's flight recorder.
@@ -379,7 +397,8 @@ impl RecServer {
     /// so a request can never slip in behind the dispatcher's final drain.
     ///
     /// Concurrent submitters are coalesced into shared scoring batches; a
-    /// lone submitter is served solo via the exact GEMV path.
+    /// lone submitter is served solo via the exact GEMV path, without the
+    /// coalescing linger.
     ///
     /// A request the model itself rejects (unknown user id, a history the
     /// query builder panics on) comes back with an **empty** item list
@@ -434,6 +453,8 @@ impl RecServer {
             degraded: self.shared.counters.degraded.get(),
             shard_deadline_misses: self.shared.counters.shard_deadline_miss.get(),
             shard_panics: self.shared.counters.shard_panic.get(),
+            batches: self.shared.counters.batches.get(),
+            lingered: self.shared.counters.lingered.get(),
             queue_depth: self.shared.counters.queue_depth.get().max(0) as usize,
         }
     }
@@ -484,6 +505,9 @@ fn dispatch_loop(shared: &ServerShared) {
     // The bulkhead executor for deadline-bounded shard scoring, spawned by
     // the first batch that needs it and reused for the dispatcher's life.
     let mut executor: Option<ShardExecutor> = None;
+    // Whether the previous pickup took two or more requests: callers that
+    // came together are likely to come back together.
+    let mut company = false;
     loop {
         let batch = {
             // The dispatcher is the thread every admitted request depends
@@ -501,8 +525,11 @@ fn dispatch_loop(shared: &ServerShared) {
                 }
                 queue = shared.arrived.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
-            // Linger once to coalesce concurrent submitters into this batch.
-            if queue.len() < shared.config.max_batch
+            // Linger once to coalesce concurrent submitters into this batch —
+            // only when they are evidently there: a lone closed-loop caller
+            // cannot send a second request while it waits for this one.
+            if (company || queue.len() >= 2)
+                && queue.len() < shared.config.max_batch
                 && !shared.config.coalesce_wait.is_zero()
                 // ordering: SeqCst, same pairing as the exit check above.
                 && !shared.shutdown.load(Ordering::SeqCst)
@@ -512,8 +539,10 @@ fn dispatch_loop(shared: &ServerShared) {
                     .wait_timeout(queue, shared.config.coalesce_wait)
                     .unwrap_or_else(PoisonError::into_inner);
                 queue = returned;
+                shared.counters.lingered.inc();
             }
             let take = queue.len().min(shared.config.max_batch);
+            company = take >= 2;
             let batch = queue.drain(..take).collect::<Vec<Pending>>();
             shared.counters.queue_depth.set(queue.len() as i64);
             batch
@@ -521,6 +550,7 @@ fn dispatch_loop(shared: &ServerShared) {
         if batch.is_empty() {
             continue;
         }
+        shared.counters.batches.inc();
         serve_batch(shared, batch, &mut scratch, &mut executor);
     }
 }
@@ -1005,32 +1035,86 @@ mod tests {
         assert_eq!(stats.queue_depth, 0, "queue drained once all submitters returned");
     }
 
+    /// A toy model whose query builder takes 2ms: requests released
+    /// together pile up in the queue while the dispatcher serves the first.
+    fn slow_registry() -> Arc<ModelRegistry> {
+        let w = Matrix::from_vec(40, 2, (0..80).map(|i| i as f32 * 0.01).collect());
+        let model = ServingModel::from_parts("slow", &w, 4, |user, _| {
+            assert!(user < 30, "unknown user {user}");
+            std::thread::sleep(Duration::from_millis(2));
+            vec![1.0, user as f32 * 0.1]
+        });
+        Arc::new(ModelRegistry::new(model))
+    }
+
+    /// `submitters` threads released together by a barrier, each submitting
+    /// one request for its own user; returns the requests with their answers.
+    fn burst(server: &Arc<RecServer>, submitters: usize) -> Vec<(RecommendRequest, RecommendResponse)> {
+        let barrier = Arc::new(std::sync::Barrier::new(submitters));
+        let handles: Vec<_> = (0..submitters)
+            .map(|user| {
+                let (server, barrier) = (Arc::clone(server), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let request = RecommendRequest::new(user, vec![user, user + 10], 5);
+                    barrier.wait();
+                    (request.clone(), server.submit(request).expect("request admitted"))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|handle| handle.join().expect("submitter panicked")).collect()
+    }
+
+    /// A lone closed-loop caller never waits on the linger: with a 1s
+    /// `coalesce_wait`, fifty sequential requests are fifty batches, none of
+    /// them lingered, and all fifty finish well inside one linger.
+    #[test]
+    fn a_lone_caller_is_served_without_lingering() {
+        let config = ServerConfig { coalesce_wait: Duration::from_secs(1), ..ServerConfig::default() };
+        let server = RecServer::start(registry(20), config);
+        let started = Instant::now();
+        for user in 0..50 {
+            let response = server.submit(RecommendRequest::new(user % 5, vec![19], 5)).expect("request admitted");
+            assert_eq!(response.items.len(), 5);
+        }
+        let elapsed = started.elapsed();
+        let stats = server.stats();
+        assert_eq!((stats.batches, stats.lingered), (50, 0), "one batch per request, no linger");
+        assert!(elapsed < Duration::from_secs(1), "50 lone requests took {elapsed:?}");
+    }
+
+    /// Callers that arrive together still coalesce: requests piled up behind
+    /// a slow first batch make the next pickup linger and take them at once,
+    /// and every coalesced answer is the exact one.
+    #[test]
+    fn concurrent_callers_coalesce_and_stay_exact() {
+        let registry = slow_registry();
+        let reference = registry.current();
+        let server = Arc::new(RecServer::start(Arc::clone(&registry), ServerConfig::default()));
+        let ids = |items: &[ScoredItem]| items.iter().map(|s| s.item).collect::<Vec<_>>();
+        for (request, response) in burst(&server, 8) {
+            assert_eq!(ids(&response.items), ids(&reference.model.recommend(&request)), "user {}", request.user);
+        }
+        let stats = server.stats();
+        assert_eq!(stats.completed, 8);
+        assert!(stats.batches < 8, "8 concurrent requests were served one by one");
+        assert!(stats.lingered >= 1, "a queue of several requests never lingered for company");
+    }
+
     /// The telemetry-enabled path: counters and stage histograms populate,
     /// panic isolation is counted, and the flight recorder holds span trees
     /// with the documented stage hierarchy.
     #[test]
     fn telemetry_records_latencies_spans_and_panic_isolation() {
-        let w = Matrix::from_vec(40, 2, (0..80).map(|i| i as f32 * 0.01).collect());
-        let model = ServingModel::from_parts("toy", &w, 4, |user, _| {
-            assert!(user < 30, "unknown user {user}");
-            vec![1.0, user as f32 * 0.1]
-        });
         let telemetry = Telemetry::with_flight_capacity(8);
         let server = Arc::new(RecServer::start_with_telemetry(
-            Arc::new(ModelRegistry::new(model)),
+            slow_registry(),
             ServerConfig { coalesce_wait: Duration::from_millis(4), ..ServerConfig::default() },
             telemetry.clone(),
         ));
-        // A concurrent burst so at least one multi-request batch forms.
-        let handles: Vec<_> = (0..6)
-            .map(|user| {
-                let server = Arc::clone(&server);
-                std::thread::spawn(move || server.submit(RecommendRequest::new(user, vec![user], 5)))
-            })
-            .collect();
-        for handle in handles {
-            assert_eq!(handle.join().unwrap().expect("admitted").items.len(), 5);
-        }
+        // A barrier-released burst against the slow builder, so the requests
+        // behind the first pile up and a multi-request batch forms.
+        let answers = burst(&server, 6);
+        assert!(answers.iter().all(|(_, response)| response.items.len() == 5));
         let poisoned = server.submit(RecommendRequest::new(99, vec![], 3)).expect("admitted");
         assert!(poisoned.items.is_empty());
 
@@ -1044,7 +1128,9 @@ mod tests {
         assert_eq!(snap.counter("serve_requests_panic_isolated_total"), Some(1));
         assert_eq!(snap.histogram("serve_total_micros").map(|h| h.count), Some(7), "one total sample per request");
         assert_eq!(snap.histogram("serve_queue_micros").map(|h| h.count), Some(7));
-        assert!(snap.histogram("serve_batch_size").is_some_and(|h| h.count >= 1 && h.max >= 1));
+        assert!(snap.histogram("serve_batch_size").is_some_and(|h| h.count >= 2 && h.max >= 2), "no batch coalesced");
+        assert_eq!(snap.counter("serve_batches_total"), Some(stats.batches));
+        assert_eq!(snap.counter("serve_lingers_total"), Some(stats.lingered));
 
         let flight = telemetry.flight().expect("telemetry enabled");
         assert!(!flight.is_empty(), "served requests left span trees in the ring");

@@ -86,7 +86,6 @@ use ham_tensor::kernels;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,11 +134,6 @@ impl Shard {
     pub fn rows(&self) -> &[f32] {
         let d = self.candidates.cols();
         &self.candidates.as_slice()[self.offset * d..(self.offset + self.len) * d]
-    }
-
-    /// The shard's rows as global row ids of the candidate matrix.
-    fn range(&self) -> Range<usize> {
-        self.offset..self.offset + self.len
     }
 
     /// A copy of the shard's rows — what the freeze-time int8 and IVF builds
@@ -328,7 +322,7 @@ impl ShardedCatalog {
     // ham-lint: hot-path
     pub fn shard_scores_into(&self, shard: usize, query: &[f32], out: &mut [f32]) {
         let shard = &self.shards[shard];
-        kernels::matvec_transposed_rows_into(&shard.candidates, query, shard.range(), out);
+        kernels::matvec_transposed_rows_into(&shard.candidates, query, shard.offset..shard.offset + shard.len, out);
     }
 
     /// The degraded path's per-shard unit of work: the fault prelude, then
