@@ -98,18 +98,22 @@ pub type QueryFn<'m> = Box<dyn Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 
 /// (per-row dot products are bit-identical either way), and merges the
 /// per-shard top-k exactly.
 pub struct LinearHead<'m> {
-    candidates: &'m Matrix,
-    /// The same matrix as the model's shared handle, when the model keeps
-    /// `W` behind an [`Arc`] ([`Self::shared`]).
-    shared: Option<&'m Arc<Matrix>>,
+    candidates: Candidates<'m>,
     query: QueryFn<'m>,
+}
+
+/// How a [`LinearHead`] holds `W`: a plain borrow, or a borrow of the
+/// model's shared handle ([`LinearHead::shared`]).
+enum Candidates<'m> {
+    Borrowed(&'m Matrix),
+    Shared(&'m Arc<Matrix>),
 }
 
 impl<'m> LinearHead<'m> {
     /// Builds a head from the candidate matrix and a query-vector closure.
     /// The closure must return `candidates.cols()` values per call.
     pub fn new(candidates: &'m Matrix, query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'm) -> Self {
-        Self { candidates, shared: None, query: Box::new(query) }
+        Self { candidates: Candidates::Borrowed(candidates), query: Box::new(query) }
     }
 
     /// [`Self::new`] for a model that keeps `W` behind an [`Arc`]: a serving
@@ -119,28 +123,34 @@ impl<'m> LinearHead<'m> {
         candidates: &'m Arc<Matrix>,
         query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'm,
     ) -> Self {
-        Self { candidates, shared: Some(candidates), query: Box::new(query) }
+        Self { candidates: Candidates::Shared(candidates), query: Box::new(query) }
     }
 
     /// The candidate-embedding matrix `W` (one row per item).
     pub fn candidates(&self) -> &'m Matrix {
-        self.candidates
+        match self.candidates {
+            Candidates::Borrowed(w) => w,
+            Candidates::Shared(w) => w,
+        }
     }
 
     /// A new handle to `W` when the head was built with [`Self::shared`];
     /// `None` for a head over a plain borrow, whose rows a snapshot copies.
     pub fn shared_candidates(&self) -> Option<Arc<Matrix>> {
-        self.shared.cloned()
+        match self.candidates {
+            Candidates::Borrowed(_) => None,
+            Candidates::Shared(w) => Some(Arc::clone(w)),
+        }
     }
 
     /// The embedding dimension `d` shared by queries and candidates.
     pub fn dim(&self) -> usize {
-        self.candidates.cols()
+        self.candidates().cols()
     }
 
     /// Number of items the head can score.
     pub fn num_items(&self) -> usize {
-        self.candidates.rows()
+        self.candidates().rows()
     }
 
     /// The query vector `q` for one user and history.

@@ -519,13 +519,14 @@ mod tests {
         let w = model.candidate_item_embeddings();
         let d = w.cols();
         let shared = ServingModel::from_scorer("ham", Arc::clone(&model), 3).unwrap();
-        for shard in shared.catalog().shards() {
-            assert_eq!(shard.rows().as_ptr(), w.as_slice()[shard.offset() * d..].as_ptr(), "shard {}", shard.offset());
+        for (s, shard) in shared.catalog().shards().iter().enumerate() {
+            let rows = shared.catalog().shard_rows(s);
+            assert_eq!(rows.as_ptr(), w.as_slice()[shard.offset() * d..].as_ptr(), "shard {s}");
         }
         let parts = ServingModel::from_parts("copied", w, 3, |_, _| vec![0.0; 8]);
-        let first = &parts.catalog().shards()[0];
-        assert_ne!(first.rows().as_ptr(), w.as_slice().as_ptr());
-        assert_eq!(first.rows(), &w.as_slice()[..first.len() * d]);
+        let first = parts.catalog().shard_rows(0);
+        assert_ne!(first.as_ptr(), w.as_slice().as_ptr());
+        assert_eq!(first, &w.as_slice()[..first.len()]);
 
         let pop = Arc::new(ham_baselines::PopRec::fit(&[vec![1, 2, 3], vec![3, 4]], 30));
         let head = ham_baselines::SequentialRecommender::linear_head(&*pop).unwrap();
@@ -533,7 +534,7 @@ mod tests {
         let baseline =
             ServingModel::from_head_fn("pop", Arc::clone(&pop), 3, ham_baselines::SequentialRecommender::linear_head)
                 .unwrap();
-        assert_ne!(baseline.catalog().shards()[0].rows().as_ptr(), head.candidates().as_slice().as_ptr());
+        assert_ne!(baseline.catalog().shard_rows(0).as_ptr(), head.candidates().as_slice().as_ptr());
     }
 
     /// The int8 and IVF tiers derive their panels from a shard's range at

@@ -86,6 +86,7 @@ use ham_tensor::kernels;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,9 +104,6 @@ pub struct ScoredItem {
 pub struct Shard {
     offset: usize,
     len: usize,
-    /// The whole candidate matrix, shared by every shard of the catalogue;
-    /// this shard is its rows `offset..offset + len`.
-    candidates: Arc<Matrix>,
     /// Int8 snapshot of the shard's rows for the quantized pre-selection
     /// path (`None` until [`ShardedCatalog::with_quantization`]).
     quantized: Option<QuantizedMatrix>,
@@ -130,16 +128,9 @@ impl Shard {
         self.len == 0
     }
 
-    /// The shard's rows of the candidate matrix, row-major (`len × dim`).
-    pub fn rows(&self) -> &[f32] {
-        let d = self.candidates.cols();
-        &self.candidates.as_slice()[self.offset * d..(self.offset + self.len) * d]
-    }
-
-    /// A copy of the shard's rows — what the freeze-time int8 and IVF builds
-    /// read; dropped once they are built.
-    fn rows_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.len, self.candidates.cols(), self.rows().to_vec())
+    /// The shard's rows as global item ids.
+    pub fn range(&self) -> Range<usize> {
+        self.offset..self.offset + self.len
     }
 
     /// The shard's int8 panel, when the catalogue was quantized.
@@ -156,9 +147,9 @@ impl Shard {
 /// The candidate matrix `W` split row-wise into shards.
 #[derive(Debug, Clone)]
 pub struct ShardedCatalog {
+    /// The whole candidate matrix; shard `s` is its rows `shards[s].range()`.
+    candidates: Arc<Matrix>,
     shards: Vec<Shard>,
-    num_items: usize,
-    dim: usize,
     /// Clusters visited per shard per request on a clustered catalogue
     /// ([`crate::ivf::PROBE_ALL`] = every cluster, the exact endpoint).
     /// Ignored until a cluster index is built.
@@ -200,17 +191,30 @@ impl ShardedCatalog {
     /// Panics if `num_shards` is zero.
     pub fn from_shared(w: Arc<Matrix>, num_shards: usize) -> Self {
         assert!(num_shards > 0, "ShardedCatalog: need at least one shard");
-        let (n, d) = w.shape();
+        let n = w.rows();
         let base = n / num_shards;
         let extra = n % num_shards;
         let mut shards = Vec::with_capacity(num_shards);
         let mut offset = 0;
         for s in 0..num_shards {
             let len = base + usize::from(s < extra);
-            shards.push(Shard { offset, len, candidates: Arc::clone(&w), quantized: None, ivf: None });
+            shards.push(Shard { offset, len, quantized: None, ivf: None });
             offset += len;
         }
-        Self { shards, num_items: n, dim: d, nprobe: PROBE_ALL }
+        Self { candidates: w, shards, nprobe: PROBE_ALL }
+    }
+
+    /// Shard `shard`'s rows of the candidate matrix, row-major
+    /// (`len × dim`), read in place.
+    pub fn shard_rows(&self, shard: usize) -> &[f32] {
+        let (rows, d) = (self.shards[shard].range(), self.dim());
+        &self.candidates.as_slice()[rows.start * d..rows.end * d]
+    }
+
+    /// A copy of shard `shard`'s rows — what the freeze-time int8 and IVF
+    /// builds read; dropped once they are built.
+    fn shard_matrix(&self, shard: usize) -> Matrix {
+        Matrix::from_vec(self.shards[shard].len, self.dim(), self.shard_rows(shard).to_vec())
     }
 
     /// Snapshots every shard's rows as an int8 panel, enabling the quantized
@@ -219,8 +223,10 @@ impl ShardedCatalog {
     /// built earlier gets its panels quantized too, so the IVF and quantized
     /// tiers compose in either construction order.
     pub fn with_quantization(mut self) -> Self {
-        for shard in &mut self.shards {
-            shard.quantized = Some(QuantizedMatrix::quantize(&shard.rows_matrix()));
+        for s in 0..self.shards.len() {
+            let panel = QuantizedMatrix::quantize(&self.shard_matrix(s));
+            let shard = &mut self.shards[s];
+            shard.quantized = Some(panel);
             if let Some(ivf) = &mut shard.ivf {
                 ivf.quantize_panels();
             }
@@ -235,8 +241,9 @@ impl ShardedCatalog {
     /// results stay bit-identical to the exact paths; narrower probes trade
     /// measured recall for sub-linear scan cost.
     pub fn with_cluster_index(mut self, config: &IvfConfig) -> Self {
-        for shard in &mut self.shards {
-            let mut index = ClusterIndex::build(&shard.rows_matrix(), config, shard.offset as u64);
+        for s in 0..self.shards.len() {
+            let mut index = ClusterIndex::build(&self.shard_matrix(s), config, self.shards[s].offset as u64);
+            let shard = &mut self.shards[s];
             if shard.quantized.is_some() {
                 index.quantize_panels();
             }
@@ -293,12 +300,12 @@ impl ShardedCatalog {
 
     /// Total catalogue size across shards.
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.candidates.rows()
     }
 
     /// Embedding dimension of the candidate rows.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.candidates.cols()
     }
 
     /// The shards, in global row order.
@@ -321,8 +328,7 @@ impl ShardedCatalog {
     /// Panics if `out.len()` is not the shard's length.
     // ham-lint: hot-path
     pub fn shard_scores_into(&self, shard: usize, query: &[f32], out: &mut [f32]) {
-        let shard = &self.shards[shard];
-        kernels::matvec_transposed_rows_into(&shard.candidates, query, shard.offset..shard.offset + shard.len, out);
+        kernels::matvec_transposed_rows_into(&self.candidates, query, self.shards[shard].range(), out);
     }
 
     /// The degraded path's per-shard unit of work: the fault prelude, then
@@ -463,8 +469,8 @@ impl ShardedCatalog {
             match panel {
                 Some((qq, panel)) if b == 1 => kernels::quantized_matvec_into(panel, &qq[0], tile),
                 Some((qq, panel)) => kernels::quantized_matmul_transposed_rows_into(qq, panel, lo..hi, tile),
-                None if b == 1 => kernels::matvec_transposed_rows_into(&shard.candidates, queries.row(0), rows, tile),
-                None => kernels::matmul_transposed_rows_into(queries, &shard.candidates, rows, tile),
+                None if b == 1 => kernels::matvec_transposed_rows_into(&self.candidates, queries.row(0), rows, tile),
+                None => kernels::matmul_transposed_rows_into(queries, &self.candidates, rows, tile),
             }
             while let Some(&(local, row)) = masked.get(next_masked).filter(|&&(local, _)| local < hi) {
                 tile[row * w + local - lo] = f32::NEG_INFINITY;
@@ -576,7 +582,7 @@ impl ShardedCatalog {
             shard_scores.len(),
             s.len()
         );
-        let local_seen = seen.map(|bits| &bits[s.offset..s.offset + s.len()]);
+        let local_seen = seen.map(|bits| &bits[s.range()]);
         let local = match local_seen {
             Some(bits) => top_k_indices_masked(shard_scores, k, bits),
             None => top_k_indices(shard_scores, k),
@@ -710,19 +716,13 @@ impl ShardedCatalog {
             .into_iter()
             .map(|c| {
                 let masked = seen.is_some_and(|bits| bits[c.item]);
-                let score = if masked { f32::NEG_INFINITY } else { kernels::dot(self.candidates().row(c.item), query) };
+                let score = if masked { f32::NEG_INFINITY } else { kernels::dot(self.candidates.row(c.item), query) };
                 ScoredItem { item: c.item, score }
             })
             .collect();
         exact.sort_by(|a, b| better(b, a));
         exact.truncate(k);
         exact
-    }
-
-    /// The candidate matrix whose row ranges the shards are: every shard
-    /// holds a handle to it, and a catalogue has at least one shard.
-    fn candidates(&self) -> &Matrix {
-        &self.shards[0].candidates
     }
 
     /// Batched [`Self::quantized_top_k_with_buf`]: every shard task (in
@@ -834,7 +834,7 @@ impl ShardedCatalog {
     ) -> (Vec<Vec<ScoredItem>>, u64) {
         let mut rerank_micros = 0u64;
         if let Some(seen) = rerank_seen.as_deref_mut() {
-            seen.resize(self.num_items);
+            seen.resize(self.num_items());
         }
         let mut out = Vec::with_capacity(ks.len());
         for (i, &k) in ks.iter().enumerate() {
@@ -1012,7 +1012,8 @@ mod tests {
         let offsets: Vec<usize> = cat.shards().iter().map(Shard::offset).collect();
         assert_eq!(offsets, vec![0, 4, 7]);
         // Shard 1 is rows 4..7 of the catalogue, read in place.
-        assert_eq!(cat.shards()[1].rows(), &w.as_slice()[4 * 4..7 * 4]);
+        assert_eq!(cat.shards()[1].range(), 4..7);
+        assert_eq!(cat.shard_rows(1), &w.as_slice()[4 * 4..7 * 4]);
     }
 
     #[test]

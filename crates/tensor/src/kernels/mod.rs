@@ -17,8 +17,8 @@
 //!   query against the whole catalogue in one fused pass over `W` (one user,
 //!   all items: the serving fast path; the `_into` variant writes a caller
 //!   buffer so the serving loop allocates nothing per request;
-//!   [`matvec_transposed_rows_into`] scores a row range of `W` in place, the
-//!   same per-row [`dot`], for shards of a shared catalogue).
+//!   [`matvec_transposed_rows_into`] is its row-range entry, what the tier
+//!   kernels implement, and scores a shard of a shared catalogue in place).
 //! * [`matmul_transposed`] / [`matmul_transposed_into`] — packed-panel
 //!   `A · Bᵀ` whose inner loop is a contiguous axpy over an L1-resident
 //!   transposed panel of `B` (many users, all items: the `Q · Wᵀ`
@@ -427,21 +427,18 @@ pub fn matvec_transposed_into_with_tier(tier: KernelTier, w: &Matrix, q: &[f32],
     matvec_transposed_into_impl(checked(tier), w, q, out)
 }
 
+/// The whole-`w` GEMV as a thin wrapper over the row-range entry.
 fn matvec_transposed_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], out: &mut [f32]) {
-    debug_assert_dispatchable(tier);
-    let (n, d) = w.shape();
-    assert_eq!(q.len(), d, "matvec_transposed: query length {} does not match {} columns", q.len(), d);
+    let n = w.rows();
     assert_eq!(out.len(), n, "matvec_transposed_into: buffer holds {} scores for {} rows", out.len(), n);
-    counters::note(tier, 4 * (n * d + d + n) as u64);
-    on_tier!(tier, matvec_transposed_into(w, q, out))
+    matvec_transposed_rows_into_impl(tier, w, q, 0..n, out)
 }
 
 /// The row-range entry of the GEMV: `out[j] = w.row(rows.start + j) · q`
-/// into `out` (overwritten), reading the rows of `w` in place. Each row is
-/// the tier's [`dot`] — the very per-row kernel [`matvec_transposed_into`]
-/// runs — so a range scores with the bits the whole-matrix GEMV gives those
-/// rows. It lets a shard that shares its catalogue's matrix scan its own
-/// range without a copy.
+/// into `out` (overwritten), reading the rows of `w` in place. It is what
+/// the tier kernels implement (each row is the tier's [`dot`]), so a range
+/// scores with the bits the whole-matrix GEMV gives those rows — a shard
+/// that shares its catalogue's matrix scans its own range without a copy.
 ///
 /// # Panics
 /// Panics if `q.len() != w.cols()`, `rows` is out of bounds for `w`, or
@@ -451,7 +448,6 @@ pub fn matvec_transposed_rows_into(w: &Matrix, q: &[f32], rows: Range<usize>, ou
     matvec_transposed_rows_into_impl(dispatch(), w, q, rows, out)
 }
 
-// ham-lint: hot-path
 fn matvec_transposed_rows_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
     debug_assert_dispatchable(tier);
     let (n, d) = (rows.len(), w.cols());
@@ -463,14 +459,8 @@ fn matvec_transposed_rows_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], row
     );
     assert_eq!(out.len(), n, "matvec_transposed_rows_into: buffer holds {} scores for {} rows", out.len(), n);
     counters::note(tier, 4 * (n * d + d + n) as u64);
-    if d == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let rows = w.as_slice()[rows.start * d..rows.end * d].chunks_exact(d);
-    for (o, row) in out.iter_mut().zip(rows) {
-        *o = on_tier!(tier, dot(row, q));
-    }
+    let w = &w.as_slice()[rows.start * d..rows.end * d];
+    on_tier!(tier, matvec_transposed_into(w, d, q, out))
 }
 
 /// Blocked matrix product `a · bᵀ` (the batched `Q · Wᵀ` scoring GEMM).

@@ -43,14 +43,13 @@ pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
     half + other + tail
 }
 
-/// `out[j] = w.row(j) · q` — one fused pass over `w` with the vectorizing
-/// multi-accumulator [`dot`] per row.
+/// `out[j] = w_j · q` for the `out.len()` rows of `d` columns in the
+/// row-major `w_data` (any contiguous row range of a larger matrix) — one
+/// fused pass with the vectorizing multi-accumulator [`dot`] per row.
 // ham-lint: hot-path
-pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
-    let d = w.cols();
-    let data = w.as_slice();
+pub(super) fn matvec_transposed_into(w_data: &[f32], d: usize, q: &[f32], out: &mut [f32]) {
     for (j, o) in out.iter_mut().enumerate() {
-        *o = dot(&data[j * d..(j + 1) * d], q);
+        *o = dot(&w_data[j * d..(j + 1) * d], q);
     }
 }
 

@@ -118,16 +118,15 @@ macro_rules! simd_tier_kernels {
             sum
         }
 
-        /// `out[j] = w.row(j) · q`: the one-user/whole-catalogue GEMV. Each
-        /// row is an independent [`dot`], so a row's score never depends on
-        /// which shard or position it occupies.
+        /// `out[j] = w_j · q` for the `out.len()` rows of `d` columns in the
+        /// row-major `w_data` (any contiguous row range of a larger matrix):
+        /// the one-user GEMV. Each row is an independent [`dot`], so a row's
+        /// score never depends on which shard or position it occupies.
         #[target_feature(enable = $features)]
         // ham-lint: hot-path
-        pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
-            let d = w.cols();
-            let data = w.as_slice();
+        pub(super) fn matvec_transposed_into(w_data: &[f32], d: usize, q: &[f32], out: &mut [f32]) {
             for (j, o) in out.iter_mut().enumerate() {
-                *o = dot(&data[j * d..(j + 1) * d], q);
+                *o = dot(&w_data[j * d..(j + 1) * d], q);
             }
         }
 
