@@ -125,20 +125,26 @@ impl Adam {
     pub fn config(&self) -> &AdamConfig {
         &self.config
     }
+}
 
-    /// The moment matrices of `id`, created on first touch and grown row-wise
-    /// (zero-filled, like a fresh lazy row) when the parameter gained rows
-    /// since the last step — embedding tables grow when unseen users/items
-    /// arrive in an online stream.
-    fn moments(&mut self, id: ParamId, shape: (usize, usize)) -> (&mut Matrix, &mut Matrix) {
-        let m = self.m.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
-        let v = self.v.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
-        if m.rows() < shape.0 {
-            m.resize_rows(shape.0);
-            v.resize_rows(shape.0);
-        }
-        (m, v)
+/// The moment matrices of `id`, created on first touch and grown row-wise
+/// (zero-filled, like a fresh lazy row) when the parameter gained rows since
+/// the last step — embedding tables grow when unseen users/items arrive in an
+/// online stream. Takes the two maps rather than `&mut Adam` so the sparse
+/// path can borrow the per-row step counts beside them.
+fn moments<'a>(
+    m: &'a mut HashMap<usize, Matrix>,
+    v: &'a mut HashMap<usize, Matrix>,
+    id: ParamId,
+    shape: (usize, usize),
+) -> (&'a mut Matrix, &'a mut Matrix) {
+    let m = m.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+    let v = v.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+    if m.rows() < shape.0 {
+        m.resize_rows(shape.0);
+        v.resize_rows(shape.0);
     }
+    (m, v)
 }
 
 impl Optimizer for Adam {
@@ -149,40 +155,22 @@ impl Optimizer for Adam {
         let bias1 = 1.0 - c.beta1.powf(t);
         let bias2 = 1.0 - c.beta2.powf(t);
 
-        // Dense updates.
-        let dense_ids: Vec<ParamId> = grads.dense_ids().collect();
-        for id in dense_ids {
+        // `grads`, the moments and the parameter values live in three
+        // distinct structures, so every gradient is read in place.
+        for id in grads.dense_ids() {
             let shape = params.value(id).shape();
-            let grad = grads.dense(id).expect("dense id must have a dense grad").clone();
-            let (m, v) = self.moments(id, shape);
-            let value = params.value_mut(id);
-            for i in 0..value.len() {
-                let g = grad.as_slice()[i] + c.weight_decay * value.as_slice()[i];
-                let mi = c.beta1 * m.as_slice()[i] + (1.0 - c.beta1) * g;
-                let vi = c.beta2 * v.as_slice()[i] + (1.0 - c.beta2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let m_hat = mi / bias1;
-                let v_hat = vi / bias2;
-                value.as_mut_slice()[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
-            }
+            let grad = grads.dense(id).expect("dense id must have a dense grad");
+            assert_eq!(grad.shape(), shape, "Adam: dense gradient shape mismatch for {}", params.name(id));
+            let (m, v) = moments(&mut self.m, &mut self.v, id, shape);
+            let value = params.value_mut(id).as_mut_slice();
+            adam_update(&c, bias1, bias2, value, m.as_mut_slice(), v.as_mut_slice(), grad.as_slice());
         }
 
-        // Sparse (row-wise) updates. `grads`, the moments and the parameter
-        // values live in three distinct structures, so the row gradients are
-        // read in place — no per-row clone on the per-batch hot path.
-        let sparse_ids: Vec<ParamId> = grads.sparse_ids().collect();
-        for id in sparse_ids {
+        for id in grads.sparse_ids() {
             let shape = params.value(id).shape();
             let sparse = grads.sparse(id).expect("sparse id must have a sparse grad");
-            // Disjoint field borrows (the `moments` method would tie up all
-            // of `self`, and the per-row step counts live in a third map).
-            let m = self.m.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
-            let v = self.v.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
-            if m.rows() < shape.0 {
-                m.resize_rows(shape.0);
-                v.resize_rows(shape.0);
-            }
+            assert_eq!(sparse.cols(), shape.1, "Adam: sparse gradient width mismatch for {}", params.name(id));
+            let (m, v) = moments(&mut self.m, &mut self.v, id, shape);
             let mut row_steps = c.per_row_bias_correction.then(|| {
                 let steps = self.row_steps.entry(id.index()).or_default();
                 if steps.len() < shape.0 {
@@ -190,12 +178,12 @@ impl Optimizer for Adam {
                 }
                 steps
             });
-            let value = params.value_mut(id);
+            let (value, m, v) = (params.value_mut(id).as_mut_slice(), m.as_mut_slice(), v.as_mut_slice());
             let cols = shape.1;
+            // Each row appears exactly once, so the per-row counts (and
+            // every updated value) do not depend on the iteration order.
+            // ham-lint: hot-path
             for (row, grad_row) in sparse.iter() {
-                // Each row appears at most once per gradient store, so the
-                // per-row counts are independent of the (unspecified) sparse
-                // iteration order.
                 let (bias1, bias2) = match row_steps.as_mut() {
                     Some(steps) => {
                         steps[row] += 1;
@@ -204,19 +192,28 @@ impl Optimizer for Adam {
                     }
                     None => (bias1, bias2),
                 };
-                for (col, &raw_g) in grad_row.iter().enumerate() {
-                    let i = row * cols + col;
-                    let g = raw_g + c.weight_decay * value.as_slice()[i];
-                    let mi = c.beta1 * m.as_slice()[i] + (1.0 - c.beta1) * g;
-                    let vi = c.beta2 * v.as_slice()[i] + (1.0 - c.beta2) * g * g;
-                    m.as_mut_slice()[i] = mi;
-                    v.as_mut_slice()[i] = vi;
-                    let m_hat = mi / bias1;
-                    let v_hat = vi / bias2;
-                    value.as_mut_slice()[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
-                }
+                let span = row * cols..(row + 1) * cols;
+                adam_update(&c, bias1, bias2, &mut value[span.clone()], &mut m[span.clone()], &mut v[span], grad_row);
             }
         }
+    }
+}
+
+/// One Adam update over matching slices of a parameter, its two moments and
+/// its gradient. Each element is independent and computed by the same
+/// expression in the same order as an element-by-element loop, so zipping
+/// the slices changes no bit — it only lets the loop vectorise.
+// ham-lint: hot-path
+fn adam_update(c: &AdamConfig, bias1: f32, bias2: f32, value: &mut [f32], m: &mut [f32], v: &mut [f32], grad: &[f32]) {
+    for (((x, m), v), &raw_g) in value.iter_mut().zip(m).zip(v).zip(grad) {
+        let g = raw_g + c.weight_decay * *x;
+        let mi = c.beta1 * *m + (1.0 - c.beta1) * g;
+        let vi = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+        *m = mi;
+        *v = vi;
+        let m_hat = mi / bias1;
+        let v_hat = vi / bias2;
+        *x -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
     }
 }
 
@@ -235,30 +232,35 @@ impl Sgd {
     pub fn new(learning_rate: f32) -> Self {
         Self { learning_rate, weight_decay: 0.0 }
     }
+
+    /// One SGD update over matching slices of a parameter and its gradient.
+    fn update(&self, value: &mut [f32], grad: &[f32]) {
+        for (x, &raw_g) in value.iter_mut().zip(grad) {
+            let g = raw_g + self.weight_decay * *x;
+            *x -= self.learning_rate * g;
+        }
+    }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        let dense_ids: Vec<ParamId> = grads.dense_ids().collect();
-        for id in dense_ids {
-            let grad = grads.dense(id).expect("dense id must have a dense grad").clone();
-            let value = params.value_mut(id);
-            for i in 0..value.len() {
-                let g = grad.as_slice()[i] + self.weight_decay * value.as_slice()[i];
-                value.as_mut_slice()[i] -= self.learning_rate * g;
-            }
+        for id in grads.dense_ids() {
+            let grad = grads.dense(id).expect("dense id must have a dense grad");
+            assert_eq!(
+                grad.shape(),
+                params.value(id).shape(),
+                "Sgd: dense gradient shape mismatch for {}",
+                params.name(id)
+            );
+            self.update(params.value_mut(id).as_mut_slice(), grad.as_slice());
         }
-        let sparse_ids: Vec<ParamId> = grads.sparse_ids().collect();
-        for id in sparse_ids {
+        for id in grads.sparse_ids() {
             let sparse = grads.sparse(id).expect("sparse id must have a sparse grad");
             let cols = params.value(id).cols();
-            let value = params.value_mut(id);
+            assert_eq!(sparse.cols(), cols, "Sgd: sparse gradient width mismatch for {}", params.name(id));
+            let value = params.value_mut(id).as_mut_slice();
             for (row, grad_row) in sparse.iter() {
-                for (col, &raw_g) in grad_row.iter().enumerate() {
-                    let i = row * cols + col;
-                    let g = raw_g + self.weight_decay * value.as_slice()[i];
-                    value.as_mut_slice()[i] -= self.learning_rate * g;
-                }
+                self.update(&mut value[row * cols..(row + 1) * cols], grad_row);
             }
         }
     }

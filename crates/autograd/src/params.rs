@@ -122,16 +122,24 @@ impl ParamStore {
 }
 
 /// Sparse row-wise gradient for an embedding table.
+///
+/// Every touched row lives in one contiguous buffer: `slots` maps a row id to
+/// its position in `rows` (first-touch order), and slot `s` owns
+/// `values[s * cols..(s + 1) * cols]`. Touching a new row appends `cols`
+/// zeros instead of allocating a row of its own, so a whole batch's gradient
+/// is a handful of allocations, freed in one go.
 #[derive(Debug, Clone, Default)]
 pub struct SparseGrad {
-    rows: HashMap<usize, Vec<f32>>,
+    slots: HashMap<usize, usize>,
+    rows: Vec<usize>,
+    values: Vec<f32>,
     cols: usize,
 }
 
 impl SparseGrad {
     /// Creates an empty sparse gradient for a table with `cols` columns.
     pub fn new(cols: usize) -> Self {
-        Self { rows: HashMap::new(), cols }
+        Self { cols, ..Self::default() }
     }
 
     /// Accumulates `grad` into the gradient of `row`.
@@ -141,12 +149,25 @@ impl SparseGrad {
 
     /// Accumulates `scale * grad` into the gradient of `row` without
     /// materialising the scaled row.
+    // ham-lint: hot-path
     pub fn add_scaled_row(&mut self, row: usize, grad: &[f32], scale: f32) {
         assert_eq!(grad.len(), self.cols, "SparseGrad::add_scaled_row: width mismatch");
-        let entry = self.rows.entry(row).or_insert_with(|| vec![0.0; self.cols]);
-        for (e, g) in entry.iter_mut().zip(grad) {
+        let slot = self.slot(row);
+        for (e, g) in self.values[slot * self.cols..][..self.cols].iter_mut().zip(grad) {
             *e += scale * g;
         }
+    }
+
+    /// The slot of `row`, appending a zeroed row to the buffer on first touch.
+    fn slot(&mut self, row: usize) -> usize {
+        let next = self.rows.len();
+        let slot = *self.slots.entry(row).or_insert(next);
+        if slot == next {
+            self.rows.push(row);
+            // ham-lint: allow(alloc, "the buffer grows by one row per first touch and keeps its capacity")
+            self.values.resize(self.values.len() + self.cols, 0.0);
+        }
+        slot
     }
 
     /// Number of distinct rows with a non-empty gradient.
@@ -159,9 +180,12 @@ impl SparseGrad {
         self.cols
     }
 
-    /// Iterates over `(row index, row gradient)` pairs in an unspecified order.
+    /// Iterates over `(row index, row gradient)` pairs in first-touch order:
+    /// rows appear in the order they were first accumulated (a merge appends
+    /// the other gradient's new rows in its own first-touch order). Each
+    /// touched row appears exactly once.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[f32])> + '_ {
-        self.rows.iter().map(|(&r, g)| (r, g.as_slice()))
+        self.rows.iter().enumerate().map(|(slot, &row)| (row, &self.values[slot * self.cols..][..self.cols]))
     }
 
     /// Folds another sparse gradient into this one, row by row.
@@ -170,15 +194,23 @@ impl SparseGrad {
     /// Panics if the column counts differ.
     pub fn merge(&mut self, other: SparseGrad) {
         assert_eq!(self.cols, other.cols, "SparseGrad::merge: width mismatch {} vs {}", self.cols, other.cols);
-        for (row, grad) in other.rows {
-            match self.rows.get_mut(&row) {
-                Some(entry) => {
-                    for (e, g) in entry.iter_mut().zip(&grad) {
+        if self.rows.is_empty() {
+            *self = other;
+            return;
+        }
+        for (row, grad) in other.iter() {
+            match self.slots.get(&row) {
+                Some(&slot) => {
+                    for (e, g) in self.values[slot * self.cols..][..self.cols].iter_mut().zip(grad) {
                         *e += g;
                     }
                 }
                 None => {
-                    self.rows.insert(row, grad);
+                    // Copied, not added to zeros: a fresh row takes the other
+                    // gradient's bits as they are (`0.0 + -0.0` would not).
+                    self.slots.insert(row, self.rows.len());
+                    self.rows.push(row);
+                    self.values.extend_from_slice(grad);
                 }
             }
         }
