@@ -192,8 +192,8 @@ impl Optimizer for Adam {
                     }
                     None => (bias1, bias2),
                 };
-                let span = row * cols..(row + 1) * cols;
-                adam_update(&c, bias1, bias2, &mut value[span.clone()], &mut m[span.clone()], &mut v[span], grad_row);
+                let (lo, hi) = (row * cols, (row + 1) * cols);
+                adam_update(&c, bias1, bias2, &mut value[lo..hi], &mut m[lo..hi], &mut v[lo..hi], grad_row);
             }
         }
     }

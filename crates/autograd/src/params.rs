@@ -8,6 +8,7 @@
 
 use ham_tensor::Matrix;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Handle to a parameter stored in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,6 +122,36 @@ impl ParamStore {
     }
 }
 
+/// Hashes a `usize` key (a row id or a parameter index) with one multiply.
+///
+/// Row ids come from training data and parameter indices from this crate's
+/// own handles, never from untrusted input, so SipHash's resistance to crafted
+/// collisions buys nothing here while its cost lands on every accumulated row.
+/// The multiplier is odd, so ids that differ modulo the (power-of-two) table
+/// size get different home buckets, and the product's high bits, which the
+/// table uses as its per-entry tag, depend on every bit of the id.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by row id or parameter index, hashed with [`IdHasher`].
+type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
+
 /// Sparse row-wise gradient for an embedding table.
 ///
 /// Every touched row lives in one contiguous buffer: `slots` maps a row id to
@@ -130,7 +161,7 @@ impl ParamStore {
 /// is a handful of allocations, freed in one go.
 #[derive(Debug, Clone, Default)]
 pub struct SparseGrad {
-    slots: HashMap<usize, usize>,
+    slots: IdMap<usize>,
     rows: Vec<usize>,
     values: Vec<f32>,
     cols: usize,
@@ -152,22 +183,16 @@ impl SparseGrad {
     // ham-lint: hot-path
     pub fn add_scaled_row(&mut self, row: usize, grad: &[f32], scale: f32) {
         assert_eq!(grad.len(), self.cols, "SparseGrad::add_scaled_row: width mismatch");
-        let slot = self.slot(row);
-        for (e, g) in self.values[slot * self.cols..][..self.cols].iter_mut().zip(grad) {
-            *e += scale * g;
-        }
-    }
-
-    /// The slot of `row`, appending a zeroed row to the buffer on first touch.
-    fn slot(&mut self, row: usize) -> usize {
         let next = self.rows.len();
         let slot = *self.slots.entry(row).or_insert(next);
         if slot == next {
             self.rows.push(row);
-            // ham-lint: allow(alloc, "the buffer grows by one row per first touch and keeps its capacity")
+            // ham-lint: allow(alloc, "the buffer grows by one zeroed row per first touch and keeps its capacity")
             self.values.resize(self.values.len() + self.cols, 0.0);
         }
-        slot
+        for (e, g) in self.values[slot * self.cols..][..self.cols].iter_mut().zip(grad) {
+            *e += scale * g;
+        }
     }
 
     /// Number of distinct rows with a non-empty gradient.
@@ -233,8 +258,8 @@ impl SparseGrad {
 /// The gradients produced by one backward pass, keyed by [`ParamId`].
 #[derive(Debug, Default)]
 pub struct GradStore {
-    dense: HashMap<usize, Matrix>,
-    sparse: HashMap<usize, SparseGrad>,
+    dense: IdMap<Matrix>,
+    sparse: IdMap<SparseGrad>,
 }
 
 impl GradStore {
