@@ -62,7 +62,9 @@ impl Default for AdamConfig {
 /// Rows of an embedding table that did not appear in the current mini-batch
 /// are left untouched (lazy Adam); weight decay is likewise only applied to
 /// touched rows, which is the standard behaviour for sparse recommenders and
-/// avoids decaying embeddings of items that are never observed.
+/// avoids decaying embeddings of items that are never observed. Touched rows
+/// are updated in their gradient's first-touch order, each exactly once; every
+/// element's update is independent of that order.
 #[derive(Debug)]
 pub struct Adam {
     config: AdamConfig,
@@ -270,6 +272,9 @@ impl Optimizer for Sgd {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Minimises `(w - 3)^2` with Adam and checks convergence.
     #[test]
@@ -420,5 +425,206 @@ mod tests {
             adam.step(&mut params, &grads);
         }
         assert!(params.value(w).get(0, 0) < 1.0);
+    }
+
+    /// The previous Adam, which indexed value, moments and gradient element
+    /// by element; the reference the slice-wise update is pinned against.
+    struct ReferenceAdam {
+        config: AdamConfig,
+        step: u64,
+        m: HashMap<usize, Matrix>,
+        v: HashMap<usize, Matrix>,
+        row_steps: HashMap<usize, Vec<u64>>,
+    }
+
+    impl ReferenceAdam {
+        fn new(config: AdamConfig) -> Self {
+            Self { config, step: 0, m: HashMap::new(), v: HashMap::new(), row_steps: HashMap::new() }
+        }
+
+        fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
+            self.step += 1;
+            let t = self.step as f32;
+            let c = self.config;
+            let bias1 = 1.0 - c.beta1.powf(t);
+            let bias2 = 1.0 - c.beta2.powf(t);
+            let dense_ids: Vec<ParamId> = grads.dense_ids().collect();
+            for id in dense_ids {
+                let shape = params.value(id).shape();
+                let grad = grads.dense(id).unwrap().clone();
+                let m = self.m.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+                let v = self.v.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+                if m.rows() < shape.0 {
+                    m.resize_rows(shape.0);
+                    v.resize_rows(shape.0);
+                }
+                let value = params.value_mut(id);
+                for i in 0..value.len() {
+                    let g = grad.as_slice()[i] + c.weight_decay * value.as_slice()[i];
+                    let mi = c.beta1 * m.as_slice()[i] + (1.0 - c.beta1) * g;
+                    let vi = c.beta2 * v.as_slice()[i] + (1.0 - c.beta2) * g * g;
+                    m.as_mut_slice()[i] = mi;
+                    v.as_mut_slice()[i] = vi;
+                    let m_hat = mi / bias1;
+                    let v_hat = vi / bias2;
+                    value.as_mut_slice()[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+                }
+            }
+            let sparse_ids: Vec<ParamId> = grads.sparse_ids().collect();
+            for id in sparse_ids {
+                let shape = params.value(id).shape();
+                let sparse = grads.sparse(id).unwrap();
+                let m = self.m.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+                let v = self.v.entry(id.index()).or_insert_with(|| Matrix::zeros(shape.0, shape.1));
+                if m.rows() < shape.0 {
+                    m.resize_rows(shape.0);
+                    v.resize_rows(shape.0);
+                }
+                let mut row_steps = c.per_row_bias_correction.then(|| {
+                    let steps = self.row_steps.entry(id.index()).or_default();
+                    if steps.len() < shape.0 {
+                        steps.resize(shape.0, 0);
+                    }
+                    steps
+                });
+                let value = params.value_mut(id);
+                let cols = shape.1;
+                for (row, grad_row) in sparse.iter() {
+                    let (bias1, bias2) = match row_steps.as_mut() {
+                        Some(steps) => {
+                            steps[row] += 1;
+                            let rt = steps[row] as f32;
+                            (1.0 - c.beta1.powf(rt), 1.0 - c.beta2.powf(rt))
+                        }
+                        None => (bias1, bias2),
+                    };
+                    for (col, &raw_g) in grad_row.iter().enumerate() {
+                        let i = row * cols + col;
+                        let g = raw_g + c.weight_decay * value.as_slice()[i];
+                        let mi = c.beta1 * m.as_slice()[i] + (1.0 - c.beta1) * g;
+                        let vi = c.beta2 * v.as_slice()[i] + (1.0 - c.beta2) * g * g;
+                        m.as_mut_slice()[i] = mi;
+                        v.as_mut_slice()[i] = vi;
+                        let m_hat = mi / bias1;
+                        let v_hat = vi / bias2;
+                        value.as_mut_slice()[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The previous SGD step, element by element.
+    fn reference_sgd_step(sgd: &Sgd, params: &mut ParamStore, grads: &GradStore) {
+        let dense_ids: Vec<ParamId> = grads.dense_ids().collect();
+        for id in dense_ids {
+            let grad = grads.dense(id).unwrap().clone();
+            let value = params.value_mut(id);
+            for i in 0..value.len() {
+                let g = grad.as_slice()[i] + sgd.weight_decay * value.as_slice()[i];
+                value.as_mut_slice()[i] -= sgd.learning_rate * g;
+            }
+        }
+        let sparse_ids: Vec<ParamId> = grads.sparse_ids().collect();
+        for id in sparse_ids {
+            let sparse = grads.sparse(id).unwrap();
+            let cols = params.value(id).cols();
+            let value = params.value_mut(id);
+            for (row, grad_row) in sparse.iter() {
+                for (col, &raw_g) in grad_row.iter().enumerate() {
+                    let i = row * cols + col;
+                    let g = raw_g + sgd.weight_decay * value.as_slice()[i];
+                    value.as_mut_slice()[i] -= sgd.learning_rate * g;
+                }
+            }
+        }
+    }
+
+    fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape() && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// One random step's gradients: a dense gradient for `w` on most steps,
+    /// and sparse rows of `e` (repeats included) below its current height.
+    fn random_grads(rng: &mut StdRng, params: &ParamStore, w: ParamId, e: ParamId) -> GradStore {
+        let mut grads = GradStore::new();
+        if rng.gen_bool(0.8) {
+            let (rows, cols) = params.value(w).shape();
+            let values = (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            grads.accumulate_dense(w, &Matrix::from_vec(rows, cols, values));
+        }
+        let (height, cols) = params.value(e).shape();
+        for _ in 0..rng.gen_range(0..12) {
+            let row = rng.gen_range(0..height);
+            let grad: Vec<f32> = (0..cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            grads.accumulate_scaled_row(e, row, &grad, rng.gen_range(-1.5f32..1.5));
+        }
+        grads
+    }
+
+    /// Seeded parameters: a dense `w` and an embedding table `e` whose width
+    /// is not a multiple of any SIMD lane count.
+    fn pin_params(rng: &mut StdRng) -> (ParamStore, ParamId, ParamId) {
+        let mut params = ParamStore::new();
+        let w = params.add_dense("w", Matrix::xavier_uniform(3, 5, rng));
+        let e = params.add_embedding("e", Matrix::xavier_uniform(12, 11, rng));
+        (params, w, e)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The slice-wise Adam against the element-by-element one: seeded
+        /// streams of dense and sparse gradients, global or per-row bias
+        /// correction, and a table that grows mid-stream. Parameters and
+        /// exported moments (and per-row step counts) stay bit-equal.
+        #[test]
+        fn adam_matches_the_element_loop_reference_bit_for_bit(seed in 0u64..1 << 40, per_row in 0usize..2, steps in 1usize..60) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut params, w, e) = pin_params(&mut rng);
+            let mut reference_params = params.clone();
+            let config = AdamConfig { learning_rate: 0.05, weight_decay: 0.01, per_row_bias_correction: per_row == 1, ..AdamConfig::default() };
+            let mut adam = Adam::new(config);
+            let mut reference = ReferenceAdam::new(config);
+            let grow_at = rng.gen_range(0..steps);
+            for step in 0..steps {
+                if step == grow_at {
+                    let rows = Matrix::xavier_uniform(5, params.value(e).cols(), &mut rng);
+                    params.append_rows(e, &rows);
+                    reference_params.append_rows(e, &rows);
+                }
+                let grads = random_grads(&mut rng, &params, w, e);
+                adam.step(&mut params, &grads);
+                reference.step(&mut reference_params, &grads);
+            }
+            for id in [w, e] {
+                prop_assert!(bits_equal(params.value(id), reference_params.value(id)), "{} drifted", params.name(id));
+            }
+            let state = adam.export_state();
+            prop_assert_eq!(state.step, reference.step);
+            prop_assert_eq!(&state.row_steps, &reference.row_steps);
+            for id in [w, e] {
+                let key = id.index();
+                prop_assert!(bits_equal(&state.m[&key], &reference.m[&key]), "first moment of {}", params.name(id));
+                prop_assert!(bits_equal(&state.v[&key], &reference.v[&key]), "second moment of {}", params.name(id));
+            }
+        }
+
+        /// The slice-wise SGD against the element-by-element one.
+        #[test]
+        fn sgd_matches_the_element_loop_reference_bit_for_bit(seed in 0u64..1 << 40, steps in 1usize..40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut params, w, e) = pin_params(&mut rng);
+            let mut reference_params = params.clone();
+            let mut sgd = Sgd { learning_rate: 0.1, weight_decay: 0.02 };
+            for _ in 0..steps {
+                let grads = random_grads(&mut rng, &params, w, e);
+                sgd.step(&mut params, &grads);
+                reference_sgd_step(&sgd, &mut reference_params, &grads);
+            }
+            for id in [w, e] {
+                prop_assert!(bits_equal(params.value(id), reference_params.value(id)), "{} drifted", params.name(id));
+            }
+        }
     }
 }

@@ -231,8 +231,6 @@ impl SparseGrad {
                     }
                 }
                 None => {
-                    // Copied, not added to zeros: a fresh row takes the other
-                    // gradient's bits as they are (`0.0 + -0.0` would not).
                     self.slots.insert(row, self.rows.len());
                     self.rows.push(row);
                     self.values.extend_from_slice(grad);
@@ -363,6 +361,9 @@ impl GradStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn add_and_lookup_params() {
@@ -444,5 +445,196 @@ mod tests {
         params.add_dense("a", Matrix::full(1, 2, 2.0));
         params.add_dense("b", Matrix::full(1, 1, 3.0));
         assert_eq!(params.l2_norm_sq(), 8.0 + 9.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn add_scaled_row_rejects_a_row_of_the_wrong_width() {
+        let mut g = SparseGrad::new(3);
+        g.add_row(0, &[1.0, 2.0, 3.0]);
+        g.add_scaled_row(1, &[1.0, 2.0], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn merge_rejects_a_gradient_of_the_wrong_width() {
+        let mut a = SparseGrad::new(2);
+        a.add_row(0, &[1.0, 2.0]);
+        a.merge(SparseGrad::new(3));
+    }
+
+    /// The previous `SparseGrad`: one heap row per touched row id in a
+    /// `HashMap`, kept as the reference model the row buffer is checked
+    /// against. `order` is test bookkeeping, not part of that design: the
+    /// first-touch order the buffer promises, which the map cannot tell.
+    struct ReferenceSparse {
+        rows: HashMap<usize, Vec<f32>>,
+        cols: usize,
+        order: Vec<usize>,
+    }
+
+    impl ReferenceSparse {
+        fn new(cols: usize) -> Self {
+            Self { rows: HashMap::new(), cols, order: Vec::new() }
+        }
+
+        fn add_scaled_row(&mut self, row: usize, grad: &[f32], scale: f32) {
+            assert_eq!(grad.len(), self.cols);
+            if !self.rows.contains_key(&row) {
+                self.order.push(row);
+            }
+            let entry = self.rows.entry(row).or_insert_with(|| vec![0.0; self.cols]);
+            for (e, g) in entry.iter_mut().zip(grad) {
+                *e += scale * g;
+            }
+        }
+
+        fn merge(&mut self, other: ReferenceSparse) {
+            assert_eq!(self.cols, other.cols);
+            for &row in &other.order {
+                if !self.rows.contains_key(&row) {
+                    self.order.push(row);
+                }
+            }
+            for (row, grad) in other.rows {
+                match self.rows.get_mut(&row) {
+                    Some(entry) => {
+                        for (e, g) in entry.iter_mut().zip(&grad) {
+                            *e += g;
+                        }
+                    }
+                    None => {
+                        self.rows.insert(row, grad);
+                    }
+                }
+            }
+        }
+
+        fn to_dense(&self, rows: usize) -> Matrix {
+            let mut out = Matrix::zeros(rows, self.cols);
+            for (&r, g) in &self.rows {
+                for (o, v) in out.row_mut(r).iter_mut().zip(g) {
+                    *o += v;
+                }
+            }
+            out
+        }
+    }
+
+    /// A `GradStore` and its reference, driven in lockstep.
+    #[derive(Default)]
+    struct Mirrored {
+        store: GradStore,
+        reference: HashMap<usize, ReferenceSparse>,
+    }
+
+    impl Mirrored {
+        fn accumulate_scaled_row(&mut self, param: usize, row: usize, grad: &[f32], scale: f32) {
+            self.store.accumulate_scaled_row(ParamId(param), row, grad, scale);
+            let entry = self.reference.entry(param).or_insert_with(|| ReferenceSparse::new(grad.len()));
+            entry.add_scaled_row(row, grad, scale);
+        }
+
+        fn accumulate_sparse(&mut self, param: usize, indices: &[usize], rows: &Matrix) {
+            self.store.accumulate_sparse(ParamId(param), indices, rows);
+            let entry = self.reference.entry(param).or_insert_with(|| ReferenceSparse::new(rows.cols()));
+            for (i, &row) in indices.iter().enumerate() {
+                entry.add_scaled_row(row, rows.row(i), 1.0);
+            }
+        }
+
+        fn merge(&mut self, other: Mirrored) {
+            self.store.merge(other.store);
+            for (param, grad) in other.reference {
+                match self.reference.get_mut(&param) {
+                    Some(existing) => existing.merge(grad),
+                    None => {
+                        self.reference.insert(param, grad);
+                    }
+                }
+            }
+        }
+    }
+
+    const STORE_ROWS: usize = 24;
+    const PARAM_WIDTHS: [usize; 3] = [1, 3, 8];
+
+    /// Gradient values with exact zeros of both signs mixed in: rows start
+    /// at `+0.0`, so both designs must turn a `-0.0` contribution into the
+    /// same bits.
+    fn draw_value(rng: &mut StdRng) -> f32 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        }
+    }
+
+    fn draw_row(rng: &mut StdRng, cols: usize) -> Vec<f32> {
+        (0..cols).map(|_| draw_value(rng)).collect()
+    }
+
+    /// One random accumulation into `target`: a scaled single row or an
+    /// `accumulate_sparse` block with repeated indices, on one of the params.
+    fn accumulate_random(target: &mut Mirrored, rng: &mut StdRng) {
+        let param = rng.gen_range(0..PARAM_WIDTHS.len());
+        let cols = PARAM_WIDTHS[param];
+        // A narrow row range makes repeated rows the common case.
+        if rng.gen_bool(0.5) {
+            let row = rng.gen_range(0..STORE_ROWS);
+            let scale = [1.0, -1.0, 0.0, 0.37][rng.gen_range(0..4)];
+            target.accumulate_scaled_row(param, row, &draw_row(rng, cols), scale);
+        } else {
+            let n = rng.gen_range(1..6);
+            let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..STORE_ROWS)).collect();
+            let rows = Matrix::from_vec(n, cols, (0..n * cols).map(|_| draw_value(rng)).collect());
+            target.accumulate_sparse(param, &indices, &rows);
+        }
+    }
+
+    fn assert_matches_reference(mirrored: &Mirrored) {
+        for (param, &cols) in PARAM_WIDTHS.iter().enumerate() {
+            let id = ParamId(param);
+            let (Some(grad), Some(reference)) = (mirrored.store.sparse(id), mirrored.reference.get(&param)) else {
+                assert!(mirrored.store.sparse(id).is_none() && !mirrored.reference.contains_key(&param));
+                continue;
+            };
+            assert_eq!(grad.cols(), cols);
+            assert_eq!(grad.touched_rows(), reference.rows.len());
+            let dense = grad.to_dense(STORE_ROWS);
+            let ref_dense = reference.to_dense(STORE_ROWS);
+            assert!(dense.as_slice().iter().zip(ref_dense.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()));
+            let rows: Vec<usize> = grad.iter().map(|(r, _)| r).collect();
+            assert_eq!(rows, reference.order, "each touched row once, in first-touch order");
+            for (row, values) in grad.iter() {
+                let expected = &reference.rows[&row];
+                assert!(values.iter().zip(expected).all(|(a, b)| a.to_bits() == b.to_bits()), "row {row}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The row buffer against the per-row-`Vec` map it replaced: random
+        /// streams of single-row and block accumulations into a running store
+        /// and into block stores merged in (the trainer's per-block merge),
+        /// across params of different widths. Every accumulated bit, the
+        /// touched-row count and the first-touch iteration order must agree.
+        #[test]
+        fn grad_store_matches_the_per_row_map_reference(seed in 0u64..1 << 40, ops in 1usize..120) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut running = Mirrored::default();
+            let mut block = Mirrored::default();
+            for _ in 0..ops {
+                match rng.gen_range(0..5) {
+                    0 | 1 => accumulate_random(&mut running, &mut rng),
+                    2 | 3 => accumulate_random(&mut block, &mut rng),
+                    _ => running.merge(std::mem::take(&mut block)),
+                }
+            }
+            running.merge(block);
+            assert_matches_reference(&running);
+        }
     }
 }
