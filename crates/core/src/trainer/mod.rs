@@ -79,6 +79,7 @@ pub(crate) struct TrainMetrics {
     pairs_total: Counter,
     epochs_total: Counter,
     epoch_pairs_per_sec: Histogram,
+    optimizer_step_nanos: Histogram,
 }
 
 impl TrainMetrics {
@@ -89,7 +90,19 @@ impl TrainMetrics {
             pairs_total: registry.counter("train_pairs_total"),
             epochs_total: registry.counter("train_epochs_total"),
             epoch_pairs_per_sec: registry.histogram("train_epoch_pairs_per_sec"),
+            optimizer_step_nanos: registry.histogram("train_optimizer_step_nanos"),
         })
+    }
+
+    /// Applies one batch's gradients with `adam`, recording the step's wall
+    /// time in `train_optimizer_step_nanos` when `metrics` is enabled (no
+    /// clock read otherwise).
+    pub(crate) fn timed_step(metrics: Option<&Self>, adam: &mut Adam, store: &mut ParamStore, grads: &GradStore) {
+        let started = metrics.map(|_| Instant::now());
+        adam.step(store, grads);
+        if let (Some(metrics), Some(started)) = (metrics, started) {
+            metrics.optimizer_step_nanos.record(started.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Records one finished epoch: its BPR pair count and throughput.
@@ -228,7 +241,7 @@ pub(crate) fn train_impl(
         while let Some(batch) = sampler.next_batch() {
             let (grads, loss) =
                 compute_batch_gradients(&params, batch, config, train_config, use_autograd, force_reference);
-            adam.step(&mut params.store, &grads);
+            TrainMetrics::timed_step(metrics.as_ref(), &mut adam, &mut params.store, &grads);
             epoch_loss += loss as f64 * batch.len() as f64;
             instances += batch.len();
             pairs += batch.iter().map(|i| i.targets.len()).sum::<usize>();

@@ -25,7 +25,7 @@
 use super::{compute_batch_gradients, EpochStats, HamParams};
 use crate::config::{HamConfig, TrainConfig};
 use crate::model::HamModel;
-use ham_autograd::{Adam, AdamConfig, AdamState, Optimizer, ParamId};
+use ham_autograd::{Adam, AdamConfig, AdamState, ParamId};
 use ham_data::batch::BatchSampler;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -188,7 +188,7 @@ impl TrainerState {
                     self.use_autograd,
                     false,
                 );
-                self.adam.step(&mut self.params.store, &grads);
+                super::TrainMetrics::timed_step(metrics.as_ref(), &mut self.adam, &mut self.params.store, &grads);
                 epoch_loss += loss as f64 * batch.len() as f64;
                 instances += batch.len();
                 pairs += batch.iter().map(|i| i.targets.len()).sum::<usize>();
