@@ -219,10 +219,6 @@ impl SparseGrad {
     /// Panics if the column counts differ.
     pub fn merge(&mut self, other: SparseGrad) {
         assert_eq!(self.cols, other.cols, "SparseGrad::merge: width mismatch {} vs {}", self.cols, other.cols);
-        if self.rows.is_empty() {
-            *self = other;
-            return;
-        }
         for (row, grad) in other.iter() {
             match self.slots.get(&row) {
                 Some(&slot) => {

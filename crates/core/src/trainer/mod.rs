@@ -70,7 +70,7 @@ pub(crate) fn block_len(use_autograd: bool) -> usize {
     }
 }
 
-/// Per-epoch training metrics, resolved from the process-global
+/// Per-epoch and per-step training metrics, resolved from the process-global
 /// [`ham_telemetry`] handle ([`ham_telemetry::global`]). `None` when no
 /// enabled handle is installed — recording then costs nothing. Resolved per
 /// training call rather than cached so a handle installed between runs is
