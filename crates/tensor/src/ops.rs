@@ -83,7 +83,7 @@ pub fn relu(m: &Matrix) -> Matrix {
 /// comparator treats NaN as equal to everything, which is not a total
 /// order), but the heap path never lets a NaN displace a real score.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
-    top_k_by_score(scores.len(), k, |i| scores[i])
+    top_k_by_score(scores, k, |_| false)
 }
 
 /// Fused "mask + select" top-k: ranks `scores` exactly as [`top_k_indices`]
@@ -110,32 +110,31 @@ pub fn top_k_indices_masked(scores: &[f32], k: usize, masked: &[bool]) -> Vec<us
         masked.len(),
         scores.len()
     );
-    top_k_by_score(scores.len(), k, |i| if masked[i] { f32::NEG_INFINITY } else { scores[i] })
+    top_k_by_score(scores, k, |i| masked[i])
 }
 
 /// Shared body of [`top_k_indices`] / [`top_k_indices_masked`]: ranks the
-/// indices `0..n` by the effective score `score(i)` (descending, ties to the
-/// lower index).
-fn top_k_by_score(n: usize, k: usize, score: impl Fn(usize) -> f32) -> Vec<usize> {
+/// indices of `scores` by their effective score — `-inf` where `masked(i)`
+/// — descending, ties to the lower index.
+fn top_k_by_score(scores: &[f32], k: usize, masked: impl Fn(usize) -> bool) -> Vec<usize> {
+    let n = scores.len();
     let k = k.min(n);
     if k == 0 {
         return Vec::new();
     }
     // Heap-based partial selection: O(n log k) time, O(k) extra space. The
-    // effective score is a closure (the mask is folded into it), so the scan
-    // offers candidates one at a time; only slice-fed callers get
-    // `push_block`'s chunk skip.
+    // whole slice is one block, so 32-score chunks with nothing above the
+    // kept worst never touch the heap.
     if k * 8 <= n {
         let mut stream = TopKStream::new(k);
-        for index in 0..n {
-            stream.offer(index, score(index));
-        }
+        stream.push_block(0, scores, &masked);
         if stream.len() == k {
             return stream.into_sorted().into_iter().map(|(index, _)| index).collect();
         }
         // Rare: NaNs left fewer than k usable scores. Fall through to the
         // full sort, which pads the ranking with the NaN indices.
     }
+    let score = |i: usize| if masked(i) { f32::NEG_INFINITY } else { scores[i] };
     let cmp =
         |a: &usize, b: &usize| score(*b).partial_cmp(&score(*a)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b));
     let mut idx: Vec<usize> = (0..n).collect();
