@@ -25,7 +25,7 @@
 //! * [`synergy`] — the closed form of the recursive order-`p` synergies.
 //! * [`trainer`] — BPR training: a fast manual-gradient path and an
 //!   autograd-backed reference path (the two are cross-checked in tests).
-//! * [`scorer`] — batch scoring and ranking utilities shared with the
+//! * [`scorer`] — batch scoring and the seen-item mask shared with the
 //!   evaluation harness.
 //! * [`serialize`] — JSON snapshots of trained models.
 //!
@@ -59,6 +59,5 @@ pub mod trainer;
 pub use config::{HamConfig, HamVariant, TrainConfig};
 pub use generalized::{GeneralizedHamConfig, GeneralizedHamModel};
 pub use model::HamModel;
-pub use scorer::{rank_top_k, score_candidates};
-pub use scorer::{LinearHead, Scorer, SeenMask};
+pub use scorer::{score_candidates, LinearHead, Scorer, SeenMask};
 pub use trainer::{train, train_with_history, EpochStats, TrainerState};

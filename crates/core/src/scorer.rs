@@ -4,9 +4,7 @@
 //! helpers.
 
 use ham_data::dataset::ItemId;
-use ham_tensor::ops::top_k_indices;
 use ham_tensor::Matrix;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A model that can score every catalogue item for a user, one user at a time
@@ -285,24 +283,6 @@ impl SeenMask {
     }
 }
 
-/// Ranks all items by score and returns the top `k`, optionally masking the
-/// items in `exclude` (typically the user's training items, following the
-/// evaluation protocol of HGN/Caser which recommend only unseen items).
-pub fn rank_top_k(scores: &[f32], k: usize, exclude: Option<&HashSet<ItemId>>) -> Vec<ItemId> {
-    match exclude {
-        None => top_k_indices(scores, k),
-        Some(excluded) => {
-            let mut masked = scores.to_vec();
-            for (item, score) in masked.iter_mut().enumerate() {
-                if excluded.contains(&item) {
-                    *score = f32::NEG_INFINITY;
-                }
-            }
-            top_k_indices(&masked, k)
-        }
-    }
-}
-
 /// Scores a set of candidate items given a query vector and a candidate
 /// embedding matrix (`scores[c] = q · W[candidates[c]]`).
 pub fn score_candidates(query: &[f32], candidate_embeddings: &ham_tensor::Matrix, candidates: &[ItemId]) -> Vec<f32> {
@@ -314,27 +294,6 @@ mod tests {
     use super::*;
     use crate::config::{HamConfig, HamVariant};
     use crate::model::HamModel;
-
-    #[test]
-    fn rank_without_exclusion_is_plain_top_k() {
-        let scores = [0.1, 0.9, 0.5];
-        assert_eq!(rank_top_k(&scores, 2, None), vec![1, 2]);
-    }
-
-    #[test]
-    fn excluded_items_never_appear() {
-        let scores = [0.9, 0.8, 0.7, 0.6];
-        let exclude: HashSet<usize> = [0, 1].into_iter().collect();
-        assert_eq!(rank_top_k(&scores, 2, Some(&exclude)), vec![2, 3]);
-    }
-
-    #[test]
-    fn excluding_everything_still_returns_k_items() {
-        let scores = [0.9, 0.8];
-        let exclude: HashSet<usize> = [0, 1].into_iter().collect();
-        // all scores are -inf but the ranking is still deterministic
-        assert_eq!(rank_top_k(&scores, 1, Some(&exclude)).len(), 1);
-    }
 
     #[test]
     fn score_candidates_matches_dot_products() {

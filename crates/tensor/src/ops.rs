@@ -186,17 +186,16 @@ const SELECT_CHUNK: usize = 32;
 ///
 /// It keeps the best `k` `(index, score)` pairs of a score sequence seen so
 /// far in a bounded min-heap whose root and threshold carry over from call
-/// to call. Feed it one candidate at a time with [`offer`](Self::offer)
-/// (the closure-scored whole-slice scans behind [`top_k_indices`]) or a
-/// block of consecutive scores with [`push_block`](Self::push_block) (one
-/// cache-hot GEMM tile at a time — the fused score→select driver of the
-/// serving layer). Because indices only grow, a candidate tied with the
-/// current worst can never displace it, so once the heap is full a plain
-/// `score > worst` filter is exact; `push_block` applies it a 32-score chunk
-/// at a time, and chunks with no score above the threshold are skipped
-/// without touching the heap. The kept set after any prefix is the top-`k`
-/// of that prefix under the (score desc, index asc) order, so how the
-/// sequence is cut into blocks never changes the result.
+/// to call. Feed it blocks of consecutive scores with
+/// [`push_block`](Self::push_block): a whole slice as one block (the scans
+/// behind [`top_k_indices`]) or one cache-hot GEMM tile at a time (the fused
+/// score→select driver of the serving layer). Because indices only grow, a
+/// candidate tied with the current worst can never displace it, so once the
+/// heap is full a plain `score > worst` filter is exact; `push_block` applies
+/// it a 32-score chunk at a time, and chunks with no score above the
+/// threshold are skipped without touching the heap. The kept set after any
+/// prefix is the top-`k` of that prefix under the (score desc, index asc)
+/// order, so how the sequence is cut into blocks never changes the result.
 ///
 /// NaN scores are skipped entirely: they never enter the heap (a NaN root
 /// would make the `score > worst` filter always false and silently drop
@@ -234,7 +233,7 @@ impl TopKStream {
     /// above the current worst replaces the root.
     // ham-lint: hot-path
     #[inline]
-    pub fn offer(&mut self, index: usize, score: f32) {
+    fn offer(&mut self, index: usize, score: f32) {
         use std::cmp::Reverse;
         if self.heap.len() < self.k {
             if score.is_nan() {
