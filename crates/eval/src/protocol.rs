@@ -342,6 +342,92 @@ mod tests {
         }
     }
 
+    /// A 96-item catalogue, so `max_rank = 10` takes the select's heap path
+    /// (`10 * 8 <= 96`), split leave-3-out; per user, a score vector built to
+    /// hit one corner of it.
+    fn heap_path_split() -> (DataSplit, Vec<Vec<f32>>) {
+        let sequences: Vec<Vec<usize>> = vec![
+            // All but 7 items seen: masked items pad the top 10.
+            (0..92).collect(),
+            (0..20).map(|t| (t * 5 + 3) % 96).collect(),
+            (0..20).map(|t| (t * 7 + 1) % 96).collect(),
+        ];
+        let split = split_dataset(&SequenceDataset::new("heap", sequences, 96), EvalSetting::Los3);
+        // Seen items score highest, so a mask that leaks shows. Unseen 91 (a
+        // test item) sits at -inf and loses the index tie-break to the
+        // masked padding.
+        let mut nearly_all_seen: Vec<f32> = (0..96).map(|i| 10.0 + i as f32).collect();
+        for (item, score) in [(92, 3.0), (89, 2.0), (93, 2.0), (90, 1.0), (94, 1.0), (95, 0.5), (91, f32::NEG_INFINITY)]
+        {
+            nearly_all_seen[item] = score;
+        }
+        // Mostly -inf: the top 10 runs into -inf ties, masked and unmasked
+        // alike, broken by index, which reaches test item 2 but not 93.
+        let mut minus_inf = vec![f32::NEG_INFINITY; 96];
+        for (item, score) in [(3, 9.0), (8, 8.0), (60, 2.0), (88, 1.5), (50, 0.5), (51, 0.25)] {
+            minus_inf[item] = score;
+        }
+        // Five NaN, one inside the first k and one on test item 24: too few
+        // to force the fallback, so the heap path drops them. Test item 38
+        // takes the 10th place on a tie with the later item 90.
+        let mut few_nan: Vec<f32> = (0..96).map(|i| ((i * 37) % 11) as f32 * 0.25).collect();
+        for (item, score) in [(1, 20.0), (31, 9.0), (38, 4.0), (90, 4.0)] {
+            few_nan[item] = score;
+        }
+        for item in [40, 41, 42, 44, 45, 46, 47, 48] {
+            few_nan[item] = 5.0;
+        }
+        for item in [0, 2, 24, 70, 95] {
+            few_nan[item] = f32::NAN;
+        }
+        (split, vec![nearly_all_seen, minus_inf, few_nan])
+    }
+
+    /// The protocol written out longhand: `-inf` over the history when it is
+    /// masked, NaN dropped, a full sort by (score desc, index asc), cut at
+    /// `max_rank`.
+    fn reference_ranking(scores: &[f32], history: &[usize], config: &EvalConfig) -> Vec<usize> {
+        let mut effective = scores.to_vec();
+        if config.exclude_history_items {
+            for &item in history {
+                effective[item] = f32::NEG_INFINITY;
+            }
+        }
+        let mut ranked: Vec<usize> = (0..effective.len()).filter(|&i| !effective[i].is_nan()).collect();
+        ranked.sort_by(|&a, &b| effective[b].partial_cmp(&effective[a]).expect("NaN dropped").then(a.cmp(&b)));
+        ranked.truncate(config.max_rank);
+        ranked
+    }
+
+    #[test]
+    fn heap_path_evaluation_matches_the_full_sort_reference() {
+        let (split, scores) = heap_path_split();
+        let histories = split.train_with_val();
+        let default = EvalConfig::default();
+        assert_eq!(reference_ranking(&scores[0], &histories[0], &default), [92, 89, 93, 90, 94, 95, 0, 1, 2, 3]);
+        assert_eq!(reference_ranking(&scores[1], &histories[1], &default), [60, 88, 50, 51, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(reference_ranking(&scores[2], &histories[2], &default), [31, 40, 41, 42, 44, 45, 46, 47, 48, 38]);
+        for exclude_history_items in [true, false] {
+            let base = EvalConfig { exclude_history_items, ..default };
+            let want: Vec<MetricSet> = (0..3)
+                .map(|u| {
+                    let truth: HashSet<usize> = split.test[u].iter().copied().collect();
+                    MetricSet::from_ranking(&reference_ranking(&scores[u], &histories[u], &base), &truth)
+                })
+                .collect();
+            for num_threads in [1, 3] {
+                let config = EvalConfig { num_threads, ..base };
+                let per_user = evaluate(&split, &config, |u, _| scores[u].clone());
+                let batched = evaluate_batch(&split, &config, |users, _| {
+                    let rows: Vec<&[f32]> = users.iter().map(|&u| scores[u].as_slice()).collect();
+                    Matrix::from_rows(&rows)
+                });
+                assert_eq!(per_user.per_user, want, "evaluate, {config:?}");
+                assert_eq!(batched.per_user, want, "evaluate_batch, {config:?}");
+            }
+        }
+    }
+
     #[test]
     fn users_without_test_items_are_skipped() {
         let sequences = vec![(0..20).collect::<Vec<usize>>(), vec![0, 1]];

@@ -77,11 +77,10 @@ pub fn relu(m: &Matrix) -> Matrix {
 ///
 /// For `k ≪ n` (ranking 10 recommendations out of a 50k catalogue) a bounded
 /// min-heap scans the scores once without materialising the full `0..n`
-/// index vector; otherwise the quickselect-then-sort path is used. Both
-/// paths order identically for NaN-free inputs (`-inf` masks included);
-/// with NaN present the ordering is unspecified on either path (the
-/// comparator treats NaN as equal to everything, which is not a total
-/// order), but the heap path never lets a NaN displace a real score.
+/// index vector; otherwise the quickselect-then-sort path is used. NaN
+/// ranks below every real score, `-inf` included: the heap path never keeps
+/// one, and the sort places the NaN indices last in ascending order, so the
+/// two paths order identically for any input.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     top_k_by_score(scores, k, |_| false)
 }
@@ -135,8 +134,12 @@ fn top_k_by_score(scores: &[f32], k: usize, masked: impl Fn(usize) -> bool) -> V
         // full sort, which pads the ranking with the NaN indices.
     }
     let score = |i: usize| if masked(i) { f32::NEG_INFINITY } else { scores[i] };
-    let cmp =
-        |a: &usize, b: &usize| score(*b).partial_cmp(&score(*a)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b));
+    // NaN sorts after every real score, so the order is total: the standard
+    // sorts may panic on a comparator that calls NaN equal to everything.
+    let cmp = |a: &usize, b: &usize| {
+        let (sa, sb) = (score(*a), score(*b));
+        sa.is_nan().cmp(&sb.is_nan()).then(sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)).then(a.cmp(b))
+    };
     let mut idx: Vec<usize> = (0..n).collect();
     if k < idx.len() {
         idx.select_nth_unstable_by(k - 1, cmp);
@@ -147,8 +150,8 @@ fn top_k_by_score(scores: &[f32], k: usize, masked: impl Fn(usize) -> bool) -> V
 }
 
 /// A score/index pair ordered by "better recommendation": higher score wins,
-/// ties go to the lower index. NaN compares equal to everything, mirroring
-/// the comparator of the full-sort path.
+/// ties go to the lower index. [`TopKStream`] never keeps a NaN score, so
+/// the order is total on what it holds.
 struct RankedCandidate {
     score: f32,
     index: usize,
@@ -299,6 +302,9 @@ impl TopKStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5
@@ -456,6 +462,81 @@ mod tests {
     #[should_panic(expected = "mask bits")]
     fn masked_top_k_rejects_length_mismatch() {
         let _ = top_k_indices_masked(&[1.0, 2.0], 1, &[false]);
+    }
+
+    /// The per-candidate select the block-fed one replaced, kept as its
+    /// reference: every index offered to the heap one at a time, and where
+    /// that path does not apply, a full stable sort of the real scores
+    /// followed by the NaN indices.
+    fn offered_one_at_a_time(scores: &[f32], k: usize, masked: &[bool]) -> Vec<usize> {
+        let score = |i: usize| if masked[i] { f32::NEG_INFINITY } else { scores[i] };
+        let n = scores.len();
+        let k = k.min(n);
+        if k == 0 {
+            return Vec::new();
+        }
+        if k * 8 <= n {
+            let mut stream = TopKStream::new(k);
+            for index in 0..n {
+                stream.offer(index, score(index));
+            }
+            if stream.len() == k {
+                return stream.into_sorted().into_iter().map(|(index, _)| index).collect();
+            }
+        }
+        let (mut ranked, nan): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| !score(i).is_nan());
+        ranked.sort_by(|&a, &b| score(b).partial_cmp(&score(a)).expect("NaN-free"));
+        ranked.extend(nan);
+        ranked.truncate(k);
+        ranked
+    }
+
+    /// Lengths around the 32-score chunk edges and the `k * 8 == n` heap
+    /// cut-off (`k = n / 8` at 8, 64 and 80).
+    const EDGE_LENGTHS: [usize; 12] = [0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 80, 700];
+    /// Few distinct values, so ties are the rule, with both zeros and both
+    /// infinities; NaN is drawn separately.
+    const PALETTE: [f32; 8] = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, f32::INFINITY, f32::NEG_INFINITY];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `top_k_indices` and `top_k_indices_masked` against the
+        /// per-candidate reference, index vector for index vector: lengths
+        /// 0–700, `k` from 0 to `n + 2`, NaN rates from none to all (a NaN
+        /// planted inside the first `k` on some cases; the high rates leave
+        /// fewer than `k` usable scores and force the fallback), and mask
+        /// densities 0, 0.1, 0.5 and 1.
+        #[test]
+        fn block_fed_select_matches_the_per_candidate_reference(seed in 0u64..1 << 40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = if rng.gen_bool(0.5) {
+                EDGE_LENGTHS[rng.gen_range(0..EDGE_LENGTHS.len())]
+            } else {
+                rng.gen_range(0..701)
+            };
+            let k_choices = [0, 1, 2, 10, n / 8, n / 8 + 1, n.saturating_sub(1), n, n + 1, n + 2, rng.gen_range(0..n + 3)];
+            let k = k_choices[rng.gen_range(0..k_choices.len())];
+            let nan_rate = [0.0, 0.02, 0.3, 0.95, 1.0][rng.gen_range(0..5)];
+            let mut scores: Vec<f32> = (0..n)
+                .map(|_| if rng.gen_bool(nan_rate) { f32::NAN } else { PALETTE[rng.gen_range(0..PALETTE.len())] })
+                .collect();
+            if n > 0 && rng.gen_bool(0.3) {
+                scores[rng.gen_range(0..k.clamp(1, n))] = f32::NAN;
+            }
+            let density = [0.0, 0.1, 0.5, 1.0][rng.gen_range(0..4)];
+            let masked: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
+            prop_assert_eq!(
+                top_k_indices(&scores, k),
+                offered_one_at_a_time(&scores, k, &vec![false; n]),
+                "n = {n}, k = {k}, nan rate = {nan_rate}"
+            );
+            prop_assert_eq!(
+                top_k_indices_masked(&scores, k, &masked),
+                offered_one_at_a_time(&scores, k, &masked),
+                "n = {n}, k = {k}, nan rate = {nan_rate}, mask density = {density}"
+            );
+        }
     }
 
     /// Feeds `scores` to a [`TopKStream`] cut into `block`-sized blocks.
