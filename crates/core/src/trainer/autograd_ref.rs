@@ -2,13 +2,13 @@
 //!
 //! This is the reference trainer: it supports every HAM variant including the
 //! synergy/latent-cross models (Eq. 5–6). Uniform mini-batches build **one
-//! tape per block** of [`TRAIN_BLOCK`] instances — every window of the block
+//! tape per block** of `TRAIN_BLOCK` instances — every window of the block
 //! is gathered at once, pooled with the blocked pooling ops
 //! ([`Graph::mean_pool_blocks`] / [`Graph::max_pool_blocks`]), and all
 //! (positive, negative) pairs are scored through one `repeat_rows` +
 //! `dot_rows` pair of nodes — so the tape length is independent of the batch
 //! size instead of linear in it. A batch of one instance takes the exact
-//! legacy per-instance graph ([`batch_gradients_reference`]), which also
+//! legacy per-instance graph (`batch_gradients_reference`), which also
 //! remains the fallback for non-uniform batches and the target of the
 //! finite-difference gradient checks.
 

@@ -16,8 +16,8 @@
 //!
 //! ## Batched fast path
 //!
-//! [`batch_gradients`] processes a uniform mini-batch in blocks of
-//! [`MANUAL_BLOCK`] instances. Per block it builds the query matrix `Q` once,
+//! `batch_gradients` processes a uniform mini-batch in blocks of
+//! `MANUAL_BLOCK` instances. Per block it builds the query matrix `Q` once,
 //! gathers the block's **unique** candidate items into `C`, scores every
 //! (positive, negative) pair with one
 //! [`matmul_transposed_into`](ham_tensor::kernels::matmul_transposed_into)
@@ -27,7 +27,7 @@
 //! sparse Adam step sees them. A batch (or block) of **one** instance takes
 //! the exact per-instance reference path, so `batch_size = 1` training is
 //! bit-identical to the legacy instance-at-a-time loop
-//! ([`batch_gradients_reference`], against which the GEMM path is pinned at
+//! (`batch_gradients_reference`, against which the GEMM path is pinned at
 //! ≤ 1e-5 by the batch-size-invariance proptests in `trainer::tests`).
 //!
 //! This path only supports `synergy_order == 1`; the synergy variants use the

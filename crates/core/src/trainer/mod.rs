@@ -4,8 +4,8 @@
 //! [`ham_data::batch::BatchSampler`] shuffles the sliding windows and packs
 //! them — negatives included — into fixed-size mini-batches from one seeded
 //! RNG stream (the instance stream is independent of the batch size), each
-//! batch is split into fixed gradient blocks ([`MANUAL_BLOCK`] /
-//! [`TRAIN_BLOCK`] instances) whose
+//! batch is split into fixed gradient blocks (`MANUAL_BLOCK` /
+//! `TRAIN_BLOCK` instances) whose
 //! gradients route through the `Q·Wᵀ` GEMM and rank-1 `axpy_rows` kernels,
 //! and one sparse-row Adam step applies the merged, duplicate-row-coalesced
 //! gradients per batch. With `TrainConfig::num_threads > 1` the blocks of a

@@ -1,16 +1,17 @@
 //! A resumable handle over the mini-batched training pipeline.
 //!
-//! [`train`](super::train) builds its [`ParamStore`] and [`Adam`] state,
-//! runs its epochs, writes the embeddings back into a [`HamModel`] and drops
+//! [`train`](super::train) builds its
+//! [`ParamStore`](ham_autograd::ParamStore) and [`Adam`] state, runs its
+//! epochs, writes the embeddings back into a [`HamModel`] and drops
 //! everything else. An *online* trainer cannot afford that: the next
 //! incremental round must continue from the previous round's optimizer
 //! moments (warm start), and the embedding tables must be able to grow when
 //! the interaction stream mentions unseen users or items.
 //! [`TrainerState`] keeps exactly that state alive between rounds while
 //! routing every batch through the same chunked gradient pipeline
-//! ([`compute_batch_gradients`](super::compute_batch_gradients)) the offline
-//! trainer uses — GEMM-blocked manual gradients or batched autograd tapes,
-//! optionally fanned out on the shared worker pool.
+//! (`compute_batch_gradients`) the offline trainer uses — GEMM-blocked
+//! manual gradients or batched autograd tapes, optionally fanned out on the
+//! shared worker pool.
 //!
 //! Two properties the online loop leans on, both pinned by tests:
 //!

@@ -89,7 +89,7 @@ impl BatchSampler {
     }
 
     /// Creates a sampler over the fresh windows of a
-    /// [`DeltaView`](crate::append::DeltaView): windows come from the
+    /// [`DeltaView`]: windows come from the
     /// compacted delta sub-sequences, negatives are drawn against each
     /// user's **full** seen set, and the emitted instances carry the real
     /// (global) user ids — so an incremental trainer indexes the same

@@ -206,9 +206,9 @@ where
 
 /// Evaluates a batched scoring function on a split.
 ///
-/// `batch_score_fn(users, histories)` receives up to [`SCORE_BATCH`] users at
-/// a time together with their scoring histories (same order) and must return
-/// a `users.len() × split.num_items` score matrix — e.g.
+/// `batch_score_fn(users, histories)` receives up to `SCORE_BATCH` (64)
+/// users at a time together with their scoring histories (same order) and
+/// must return a `users.len() × split.num_items` score matrix — e.g.
 /// `HamModel::score_batch`, which builds the query matrix once and scores the
 /// whole chunk with a single blocked GEMM.
 ///

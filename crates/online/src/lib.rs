@@ -41,7 +41,7 @@
 //!    first touched at global step 10 000 gets the same damped first update
 //!    a row touched at step 1 gets),
 //! 4. the updated parameters are frozen into a
-//!    [`ServingModel`](ham_serve::ServingModel), **shadow-gated** against
+//!    [`ServingModel`], **shadow-gated** against
 //!    the currently served snapshot on a held-out slice of the fresh data
 //!    (see [`PublishGate`] — a candidate that regresses past the tolerance
 //!    never reaches the registry), and published through the

@@ -1,7 +1,7 @@
 //! Inverted-file (IVF) cluster routing: the approximate candidate-generation
 //! tier of the serving layer.
 //!
-//! A [`ClusterIndex`] partitions one shard's candidate rows into per-cluster
+//! A `ClusterIndex` partitions one shard's candidate rows into per-cluster
 //! panels with the seeded, deterministic k-means in [`ham_tensor::cluster`].
 //! At request time the shard scores the query against its centroids (one
 //! small GEMV), visits only the top-`nprobe` clusters, and runs the masked

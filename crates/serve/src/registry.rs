@@ -107,7 +107,7 @@ impl ModelRegistry {
     /// publication's [`PublishedModel::rollback_of`] names the restored
     /// version. Returns the new version number.
     ///
-    /// Only the last [`HISTORY_CAPACITY`] publications are available;
+    /// Only the last `HISTORY_CAPACITY` (8) publications are available;
     /// rolling back to the live version itself is allowed (an explicit
     /// re-pin). The model is shared by `Arc` — no catalogue copy.
     pub fn rollback_to(&self, version: u64) -> Result<u64, RollbackError> {

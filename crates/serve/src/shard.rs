@@ -234,7 +234,7 @@ impl ShardedCatalog {
         self
     }
 
-    /// Builds a per-shard inverted-file index ([`ClusterIndex`]) with the
+    /// Builds a per-shard inverted-file index (`ClusterIndex`) with the
     /// deterministic seeded k-means and switches every shard task to
     /// cluster-routed scoring, visiting `config.nprobe` clusters per shard
     /// per request. With `nprobe = all` (the [`IvfConfig::auto`] default)
