@@ -942,8 +942,9 @@ pub(crate) fn select_widths(ks: &[usize], quantized: bool) -> Vec<usize> {
 }
 
 /// "Better recommendation" ordering: higher score wins, ties go to the lower
-/// global item id; NaN compares equal to everything (same convention as
-/// `top_k_indices`).
+/// global item id (the order of `top_k_indices`). NaN compares equal to
+/// everything; the shard selects keep NaN out of a shortlist whenever `k`
+/// real scores exist.
 fn better(a: &ScoredItem, b: &ScoredItem) -> std::cmp::Ordering {
     a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal).then(b.item.cmp(&a.item))
 }
