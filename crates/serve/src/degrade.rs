@@ -1,20 +1,22 @@
-//! Deadline-bounded, fault-isolated shard scoring — the graceful-degradation
-//! path of the serving layer.
+//! The bulkhead arm of the shard fan-out — deadline-bounded, fault-isolated
+//! shard scoring, the graceful-degradation path of the serving layer.
 //!
-//! The classic scoring path (`ServingModel::recommend_batch_traced`) runs
-//! every shard to completion on the caller or the shared work-stealing pool:
-//! correct and fast, but a shard that stalls (or panics on a worker) holds
-//! the whole batch hostage — there is no way to abandon a `pool.scope` that
-//! has not finished. This module adds the bounded alternative the server
-//! routes to whenever a batch carries a deadline or fault injection is armed:
+//! Every request is served by one plan (`ShardedCatalog::rank_batch`): build
+//! the queries, rank every shard in a task of its own, merge the shortlists.
+//! Only the executor of the shard tasks varies. The scoped arm runs them to
+//! completion on the caller or the shared work-stealing pool: correct and
+//! fast, but a shard that stalls (or panics on a worker) holds the whole
+//! batch hostage — there is no way to abandon a `pool.scope` that has not
+//! finished. The server picks this module's arm instead whenever a batch
+//! carries a deadline or fault injection is armed:
 //!
-//! * a dedicated **bulkhead executor** ([`ShardExecutor`]) scores shard
-//!   blocks on its own threads, so a stalled shard task never occupies the
+//! * a dedicated **bulkhead executor** ([`ShardExecutor`]) runs the shard
+//!   tasks on its own threads, so a stalled shard task never occupies the
 //!   process-wide pool other subsystems (training, evaluation) share;
-//! * the batch coordinator waits for shard results **only until the shard
-//!   deadline**; shards that miss it (or panic) are dropped and the k-way
+//! * the coordinator waits for shard results **only until the shard
+//!   deadline**; shards that miss it (or panic) are left out and the k-way
 //!   merge runs over the survivors — a bounded, *flagged* degradation
-//!   ([`BoundedOutcome::degraded`]) instead of a hang or a silent lie;
+//!   (`RecommendResponse::degraded`) instead of a hang or a silent lie;
 //! * abandoned tasks observe a cancellation flag and bail out of injected
 //!   delays and scoring work within ~1ms, so a backlog of timed-out shard
 //!   tasks drains quickly instead of wedging the executor.
@@ -22,25 +24,24 @@
 //! ## Exactness when nothing degrades
 //!
 //! When every shard answers within budget, the result is **bit-identical to
-//! the classic path**: every shard task makes the classic path's own
-//! per-shard ranking call (`ShardedCatalog::rank_shard` — GEMV for a batch of
-//! one, packed-panel GEMM tiles otherwise, int8 on a quantized catalogue,
-//! cluster-routed on a clustered one), the k-way merge is the very function
-//! the classic path uses, and the quantized pre-selection re-ranks through
-//! the same exact f32 kernel. The chaos suite pins this: under any injected
-//! single-shard fault, a response is either bit-identical to the exact path
-//! or explicitly flagged degraded.
+//! the scoped arm**: every shard task makes the scoped arm's own per-shard
+//! ranking call (`ShardedCatalog::rank_shard` — GEMV for a batch of one,
+//! packed-panel GEMM tiles otherwise, int8 on a quantized catalogue,
+//! cluster-routed on a clustered one), and the k-way merge and the
+//! quantized exact re-rank are one call made after either arm. The chaos
+//! suite pins this: under any injected single-shard fault, a response is
+//! either bit-identical to the exact path or explicitly flagged degraded.
 
-use crate::shard::{quantize_rows, select_widths, ScoredItem, ShardedCatalog};
-use ham_core::SeenMask;
+use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardTally, ShardedCatalog, Shortlists};
+use crate::trace::StageTrace;
 use ham_data::dataset::ItemId;
-use ham_faults::FaultInjector;
+use ham_faults::{FaultInjector, ShardFault};
 use ham_tensor::{Matrix, QuantizedQuery};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A dedicated thread pool for deadline-bounded shard scoring.
 ///
@@ -48,8 +49,8 @@ use std::time::Instant;
 /// blocks until every task finishes, which is exactly the semantics a
 /// deadline must escape, and a slow shard parked on a shared worker would
 /// starve unrelated work. This bulkhead owns its backlog; abandoned tasks
-/// self-cancel (see [`ShardedCatalog::rank_shard_faulted`]) so the
-/// queue drains even under sustained shard slowness.
+/// self-cancel (see `BoundedBatch::run`) so the queue drains even under
+/// sustained shard slowness.
 pub(crate) struct ShardExecutor {
     shared: Arc<ExecutorShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -133,11 +134,9 @@ enum SlotState {
     Pending,
     /// Per-request shortlists ranked in-task + the task's wall time
     /// (scoring and select) in microseconds.
-    Ranked(Vec<Vec<ScoredItem>>, u64),
+    Ranked(Shortlists, u64),
     /// The task panicked (injected or organic); the shard is dropped.
     Panicked,
-    /// The task observed cancellation and skipped its work.
-    Skipped,
 }
 
 /// The rendezvous between a batch coordinator and its shard tasks.
@@ -178,29 +177,142 @@ impl SlotBoard {
         self.cancelled.load(Ordering::Relaxed)
     }
 
+    /// Gives up on the tasks still pending — flips the cancellation flag so
+    /// they drain cheaply — and takes every slot's state.
+    fn cancel(&self) -> Vec<SlotState> {
+        // ordering: Relaxed — advisory-only; see `cancelled`.
+        self.cancelled.store(true, Ordering::Relaxed);
+        // Recover from a panicked shard task's poison; unfilled slots read
+        // as Pending and become part of the degraded answer.
+        std::mem::take(&mut *self.slots.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// Blocks until every slot is non-pending, or `deadline` passes.
     fn wait(&self, deadline: Option<Instant>) {
         // Poison recovery mirrors `fill`: slots a panicked sibling never
         // filled stay Pending and are counted into the degraded response —
         // exactly the contract this module exists to provide.
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if !slots.iter().any(|s| matches!(s, SlotState::Pending)) {
-                return;
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let pending = |slots: &mut Vec<SlotState>| slots.iter().any(|s| matches!(s, SlotState::Pending));
+        let _done = match deadline {
+            None => self.done.wait_while(slots, pending).unwrap_or_else(PoisonError::into_inner),
+            Some(deadline) => {
+                let budget = deadline.saturating_duration_since(Instant::now());
+                self.done.wait_timeout_while(slots, budget, pending).unwrap_or_else(PoisonError::into_inner).0
             }
-            match deadline {
-                None => slots = self.done.wait(slots).unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return;
+        };
+    }
+}
+
+/// One bounded batch as its shard tasks see it. A task that misses the
+/// deadline outlives its batch, so it owns what it reads: a catalogue handle
+/// (a cheap clone) and copies of the ranking inputs (O(batch + total
+/// history), once per batch).
+struct BoundedBatch {
+    catalog: ShardedCatalog,
+    queries: Matrix,
+    qqueries: Option<Vec<QuantizedQuery>>,
+    select_ks: Vec<usize>,
+    seen_items: Vec<Option<Vec<ItemId>>>,
+    faults: FaultInjector,
+    board: SlotBoard,
+}
+
+impl BoundedBatch {
+    /// Shard `shard`'s task: the fault prelude, then the scoped arm's own
+    /// per-shard call (`ShardedCatalog::rank_shard`), so an undegraded
+    /// bounded response is bit-identical to a scoped one. A task the batch
+    /// already gave up on skips its work, and so does one whose injected
+    /// delay outlasts the batch — it sleeps in ~1ms slices, so it stops
+    /// clogging the executor within ~1ms, not `delay`. A panic, injected or
+    /// organic, is caught and reported instead of unwinding into the worker.
+    fn run(&self, shard: usize) {
+        let board = &self.board;
+        if board.cancelled() {
+            return;
+        }
+        let started = Instant::now();
+        let ranked = catch_unwind(AssertUnwindSafe(|| {
+            match self.faults.shard_fault(shard) {
+                Some(ShardFault::Delay(delay)) => {
+                    let until = started + delay;
+                    while let Some(left) = until.checked_duration_since(Instant::now()).filter(|_| !board.cancelled()) {
+                        std::thread::sleep(left.min(Duration::from_millis(1)));
                     }
-                    let (returned, _timeout) =
-                        self.done.wait_timeout(slots, deadline - now).unwrap_or_else(PoisonError::into_inner);
-                    slots = returned;
                 }
+                Some(ShardFault::Panic) => panic!("ham-faults: injected panic in shard {shard}"),
+                None => {}
+            }
+            let (queries, qqueries) = (&self.queries, self.qqueries.as_deref());
+            let rank = || {
+                self.catalog.rank_shard(shard, queries, qqueries, &self.select_ks, &self.seen_items, &mut Vec::new())
+            };
+            (!board.cancelled()).then(rank)
+        }));
+        // A skipped task's slot is gone with its batch; it reports nothing.
+        match ranked {
+            Ok(Some(lists)) => board.fill(shard, SlotState::Ranked(lists, started.elapsed().as_micros() as u64)),
+            Ok(None) => {}
+            Err(_) => board.fill(shard, SlotState::Panicked),
+        }
+    }
+}
+
+impl ShardExecutor {
+    /// The bulkhead arm of the shard fan-out (`ShardRun::Bulkhead`): ranks
+    /// every non-empty shard of `catalog` in a task of its own on this
+    /// executor and waits for them until `deadline` (forever when `None` —
+    /// then only panics can degrade), then gives up on the rest. Returns each
+    /// shard's shortlists (`None` for a shard left out; an empty shard
+    /// answers vacuously, with no task and no fault surface), the answered
+    /// tasks' wall times as `(shard, micros)`, and the tally.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rank_shards(
+        &self,
+        catalog: &ShardedCatalog,
+        queries: &Matrix,
+        qqueries: Option<&[QuantizedQuery]>,
+        select_ks: &[usize],
+        seen_items: &[Option<&[ItemId]>],
+        deadline: Option<Instant>,
+        faults: &FaultInjector,
+    ) -> (Vec<Option<Shortlists>>, Vec<(usize, u64)>, ShardTally) {
+        let shards = catalog.num_shards();
+        let batch = Arc::new(BoundedBatch {
+            catalog: catalog.clone(),
+            queries: queries.clone(),
+            qqueries: qqueries.map(<[QuantizedQuery]>::to_vec),
+            select_ks: select_ks.to_vec(),
+            seen_items: seen_items.iter().map(|items| items.map(<[ItemId]>::to_vec)).collect(),
+            faults: faults.clone(),
+            board: SlotBoard::new(shards),
+        });
+        for shard in 0..shards {
+            if catalog.shards()[shard].is_empty() {
+                batch.board.fill(shard, SlotState::Ranked(vec![Vec::new(); queries.rows()], 0));
+            } else {
+                let batch = Arc::clone(&batch);
+                self.submit(Box::new(move || batch.run(shard)));
             }
         }
+        batch.board.wait(deadline);
+        let (mut shard_micros, mut tally) = (Vec::new(), ShardTally::default());
+        let states = batch.board.cancel().into_iter().enumerate();
+        let per_shard = states.map(|(shard, state)| match state {
+            SlotState::Ranked(lists, micros) => {
+                shard_micros.push((shard, micros));
+                Some(lists)
+            }
+            SlotState::Panicked => {
+                tally.panicked.push(shard);
+                None
+            }
+            SlotState::Pending => {
+                tally.timed_out.push(shard);
+                None
+            }
+        });
+        (per_shard.collect(), shard_micros, tally)
     }
 }
 
@@ -234,7 +346,8 @@ impl BoundedOutcome {
 
 /// Scores `queries` against every shard on the bulkhead executor, waits at
 /// most until `shard_deadline` (forever when `None` — then only panics can
-/// degrade), and ranks each request over the shards that answered.
+/// degrade), and ranks each request over the shards that answered: the
+/// bulkhead arm of `ShardedCatalog::rank_batch`.
 ///
 /// `seen_items[i]` / `ks[i]` follow the same per-row convention as the
 /// classic batched path.
@@ -247,101 +360,19 @@ pub(crate) fn score_bounded(
     shard_deadline: Option<Instant>,
     faults: &FaultInjector,
 ) -> BoundedOutcome {
-    let b = queries.rows();
-    let shards_total = catalog.num_shards();
-    let quantized = catalog.is_quantized();
-    let qqueries: Option<Arc<Vec<QuantizedQuery>>> = quantized.then(|| Arc::new(quantize_rows(&queries)));
-    let queries = Arc::new(queries);
-    // Shard tasks are 'static closures, so the per-request ranking inputs
-    // they need — the pre-selection widths and owned copies of the seen
-    // histories — ride along behind Arcs (O(total history) copied once per
-    // batch).
-    let select_ks: Arc<Vec<usize>> = Arc::new(select_widths(ks, quantized));
-    let owned_seen: Arc<Vec<Option<Vec<ItemId>>>> =
-        Arc::new(seen_items.iter().map(|items| items.map(<[ItemId]>::to_vec)).collect());
-    let board = Arc::new(SlotBoard::new(shards_total));
-    for shard in 0..shards_total {
-        if catalog.shards()[shard].is_empty() {
-            // An empty shard answers vacuously — no task, no fault surface.
-            board.fill(shard, SlotState::Ranked(vec![Vec::new(); b], 0));
-            continue;
-        }
-        let catalog = Arc::clone(catalog);
-        let queries = Arc::clone(&queries);
-        let qqueries = qqueries.clone();
-        let select_ks = Arc::clone(&select_ks);
-        let owned_seen = Arc::clone(&owned_seen);
-        let board = Arc::clone(&board);
-        let faults = faults.clone();
-        executor.submit(Box::new(move || {
-            if board.cancelled() {
-                board.fill(shard, SlotState::Skipped);
-                return;
-            }
-            let started = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                catalog.rank_shard_faulted(
-                    shard,
-                    &queries,
-                    qqueries.as_deref().map(Vec::as_slice),
-                    &select_ks,
-                    &owned_seen,
-                    &faults,
-                    &|| board.cancelled(),
-                )
-            }));
-            let state = match result {
-                Ok(Some(lists)) => SlotState::Ranked(lists, started.elapsed().as_micros() as u64),
-                Ok(None) => SlotState::Skipped,
-                Err(_) => SlotState::Panicked,
-            };
-            board.fill(shard, state);
-        }));
-    }
-    board.wait(shard_deadline);
-    // Whatever is still pending has missed the budget: flip the cancellation
-    // flag so those tasks drain cheaply, then classify the slots.
-    // ordering: Relaxed — advisory-only; see `SlotBoard::cancelled`.
-    board.cancelled.store(true, Ordering::Relaxed);
-    let slots = {
-        // Recover from a panicked shard task's poison; unfilled slots read
-        // as Pending below and become part of the degraded answer.
-        let mut slots = board.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *slots)
-    };
-    let mut survivors: Vec<Vec<Vec<ScoredItem>>> = Vec::with_capacity(shards_total);
-    let mut timed_out = Vec::new();
-    let mut panicked = Vec::new();
-    let mut shard_micros = Vec::new();
-    for (shard, state) in slots.into_iter().enumerate() {
-        match state {
-            SlotState::Ranked(lists, micros) => {
-                shard_micros.push((shard, micros));
-                survivors.push(lists);
-            }
-            SlotState::Panicked => panicked.push(shard),
-            SlotState::Pending | SlotState::Skipped => timed_out.push(shard),
-        }
-    }
-    let shards_answered = survivors.len();
-
-    // Merge each request over the surviving shards' shortlists — the same
-    // k-way merge and (quantized) exact re-rank as the classic path,
-    // restricted to the shards that answered.
-    let merge_started = Instant::now();
-    let mut rerank_seen = quantized.then(SeenMask::default);
-    let (rankings, rerank_micros) =
-        catalog.merge_shortlists(survivors, &queries, ks, seen_items, rerank_seen.as_mut(), true);
-    let merge_micros = (merge_started.elapsed().as_micros() as u64).saturating_sub(rerank_micros);
-
+    let qqueries = catalog.is_quantized().then(|| quantize_rows(&queries));
+    let run = ShardRun::Bulkhead { executor, deadline: shard_deadline, faults };
+    let (mut trace, scratch) = (StageTrace::new(), &mut FlatScratch::default());
+    let (rankings, tally) =
+        catalog.rank_batch(&queries, qqueries.as_deref(), ks, seen_items, run, Some(&mut trace), scratch);
     BoundedOutcome {
         rankings,
-        shards_answered,
-        shards_total,
-        timed_out,
-        panicked,
-        shard_micros,
-        merge_micros,
-        rerank_micros,
+        shards_answered: catalog.num_shards() - tally.dropped(),
+        shards_total: catalog.num_shards(),
+        timed_out: tally.timed_out,
+        panicked: tally.panicked,
+        shard_micros: trace.shard_score_micros,
+        merge_micros: trace.merge_micros,
+        rerank_micros: trace.rerank_micros,
     }
 }

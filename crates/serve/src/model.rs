@@ -2,7 +2,7 @@
 
 use crate::ivf::IvfConfig;
 use crate::request::RecommendRequest;
-use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardedCatalog};
+use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardedCatalog};
 use crate::trace::StageTrace;
 use ham_core::{LinearHead, Scorer};
 use ham_data::dataset::ItemId;
@@ -245,7 +245,8 @@ impl ServingModel {
         let seen_items = [request.exclude_seen.then_some(request.history.as_slice())];
         // ham-lint: allow(alloc, "empty Vecs; each grows once, to its shard, in its task")
         flat.tiles.resize_with(self.catalog.num_shards(), Vec::new);
-        let mut out = self.catalog.rank_batch(&queries, qqueries, &[request.k], &seen_items, pool, trace, flat);
+        let run = ShardRun::Scoped(pool);
+        let mut out = self.catalog.rank_batch(&queries, qqueries, &[request.k], &seen_items, run, trace, flat).0;
         out.pop().unwrap_or_default()
     }
 
@@ -315,7 +316,8 @@ impl ServingModel {
                 }
                 let qqueries = self.catalog.is_quantized().then(|| quantize_rows(&queries));
                 let scratch = &mut FlatScratch::default();
-                self.catalog.rank_batch(&queries, qqueries.as_deref(), &ks, &seen, pool, trace, scratch)
+                let run = ShardRun::Scoped(pool);
+                self.catalog.rank_batch(&queries, qqueries.as_deref(), &ks, &seen, run, trace, scratch).0
             }
         }
     }

@@ -42,12 +42,14 @@
 //! caller only merges. Tiling is invisible in the results for the same two
 //! reasons sharding is: a GEMM element's bits do not depend on how rows are
 //! grouped, and the select keeps the exact top-k of every prefix under the
-//! shared comparator. Every path is this one driver — `fan_out` over
-//! `rank_shard`, then `merge_shortlists` — exact, quantized or
-//! deadline-bounded, and so is a lone request: a batch of one row whose
-//! single tile is the whole shard, scored by the fused GEMV, its shard tasks
-//! in turn on the caller or — per the serving model's freeze-time plan — in
-//! parallel on the pool.
+//! shared comparator. Every path is this one driver — `rank_shard` fanned out
+//! over the shards, then one `merge_shortlists` over the shards that
+//! answered — exact or quantized, flat or clustered, batch or lone request (a
+//! batch of one row whose single tile is the whole shard, scored by the fused
+//! GEMV). Only the executor varies, by a `ShardRun` policy: the tasks run to
+//! completion in turn on the caller or in parallel on the pool, or on the
+//! bulkhead executor (`degrade`) until a deadline, where a shard that misses
+//! it or panics is left out of the merge.
 //!
 //! ## IVF on the same driver
 //!
@@ -77,18 +79,19 @@
 //! are integer-accumulated and therefore bit-identical across tiers and
 //! shard counts by construction.
 
+use crate::degrade::ShardExecutor;
 use crate::ivf::{ClusterIndex, IvfConfig, PROBE_ALL};
 use crate::trace::StageTrace;
 use ham_core::SeenMask;
 use ham_data::dataset::ItemId;
-use ham_faults::{FaultInjector, ShardFault};
+use ham_faults::FaultInjector;
 use ham_tensor::kernels;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One recommended item with its model score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,11 +148,16 @@ impl Shard {
 }
 
 /// The candidate matrix `W` split row-wise into shards.
+///
+/// Cloning is cheap — the matrix and the shards (int8 panels and cluster
+/// indexes included) are shared, not copied.
 #[derive(Debug, Clone)]
 pub struct ShardedCatalog {
     /// The whole candidate matrix; shard `s` is its rows `shards[s].range()`.
     candidates: Arc<Matrix>,
-    shards: Vec<Shard>,
+    /// Shared so that a bulkhead shard task, which may outlive its batch,
+    /// holds a catalogue handle of its own.
+    shards: Arc<Vec<Shard>>,
     /// Clusters visited per shard per request on a clustered catalogue
     /// ([`crate::ivf::PROBE_ALL`] = every cluster, the exact endpoint).
     /// Ignored until a cluster index is built.
@@ -201,7 +209,7 @@ impl ShardedCatalog {
             shards.push(Shard { offset, len, quantized: None, ivf: None });
             offset += len;
         }
-        Self { candidates: w, shards, nprobe: PROBE_ALL }
+        Self { candidates: w, shards: Arc::new(shards), nprobe: PROBE_ALL }
     }
 
     /// Shard `shard`'s rows of the candidate matrix, row-major
@@ -225,7 +233,7 @@ impl ShardedCatalog {
     pub fn with_quantization(mut self) -> Self {
         for s in 0..self.shards.len() {
             let panel = QuantizedMatrix::quantize(&self.shard_matrix(s));
-            let shard = &mut self.shards[s];
+            let shard = &mut Arc::make_mut(&mut self.shards)[s];
             shard.quantized = Some(panel);
             if let Some(ivf) = &mut shard.ivf {
                 ivf.quantize_panels();
@@ -243,7 +251,7 @@ impl ShardedCatalog {
     pub fn with_cluster_index(mut self, config: &IvfConfig) -> Self {
         for s in 0..self.shards.len() {
             let mut index = ClusterIndex::build(&self.shard_matrix(s), config, self.shards[s].offset as u64);
-            let shard = &mut self.shards[s];
+            let shard = &mut Arc::make_mut(&mut self.shards)[s];
             if shard.quantized.is_some() {
                 index.quantize_panels();
             }
@@ -331,60 +339,12 @@ impl ShardedCatalog {
         kernels::matvec_transposed_rows_into(&self.candidates, query, self.shards[shard].range(), out);
     }
 
-    /// The degraded path's per-shard unit of work: the fault prelude, then
-    /// [`Self::rank_shard`] — the very call the classic path makes, so an
-    /// undegraded bounded response is bit-identical to the classic one. An
-    /// injected [`ShardFault::Delay`] sleeps cooperatively, a
-    /// [`ShardFault::Panic`] panics (the caller runs this under
-    /// `catch_unwind`). `qqueries` must be `Some` exactly when the catalogue
-    /// is quantized.
-    ///
-    /// Returns `None` when `cancelled` turned true during an injected delay:
-    /// the batch already gave up on this shard, so the remaining sleep and
-    /// the scoring work are skipped to free the executor worker quickly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rank_shard_faulted(
-        &self,
-        shard: usize,
-        queries: &Matrix,
-        qqueries: Option<&[QuantizedQuery]>,
-        select_ks: &[usize],
-        seen_items: &[Option<Vec<ItemId>>],
-        faults: &FaultInjector,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Option<Vec<Vec<ScoredItem>>> {
-        match faults.shard_fault(shard) {
-            Some(ShardFault::Delay(delay)) => {
-                // Sleep in small slices, checking for cancellation between
-                // them: a shard whose batch already timed out must stop
-                // clogging the bulkhead executor within ~1ms, not `delay`.
-                let until = Instant::now() + delay;
-                loop {
-                    if cancelled() {
-                        return None;
-                    }
-                    let now = Instant::now();
-                    if now >= until {
-                        break;
-                    }
-                    std::thread::sleep((until - now).min(Duration::from_millis(1)));
-                }
-            }
-            Some(ShardFault::Panic) => panic!("ham-faults: injected panic in shard {shard}"),
-            None => {}
-        }
-        if cancelled() {
-            return None;
-        }
-        Some(self.rank_shard(shard, queries, qqueries, select_ks, seen_items, &mut Vec::new()))
-    }
-
     /// Ranks one shard for a query block — the one per-shard call of every
     /// serving path: flat or clustered catalogue, lone request (a block of
-    /// one row) or batch, classic or deadline-bounded. Request `i` gets its
+    /// one row) or batch, scoped or on the bulkhead. Request `i` gets its
     /// best `select_ks[i]` items of shard `s` with `seen_items[i]` masked;
     /// `tile` is the task's score scratch, grown as needed.
-    fn rank_shard<S: AsRef<[ItemId]>>(
+    pub(crate) fn rank_shard<S: AsRef<[ItemId]>>(
         &self,
         s: usize,
         queries: &Matrix,
@@ -702,10 +662,8 @@ impl ShardedCatalog {
     /// Re-scores `candidates` with the exact f32 per-row dot (the same
     /// dispatched kernel chain as the exact GEMV path — bit-identical per
     /// row), re-applies the mask, and keeps the top `k` under the exact
-    /// comparator. Crate-visible so the deadline-bounded degraded path
-    /// (`degrade`) re-ranks its quantized pre-selection with the very same
-    /// code and stays bit-identical when no shard was dropped.
-    pub(crate) fn rerank_exact(
+    /// comparator.
+    fn rerank_exact(
         &self,
         candidates: Vec<ScoredItem>,
         query: &[f32],
@@ -745,7 +703,8 @@ impl ShardedCatalog {
         pool: Option<&ThreadPool>,
     ) -> Vec<Vec<ScoredItem>> {
         let qqueries = quantize_rows(queries);
-        self.rank_batch(queries, Some(&qqueries), ks, seen_items, pool, None, &mut FlatScratch::default())
+        let run = ShardRun::Scoped(pool);
+        self.rank_batch(queries, Some(&qqueries), ks, seen_items, run, None, &mut FlatScratch::default()).0
     }
 
     /// Global top-k for a query batch: every shard task (in parallel on
@@ -769,18 +728,19 @@ impl ShardedCatalog {
         seen_items: &[Option<&[ItemId]>],
         pool: Option<&ThreadPool>,
     ) -> Vec<Vec<ScoredItem>> {
-        self.rank_batch(queries, None, ks, seen_items, pool, None, &mut FlatScratch::default())
+        self.rank_batch(queries, None, ks, seen_items, ShardRun::Scoped(pool), None, &mut FlatScratch::default()).0
     }
 
-    /// The classic path of every catalogue, for a batch or a lone request (a
-    /// one-row `queries`): fan [`Self::rank_shard`] out over the shards,
-    /// then merge each request's k-element shortlists. With `qqueries` (row
-    /// `i`'s quantized query) the shards pre-select `2k` through their int8
-    /// panels and the merged candidates are re-ranked with the exact f32
-    /// dot. When `trace` is given, the per-shard task durations, the k-way
+    /// The one ranking plan of every catalogue, for a batch or a lone request
+    /// (a one-row `queries`): fan [`Self::rank_shard`] out over the shards as
+    /// `run` says, then merge each request's k-element shortlists over the
+    /// shards that answered. With `qqueries` (row `i`'s quantized query) the
+    /// shards pre-select `2k` through their int8 panels and the merged
+    /// candidates are re-ranked with the exact f32 dot. When `trace` is
+    /// given, the durations of the shard tasks that answered, the k-way
     /// merges and the re-rank are clocked into it. A caller that keeps
-    /// `scratch` with one tile per shard spares later calls their score-tile
-    /// allocations.
+    /// `scratch` with one tile per shard spares later scoped calls their
+    /// score-tile allocations.
     ///
     /// # Panics
     /// Panics if `ks` or `seen_items` do not have one entry per query row.
@@ -791,17 +751,25 @@ impl ShardedCatalog {
         qqueries: Option<&[QuantizedQuery]>,
         ks: &[usize],
         seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
+        run: ShardRun<'_>,
         trace: Option<&mut StageTrace>,
         scratch: &mut FlatScratch,
-    ) -> Vec<Vec<ScoredItem>> {
+    ) -> (Vec<Vec<ScoredItem>>, ShardTally) {
         let b = queries.rows();
         assert_eq!(ks.len(), b, "top_k_batch: {} k values for {} queries", ks.len(), b);
         assert_eq!(seen_items.len(), b, "top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
         let select_ks = select_widths(ks, qqueries.is_some());
-        let (per_shard, shard_micros) = self.fan_out(pool, &mut scratch.tiles, |s, tile| {
-            self.rank_shard(s, queries, qqueries, &select_ks, seen_items, tile)
-        });
+        let (per_shard, shard_micros, tally) = match run {
+            ShardRun::Scoped(pool) => {
+                let (per_shard, shard_micros) = self.fan_out(pool, &mut scratch.tiles, |s, tile| {
+                    self.rank_shard(s, queries, qqueries, &select_ks, seen_items, tile)
+                });
+                (per_shard, shard_micros, ShardTally::default())
+            }
+            ShardRun::Bulkhead { executor, deadline, faults } => {
+                executor.rank_shards(self, queries, qqueries, &select_ks, seen_items, deadline, faults)
+            }
+        };
         let merge_started = trace.is_some().then(Instant::now);
         let rerank_seen = qqueries.is_some().then_some(&mut scratch.seen);
         let (out, rerank_micros) =
@@ -812,20 +780,19 @@ impl ShardedCatalog {
             trace.merge_micros = merge_micros.saturating_sub(rerank_micros);
             trace.rerank_micros = rerank_micros;
         }
-        out
+        (out, tally)
     }
 
-    /// The coordinator stage after in-task ranking, shared by the classic
-    /// flat path and the deadline-bounded one (`degrade`, over the shards
-    /// that answered): k-way merges each request's per-shard shortlists
-    /// (`per_shard[s][i]`, consumed) and, given `rerank_seen` — the
+    /// The coordinator stage after in-task ranking: k-way merges each
+    /// request's shortlists over the shards that answered (`per_shard[s][i]`,
+    /// consumed; a `None` shard is left out) and, given `rerank_seen` — the
     /// quantized flavour — re-ranks the merged `2k` candidates with the
     /// exact f32 dot, masking through that bitmap (exact scores of seen
     /// candidates must stay `-inf`). Returns the rankings and the
     /// microseconds spent re-ranking (clocked only when `timed`; else 0).
-    pub(crate) fn merge_shortlists(
+    fn merge_shortlists(
         &self,
-        mut per_shard: Vec<Vec<Vec<ScoredItem>>>,
+        mut per_shard: Vec<Option<Shortlists>>,
         queries: &Matrix,
         ks: &[usize],
         seen_items: &[Option<&[ItemId]>],
@@ -838,7 +805,8 @@ impl ShardedCatalog {
         }
         let mut out = Vec::with_capacity(ks.len());
         for (i, &k) in ks.iter().enumerate() {
-            let lists: Vec<Vec<ScoredItem>> = per_shard.iter_mut().map(|lists| std::mem::take(&mut lists[i])).collect();
+            let lists: Vec<Vec<ScoredItem>> =
+                per_shard.iter_mut().flatten().map(|lists| std::mem::take(&mut lists[i])).collect();
             let merged = merge_top_k(&lists, select_width(k, rerank_seen.is_some()));
             out.push(match rerank_seen.as_deref_mut() {
                 Some(seen) => {
@@ -856,18 +824,19 @@ impl ShardedCatalog {
         (out, rerank_micros)
     }
 
-    /// Runs `task(s, tile)` for every shard — in parallel on `pool` when more
-    /// than one shard is non-empty (a single active shard has nothing to
-    /// overlap, so it skips the pool hand-off), in turn on the caller
-    /// otherwise — and returns the results in shard order with each task's
-    /// wall time as `(shard, micros)`. Shard `s`'s score tile is `tiles[s]`;
-    /// past the end of `tiles`, an empty one that lives as long as the task.
+    /// The scoped arm of [`ShardRun`]: runs `task(s, tile)` for every shard —
+    /// in parallel on `pool` when more than one shard is non-empty (a single
+    /// active shard has nothing to overlap, so it skips the pool hand-off),
+    /// in turn on the caller otherwise — and returns every shard's result in
+    /// shard order with each task's wall time as `(shard, micros)`. Shard
+    /// `s`'s score tile is `tiles[s]`; past the end of `tiles`, an empty one
+    /// that lives as long as the task.
     fn fan_out<T: Send>(
         &self,
         pool: Option<&ThreadPool>,
         tiles: &mut [Vec<f32>],
         task: impl Fn(usize, &mut Vec<f32>) -> T + Sync,
-    ) -> (Vec<T>, Vec<(usize, u64)>) {
+    ) -> (Vec<Option<T>>, Vec<(usize, u64)>) {
         let timed = |s: usize, tile: Option<&mut Vec<f32>>| {
             let started = Instant::now();
             (task(s, tile.unwrap_or(&mut Vec::new())), started.elapsed().as_micros() as u64)
@@ -890,7 +859,38 @@ impl ShardedCatalog {
         }
         // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
         let done = slots.into_iter().map(|slot| slot.expect("shard task never ran"));
-        done.enumerate().map(|(s, (out, micros))| (out, (s, micros))).unzip()
+        done.enumerate().map(|(s, (out, micros))| (Some(out), (s, micros))).unzip()
+    }
+}
+
+/// One shard's ranking of a query block: request `i`'s shortlist at `[i]`.
+pub(crate) type Shortlists = Vec<Vec<ScoredItem>>;
+
+/// How the shard tasks of one [`ShardedCatalog::rank_batch`] call run — the
+/// only thing that differs between the serving paths.
+pub(crate) enum ShardRun<'a> {
+    /// To completion: in parallel on the pool when given, in turn on the
+    /// caller otherwise. Every shard answers.
+    Scoped(Option<&'a ThreadPool>),
+    /// On the bulkhead `executor`, each task behind the fault prelude that
+    /// `faults` arms, waited for until `deadline` (forever when `None`, when
+    /// only a panic can drop a shard).
+    Bulkhead { executor: &'a ShardExecutor, deadline: Option<Instant>, faults: &'a FaultInjector },
+}
+
+/// Which shards' shortlists were left out of a merge.
+#[derive(Debug, Default)]
+pub(crate) struct ShardTally {
+    /// Shards left out for missing the deadline.
+    pub timed_out: Vec<usize>,
+    /// Shards left out because their task panicked.
+    pub panicked: Vec<usize>,
+}
+
+impl ShardTally {
+    /// How many shards were left out of the merge.
+    pub fn dropped(&self) -> usize {
+        self.timed_out.len() + self.panicked.len()
     }
 }
 
@@ -1156,7 +1156,7 @@ mod tests {
                     let qq = quantized.then(|| vec![QuantizedQuery::quantize(queries.row(0))]);
                     let seen = [Some(history.as_slice())];
                     let serve = |scratch: &mut FlatScratch| {
-                        cat.rank_batch(queries, qq.as_deref(), &[7], &seen, pool, None, scratch)
+                        cat.rank_batch(queries, qq.as_deref(), &[7], &seen, ShardRun::Scoped(pool), None, scratch).0
                     };
                     assert_eq!(serve(&mut kept), serve(&mut FlatScratch::default()), "quantized = {quantized}");
                     assert!(kept.tiles.iter().all(|tile| !tile.is_empty()), "a kept tile went unused");
