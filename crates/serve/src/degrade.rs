@@ -32,8 +32,7 @@
 //! suite pins this: under any injected single-shard fault, a response is
 //! either bit-identical to the exact path or explicitly flagged degraded.
 
-use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardTally, ShardedCatalog, Shortlists};
-use crate::trace::StageTrace;
+use crate::shard::{ShardTally, ShardedCatalog, Shortlists};
 use ham_data::dataset::ItemId;
 use ham_faults::{FaultInjector, ShardFault};
 use ham_tensor::{Matrix, QuantizedQuery};
@@ -313,66 +312,5 @@ impl ShardExecutor {
             }
         });
         (per_shard.collect(), shard_micros, tally)
-    }
-}
-
-/// The result of one deadline-bounded batch.
-pub(crate) struct BoundedOutcome {
-    /// Per-request rankings over the surviving shards, batch order.
-    pub rankings: Vec<Vec<ScoredItem>>,
-    /// Shards whose scores made it into the merge (empty shards count — they
-    /// answer vacuously).
-    pub shards_answered: usize,
-    /// Total shards in the catalogue.
-    pub shards_total: usize,
-    /// Shard ids dropped because they missed the deadline budget.
-    pub timed_out: Vec<usize>,
-    /// Shard ids dropped because their scoring task panicked.
-    pub panicked: Vec<usize>,
-    /// `(shard id, scoring micros)` of the shards that answered in time.
-    pub shard_micros: Vec<(usize, u64)>,
-    /// Wall time of the k-way merges over the survivors, microseconds.
-    pub merge_micros: u64,
-    /// Wall time of the exact re-rank (quantized catalogues only).
-    pub rerank_micros: u64,
-}
-
-impl BoundedOutcome {
-    /// Whether any shard was dropped from the merge.
-    pub fn degraded(&self) -> bool {
-        self.shards_answered < self.shards_total
-    }
-}
-
-/// Scores `queries` against every shard on the bulkhead executor, waits at
-/// most until `shard_deadline` (forever when `None` — then only panics can
-/// degrade), and ranks each request over the shards that answered: the
-/// bulkhead arm of `ShardedCatalog::rank_batch`.
-///
-/// `seen_items[i]` / `ks[i]` follow the same per-row convention as the
-/// classic batched path.
-pub(crate) fn score_bounded(
-    catalog: &Arc<ShardedCatalog>,
-    queries: Matrix,
-    ks: &[usize],
-    seen_items: &[Option<&[ItemId]>],
-    executor: &ShardExecutor,
-    shard_deadline: Option<Instant>,
-    faults: &FaultInjector,
-) -> BoundedOutcome {
-    let qqueries = catalog.is_quantized().then(|| quantize_rows(&queries));
-    let run = ShardRun::Bulkhead { executor, deadline: shard_deadline, faults };
-    let (mut trace, scratch) = (StageTrace::new(), &mut FlatScratch::default());
-    let (rankings, tally) =
-        catalog.rank_batch(&queries, qqueries.as_deref(), ks, seen_items, run, Some(&mut trace), scratch);
-    BoundedOutcome {
-        rankings,
-        shards_answered: catalog.num_shards() - tally.dropped(),
-        shards_total: catalog.num_shards(),
-        timed_out: tally.timed_out,
-        panicked: tally.panicked,
-        shard_micros: trace.shard_score_micros,
-        merge_micros: trace.merge_micros,
-        rerank_micros: trace.rerank_micros,
     }
 }

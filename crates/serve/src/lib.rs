@@ -36,11 +36,15 @@
 //! * deadlines & degradation — requests carry deadlines
 //!   ([`RecommendRequest::with_deadline`] or
 //!   [`ServerConfig::default_deadline`]): expired-in-queue requests are shed
-//!   with [`server::SubmitError::DeadlineExpired`], and a deadline-carrying
-//!   batch is scored on a bulkhead executor where a shard that misses its
-//!   budget (or panics) is dropped from the k-way merge — the response comes
-//!   back flagged [`RecommendResponse::degraded`] with
-//!   [`RecommendResponse::shards_answered`] naming how complete it is.
+//!   with [`server::SubmitError::DeadlineExpired`]. Every batch is served by
+//!   one plan — build the queries, rank each shard in its own task, merge —
+//!   and only the executor of the shard tasks varies: a deadline-carrying
+//!   (or fault-injected) batch runs them on a bulkhead executor, where a
+//!   shard that misses its budget (or panics) is dropped from the k-way
+//!   merge — the response comes back flagged [`RecommendResponse::degraded`]
+//!   with [`RecommendResponse::shards_answered`] naming how complete it is.
+//!   A panic anywhere in the plan falls back to per-request retries; it
+//!   never takes the dispatcher down.
 //!   [`ModelRegistry::rollback_to`] republishes an archived snapshot when a
 //!   freshly published model misbehaves. Deterministic fault injection for
 //!   all of this lives in `ham-faults` (`HAM_FAULTS=<spec>`).

@@ -2,7 +2,7 @@
 
 use crate::ivf::IvfConfig;
 use crate::request::RecommendRequest;
-use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardedCatalog};
+use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardTally, ShardedCatalog};
 use crate::trace::StageTrace;
 use ham_core::{LinearHead, Scorer};
 use ham_data::dataset::ItemId;
@@ -37,10 +37,7 @@ use std::sync::Arc;
 /// path (pinned by the serving tests as a recall guardrail).
 pub struct ServingModel {
     name: String,
-    /// Behind an `Arc`: the deadline-bounded degraded path hands each shard
-    /// task its own catalogue handle, so a task that outlives its batch (a
-    /// timed-out slow shard) can never dangle.
-    catalog: Arc<ShardedCatalog>,
+    catalog: ShardedCatalog,
     query: ham_core::scorer::QueryFn<'static>,
     /// The freeze-time plan for a lone request ([`solo_fans_out`]).
     solo_fan_out: bool,
@@ -130,14 +127,12 @@ impl ServingModel {
     /// what the snapshot contains.
     fn freeze(name: String, catalog: ShardedCatalog, query: ham_core::scorer::QueryFn<'static>) -> Self {
         let solo_fan_out = solo_fans_out(&catalog);
-        Self { name, catalog: Arc::new(catalog), query, solo_fan_out }
+        Self { name, catalog, query, solo_fan_out }
     }
 
-    /// Re-freezes with a rebuilt catalogue. Publish-time construction: the
-    /// `Arc` is fresh and unshared, so this is a move, not a catalogue copy.
+    /// Re-freezes with a rebuilt catalogue.
     fn refreeze(self, rebuild: impl FnOnce(ShardedCatalog) -> ShardedCatalog) -> Self {
-        let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
-        Self::freeze(self.name, rebuild(catalog), self.query)
+        Self::freeze(self.name, rebuild(self.catalog), self.query)
     }
 
     /// Freezes an int8 snapshot of every shard and switches serving to the
@@ -190,12 +185,6 @@ impl ServingModel {
         &self.catalog
     }
 
-    /// A shareable handle to the catalogue — what the deadline-bounded
-    /// scoring path hands to its per-shard tasks.
-    pub fn catalog_arc(&self) -> Arc<ShardedCatalog> {
-        Arc::clone(&self.catalog)
-    }
-
     /// Catalogue size.
     pub fn num_items(&self) -> usize {
         self.catalog.num_items()
@@ -221,19 +210,19 @@ impl ServingModel {
     /// items are masked from the request's history in O(history). The shard
     /// tasks run in turn on the caller; results equal [`Self::recommend`]'s.
     pub fn recommend_with(&self, request: &RecommendRequest, scratch: &mut ServeScratch) -> Vec<ScoredItem> {
-        self.recommend_solo(request, None, scratch, None)
+        self.recommend_solo(request, ShardRun::Scoped(None), scratch, None).0
     }
 
     /// One request through the shard driver as a batch of one row — its shard
-    /// tasks on `pool` when given, timed into `trace`.
+    /// tasks run as `run` says, timed into `trace`.
     // ham-lint: hot-path
     fn recommend_solo(
         &self,
         request: &RecommendRequest,
-        pool: Option<&ThreadPool>,
+        run: ShardRun<'_>,
         scratch: &mut ServeScratch,
         trace: Option<&mut StageTrace>,
-    ) -> Vec<ScoredItem> {
+    ) -> (Vec<ScoredItem>, ShardTally) {
         let q = self.query_vector(request.user, &request.history);
         let ServeScratch { flat, qquery } = scratch;
         let qqueries = self.catalog.is_quantized().then(|| {
@@ -245,9 +234,8 @@ impl ServingModel {
         let seen_items = [request.exclude_seen.then_some(request.history.as_slice())];
         // ham-lint: allow(alloc, "empty Vecs; each grows once, to its shard, in its task")
         flat.tiles.resize_with(self.catalog.num_shards(), Vec::new);
-        let run = ShardRun::Scoped(pool);
-        let mut out = self.catalog.rank_batch(&queries, qqueries, &[request.k], &seen_items, run, trace, flat).0;
-        out.pop().unwrap_or_default()
+        let (mut out, tally) = self.catalog.rank_batch(&queries, qqueries, &[request.k], &seen_items, run, trace, flat);
+        (out.pop().unwrap_or_default(), tally)
     }
 
     /// Serves a coalesced batch: the queries are built once, every shard
@@ -288,19 +276,40 @@ impl ServingModel {
         requests: &[RecommendRequest],
         pool: Option<&ThreadPool>,
         scratch: &mut ServeScratch,
-        mut trace: Option<&mut StageTrace>,
+        trace: Option<&mut StageTrace>,
     ) -> Vec<Vec<ScoredItem>> {
+        self.recommend_batch_run(requests, ShardRun::Scoped(pool), scratch, trace).0
+    }
+
+    /// [`Self::recommend_batch_traced`] with the shard tasks run as `run`
+    /// says — the server's one plan, scoped or on the bulkhead — returning
+    /// the shards left out of the merge alongside the rankings. A lone
+    /// request takes the GEMV path either way; scoped, it fans out only when
+    /// the freeze-time plan says so.
+    pub(crate) fn recommend_batch_run(
+        &self,
+        requests: &[RecommendRequest],
+        run: ShardRun<'_>,
+        scratch: &mut ServeScratch,
+        mut trace: Option<&mut StageTrace>,
+    ) -> (Vec<Vec<ScoredItem>>, ShardTally) {
         match requests {
-            [] => Vec::new(),
+            [] => (Vec::new(), ShardTally::default()),
             [single] => {
                 let started = trace.is_some().then(std::time::Instant::now);
-                let pool = pool.filter(|pool| self.solo_fan_out && pool.threads() >= 2);
-                let shard_trace = trace.as_deref_mut().filter(|_| pool.is_some());
-                let out = vec![self.recommend_solo(single, pool, scratch, shard_trace)];
+                // Shard task times are reported when the tasks left the caller.
+                let (run, shard_trace) = match run {
+                    ShardRun::Scoped(pool) => {
+                        let pool = pool.filter(|pool| self.solo_fan_out && pool.threads() >= 2);
+                        (ShardRun::Scoped(pool), trace.as_deref_mut().filter(|_| pool.is_some()))
+                    }
+                    bulkhead => (bulkhead, trace.as_deref_mut()),
+                };
+                let (out, tally) = self.recommend_solo(single, run, scratch, shard_trace);
                 if let (Some(trace), Some(at)) = (trace.as_deref_mut(), started) {
                     trace.solo_micros = Some(at.elapsed().as_micros() as u64);
                 }
-                out
+                (vec![out], tally)
             }
             _ => {
                 let assembly_started = trace.is_some().then(std::time::Instant::now);
@@ -316,8 +325,7 @@ impl ServingModel {
                 }
                 let qqueries = self.catalog.is_quantized().then(|| quantize_rows(&queries));
                 let scratch = &mut FlatScratch::default();
-                let run = ShardRun::Scoped(pool);
-                self.catalog.rank_batch(&queries, qqueries.as_deref(), &ks, &seen, run, trace, scratch).0
+                self.catalog.rank_batch(&queries, qqueries.as_deref(), &ks, &seen, run, trace, scratch)
             }
         }
     }

@@ -15,16 +15,15 @@
 //! hot-swaps between batches never pause traffic — and every response carries
 //! its own queue/service latency split.
 
-use crate::degrade::{score_bounded, ShardExecutor};
+use crate::degrade::ShardExecutor;
 use crate::model::ServeScratch;
 use crate::registry::{ModelRegistry, PublishedModel};
 use crate::request::{RecommendRequest, RecommendResponse};
-use crate::shard::ScoredItem;
+use crate::shard::{ScoredItem, ShardRun};
 use crate::trace::StageTrace;
 use ham_faults::FaultInjector;
 use ham_telemetry::{Counter, Gauge, Histogram, SpanTree, Telemetry};
 use ham_tensor::pool::global_pool;
-use ham_tensor::Matrix;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,10 +41,6 @@ pub struct ServerConfig {
     /// previous pickup — so a lone caller never waits on it. Zero never
     /// lingers (lowest latency, least coalescing).
     pub coalesce_wait: Duration,
-    /// Score the shards of a batch — and of a lone request, when the model's
-    /// freeze-time plan finds the catalogue big enough — in parallel on the
-    /// process-wide worker pool. Disable to dedicate the pool to other work.
-    pub parallel_shards: bool,
     /// Admission control: requests arriving while the queue already holds
     /// this many are **shed** — [`RecServer::submit`] returns
     /// [`SubmitError::QueueFull`] immediately instead of letting the queue
@@ -56,35 +51,20 @@ pub struct ServerConfig {
     /// ([`RecommendRequest::deadline`]), measured from enqueue. A request
     /// still queued past its deadline is shed with
     /// [`SubmitError::DeadlineExpired`] before any scoring is spent on it;
-    /// a request picked up close to its deadline grants the shard-scoring
-    /// stage only the remaining budget (see
-    /// [`Self::shard_budget_fraction`]) and may come back
-    /// [`degraded`](RecommendResponse::degraded). `None` (the default)
+    /// a picked-up batch grants its shard tasks 70% of its tightest member's
+    /// remaining budget (the rest covers merging and delivery) and may come
+    /// back [`degraded`](RecommendResponse::degraded). `None` (the default)
     /// leaves requests without their own deadline unbounded.
     pub default_deadline: Option<Duration>,
-    /// Fraction of a batch's tightest remaining deadline budget granted to
-    /// the shard-scoring stage; the holdback covers ranking, merging and
-    /// delivery. The batch budget is the minimum over its requests'
-    /// remaining deadlines at pickup. Clamped to `[0.05, 1.0]`.
-    pub shard_budget_fraction: f64,
-    /// Worker threads of the bulkhead executor that scores shards under a
-    /// deadline (spawned lazily by the first bounded batch — requests
-    /// without deadlines and with no faults armed never pay for it).
-    /// `0` (the default) sizes it to the model's shard count, capped at 8.
-    pub shard_workers: usize,
 }
+
+/// Fraction of a batch's tightest remaining deadline budget granted to its
+/// shard tasks; the holdback covers merging, re-ranking and delivery.
+const SHARD_BUDGET_FRACTION: f64 = 0.7;
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 64,
-            coalesce_wait: Duration::from_micros(200),
-            parallel_shards: true,
-            max_queue: 1024,
-            default_deadline: None,
-            shard_budget_fraction: 0.7,
-            shard_workers: 0,
-        }
+        Self { max_batch: 64, coalesce_wait: Duration::from_micros(200), max_queue: 1024, default_deadline: None }
     }
 }
 
@@ -590,17 +570,25 @@ fn serve_batch(
     if requests.is_empty() {
         return;
     }
-    // The batch's scoring budget is its tightest member's deadline. Any
-    // deadline (or armed fault injection) routes to the bounded bulkhead
-    // path; a deadline-free, fault-free batch keeps the classic zero-copy
-    // path — it pays nothing for the machinery it does not use.
+    // One plan for every batch; only the executor of its shard tasks
+    // varies. A deadline (the tightest member's) or armed fault injection
+    // puts them on the bulkhead executor, which can give up on a shard; a
+    // deadline-free, fault-free batch runs them to completion on the pool
+    // and pays nothing for the machinery it does not use.
     let batch_deadline = waiters.iter().filter_map(|(_, deadline, _)| *deadline).min();
-    let mut trace = shared.metrics.as_ref().map(|_| StageTrace::new());
-    let (rankings, metas) = if batch_deadline.is_some() || shared.faults.is_enabled() {
-        serve_bounded(shared, &published, &requests, picked_up, batch_deadline, executor, trace.as_mut())
+    let run = if batch_deadline.is_some() || shared.faults.is_enabled() {
+        // The bulkhead is spawned by the first batch that needs it, one
+        // worker per shard up to 8, and kept for the dispatcher's life.
+        let shards = published.model.catalog().num_shards();
+        let executor = executor.get_or_insert_with(|| ShardExecutor::new(shards.clamp(1, 8)));
+        let deadline = batch_deadline
+            .map(|deadline| picked_up + deadline.saturating_duration_since(picked_up).mul_f64(SHARD_BUDGET_FRACTION));
+        ShardRun::Bulkhead { executor, deadline, faults: &shared.faults }
     } else {
-        serve_classic(shared, &published, &requests, scratch, trace.as_mut())
+        ShardRun::Scoped(Some(global_pool()))
     };
+    let mut trace = shared.metrics.as_ref().map(|_| StageTrace::new());
+    let (rankings, metas) = serve_requests(shared, &published, &requests, run, scratch, trace.as_mut());
     let service_micros = picked_up.elapsed().as_micros() as u64;
     let batch_len = waiters.len() as u64;
     if let (Some(metrics), Some(trace)) = (&shared.metrics, &trace) {
@@ -617,7 +605,7 @@ fn serve_batch(
                 }
             }
         }
-        // Batches, and lone requests that fanned out on the pool.
+        // Batches, and lone requests whose shard tasks left the dispatcher.
         for &(shard, micros) in &trace.shard_score_micros {
             metrics.shard(&shared.telemetry, shard).score_micros.record(micros);
         }
@@ -650,26 +638,34 @@ fn serve_batch(
     }
 }
 
-/// The classic full-fidelity path: one traced batched scoring call on the
-/// shared pool, panic-isolated per batch then per request.
-fn serve_classic(
+/// The dispatcher's plan for one batch: one traced scoring call, its shard
+/// tasks run as `run` says, panic-isolated per batch then per request.
+fn serve_requests(
     shared: &ServerShared,
     published: &PublishedModel,
     requests: &[RecommendRequest],
+    run: ShardRun<'_>,
     scratch: &mut ServeScratch,
     trace: Option<&mut StageTrace>,
 ) -> (Vec<Vec<ScoredItem>>, Vec<ResponseMeta>) {
     let num_shards = published.model.catalog().num_shards();
-    let pool = shared.config.parallel_shards.then(global_pool);
     // A malformed request (unknown user, history the model rejects) panics
-    // inside the model's query builder. The dispatcher is the only serving
-    // thread, so a panic here must not unwind it: every waiter in the batch
-    // would block forever and the server would wedge. Catch the batch panic
-    // and retry each request solo so one poisoned request cannot take down
-    // its batch-mates.
-    match catch_unwind(AssertUnwindSafe(|| published.model.recommend_batch_traced(requests, pool, scratch, trace))) {
-        Ok(rankings) => {
-            let meta = ResponseMeta { degraded: false, shards_answered: num_shards };
+    // inside the model's query builder, and a catalogue the merge cannot
+    // order panics in the coordinator. The dispatcher is the only serving
+    // thread, so no panic may unwind it: every waiter in the batch would
+    // block forever and the server would wedge. Catch the batch panic and
+    // retry each request solo so one poisoned request cannot take down its
+    // batch-mates.
+    match catch_unwind(AssertUnwindSafe(|| published.model.recommend_batch_run(requests, run, scratch, trace))) {
+        Ok((rankings, tally)) => {
+            shared.counters.shard_deadline_miss.add(tally.timed_out.len() as u64);
+            shared.counters.shard_panic.add(tally.panicked.len() as u64);
+            if let Some(metrics) = &shared.metrics {
+                for &shard in &tally.timed_out {
+                    metrics.shard(&shared.telemetry, shard).deadline_miss.inc();
+                }
+            }
+            let meta = ResponseMeta { degraded: tally.dropped() > 0, shards_answered: num_shards - tally.dropped() };
             (rankings, vec![meta; requests.len()])
         }
         Err(_) => {
@@ -708,70 +704,6 @@ fn solo_retry(
         }
     }
     (rankings, metas)
-}
-
-/// The deadline-bounded path: shard blocks are scored on the bulkhead
-/// executor with at most `shard_budget_fraction` of the batch's remaining
-/// deadline budget; shards that miss it (or panic) are dropped from the
-/// merge and the response is flagged degraded. With every shard answering,
-/// the result is bit-identical to the classic path (see [`crate::degrade`]).
-#[allow(clippy::too_many_arguments)]
-fn serve_bounded(
-    shared: &ServerShared,
-    published: &PublishedModel,
-    requests: &[RecommendRequest],
-    picked_up: Instant,
-    batch_deadline: Option<Instant>,
-    executor: &mut Option<ShardExecutor>,
-    trace: Option<&mut StageTrace>,
-) -> (Vec<Vec<ScoredItem>>, Vec<ResponseMeta>) {
-    let model = &published.model;
-    let catalog = model.catalog_arc();
-    let num_shards = catalog.num_shards();
-    // Query assembly runs user code (the query closure) — panic-isolate it
-    // exactly like the classic path and fall back to solo retries.
-    let assembly_started = Instant::now();
-    let queries = match catch_unwind(AssertUnwindSafe(|| {
-        let mut queries = Matrix::zeros(requests.len(), catalog.dim());
-        for (i, request) in requests.iter().enumerate() {
-            queries.row_mut(i).copy_from_slice(&model.query_vector(request.user, &request.history));
-        }
-        queries
-    })) {
-        Ok(queries) => queries,
-        Err(_) => return solo_retry(shared, published, requests, num_shards),
-    };
-    let assembly_micros = assembly_started.elapsed().as_micros() as u64;
-    let ks: Vec<usize> = requests.iter().map(|r| r.k).collect();
-    let seen: Vec<Option<&[usize]>> = requests.iter().map(|r| r.exclude_seen.then_some(r.history.as_slice())).collect();
-    let executor = executor.get_or_insert_with(|| {
-        ShardExecutor::new(match shared.config.shard_workers {
-            0 => num_shards.clamp(1, 8),
-            n => n,
-        })
-    });
-    // The scoring stage gets a fraction of the remaining budget; the
-    // holdback covers ranking, merge and delivery.
-    let shard_deadline = batch_deadline.map(|deadline| {
-        let budget = deadline.saturating_duration_since(picked_up);
-        picked_up + budget.mul_f64(shared.config.shard_budget_fraction.clamp(0.05, 1.0))
-    });
-    let outcome = score_bounded(&catalog, queries, &ks, &seen, executor, shard_deadline, &shared.faults);
-    shared.counters.shard_deadline_miss.add(outcome.timed_out.len() as u64);
-    shared.counters.shard_panic.add(outcome.panicked.len() as u64);
-    if let Some(metrics) = &shared.metrics {
-        for &shard in &outcome.timed_out {
-            metrics.shard(&shared.telemetry, shard).deadline_miss.inc();
-        }
-    }
-    if let Some(trace) = trace {
-        trace.batch_assembly_micros = assembly_micros;
-        trace.shard_score_micros = outcome.shard_micros.clone();
-        trace.merge_micros = outcome.merge_micros;
-        trace.rerank_micros = outcome.rerank_micros;
-    }
-    let meta = ResponseMeta { degraded: outcome.degraded(), shards_answered: outcome.shards_answered };
-    (outcome.rankings, vec![meta; requests.len()])
 }
 
 /// Shapes one request's timing into the flight-recorder span tree:
@@ -1037,14 +969,17 @@ mod tests {
 
     /// A toy model whose query builder takes 2ms: requests released
     /// together pile up in the queue while the dispatcher serves the first.
-    fn slow_registry() -> Arc<ModelRegistry> {
+    fn slow_model() -> ServingModel {
         let w = Matrix::from_vec(40, 2, (0..80).map(|i| i as f32 * 0.01).collect());
-        let model = ServingModel::from_parts("slow", &w, 4, |user, _| {
+        ServingModel::from_parts("slow", &w, 4, |user, _| {
             assert!(user < 30, "unknown user {user}");
             std::thread::sleep(Duration::from_millis(2));
             vec![1.0, user as f32 * 0.1]
-        });
-        Arc::new(ModelRegistry::new(model))
+        })
+    }
+
+    fn slow_registry() -> Arc<ModelRegistry> {
+        Arc::new(ModelRegistry::new(slow_model()))
     }
 
     /// `submitters` threads released together by a barrier, each submitting
@@ -1084,20 +1019,35 @@ mod tests {
 
     /// Callers that arrive together still coalesce: requests piled up behind
     /// a slow first batch make the next pickup linger and take them at once,
-    /// and every coalesced answer is the exact one.
+    /// and every coalesced answer is the exact one — with a deadline (shard
+    /// tasks on the bulkhead) or without, on a flat, an int8 and a clustered
+    /// (`nprobe = all`) catalogue.
     #[test]
     fn concurrent_callers_coalesce_and_stay_exact() {
-        let registry = slow_registry();
-        let reference = registry.current();
-        let server = Arc::new(RecServer::start(Arc::clone(&registry), ServerConfig::default()));
+        let tiers: [fn(ServingModel) -> ServingModel; 3] = [
+            |model| model,
+            ServingModel::with_quantized_catalog,
+            |model| model.with_cluster_index(&crate::IvfConfig::auto()),
+        ];
         let ids = |items: &[ScoredItem]| items.iter().map(|s| s.item).collect::<Vec<_>>();
-        for (request, response) in burst(&server, 8) {
-            assert_eq!(ids(&response.items), ids(&reference.model.recommend(&request)), "user {}", request.user);
+        for default_deadline in [None, Some(Duration::from_secs(5))] {
+            for (tier, freeze) in ["flat", "int8", "ivf"].into_iter().zip(tiers) {
+                let registry = Arc::new(ModelRegistry::new(freeze(slow_model())));
+                let reference = registry.current();
+                let config = ServerConfig { default_deadline, ..ServerConfig::default() };
+                let server = Arc::new(RecServer::start(Arc::clone(&registry), config));
+                let case = format!("{tier}, deadline {default_deadline:?}");
+                for (request, response) in burst(&server, 8) {
+                    let want = ids(&reference.model.recommend(&request));
+                    assert_eq!(ids(&response.items), want, "{case}, user {}", request.user);
+                    assert!(!response.degraded && response.shards_answered == 4, "{case}: {response:?}");
+                }
+                let stats = server.stats();
+                assert_eq!(stats.completed, 8);
+                assert!(stats.batches < 8, "{case}: 8 concurrent requests were served one by one");
+                assert!(stats.lingered >= 1, "{case}: a queue of several requests never lingered for company");
+            }
         }
-        let stats = server.stats();
-        assert_eq!(stats.completed, 8);
-        assert!(stats.batches < 8, "8 concurrent requests were served one by one");
-        assert!(stats.lingered >= 1, "a queue of several requests never lingered for company");
     }
 
     /// The telemetry-enabled path: counters and stage histograms populate,

@@ -11,7 +11,7 @@ use ham_serve::{ModelRegistry, RecServer, RecommendRequest, ServerConfig, Servin
 use ham_telemetry::Telemetry;
 use ham_tensor::Matrix;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const NUM_ITEMS: usize = 48;
@@ -188,4 +188,46 @@ fn rollback_under_traffic_restores_archived_scores() {
     let after = server.submit(request).expect("admitted");
     assert_eq!(after.model_version, 3);
     assert_eq!(items_and_bits(&after.items), v1_bits, "rollback restores the archived snapshot's exact bits");
+}
+
+/// A batch that panics outside its shard tasks must not kill the dispatcher,
+/// with or without a deadline. The probe: an int8 catalogue with every 10th
+/// row NaN and `k` wide enough that NaN candidates reach the exact re-rank,
+/// whose sort may panic on them. Every admitted request — the first and each
+/// one after it — is answered within a few seconds, flagged degraded if it
+/// must be. The test checks liveness, not the panic, so it holds whether or
+/// not the ranking order is total over NaN.
+#[test]
+fn a_panicking_merge_never_strands_a_caller() {
+    let (items, dim) = (2000, 8);
+    // SplitMix64 finaliser mapped to [-1, 1): seeded pseudo-random values.
+    let noise = |seed: u64, i: usize| {
+        let mut z = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    };
+    for seed in 1..=3u64 {
+        let value = |i: usize| if (i / dim).is_multiple_of(10) { f32::NAN } else { noise(seed, i) };
+        let w = Matrix::from_vec(items, dim, (0..items * dim).map(value).collect());
+        for deadline in [None, Some(Duration::from_secs(5))] {
+            let query = move |user: usize, _: &[usize]| (0..dim).map(|j| noise(seed + 99, user * dim + j)).collect();
+            let model = ServingModel::from_parts("nan-rows", &w, 4, query).with_quantized_catalog();
+            let config =
+                ServerConfig { coalesce_wait: Duration::ZERO, default_deadline: deadline, ..ServerConfig::default() };
+            let server = Arc::new(RecServer::start(Arc::new(ModelRegistry::new(model)), config));
+            for user in 0..6 {
+                let (sender, answer) = mpsc::channel();
+                let client = Arc::clone(&server);
+                let caller = std::thread::spawn(move || {
+                    sender.send(client.submit(RecommendRequest::new(user, vec![user], 600))).expect("test is listening")
+                });
+                let response = answer.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|_| {
+                    panic!("seed {seed}, deadline {deadline:?}: request of user {user} got no answer within 5s")
+                });
+                caller.join().expect("caller thread");
+                assert!(response.is_ok(), "seed {seed}, deadline {deadline:?}, user {user}: {response:?}");
+            }
+        }
+    }
 }
