@@ -26,7 +26,10 @@
 //! - **panic-surface** — no `unwrap`/`expect` in serve/online runtime code
 //!   without `allow(panic, reason)`;
 //! - **crate-attrs** — unsafe-free crates must `#![forbid(unsafe_code)]`,
-//!   ham-tensor must `#![deny(unsafe_op_in_unsafe_fn)]`.
+//!   ham-tensor must `#![deny(unsafe_op_in_unsafe_fn)]`;
+//! - **comparator** — no `partial_cmp(…).unwrap_or(…)` float order in
+//!   runtime code without `allow(comparator, reason)` (NaN makes it
+//!   non-total; use `total_cmp`).
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +47,7 @@ pub fn lint_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     rules::atomics::check(file, findings);
     rules::hotpath::check(file, findings);
     rules::panics::check(file, findings);
+    rules::comparator::check(file, findings);
 }
 
 /// Lints a single source text under a logical workspace-relative path.

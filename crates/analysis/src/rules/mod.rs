@@ -4,6 +4,7 @@
 //! set at once.
 
 pub mod atomics;
+pub mod comparator;
 pub mod crate_attrs;
 pub mod hotpath;
 pub mod panics;

@@ -5,7 +5,7 @@
 //! scope themselves by path (audited modules, tier-module placement, the
 //! serve/online panic surface).
 
-use ham_analysis::rules::{atomics, crate_attrs, hotpath, panics, unsafe_audit};
+use ham_analysis::rules::{atomics, comparator, crate_attrs, hotpath, panics, unsafe_audit};
 use ham_analysis::scan::SourceFile;
 use ham_analysis::{lint_source, lint_workspace_files, Finding};
 
@@ -205,4 +205,22 @@ fn ham_tensor_must_deny_unsafe_op_in_unsafe_fn() {
 fn non_lib_files_are_exempt_from_crate_attrs() {
     let module = SourceFile::parse("crates/serve/src/server.rs", "pub fn run() {}\n");
     assert!(lint_workspace_files(&[module]).is_empty());
+}
+
+// --- rule family 6: comparator --------------------------------------------
+
+#[test]
+fn a_partial_cmp_unwrap_or_comparator_is_flagged_even_across_lines() {
+    let findings = lint_source("crates/tensor/src/stats.rs", include_str!("fixtures/comparator_bad.rs"));
+    assert_eq!(rules_hit(&findings), vec![comparator::RULE, comparator::RULE]);
+    assert_eq!((findings[0].line, findings[1].line), (2, 7), "each finding points at the partial_cmp call");
+    assert!(findings[0].message.contains("total_cmp"), "names the fix: {findings:?}");
+}
+
+#[test]
+fn total_cmp_expect_allow_comparator_impls_and_tests_all_pass() {
+    for path in ["crates/tensor/src/ops.rs", "crates/experiments/src/tuning.rs"] {
+        let findings = lint_source(path, include_str!("fixtures/comparator_ok.rs"));
+        assert!(findings.is_empty(), "unexpected: {findings:?}");
+    }
 }

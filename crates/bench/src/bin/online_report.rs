@@ -8,8 +8,9 @@
 //!   only, warm Adam moments) vs one from-scratch retrain on the cumulative
 //!   stream at the same epoch budget.
 //! * **Publish latency** — seconds from "round finished training" to "new
-//!   version live in the registry" (dominated by freezing/sharding the
-//!   snapshot; the registry swap itself is nanoseconds).
+//!   version live in the registry": freezing the snapshot, the shadow gate
+//!   (reported on its own as `gate_seconds`) and the registry swap, which
+//!   itself is nanoseconds.
 //! * **Staleness** — wall-clock gap between successive published versions
 //!   (ingest + train + publish of a round): how old the serving model gets
 //!   between refreshes on this cadence.
@@ -177,12 +178,13 @@ fn main() {
         let staleness_seconds = last_publish.elapsed().as_secs_f64();
         last_publish = Instant::now();
         eprintln!(
-            "  round {}: {} fresh -> {} instances in {:.3}s train + {:.4}s publish (version {})",
+            "  round {}: {} fresh -> {} instances in {:.3}s train + {:.4}s publish, {:.4}s of it gating (version {})",
             report.round,
             report.fresh_interactions,
             report.instances_trained,
             report.train_seconds,
             report.publish_seconds,
+            report.gate_seconds,
             report.version
         );
         rows.push(RoundRow { report, staleness_seconds });
@@ -213,6 +215,7 @@ fn main() {
     let incremental_seconds: f64 = rows.iter().map(|r| r.report.train_seconds + r.report.publish_seconds).sum();
     let speedup = full_seconds / incremental_seconds;
     let publish_mean = rows.iter().map(|r| r.report.publish_seconds).sum::<f64>() / rows.len() as f64;
+    let gate_mean = rows.iter().map(|r| r.report.gate_seconds).sum::<f64>() / rows.len() as f64;
     let staleness_mean = rows.iter().map(|r| r.staleness_seconds).sum::<f64>() / rows.len() as f64;
 
     let quality_stale = hit_rate(&stale_model, &split.holdout);
@@ -241,13 +244,15 @@ fn main() {
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"round\": {}, \"version\": {}, \"fresh_interactions\": {}, \"instances_trained\": {}, \
-             \"train_seconds\": {:.4}, \"publish_seconds\": {:.6}, \"staleness_seconds\": {:.4}}}{}\n",
+             \"train_seconds\": {:.4}, \"publish_seconds\": {:.6}, \"gate_seconds\": {:.6}, \
+             \"staleness_seconds\": {:.4}}}{}\n",
             row.report.round,
             row.report.version,
             row.report.fresh_interactions,
             row.report.instances_trained,
             row.report.train_seconds,
             row.report.publish_seconds,
+            row.report.gate_seconds,
             row.staleness_seconds,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -256,6 +261,7 @@ fn main() {
     out.push_str(&format!(
         "  \"full_retrain_seconds\": {full_seconds:.4},\n  \"incremental_total_seconds\": {incremental_seconds:.4},\n  \
          \"incremental_speedup_vs_full\": {speedup:.2},\n  \"publish_seconds_mean\": {publish_mean:.6},\n  \
+         \"gate_seconds_mean\": {gate_mean:.6},\n  \
          \"staleness_seconds_mean\": {staleness_mean:.4},\n"
     ));
     out.push_str(&format!(

@@ -51,8 +51,7 @@ fn seed_top_k(scores: &[f32], k: usize) -> Vec<usize> {
     if k == 0 {
         return Vec::new();
     }
-    let cmp =
-        |a: &usize, b: &usize| scores[*b].partial_cmp(&scores[*a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b));
+    let cmp = |a: &usize, b: &usize| scores[*b].total_cmp(&scores[*a]).then(a.cmp(b));
     let mut idx: Vec<usize> = (0..scores.len()).collect();
     if k < idx.len() {
         idx.select_nth_unstable_by(k - 1, cmp);

@@ -34,9 +34,10 @@ impl DatasetComparison {
     /// baseline at 95% confidence on the per-user values of `metric`.
     pub fn improvement_significant(&self, metric: &str) -> bool {
         let best_of = |ham: bool| {
-            self.results.iter().filter(|r| r.method.starts_with("HAM") == ham).max_by(|a, b| {
-                a.report.mean.get(metric).partial_cmp(&b.report.mean.get(metric)).unwrap_or(std::cmp::Ordering::Equal)
-            })
+            self.results
+                .iter()
+                .filter(|r| r.method.starts_with("HAM") == ham)
+                .max_by(|a, b| a.report.mean.get(metric).total_cmp(&b.report.mean.get(metric)))
         };
         let (Some(best_ham), Some(best_base)) = (best_of(true), best_of(false)) else {
             return false;

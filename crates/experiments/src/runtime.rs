@@ -21,7 +21,7 @@ impl RuntimeRow {
     /// `speedup` column of Table 14.
     pub fn best_speedup(&self) -> f64 {
         let mut sorted: Vec<&TimingReport> = self.timings.iter().map(|(_, t)| t).collect();
-        sorted.sort_by(|a, b| a.seconds_per_user.partial_cmp(&b.seconds_per_user).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(|a, b| a.seconds_per_user.total_cmp(&b.seconds_per_user));
         if sorted.len() < 2 {
             return 1.0;
         }

@@ -87,9 +87,7 @@ pub fn grid_search(split: &DataSplit, grid: &[HamConfig], config: &ExperimentCon
 
     let best = points
         .iter()
-        .max_by(|a, b| {
-            a.validation_recall_at_10.partial_cmp(&b.validation_recall_at_10).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .max_by(|a, b| a.validation_recall_at_10.total_cmp(&b.validation_recall_at_10))
         .expect("grid is non-empty")
         .config;
 

@@ -44,7 +44,9 @@
 //!    [`ServingModel`], **shadow-gated** against
 //!    the currently served snapshot on a held-out slice of the fresh data
 //!    (see [`PublishGate`] — a candidate that regresses past the tolerance
-//!    never reaches the registry), and published through the
+//!    never reaches the registry; the gate counts ranks on the exact f32
+//!    scores of both snapshots with [`ServingModel::count_hits`] rather than
+//!    serving the probes), and published through the
 //!    [`ModelRegistry`] with capped-backoff retries — a live
 //!    [`RecServer`](ham_serve::RecServer) on the same registry keeps
 //!    answering throughout; in-flight requests finish on the snapshot they
@@ -97,10 +99,13 @@ use ham_data::append::AppendableDataset;
 use ham_data::batch::BatchSampler;
 use ham_data::dataset::{ItemId, SequenceDataset, UserId};
 use ham_faults::FaultInjector;
-use ham_serve::{IvfConfig, ModelRegistry, RecommendRequest, ServeScratch, ServingModel};
+use ham_serve::{IvfConfig, ModelRegistry, ServingModel};
 use ham_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[cfg(feature = "gate-parity")]
+mod parity;
 
 /// Configuration of the online loop.
 #[derive(Debug, Clone, Copy)]
@@ -145,6 +150,21 @@ pub struct OnlineConfig {
 /// serving stays on the healthy snapshot. Probes are restricted to users
 /// and items the **live** model already knows, so both models answer every
 /// probe and the comparison is apples-to-apples.
+///
+/// A hit is counted, not served: [`ServingModel::count_hits`] scores the
+/// probes 64 at a time with one tiled GEMM over the snapshot's exact f32
+/// catalogue and asks whether fewer than [`Self::probe_k`] items rank ahead
+/// of the target (score descending, id ascending, NaN never ranks). What
+/// that judges per serving tier:
+///
+/// * exact, and IVF at `nprobe = all` (the default, which only regroups
+///   rows): the ranking a batched request is served;
+/// * int8: the same, whenever the exact winners survive the int8
+///   pre-selection — the served ids are re-ranked exactly, and the online
+///   suite pins them to the exact tier's;
+/// * IVF under a narrower `nprobe`: the model's exact ranking, not the
+///   approximate retrieval's. Both sides are judged the same way and serve
+///   through the same retrieval, so the comparison stays fair.
 #[derive(Debug, Clone, Copy)]
 pub struct PublishGate {
     /// Shadow-evaluate candidates before publishing (`true` by default).
@@ -194,6 +214,15 @@ pub struct ShadowEval {
     pub live_hits: usize,
 }
 
+impl ShadowEval {
+    /// Whether the candidate regressed past `gate`'s tolerance:
+    /// `(live_hits - candidate_hits) / probes > tolerance`.
+    fn rejects(&self, gate: &PublishGate) -> bool {
+        let regression = self.live_hits.saturating_sub(self.candidate_hits) as f64;
+        regression > gate.tolerance.max(0.0) * self.probes as f64
+    }
+}
+
 /// What one incremental round did.
 #[derive(Debug, Clone)]
 pub struct RoundReport {
@@ -208,10 +237,13 @@ pub struct RoundReport {
     pub instances_trained: usize,
     /// Wall-clock seconds spent in gradient/optimizer work.
     pub train_seconds: f64,
-    /// Wall-clock seconds spent freezing + publishing the snapshot (the
-    /// registry swap itself is nanoseconds; this is dominated by sharding
-    /// the candidate matrix).
+    /// Wall-clock seconds spent freezing, gating and publishing the snapshot
+    /// (the registry swap itself is nanoseconds). Includes
+    /// [`Self::gate_seconds`].
     pub publish_seconds: f64,
+    /// Wall-clock seconds of the shadow gate alone: both models' hit counts
+    /// (0 when no gate ran this round).
+    pub gate_seconds: f64,
     /// Whether this round's snapshot reached the registry.
     pub published: bool,
     /// Whether the shadow gate rejected the candidate (serving stayed on
@@ -254,6 +286,7 @@ struct OnlineMetrics {
     round_micros: Histogram,
     train_micros: Histogram,
     publish_micros: Histogram,
+    gate_micros: Histogram,
     rounds_total: Counter,
     fresh_interactions_total: Counter,
     instances_trained_total: Counter,
@@ -272,6 +305,7 @@ impl OnlineMetrics {
             round_micros: registry.histogram("online_round_micros"),
             train_micros: registry.histogram("online_train_micros"),
             publish_micros: registry.histogram("online_publish_micros"),
+            gate_micros: registry.histogram("online_gate_micros"),
             rounds_total: registry.counter("online_rounds_total"),
             fresh_interactions_total: registry.counter("online_fresh_interactions_total"),
             instances_trained_total: registry.counter("online_instances_trained_total"),
@@ -512,6 +546,7 @@ impl OnlineTrainer {
         let mut publish_retries = 0u32;
         let mut publish_failed = false;
         let mut shadow = None;
+        let mut gate_seconds = 0.0;
         if instances_trained > 0 || round == 1 {
             let snapshot = self.state.snapshot();
             let serving = if self.faults.corrupt_snapshot(round) {
@@ -520,11 +555,14 @@ impl OnlineTrainer {
                 freeze(snapshot, self.config.shards, self.config.quantize_serving, self.config.ivf, round)
             };
             let accepted = if gate.shadow_eval && round > 1 && probes.len() >= gate.min_probes.max(1) {
-                let eval = shadow_evaluate(&self.registry.current().model, &serving, &probes, gate.probe_k);
-                let regression = eval.live_hits.saturating_sub(eval.candidate_hits) as f64;
-                let rejected = regression > gate.tolerance.max(0.0) * eval.probes as f64;
+                let gate_started = Instant::now();
+                let live = &self.registry.current().model;
+                let eval = shadow_evaluate(live, &serving, &probes, gate.probe_k);
+                gate_seconds = gate_started.elapsed().as_secs_f64();
+                #[cfg(feature = "gate-parity")]
+                parity::check_decision(round, live, &serving, &probes, &gate, &eval);
                 shadow = Some(eval);
-                !rejected
+                !eval.rejects(&gate)
             } else {
                 true
             };
@@ -574,6 +612,9 @@ impl OnlineTrainer {
             metrics.table_growth_rows_total.add(grown_rows as u64);
             metrics.train_micros.record((train_seconds * 1e6) as u64);
             metrics.publish_micros.record((publish_seconds * 1e6) as u64);
+            if shadow.is_some() {
+                metrics.gate_micros.record((gate_seconds * 1e6) as u64);
+            }
             metrics.round_micros.record(round_started.elapsed().as_micros() as u64);
             metrics.publish_retries_total.add(publish_retries as u64);
             if publish_rejected {
@@ -594,6 +635,7 @@ impl OnlineTrainer {
             instances_trained,
             train_seconds,
             publish_seconds,
+            gate_seconds,
             published,
             publish_rejected,
             publish_retries,
@@ -609,11 +651,7 @@ impl OnlineTrainer {
 /// target, everything before it as the history — restricted to users and
 /// items within `(known_users, known_items)` (the live snapshot's tables)
 /// so both sides of the comparison can answer.
-fn build_probes(
-    delta: &ham_data::append::DeltaView,
-    known_users: usize,
-    known_items: usize,
-) -> Vec<(UserId, Vec<ItemId>, ItemId)> {
+fn build_probes(delta: &ham_data::append::DeltaView, known_users: usize, known_items: usize) -> Vec<Probe<'_>> {
     delta
         .users
         .iter()
@@ -624,36 +662,26 @@ fn build_probes(
                 && target < known_items
                 && !history.is_empty()
                 && history.iter().all(|&item| item < known_items);
-            answerable.then(|| (user, history.to_vec(), target))
+            answerable.then_some((user, history, target))
         })
         .collect()
 }
 
-/// Scores `live` and `candidate` on the same probes: a hit is the probe's
-/// target ranked inside the top-`k`. Seen-item masking is off — a target
+/// One shadow-gate probe: `(user, history, target)`, the history borrowed
+/// from the round's delta.
+type Probe<'a> = (UserId, &'a [ItemId], ItemId);
+
+/// Counts `live`'s and `candidate`'s hits on the same probes: a hit is the
+/// probe's target ranked inside the top-`k` of the model's exact f32
+/// scores ([`ServingModel::count_hits`]), nothing masked — a target
 /// repeating an earlier interaction must stay rankable.
-fn shadow_evaluate(
-    live: &ServingModel,
-    candidate: &ServingModel,
-    probes: &[(UserId, Vec<ItemId>, ItemId)],
-    k: usize,
-) -> ShadowEval {
-    let mut candidate_hits = 0usize;
-    let mut live_hits = 0usize;
-    // One scratch per model across the whole probe loop: the two catalogues
-    // may differ in size (table growth), and their buffers grow only once.
-    let (mut live_scratch, mut candidate_scratch) = (ServeScratch::new(), ServeScratch::new());
-    for (user, history, target) in probes {
-        let mut request = RecommendRequest::new(*user, history.clone(), k.max(1));
-        request.exclude_seen = false;
-        if live.recommend_with(&request, &mut live_scratch).iter().any(|scored| scored.item == *target) {
-            live_hits += 1;
-        }
-        if candidate.recommend_with(&request, &mut candidate_scratch).iter().any(|scored| scored.item == *target) {
-            candidate_hits += 1;
-        }
+fn shadow_evaluate(live: &ServingModel, candidate: &ServingModel, probes: &[Probe<'_>], k: usize) -> ShadowEval {
+    let k = k.max(1);
+    ShadowEval {
+        probes: probes.len(),
+        candidate_hits: candidate.count_hits(probes, k),
+        live_hits: live.count_hits(probes, k),
     }
-    ShadowEval { probes: probes.len(), candidate_hits, live_hits }
 }
 
 /// Freezes a model snapshot into a named, sharded serving snapshot. Takes

@@ -5,6 +5,7 @@ use ham_data::synthetic::DatasetProfile;
 use ham_data::SequenceDataset;
 use ham_online::{OnlineConfig, OnlineTrainer, PublishGate};
 use ham_serve::{RecServer, RecommendRequest, ServerConfig};
+use ham_telemetry::Telemetry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -302,4 +303,25 @@ fn empty_round_publishes_nothing() {
     assert_eq!(report.instances_trained, 0);
     assert_eq!(report.version, 1, "no fresh data, no publish");
     assert_eq!(registry.version(), 1);
+}
+
+/// The shadow gate is timed on its own: a gated round reports
+/// `gate_seconds` as a part of `publish_seconds` and records one
+/// `online_gate_micros` sample; the ungated bootstrap round records none.
+#[test]
+fn the_shadow_gate_is_timed_on_its_own() {
+    let initial = tiny_dataset(17);
+    let mut trainer = OnlineTrainer::bootstrap_with_telemetry(&initial, tiny_config(3), Telemetry::enabled());
+    let gate_samples = |trainer: &OnlineTrainer| {
+        let snapshot = trainer.telemetry().snapshot().expect("telemetry is enabled");
+        snapshot.histogram("online_gate_micros").map_or(0, |h| h.count)
+    };
+    assert_eq!(gate_samples(&trainer), 0, "the bootstrap round has no live model to gate against");
+    for (user, item) in fresh_stream(&initial) {
+        trainer.ingest(user, item);
+    }
+    let report = trainer.run_round();
+    assert!(report.shadow.expect("the incremental round is gated").probes > 0);
+    assert!(report.gate_seconds > 0.0 && report.gate_seconds <= report.publish_seconds, "{report:?}");
+    assert_eq!(gate_samples(&trainer), 1);
 }

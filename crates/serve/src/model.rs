@@ -6,6 +6,8 @@ use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardTally,
 use crate::trace::StageTrace;
 use ham_core::{LinearHead, Scorer};
 use ham_data::dataset::ItemId;
+use ham_tensor::kernels;
+use ham_tensor::ops::ranked_ahead;
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedQuery};
 use std::sync::Arc;
@@ -236,6 +238,79 @@ impl ServingModel {
         flat.tiles.resize_with(self.catalog.num_shards(), Vec::new);
         let (mut out, tally) = self.catalog.rank_batch(&queries, qqueries, &[request.k], &seen_items, run, trace, flat);
         (out.pop().unwrap_or_default(), tally)
+    }
+
+    /// Counts the probes `(user, history, target)` whose target this
+    /// snapshot ranks in its top `k` — the shadow gate's question, answered
+    /// by counting instead of ranking. Queries come from the snapshot's own
+    /// query builder, and nothing is masked: a target that repeats an
+    /// earlier interaction stays rankable.
+    ///
+    /// The probes go in chunks of 64 rows. A chunk's queries are scored
+    /// against the whole f32 catalogue, walked in
+    /// [`kernels::gemm_tile_rows`]-column tiles through the row-range GEMM
+    /// into one tile reused across chunks, and per row
+    /// [`ranked_ahead`] adds up the items that rank ahead of the target
+    /// under the serving order: score descending, id ascending, NaN never
+    /// ranks. A row stops counting at `k`, and the walk stops once every row
+    /// has. A probe is a hit when its target's score is not NaN and fewer
+    /// than `k` items rank ahead of it. The target's score is the GEMM bits
+    /// of its own element (taken from the product of the chunk's queries
+    /// with its gathered target rows: a GEMM element's bits do not depend on
+    /// how the rows of `B` are grouped). No heap, no `ScoredItem`, no
+    /// `b × n` score block, no shard fan-out and no pool.
+    ///
+    /// What this judges per tier. On the exact tier it is the ranking a
+    /// batched request is served. The int8 tier re-ranks its shortlist with
+    /// exact scores, so it is the same ranking whenever the exact winners
+    /// survive the int8 pre-selection. The IVF tier at `nprobe = all` only
+    /// regroups rows, so it is the same ranking again; under a narrower
+    /// `nprobe` this counts the model's ranking, not the approximate
+    /// retrieval's.
+    ///
+    /// # Panics
+    /// Panics if a target is not a catalogue item or a query does not have
+    /// the catalogue's dimension.
+    pub fn count_hits<H: AsRef<[ItemId]>>(&self, probes: &[(usize, H, ItemId)], k: usize) -> usize {
+        const CHUNK: usize = 64;
+        let catalogue = self.catalog.candidates();
+        let (n, d) = catalogue.shape();
+        let tile_cols = kernels::gemm_tile_rows(CHUNK).min(n);
+        let mut tile = vec![0.0f32; CHUNK * tile_cols];
+        let mut own_scores = vec![0.0f32; CHUNK * CHUNK];
+        let (mut query_rows, mut target_rows) = (Vec::with_capacity(CHUNK * d), Vec::with_capacity(CHUNK * d));
+        let mut hits = 0;
+        for chunk in probes.chunks(CHUNK) {
+            let b = chunk.len();
+            for (user, history, target) in chunk {
+                query_rows.extend_from_slice(&self.query_vector(*user, history.as_ref()));
+                target_rows.extend_from_slice(catalogue.row(*target));
+            }
+            let queries = Matrix::from_vec(b, d, std::mem::take(&mut query_rows));
+            let targets = Matrix::from_vec(b, d, std::mem::take(&mut target_rows));
+            let own_scores = &mut own_scores[..b * b];
+            kernels::matmul_transposed_rows_into(&queries, &targets, 0..b, own_scores);
+            let own = |i: usize| own_scores[i * b + i];
+            let mut ahead = [0usize; CHUNK];
+            let mut lo = 0;
+            while lo < n && ahead[..b].iter().any(|&a| a < k) {
+                let hi = (lo + tile_cols).min(n);
+                let w = hi - lo;
+                let tile = &mut tile[..b * w];
+                kernels::matmul_transposed_rows_into(&queries, catalogue, lo..hi, tile);
+                for (i, scores) in tile.chunks_exact(w).enumerate() {
+                    if ahead[i] < k {
+                        ahead[i] += ranked_ahead(scores, lo, chunk[i].2, own(i));
+                    }
+                }
+                lo = hi;
+            }
+            hits += (0..b).filter(|&i| !own(i).is_nan() && ahead[i] < k).count();
+            (query_rows, target_rows) = (queries.into_vec(), targets.into_vec());
+            query_rows.clear();
+            target_rows.clear();
+        }
+        hits
     }
 
     /// Serves a coalesced batch: the queries are built once, every shard

@@ -219,6 +219,11 @@ impl ShardedCatalog {
         &self.candidates.as_slice()[rows.start * d..rows.end * d]
     }
 
+    /// The whole f32 candidate matrix, every shard's rows in global order.
+    pub(crate) fn candidates(&self) -> &Matrix {
+        &self.candidates
+    }
+
     /// A copy of shard `shard`'s rows — what the freeze-time int8 and IVF
     /// builds read; dropped once they are built.
     fn shard_matrix(&self, shard: usize) -> Matrix {
@@ -946,6 +951,7 @@ pub(crate) fn select_widths(ks: &[usize], quantized: bool) -> Vec<usize> {
 /// everything; the shard selects keep NaN out of a shortlist whenever `k`
 /// real scores exist.
 fn better(a: &ScoredItem, b: &ScoredItem) -> std::cmp::Ordering {
+    // ham-lint: allow(comparator, "shortlists never hold a NaN score, so partial_cmp is total on them; the ranking-order item in ROADMAP.md unifies this")
     a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal).then(b.item.cmp(&a.item))
 }
 

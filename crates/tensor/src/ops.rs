@@ -138,6 +138,7 @@ fn top_k_by_score(scores: &[f32], k: usize, masked: impl Fn(usize) -> bool) -> V
     // sorts may panic on a comparator that calls NaN equal to everything.
     let cmp = |a: &usize, b: &usize| {
         let (sa, sb) = (score(*a), score(*b));
+        // ham-lint: allow(comparator, "the is_nan key orders NaN last before partial_cmp sees it; the ranking-order item in ROADMAP.md unifies this")
         sa.is_nan().cmp(&sb.is_nan()).then(sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)).then(a.cmp(b))
     };
     let mut idx: Vec<usize> = (0..n).collect();
@@ -159,6 +160,7 @@ struct RankedCandidate {
 
 impl RankedCandidate {
     fn better_than(&self, other: &Self) -> std::cmp::Ordering {
+        // ham-lint: allow(comparator, "the heap never holds a NaN score, so partial_cmp is total on it; the ranking-order item in ROADMAP.md unifies this")
         self.score.partial_cmp(&other.score).unwrap_or(std::cmp::Ordering::Equal).then(other.index.cmp(&self.index))
     }
 }
@@ -297,6 +299,29 @@ impl TopKStream {
         kept.sort_unstable();
         kept.into_iter().map(|std::cmp::Reverse(c)| (c.index, c.score)).collect()
     }
+}
+
+/// How many items of a score block rank ahead of `target` under the order
+/// [`TopKStream`] keeps: score descending, then index ascending, and a NaN
+/// score never ranks. `scores[i]` is the score of index `base + i` and
+/// `target_score` is the target's own score; the target need not fall
+/// inside the block.
+///
+/// An index below `target` ranks ahead when its score is `>= target_score`,
+/// one above it only when its score is `> target_score` (`-0.0` and `0.0`
+/// tie, as they do in the select). A NaN score compares false either way,
+/// so NaN items never count — and with a NaN `target_score` nothing does:
+/// such a target is unranked, which the caller must check itself.
+///
+/// Summed over the blocks of a whole sequence, the count is the target's
+/// rank: for a non-NaN target, `count < k` exactly when the target is among
+/// the top-`k` a [`TopKStream`] keeps over the same sequence — without a
+/// heap, and without visiting the blocks in order.
+// ham-lint: hot-path
+pub fn ranked_ahead(scores: &[f32], base: usize, target: usize, target_score: f32) -> usize {
+    let (below, rest) = scores.split_at(target.saturating_sub(base).min(scores.len()));
+    let ties_win = below.iter().map(|&score| usize::from(score >= target_score)).sum::<usize>();
+    ties_win + rest.iter().map(|&score| usize::from(score > target_score)).sum::<usize>()
 }
 
 #[cfg(test)]
@@ -605,6 +630,53 @@ mod tests {
         assert_eq!(streamed(&sparse, 4, 2), vec![(1, 3.0), (4, 1.0)]);
         assert!(streamed(&[f32::NAN; 8], 2, 3).is_empty());
         assert!(streamed(&sparse, 0, 2).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `ranked_ahead(…) < k` ⇔ the target is in `TopKStream`'s top-`k`,
+        /// for every non-NaN target of the sequence: palette scores (ties,
+        /// ±0.0, ±inf), NaN rates from none to most, `k` from 1 to `n + 5`,
+        /// and the counts summed over blocks cut at random sizes.
+        #[test]
+        fn ranked_ahead_below_k_is_membership_in_the_streamed_top_k(seed in 0u64..1 << 40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..200);
+            let nan_rate = [0.0, 0.05, 0.5, 0.9][rng.gen_range(0..4)];
+            let scores: Vec<f32> = (0..n)
+                .map(|_| if rng.gen_bool(nan_rate) { f32::NAN } else { PALETTE[rng.gen_range(0..PALETTE.len())] })
+                .collect();
+            let block = rng.gen_range(1..n + 2);
+            for k in [1, 2, rng.gen_range(1..n + 1), n, n + 5] {
+                let kept: Vec<usize> = streamed(&scores, k, block).into_iter().map(|(i, _)| i).collect();
+                for (target, &target_score) in scores.iter().enumerate().filter(|(_, s)| !s.is_nan()) {
+                    let ahead: usize = scores
+                        .chunks(block)
+                        .enumerate()
+                        .map(|(b, chunk)| ranked_ahead(chunk, b * block, target, target_score))
+                        .sum();
+                    prop_assert_eq!(ahead < k, kept.contains(&target), "n = {}, k = {}, target = {}", n, k, target);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_ahead_counts_ties_below_the_target_and_never_nan() {
+        let scores = [1.0f32, 2.0, f32::NAN, 1.0, -0.0, 0.0, 1.0, f32::INFINITY];
+        // Target 3 (score 1.0): 1.0@0 wins the tie, 2.0@1 and inf@7 are
+        // higher; 1.0@6 loses the tie, the NaN never counts.
+        assert_eq!(ranked_ahead(&scores, 0, 3, 1.0), 3);
+        // The same block seen from a target outside it: after the block
+        // every tie wins, before it only the higher scores count.
+        assert_eq!(ranked_ahead(&scores, 0, 100, 1.0), 5);
+        assert_eq!(ranked_ahead(&scores, 10, 3, 1.0), 2);
+        // -0.0 and 0.0 tie: item 4 wins over target 5 and loses to it.
+        assert_eq!(ranked_ahead(&scores, 0, 5, 0.0), 6);
+        assert_eq!(ranked_ahead(&scores, 0, 4, -0.0), 5);
+        assert_eq!(ranked_ahead(&scores, 0, 7, f32::INFINITY), 0);
+        assert_eq!(ranked_ahead(&scores, 0, 2, f32::NAN), 0, "a NaN target is for the caller to reject");
     }
 
     #[test]
