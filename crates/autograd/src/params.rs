@@ -195,6 +195,13 @@ impl SparseGrad {
         }
     }
 
+    /// Reserves room for `rows` more touched rows.
+    fn reserve(&mut self, rows: usize) {
+        self.slots.reserve(rows);
+        self.rows.reserve(rows);
+        self.values.reserve(rows * self.cols);
+    }
+
     /// Number of distinct rows with a non-empty gradient.
     pub fn touched_rows(&self) -> usize {
         self.rows.len()
@@ -273,9 +280,14 @@ impl GradStore {
     }
 
     /// Accumulates a sparse (row-indexed) gradient for `id`.
+    ///
+    /// Room for every index is reserved up front, so a block's coalesced
+    /// gradient (all indices new to the store) lands without rehashing the
+    /// slot map or regrowing the value buffer.
     pub fn accumulate_sparse(&mut self, id: ParamId, indices: &[usize], rows: &Matrix) {
         assert_eq!(indices.len(), rows.rows(), "accumulate_sparse: index / row count mismatch");
         let entry = self.sparse.entry(id.0).or_insert_with(|| SparseGrad::new(rows.cols()));
+        entry.reserve(indices.len());
         for (i, &idx) in indices.iter().enumerate() {
             entry.add_row(idx, rows.row(i));
         }

@@ -151,21 +151,23 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Number of training windows per parameter update (one sparse-row Adam
     /// step per batch). `1` reproduces instance-at-a-time training bit for
-    /// bit; larger batches route the BPR forward/backward through the
-    /// `Q·Wᵀ` GEMM and rank-1 `axpy_rows` kernels.
+    /// bit; larger batches run the analytic forward/backward in fixed
+    /// blocks whose duplicate candidate and window rows coalesce before the
+    /// optimizer step.
     pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
     /// L2 regularization factor `λ`.
     pub weight_decay: f32,
-    /// Whether to use the autograd reference trainer instead of the manual
-    /// fast path (the manual path only supports `synergy_order == 1`; with
-    /// synergies the autograd path is always used).
+    /// Whether to compute gradients on the `ham-autograd` tape instead of
+    /// the analytic path. Both support every variant and agree within 1e-5
+    /// (the tape is the analytic path's test oracle); the analytic path is
+    /// faster, and the default.
     pub force_autograd: bool,
     /// Upper bound on concurrent gradient tasks per batch: gradient blocks
     /// are grouped into this many contiguous spans and chunked onto the
     /// shared work-stealing pool. `1` (the default) computes every block
-    /// inline. Blocks are fixed-size (256 instances on the manual path, 32
+    /// inline. Blocks are fixed-size (256 instances on the analytic path, 32
     /// on the autograd path) and merge in batch order, so any thread count
     /// is bit-identical — and threading only takes effect when `batch_size`
     /// exceeds the block size (one-block batches always run inline).

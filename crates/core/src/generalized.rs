@@ -17,7 +17,7 @@
 
 use crate::config::{HamConfig, TrainConfig};
 use crate::model::HamModel;
-use crate::synergy::{apply_latent_cross, synergy_terms};
+use crate::synergy::WindowAssociation;
 use crate::trainer::train as train_base;
 use ham_data::dataset::ItemId;
 use ham_data::window::recent_window;
@@ -144,17 +144,14 @@ impl GeneralizedHamModel {
         assert!(!sequence.is_empty(), "query_vector: the user's sequence must not be empty");
         let v = self.base.input_item_embeddings();
         let mut q = vec![0.0f32; self.config.d];
+        let mut term = vec![0.0f32; self.config.d];
 
         for (rank, &window_len) in self.config.windows.iter().enumerate() {
             let window = recent_window(sequence, window_len);
-            let rows = v.gather_rows(&window);
-            let pooled = self.config.pooling.pool(&rows);
-            let term = if rank == 0 && self.config.synergy_order >= 2 {
-                let synergies = synergy_terms(&rows, self.config.synergy_order);
-                apply_latent_cross(&pooled, &synergies)
-            } else {
-                pooled
-            };
+            let order = if rank == 0 { self.config.synergy_order } else { 1 };
+            let mut association = WindowAssociation::new(self.config.d, self.config.pooling, order);
+            association.compute(v, &window);
+            association.association_into(&mut term);
             for (qi, ti) in q.iter_mut().zip(&term) {
                 *qi += ti;
             }
@@ -208,9 +205,9 @@ impl GeneralizedHamModel {
     pub fn window_contribution(&self, window_len: usize, sequence: &[ItemId], item: ItemId) -> f32 {
         let v = self.base.input_item_embeddings();
         let window = recent_window(sequence, window_len);
-        let rows = v.gather_rows(&window);
-        let pooled = self.config.pooling.pool(&rows);
-        dot(&pooled, self.base.candidate_item_embeddings().row(item))
+        let mut association = WindowAssociation::new(self.config.d, self.config.pooling, 1);
+        association.compute(v, &window);
+        dot(&association.pooled, self.base.candidate_item_embeddings().row(item))
     }
 
     /// Reference to a `Matrix` accessor used by integration tests.

@@ -3,12 +3,12 @@
 
 use crate::config::HamConfig;
 use crate::scorer::SeenMask;
-use crate::synergy::{apply_latent_cross, synergy_terms};
+use crate::synergy::{pool_window_into, WindowAssociation};
 use ham_data::dataset::ItemId;
 use ham_data::window::recent_window;
 use ham_tensor::matrix::dot;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked};
-use ham_tensor::Matrix;
+use ham_tensor::{Matrix, Pooling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -120,25 +120,28 @@ impl HamModel {
 
     /// The high-order association embedding for an explicit input window
     /// (`h` in Eq. 1, or `s` in Eq. 6 when synergies are enabled).
+    ///
+    /// Evaluated by the [`synergy`](crate::synergy) module's
+    /// `WindowAssociation`, the statement of Eq. 5–6 the trainer's forward
+    /// pass shares.
     pub fn association_vector(&self, window: &[ItemId]) -> Vec<f32> {
         assert!(!window.is_empty(), "association_vector: window must not be empty");
-        let rows = self.item_emb_in.gather_rows(window);
-        let h = self.config.pooling.pool(&rows);
-        if self.config.uses_synergies() {
-            let synergies = synergy_terms(&rows, self.config.synergy_order);
-            apply_latent_cross(&h, &synergies)
-        } else {
-            h
-        }
+        let config = &self.config;
+        let mut association = WindowAssociation::new(config.d, config.pooling, config.synergy_order);
+        association.compute(&self.item_emb_in, window);
+        let mut s = vec![0.0; config.d];
+        association.association_into(&mut s);
+        s
     }
 
     /// The low-order association embedding `o` for an explicit window.
     pub fn low_order_vector(&self, window: &[ItemId]) -> Vec<f32> {
-        if window.is_empty() {
-            return vec![0.0; self.config.d];
+        let mut o = vec![0.0; self.config.d];
+        if !window.is_empty() {
+            let mut argmax = vec![0; if self.config.pooling == Pooling::Max { self.config.d } else { 0 }];
+            pool_window_into(&self.item_emb_in, window, self.config.pooling, &mut o, &mut argmax);
         }
-        let rows = self.item_emb_in.gather_rows(window);
-        self.config.pooling.pool(&rows)
+        o
     }
 
     /// Builds the query vector `q` such that `r_ij = q · w_j`, i.e.

@@ -1,42 +1,25 @@
 //! The BPR objective of HAM expressed on the `ham-autograd` tape.
 //!
-//! This is the reference trainer: it supports every HAM variant including the
-//! synergy/latent-cross models (Eq. 5–6). Uniform mini-batches build **one
-//! tape per block** of `TRAIN_BLOCK` instances — every window of the block
-//! is gathered at once, pooled with the blocked pooling ops
-//! ([`Graph::mean_pool_blocks`] / [`Graph::max_pool_blocks`]), and all
-//! (positive, negative) pairs are scored through one `repeat_rows` +
+//! This is the test oracle of the analytic trainer ([`super::manual`]): it
+//! expresses every HAM variant, the synergy/latent-cross models (Eq. 5–6)
+//! included, as tape operations whose gradients the tape derives on its own.
+//! Training runs it only when `TrainConfig::force_autograd` is set. Uniform
+//! mini-batches build **one tape per block** of `TRAIN_BLOCK` instances —
+//! every window of the block is gathered at once, pooled with the blocked
+//! pooling ops ([`Graph::mean_pool_blocks`] / [`Graph::max_pool_blocks`]),
+//! and all (positive, negative) pairs are scored through one `repeat_rows` +
 //! `dot_rows` pair of nodes — so the tape length is independent of the batch
-//! size instead of linear in it. A batch of one instance takes the exact
-//! legacy per-instance graph (`batch_gradients_reference`), which also
-//! remains the fallback for non-uniform batches and the target of the
-//! finite-difference gradient checks.
+//! size. A batch of one instance takes the per-instance graph
+//! (`batch_gradients_reference`), which also remains the fallback for
+//! non-uniform batches and the target of the finite-difference checks.
 
-use super::{uniform_shapes, HamParams, PreparedInstance, TRAIN_BLOCK};
+use super::{HamParams, PreparedInstance};
 use crate::config::HamConfig;
 use ham_autograd::{GradStore, Graph, VarId};
 use ham_tensor::Pooling;
 
-/// Computes the gradients and the mean loss of one mini-batch, building one
-/// batched tape per block of uniform instances.
-pub(crate) fn batch_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
-    assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
-    if batch.len() == 1 || !uniform_shapes(batch) {
-        return batch_gradients_reference(params, batch, config);
-    }
-    let batch_scale = 1.0f32 / batch.len() as f32;
-    let mut grads = GradStore::new();
-    let mut loss = 0.0f64;
-    for block in batch.chunks(TRAIN_BLOCK) {
-        let (block_grads, block_loss) = block_gradients(params, block, config, batch_scale);
-        grads.merge(block_grads);
-        loss += block_loss;
-    }
-    (grads, loss as f32)
-}
-
-/// The legacy path: one per-instance subgraph per batch member, stacked and
-/// averaged. Reference for the batched tape and the finite-difference checks.
+/// One per-instance subgraph per batch member, stacked and averaged.
+/// Reference for the batched tape and the finite-difference checks.
 pub(crate) fn batch_gradients_reference(
     params: &HamParams,
     batch: &[PreparedInstance],
@@ -58,7 +41,7 @@ pub(crate) fn batch_gradients_reference(
 }
 
 /// Gradients of one uniform block of a larger batch on a single batched tape
-/// (the threaded trainer computes blocks in parallel and merges them in
+/// (the trainer computes blocks inline or in parallel and merges them in
 /// block order). `batch_scale` is `1 / total batch size`.
 ///
 /// Returns the block's contribution to the batch mean loss.
@@ -211,10 +194,17 @@ fn pool_blocks(g: &mut Graph, rows: VarId, block: usize, pooling: Pooling) -> Va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HamConfig, HamVariant};
+    use crate::config::{HamConfig, HamVariant, TrainConfig};
     use crate::model::HamModel;
-    use crate::trainer::HamParams;
+    use crate::trainer::{compute_batch_gradients, HamParams, TRAIN_BLOCK};
     use ham_autograd::gradcheck::check_gradient;
+
+    /// The tape's batched path, as the trainer runs it under
+    /// `force_autograd`.
+    fn batch_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
+        let tc = TrainConfig { force_autograd: true, ..TrainConfig::default() };
+        compute_batch_gradients(params, batch, config, &tc, false, None)
+    }
 
     fn setup(config: HamConfig) -> HamParams {
         let model = HamModel::new(3, 10, config, 23);
@@ -294,12 +284,21 @@ mod tests {
 
     #[test]
     fn batched_tape_matches_per_instance_reference() {
-        for (variant, order) in
-            [(HamVariant::HamSM, 3), (HamVariant::HamSX, 2), (HamVariant::HamM, 1), (HamVariant::HamX, 1)]
-        {
-            let config = HamConfig::for_variant(variant).with_dimensions(6, 4, 2, 2, order);
+        for (variant, order) in [
+            (HamVariant::HamSM, 3),
+            (HamVariant::HamSX, 2),
+            (HamVariant::HamM, 1),
+            (HamVariant::HamX, 1),
+            (HamVariant::HamSMNoLowOrder, 2),
+            (HamVariant::HamSMNoUser, 2),
+        ] {
+            let mut config = HamConfig::for_variant(variant).with_dimensions(6, 4, 2, 2, order);
+            if variant == HamVariant::HamSMNoLowOrder {
+                config.n_l = 0;
+            }
             let params = setup(config);
-            for instances in [batch(), large_batch()] {
+            for mut instances in [batch(), large_batch()] {
+                instances.iter_mut().for_each(|i| i.low = i.input[i.input.len() - config.n_l..].to_vec());
                 let (fast, fast_loss) = batch_gradients(&params, &instances, &config);
                 let (reference, ref_loss) = batch_gradients_reference(&params, &instances, &config);
                 assert!(
@@ -309,33 +308,11 @@ mod tests {
                 );
                 let diff = max_param_diff(&fast, &reference, &params);
                 assert!(diff < 1e-5, "{variant:?} (b={}) batched-tape gradients diverged: {diff}", instances.len());
-            }
-        }
-    }
-
-    #[test]
-    fn batched_tape_handles_ablations() {
-        for variant in [HamVariant::HamSMNoLowOrder, HamVariant::HamSMNoUser] {
-            let mut config = HamConfig::for_variant(variant).with_dimensions(6, 4, 2, 2, 2);
-            if matches!(variant, HamVariant::HamSMNoLowOrder) {
-                config.n_l = 0;
-            }
-            let params = setup(config);
-            let instances: Vec<PreparedInstance> = batch()
-                .into_iter()
-                .map(|mut i| {
-                    if config.n_l == 0 {
-                        i.low.clear();
-                    }
-                    i
-                })
-                .collect();
-            let (fast, _) = batch_gradients(&params, &instances, &config);
-            let (reference, _) = batch_gradients_reference(&params, &instances, &config);
-            let diff = max_param_diff(&fast, &reference, &params);
-            assert!(diff < 1e-5, "{variant:?} ablated batched tape diverged: {diff}");
-            if matches!(variant, HamVariant::HamSMNoUser) {
-                assert!(!fast.contains(params.u), "ablated user term must not receive gradients");
+                assert_eq!(
+                    fast.contains(params.u),
+                    config.use_user_term,
+                    "{variant:?}: user gradients follow the ablation"
+                );
             }
         }
     }

@@ -1,8 +1,7 @@
-//! Analytic (manual) gradients of the BPR objective for the pooling-only HAM
-//! variants — mini-batched through the GEMM kernel tiers.
+//! Analytic gradients of the BPR objective for every HAM variant.
 //!
 //! For one training pair (positive target `j`, sampled negative `k`) with
-//! query vector `q = u_i + h + o` and margin `x = q·w_j − q·w_k`, the BPR loss
+//! query vector `q = u_i + s + o` and margin `x = q·w_j − q·w_k`, the BPR loss
 //! is `softplus(−x)` and its gradients are
 //!
 //! ```text
@@ -10,32 +9,45 @@
 //! ∂L/∂q   =  g·(w_j − w_k)
 //! ```
 //!
-//! `∂L/∂q` is then routed to the user embedding and — through the pooling
-//! operator — to the input item embeddings (`1/n_h` per window item for mean
-//! pooling; to the per-dimension arg-max item for max pooling).
+//! `∂L/∂q` is then routed to the user embedding, through the pooling
+//! operator to the low-order window (`1/n_l` per window item for mean
+//! pooling; to the per-dimension arg-max item for max pooling), and through
+//! the latent cross `s = h + Σ_p c^(p) ∘ h` (Eq. 6) to the high-order window.
+//! With `r_m = S − v_m` and `T_p = Σ_j v_j ∘ r_j^(p−2)` (so `T_2 = S` and
+//! `T_p = n·c^(p−1)`), the closed form of Eq. 5 differentiates to
 //!
-//! ## Batched fast path
+//! ```text
+//! ∂L/∂h   = dq ∘ (1 + Σ_p c^(p))                 (then through the pooling)
+//! ∂L/∂v_m += Σ_p (dc/n) ∘ [r_m^(p−1) + (p−1)(T_p − v_m ∘ r_m^(p−2))]
+//! ```
 //!
-//! `batch_gradients` processes a uniform mini-batch in blocks of
-//! `MANUAL_BLOCK` instances. Per block it builds the query matrix `Q` once,
-//! gathers the block's **unique** candidate items into `C`, scores every
-//! (positive, negative) pair with one
-//! [`matmul_transposed_into`](ham_tensor::kernels::matmul_transposed_into)
-//! (`Q·Cᵀ`), and accumulates both `∂L/∂C` and `∂L/∂Q` with the rank-1
-//! [`axpy_rows`](ham_tensor::kernels::axpy_rows) scatter kernel — candidate
-//! rows repeated across a block coalesce into one gradient row before the
-//! sparse Adam step sees them. A batch (or block) of **one** instance takes
-//! the exact per-instance reference path, so `batch_size = 1` training is
-//! bit-identical to the legacy instance-at-a-time loop
-//! (`batch_gradients_reference`, against which the GEMM path is pinned at
-//! ≤ 1e-5 by the batch-size-invariance proptests in `trainer::tests`).
+//! with `dc = dq ∘ h` — at the paper's default `p = 2` simply
+//! `(2/n) dc ∘ (S − v_m)` per window slot. The forward pass evaluates `s`
+//! through `WindowAssociation`, the statement of Eq. 5–6 that
+//! `HamModel::association_vector` evaluates too, so the trainer's query is
+//! the served query bit for bit.
 //!
-//! This path only supports `synergy_order == 1`; the synergy variants use the
-//! autograd path, against which these gradients are verified in the tests
-//! below.
+//! ## Blocked path
+//!
+//! `block_gradients` takes `MANUAL_BLOCK` instances at a time. It dedups
+//! the block's candidate items and window items (sort-based, no hashing)
+//! into dense per-block gradient matrices, then makes one pass per instance:
+//! build `q`, score each pair with two dots, fold `±g·q` into the pair's two
+//! candidate rows and `g·(w_j − w_k)` into `∂L/∂q` with four
+//! [`axpy`](ham_tensor::kernels::axpy) calls, and write the window gradients
+//! straight into the block's coalesced `∂L/∂V` rows. Each table then gets
+//! one coalesced sparse accumulation per block. A block (or batch) of **one**
+//! instance takes the per-instance reference loop
+//! (`batch_gradients_reference`: scalar accumulation into the sparse store)
+//! instead, so `batch_size = 1` training is bit-identical to
+//! `force_reference` training.
+//!
+//! The `ham-autograd` tape ([`super::autograd_ref`]) is the oracle these
+//! gradients are tested against, on every variant and synergy order.
 
-use super::{uniform_shapes, HamParams, PreparedInstance, MANUAL_BLOCK};
+use super::{HamParams, PreparedInstance};
 use crate::config::HamConfig;
+use crate::synergy::{pool_window_into, WindowAssociation};
 use ham_autograd::GradStore;
 use ham_tensor::kernels;
 use ham_tensor::matrix::dot;
@@ -57,7 +69,7 @@ fn dedup_key(item: usize, slot: u32) -> u64 {
 /// Sort-based dedup of packed `(item, slot)` draws (see [`dedup_key`]):
 /// assigns one column per distinct item (ascending item order) and records
 /// each slot's column. Returns the distinct items; `col_of_slot[slot]`
-/// indexes into them. No hashing — the per-chunk cost is one
+/// indexes into them. No hashing — the per-block cost is one
 /// `sort_unstable` of a few hundred integers, independent of the catalogue
 /// size.
 fn dedup_columns(keyed: &mut [u64], col_of_slot: &mut [u32]) -> Vec<usize> {
@@ -74,42 +86,14 @@ fn dedup_columns(keyed: &mut [u64], col_of_slot: &mut [u32]) -> Vec<usize> {
     items
 }
 
-/// Computes the gradients and the mean loss of one mini-batch, routing
-/// uniform batches of more than one instance through the blocked GEMM path.
-///
-/// # Panics
-/// Panics if the configuration uses synergies (`synergy_order >= 2`);
-/// those variants must use [`super::autograd_ref::batch_gradients`].
-pub(crate) fn batch_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
-    assert!(!config.uses_synergies(), "manual gradients only support synergy_order == 1; use the autograd trainer");
-    assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
-    let batch_scale = 1.0f32 / batch.len() as f32;
-    let mut grads = GradStore::new();
-    let mut loss = 0.0f64;
-    if batch.len() > 1 && uniform_shapes(batch) {
-        // Per-block stores merged in block order — the exact computation the
-        // threaded trainer performs, so the thread count can never change
-        // the result.
-        for block in batch.chunks(MANUAL_BLOCK) {
-            let (block_grads, block_loss) = block_gradients(params, block, config, batch_scale);
-            grads.merge(block_grads);
-            loss += block_loss;
-        }
-    } else {
-        loss += reference_into(params, batch, config, batch_scale, &mut grads);
-    }
-    (grads, loss as f32)
-}
-
-/// The legacy per-instance gradient loop: scalar [`dot`] scores and
-/// pair-by-pair accumulation. This is the reference the GEMM path is
-/// verified against, and the exact path a batch of one instance takes.
+/// The per-instance reference loop over a whole batch: scalar [`dot`]
+/// scores and pair-by-pair accumulation into the sparse store. The exact
+/// path a batch or block of one instance takes.
 pub(crate) fn batch_gradients_reference(
     params: &HamParams,
     batch: &[PreparedInstance],
     config: &HamConfig,
 ) -> (GradStore, f32) {
-    assert!(!config.uses_synergies(), "manual gradients only support synergy_order == 1; use the autograd trainer");
     assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
     let batch_scale = 1.0f32 / batch.len() as f32;
     let mut grads = GradStore::new();
@@ -117,9 +101,10 @@ pub(crate) fn batch_gradients_reference(
     (grads, loss as f32)
 }
 
-/// Gradients of one block of a larger batch into a fresh store (the threaded
-/// trainer computes blocks in parallel and merges them in block order).
-/// `batch_scale` is `1 / total batch size`, **not** `1 / block size`.
+/// Gradients of one uniform block of a larger batch into a fresh store (the
+/// trainer computes blocks inline or in parallel and merges them in block
+/// order). `batch_scale` is `1 / total batch size`, **not** `1 / block size`.
+/// Single-instance blocks take the bit-exact reference loop.
 ///
 /// Returns the block's contribution to the batch mean loss.
 pub(crate) fn block_gradients(
@@ -129,68 +114,149 @@ pub(crate) fn block_gradients(
     batch_scale: f32,
 ) -> (GradStore, f64) {
     let mut grads = GradStore::new();
-    let loss = block_into(params, block, config, batch_scale, &mut grads);
+    let loss = if block.len() == 1 {
+        reference_into(params, block, config, batch_scale, &mut grads)
+    } else {
+        pair_block_into(params, block, config, batch_scale, &mut grads)
+    };
     (grads, loss)
 }
 
-/// Accumulates one block's gradients into `grads`; single-instance blocks
-/// take the bit-exact reference path instead of a 1-row GEMM.
-fn block_into(
-    params: &HamParams,
-    block: &[PreparedInstance],
-    config: &HamConfig,
-    batch_scale: f32,
-    grads: &mut GradStore,
-) -> f64 {
-    if block.len() == 1 {
-        reference_into(params, block, config, batch_scale, grads)
-    } else {
-        gemm_block_into(params, block, config, batch_scale, grads)
+/// One instance's forward pass and the gradient buffers of its backward
+/// pass, reused across the instances of a block.
+struct InstancePass {
+    high: WindowAssociation,
+    low: Vec<f32>,
+    low_argmax: Vec<usize>,
+    /// The query `q = s + o + u`.
+    q: Vec<f32>,
+    /// `∂L/∂q`.
+    dq: Vec<f32>,
+    /// `∂L/∂h`, the gradient at the pooled high-order window (with
+    /// synergies; it is `∂L/∂q` itself without them).
+    dh: Vec<f32>,
+    /// `dc / n_h = (dq ∘ h) / n_h`, the factor every synergy term shares.
+    dc: Vec<f32>,
+}
+
+impl InstancePass {
+    fn new(config: &HamConfig) -> Self {
+        let d = config.d;
+        Self {
+            high: WindowAssociation::new(d, config.pooling, config.synergy_order),
+            low: vec![0.0; d],
+            low_argmax: vec![0; if config.pooling == Pooling::Max { d } else { 0 }],
+            q: vec![0.0; d],
+            dq: vec![0.0; d],
+            dh: vec![0.0; if config.uses_synergies() { d } else { 0 }],
+            dc: vec![0.0; if config.uses_synergies() { d } else { 0 }],
+        }
+    }
+
+    /// Builds `q` for `instance` in the expression order of
+    /// `HamModel::query_vector` — the association `s`, then `+ o`, then
+    /// `+ u` — and clears `∂L/∂q`.
+    fn forward(&mut self, u_mat: &Matrix, v_mat: &Matrix, config: &HamConfig, instance: &PreparedInstance) {
+        self.high.compute(v_mat, &instance.input);
+        self.high.association_into(&mut self.q);
+        if !instance.low.is_empty() {
+            pool_window_into(v_mat, &instance.low, config.pooling, &mut self.low, &mut self.low_argmax);
+            for (q, o) in self.q.iter_mut().zip(&self.low) {
+                *q += o;
+            }
+        }
+        if config.use_user_term {
+            for (q, u) in self.q.iter_mut().zip(u_mat.row(instance.user)) {
+                *q += u;
+            }
+        }
+        self.dq.fill(0.0);
+    }
+
+    /// Eq. 6 backward from the accumulated `∂L/∂q`: `∂L/∂h` and the shared
+    /// synergy factor `dc / n_h` (nothing to do without synergies).
+    fn latent_cross_backward(&mut self, n_h: usize) {
+        if self.high.order() < 2 {
+            return;
+        }
+        self.dh.copy_from_slice(&self.dq);
+        for c in self.high.synergies.chunks_exact(self.dq.len()) {
+            for ((dh, &dq), &c) in self.dh.iter_mut().zip(&self.dq).zip(c) {
+                *dh += dq * c;
+            }
+        }
+        let inv = 1.0 / n_h as f32;
+        for ((dc, &dq), &h) in self.dc.iter_mut().zip(&self.dq).zip(&self.high.pooled) {
+            *dc = dq * h * inv;
+        }
+    }
+
+    /// `∂L/∂h`, after [`Self::latent_cross_backward`].
+    fn dh(&self) -> &[f32] {
+        if self.high.order() < 2 {
+            &self.dq
+        } else {
+            &self.dh
+        }
+    }
+
+    /// Adds the synergy terms' gradient at window slot `v_m` to `out`:
+    /// `Σ_p (dc/n) ∘ [r^(p−1) + (p−1)(T_p − v_m ∘ r^(p−2))]`, `r = S − v_m`.
+    fn add_synergy_gradient(&self, v_m: &[f32], n_h: usize, out: &mut [f32]) {
+        let order = self.high.order();
+        let total = &self.high.total;
+        if order == 2 {
+            // T_2 = S, so the bracket is r + r.
+            for (((o, &dc), &s), &v) in out.iter_mut().zip(&self.dc).zip(total).zip(v_m) {
+                let r = s - v;
+                *o += dc * (r + r);
+            }
+            return;
+        }
+        let d = out.len();
+        let n = n_h as f32;
+        for c in 0..d {
+            let (v, s) = (v_m[c], total[c]);
+            let r = s - v;
+            // `power` runs through r^(p−2).
+            let mut power = 1.0f32;
+            let mut bracket = 0.0f32;
+            for p in 2..=order {
+                let t_p = if p == 2 { s } else { n * self.high.synergies[(p - 3) * d + c] };
+                bracket += power * r + (p - 1) as f32 * (t_p - v * power);
+                power *= r;
+            }
+            out[c] += self.dc[c] * bracket;
+        }
     }
 }
 
-/// Score-GEMM tile width: instances per `Q·Cᵀ` product inside a gradient
-/// chunk. `C` holds only the tile's unique candidate items, so a narrow tile
-/// keeps the scored rectangle close to the pairs actually needed while the
-/// GEMM still amortises the packed-panel walk over the tile's query rows.
-const GEMM_TILE: usize = 8;
-
-/// The chunked GEMM path: per [`GEMM_TILE`] instances one `Q·Cᵀ` score
-/// product and two `axpy_rows` rank-1 scatters, accumulating straight into
-/// chunk-level dense gradient matrices (`∂L/∂C` over the chunk's unique
-/// candidates, `∂L/∂Q` per instance) — the sparse `GradStore` is touched
-/// once per chunk, with duplicate rows already coalesced.
-fn gemm_block_into(
+/// The pair-direct blocked path: one forward/backward pass per instance,
+/// scoring each pair with two dots and accumulating straight into the
+/// block's dense gradient matrices (`∂L/∂C` over the block's unique
+/// candidates, `∂L/∂V` over its unique window items) — the sparse
+/// `GradStore` sees each table once per block, duplicate rows coalesced.
+fn pair_block_into(
     params: &HamParams,
     block: &[PreparedInstance],
     config: &HamConfig,
     batch_scale: f32,
     grads: &mut GradStore,
 ) -> f64 {
-    // Per-chunk score-GEMM timing, resolved from the global telemetry handle
-    // here (rather than threaded through the gradient call graph) so the
-    // block functions keep their signatures; one registry lookup per chunk
-    // of MANUAL_BLOCK instances when enabled, one atomic load when not.
-    let gemm_timer = {
-        let telemetry = ham_telemetry::global();
-        telemetry.registry().map(|r| r.histogram("train_chunk_gemm_nanos"))
-    };
-    let mut gemm_nanos = 0u64;
-
     let u_mat = params.store.value(params.u);
     let v_mat = params.store.value(params.v);
     let w_mat = params.store.value(params.w);
     let d = config.d;
-    let b = block.len();
+    let n_h = block[0].input.len();
+    let n_l = block[0].low.len();
     let n_p = block[0].targets.len();
-    let has_low = !block[0].low.is_empty();
-    let is_max = config.pooling == Pooling::Max;
+    let is_mean = config.pooling == Pooling::Mean;
+    let synergies = config.uses_synergies();
 
-    // Unique candidate items of the chunk: pair slot `2p` is pair `p`'s
+    // Unique candidate items of the block: pair slot `2p` is pair `p`'s
     // positive, `2p + 1` its negative; `pair_cols[slot]` is the item's row in
-    // the chunk's gradient matrix `dcand`. The same dedup is what coalesces
-    // duplicate candidate rows before the sparse Adam update.
-    let pairs = b * n_p;
+    // the block's gradient matrix `dcand`.
+    let pairs = block.len() * n_p;
     let mut keyed: Vec<u64> = Vec::with_capacity(2 * pairs);
     for (i, instance) in block.iter().enumerate() {
         for (t, (&pos, &neg)) in instance.targets.iter().zip(&instance.negatives).enumerate() {
@@ -201,213 +267,103 @@ fn gemm_block_into(
     }
     let mut pair_cols = vec![0u32; 2 * pairs];
     let items = dedup_columns(&mut keyed, &mut pair_cols);
-    let unique = items.len();
 
-    // The chunk's query matrix, one row per instance (h + o + u, exactly the
-    // reference construction), with per-instance arg-max positions retained
-    // for the max-pooling backward.
-    let mut q = Matrix::zeros(b, d);
-    let mut argmax_high = vec![0usize; if is_max { b * d } else { 0 }];
-    let mut argmax_low = vec![0usize; if is_max && has_low { b * d } else { 0 }];
-    let mut low_scratch = vec![0.0f32; d];
-    for (i, instance) in block.iter().enumerate() {
-        let q_row = q.row_mut(i);
-        pool_window_into(v_mat, &instance.input, config.pooling, q_row, argmax_slice(&mut argmax_high, i, d));
-        if has_low {
-            pool_window_into(
-                v_mat,
-                &instance.low,
-                config.pooling,
-                &mut low_scratch,
-                argmax_slice(&mut argmax_low, i, d),
-            );
-            for (qv, ov) in q_row.iter_mut().zip(&low_scratch) {
-                *qv += ov;
-            }
-        }
-        if config.use_user_term {
-            for (qv, uv) in q_row.iter_mut().zip(u_mat.row(instance.user)) {
-                *qv += uv;
-            }
+    // Window slots with a dense gradient row: every high-order slot under
+    // mean pooling or synergies, every low-order slot under mean pooling.
+    // Max pooling routes the pooled gradient to the per-dimension winners
+    // through the sparse store, so an item that wins nothing stays untouched
+    // (as on the reference path).
+    let high_slots = if is_mean || synergies { n_h } else { 0 };
+    let low_slots = if is_mean { n_l } else { 0 };
+    let slots = high_slots + low_slots;
+    let mut keyed_windows: Vec<u64> = Vec::with_capacity(block.len() * slots);
+    let mut slot = 0u32;
+    for instance in block {
+        for &item in instance.input[..high_slots].iter().chain(&instance.low[..low_slots]) {
+            keyed_windows.push(dedup_key(item, slot));
+            slot += 1;
         }
     }
+    let mut window_cols = vec![0u32; block.len() * slots];
+    let window_items = dedup_columns(&mut keyed_windows, &mut window_cols);
 
-    // Chunk-level gradient accumulators: `dcand` coalesces every pair's
-    // `±g·q` over the unique candidates, `dq` is ∂L/∂q per instance.
-    let mut dcand = Matrix::zeros(unique, d);
-    let mut dq = Matrix::zeros(b, d);
+    let mut dcand = Matrix::zeros(items.len(), d);
+    let mut dv = Matrix::zeros(window_items.len(), d);
+    let mut pass = InstancePass::new(config);
+    let mut row_scratch = vec![0.0f32; d];
+    let pair_scale = batch_scale / n_p as f32;
+    let high_scale = 1.0 / n_h as f32;
+    let low_scale = if n_l > 0 { 1.0 / n_l as f32 } else { 0.0 };
     let mut loss_sum = 0.0f64;
 
-    // Tile scratch, reused across the chunk's tiles. The three tile
-    // matrices round-trip through `from_vec`/`into_vec` so their capacity
-    // survives the loop — the innermost loop performs no steady-state heap
-    // allocation.
-    let mut tile_cols: Vec<u32> = Vec::new();
-    let mut c_buf: Vec<f32> = Vec::new();
-    let mut q_buf: Vec<f32> = Vec::new();
-    let mut score_buf: Vec<f32> = Vec::new();
-    let mut dcand_rows = Vec::with_capacity(2 * GEMM_TILE * n_p);
-    let mut dcand_scales = Vec::with_capacity(2 * GEMM_TILE * n_p);
-    let mut dcand_src = Vec::with_capacity(2 * GEMM_TILE * n_p);
-    let mut dq_rows = Vec::with_capacity(2 * GEMM_TILE * n_p);
-    let mut dq_scales = Vec::with_capacity(2 * GEMM_TILE * n_p);
-    let mut dq_src = Vec::with_capacity(2 * GEMM_TILE * n_p);
-
-    let mut tile_start = 0usize;
-    while tile_start < b {
-        let tw = (b - tile_start).min(GEMM_TILE);
-
-        // The tile's candidate set, as sorted unique chunk columns.
-        tile_cols.clear();
-        tile_cols.extend_from_slice(&pair_cols[2 * tile_start * n_p..2 * (tile_start + tw) * n_p]);
-        tile_cols.sort_unstable();
-        tile_cols.dedup();
-
-        // Gather the tile's candidate rows and query rows, then score every
-        // (instance, candidate) pair of the tile with one GEMM.
-        c_buf.clear();
-        for &cc in &tile_cols {
-            c_buf.extend_from_slice(w_mat.row(items[cc as usize]));
+    for (i, instance) in block.iter().enumerate() {
+        pass.forward(u_mat, v_mat, config, instance);
+        let mut instance_loss = 0.0f32;
+        for (t, (&pos, &neg)) in instance.targets.iter().zip(&instance.negatives).enumerate() {
+            let (w_pos, w_neg) = (w_mat.row(pos), w_mat.row(neg));
+            let x = dot(&pass.q, w_pos) - dot(&pass.q, w_neg);
+            instance_loss += -log_sigmoid(x) / n_p as f32;
+            let g = (sigmoid_scalar(x) - 1.0) * pair_scale;
+            let pair = i * n_p + t;
+            // ±g·q into the pair's two candidate rows, g·(w_pos − w_neg) into ∂L/∂q.
+            kernels::axpy(dcand.row_mut(pair_cols[2 * pair] as usize), g, &pass.q);
+            kernels::axpy(dcand.row_mut(pair_cols[2 * pair + 1] as usize), -g, &pass.q);
+            kernels::axpy(&mut pass.dq, g, w_pos);
+            kernels::axpy(&mut pass.dq, -g, w_neg);
         }
-        let c_tile = Matrix::from_vec(tile_cols.len(), d, std::mem::take(&mut c_buf));
-        q_buf.clear();
-        q_buf.extend_from_slice(&q.as_slice()[tile_start * d..(tile_start + tw) * d]);
-        let q_tile = Matrix::from_vec(tw, d, std::mem::take(&mut q_buf));
-        score_buf.clear();
-        score_buf.resize(tw * tile_cols.len(), 0.0);
-        let mut scores = Matrix::from_vec(tw, tile_cols.len(), std::mem::take(&mut score_buf));
-        let gemm_started = gemm_timer.is_some().then(std::time::Instant::now);
-        kernels::matmul_transposed_into(&q_tile, &c_tile, &mut scores);
-        if let Some(started) = gemm_started {
-            gemm_nanos += started.elapsed().as_nanos() as u64;
-        }
+        loss_sum += instance_loss as f64;
 
-        // Pair pass: losses plus the scatter pattern for the rank-1 updates.
-        dcand_rows.clear();
-        dcand_scales.clear();
-        dcand_src.clear();
-        dq_rows.clear();
-        dq_scales.clear();
-        dq_src.clear();
-        for local in 0..tw {
-            let i = tile_start + local;
-            let instance = &block[i];
-            let pair_scale = batch_scale / instance.targets.len() as f32;
-            let mut instance_loss = 0.0f32;
-            for t in 0..n_p {
-                let pair = i * n_p + t;
-                let pc = pair_cols[2 * pair];
-                let nc = pair_cols[2 * pair + 1];
-                let ptc = tile_cols.binary_search(&pc).expect("tile candidate set covers its pairs");
-                let ntc = tile_cols.binary_search(&nc).expect("tile candidate set covers its pairs");
-                let x = scores.get(local, ptc) - scores.get(local, ntc);
-                instance_loss += -log_sigmoid(x) / instance.targets.len() as f32;
-                let g = (sigmoid_scalar(x) - 1.0) * pair_scale;
-                // ∂L/∂w_pos = g·q_i, ∂L/∂w_neg = −g·q_i (chunk columns)
-                dcand_rows.extend([pc as usize, nc as usize]);
-                dcand_scales.extend([g, -g]);
-                dcand_src.extend([i, i]);
-                // ∂L/∂q_i += g·(w_pos − w_neg) (tile rows as sources)
-                dq_rows.extend([i, i]);
-                dq_scales.extend([g, -g]);
-                dq_src.extend([ptc, ntc]);
+        if config.use_user_term {
+            grads.accumulate_scaled_row(params.u, instance.user, &pass.dq, 1.0);
+        }
+        pass.latent_cross_backward(n_h);
+        let cols = &window_cols[i * slots..(i + 1) * slots];
+        for (&col, &item) in cols.iter().zip(&instance.input[..high_slots]) {
+            let row = dv.row_mut(col as usize);
+            if is_mean {
+                kernels::axpy(row, high_scale, pass.dh());
             }
-            loss_sum += instance_loss as f64;
+            if synergies {
+                pass.add_synergy_gradient(v_mat.row(item), n_h, row);
+            }
         }
-
-        // Rank-1 scatters for the tile, straight into the chunk matrices.
-        kernels::axpy_rows(&mut dcand, &dcand_rows, &dcand_scales, &q, &dcand_src);
-        kernels::axpy_rows(&mut dq, &dq_rows, &dq_scales, &c_tile, &dq_src);
-
-        // Hand the tile buffers back for the next iteration.
-        c_buf = c_tile.into_vec();
-        q_buf = q_tile.into_vec();
-        score_buf = scores.into_vec();
-        tile_start += tw;
-    }
-
-    if let Some(timer) = &gemm_timer {
-        timer.record(gemm_nanos);
-    }
-
-    // One coalesced sparse accumulation for W: `items` is duplicate-free.
-    grads.accumulate_sparse(params.w, &items, &dcand);
-
-    // Route ∂L/∂q to the user embedding.
-    if config.use_user_term {
-        for (i, instance) in block.iter().enumerate() {
-            grads.accumulate_scaled_row(params.u, instance.user, dq.row(i), 1.0);
+        for &col in &cols[high_slots..] {
+            kernels::axpy(dv.row_mut(col as usize), low_scale, &pass.dq);
         }
-    }
-
-    // Route ∂L/∂q through the pooling operators onto V. Mean pooling takes
-    // one more coalesced `axpy_rows` scatter (every window item of instance
-    // `i` receives `dq_i / window len`, summed per unique item before the
-    // sparse accumulation); max pooling routes per-dimension arg-max winners
-    // per instance.
-    if is_max {
-        let mut row_scratch = vec![0.0f32; d];
-        for (i, instance) in block.iter().enumerate() {
-            let dq_row = dq.row(i);
+        if !is_mean {
             route_pooling_gradient(
                 grads,
                 params,
                 &instance.input,
-                argmax_slice(&mut argmax_high, i, d),
-                dq_row,
+                &pass.high.argmax,
+                pass.dh(),
                 config.pooling,
                 &mut row_scratch,
             );
-            if has_low {
+            if n_l > 0 {
                 route_pooling_gradient(
                     grads,
                     params,
                     &instance.low,
-                    argmax_slice(&mut argmax_low, i, d),
-                    dq_row,
+                    &pass.low_argmax,
+                    &pass.dq,
                     config.pooling,
                     &mut row_scratch,
                 );
             }
         }
-    } else {
-        let n_h = block[0].input.len();
-        let n_l = block[0].low.len();
-        let window_slots = b * (n_h + n_l);
-        let mut keyed_windows: Vec<u64> = Vec::with_capacity(window_slots);
-        let mut slot = 0u32;
-        for instance in block {
-            for &item in instance.input.iter().chain(&instance.low) {
-                keyed_windows.push(dedup_key(item, slot));
-                slot += 1;
-            }
-        }
-        let mut window_cols = vec![0u32; window_slots];
-        let window_items = dedup_columns(&mut keyed_windows, &mut window_cols);
-        let high_scale = 1.0 / n_h as f32;
-        let low_scale = if n_l > 0 { 1.0 / n_l as f32 } else { 0.0 };
-        let mut dv = Matrix::zeros(window_items.len(), d);
-        {
-            let dv_data = dv.as_mut_slice();
-            for i in 0..b {
-                let dq_row = dq.row(i);
-                let base = i * (n_h + n_l);
-                for w in 0..n_h + n_l {
-                    let col = window_cols[base + w] as usize;
-                    let scale = if w < n_h { high_scale } else { low_scale };
-                    kernels::axpy(&mut dv_data[col * d..(col + 1) * d], scale, dq_row);
-                }
-            }
-        }
-        grads.accumulate_sparse(params.v, &window_items, &dv);
     }
 
+    grads.accumulate_sparse(params.w, &items, &dcand);
+    if !window_items.is_empty() {
+        grads.accumulate_sparse(params.v, &window_items, &dv);
+    }
     loss_sum * batch_scale as f64
 }
 
-/// The legacy per-instance loop with an explicit `batch_scale` so it can
-/// serve as a block of a larger batch. Returns the contribution to the
-/// batch mean loss (`Σ instance losses · batch_scale`).
+/// The per-instance loop with an explicit `batch_scale` so it can serve as
+/// a block of a larger batch. Returns the contribution to the batch mean
+/// loss (`Σ instance losses · batch_scale`).
 fn reference_into(
     params: &HamParams,
     instances: &[PreparedInstance],
@@ -418,116 +374,72 @@ fn reference_into(
     let u_mat = params.store.value(params.u);
     let v_mat = params.store.value(params.v);
     let w_mat = params.store.value(params.w);
-    let d = config.d;
-    let is_max = config.pooling == Pooling::Max;
-
+    let mut pass = InstancePass::new(config);
+    let mut row_scratch = vec![0.0f32; config.d];
     let mut total_loss = 0.0f64;
 
-    // Scratch buffers reused across every instance and pair: the query `q`,
-    // the accumulated ∂L/∂q, the pooled low-order window, the max-pooling
-    // arg-max positions and a row buffer for routing max-pooling gradients.
-    // No per-pair heap allocation happens below — W-row gradients flow
-    // through `GradStore::accumulate_scaled_row` straight from `q`.
-    let mut q = vec![0.0f32; d];
-    let mut dq = vec![0.0f32; d];
-    let mut low_pooled = vec![0.0f32; d];
-    let mut row_scratch = vec![0.0f32; d];
-    let mut argmax_high = vec![0usize; if is_max { d } else { 0 }];
-    let mut argmax_low = vec![0usize; if is_max { d } else { 0 }];
-
     for instance in instances {
-        pool_window_into(v_mat, &instance.input, config.pooling, &mut q, &mut argmax_high);
-        if !instance.low.is_empty() {
-            pool_window_into(v_mat, &instance.low, config.pooling, &mut low_pooled, &mut argmax_low);
-            for (qi, oi) in q.iter_mut().zip(&low_pooled) {
-                *qi += oi;
-            }
-        }
-        if config.use_user_term {
-            for (qi, ui) in q.iter_mut().zip(u_mat.row(instance.user)) {
-                *qi += ui;
-            }
-        }
-
+        pass.forward(u_mat, v_mat, config, instance);
         let pair_scale = batch_scale / instance.targets.len() as f32;
-        dq.fill(0.0);
         let mut instance_loss = 0.0f32;
 
         for (&pos, &neg) in instance.targets.iter().zip(&instance.negatives) {
             let w_pos = w_mat.row(pos);
             let w_neg = w_mat.row(neg);
-            let x = dot(&q, w_pos) - dot(&q, w_neg);
+            let x = dot(&pass.q, w_pos) - dot(&pass.q, w_neg);
             instance_loss += -log_sigmoid(x) / instance.targets.len() as f32;
             let g = (sigmoid_scalar(x) - 1.0) * pair_scale;
 
             // ∂L/∂w_pos = g·q and ∂L/∂w_neg = −g·q, accumulated in place.
-            grads.accumulate_scaled_row(params.w, pos, &q, g);
-            grads.accumulate_scaled_row(params.w, neg, &q, -g);
+            grads.accumulate_scaled_row(params.w, pos, &pass.q, g);
+            grads.accumulate_scaled_row(params.w, neg, &pass.q, -g);
 
             // ∂L/∂q accumulated across the n_p pairs
-            for c in 0..d {
-                dq[c] += g * (w_pos[c] - w_neg[c]);
+            for ((dq, &p), &n) in pass.dq.iter_mut().zip(w_pos).zip(w_neg) {
+                *dq += g * (p - n);
             }
         }
         total_loss += instance_loss as f64;
 
         // Route ∂L/∂q to the user embedding.
         if config.use_user_term {
-            grads.accumulate_scaled_row(params.u, instance.user, &dq, 1.0);
+            grads.accumulate_scaled_row(params.u, instance.user, &pass.dq, 1.0);
         }
 
-        // Route ∂L/∂q through the pooling of the high-order window …
-        route_pooling_gradient(grads, params, &instance.input, &argmax_high, &dq, config.pooling, &mut row_scratch);
-        // … and of the low-order window.
+        // Route ∂L/∂h through the pooling of the high-order window, then the
+        // synergy terms to every window slot …
+        pass.latent_cross_backward(instance.input.len());
+        route_pooling_gradient(
+            grads,
+            params,
+            &instance.input,
+            &pass.high.argmax,
+            pass.dh(),
+            config.pooling,
+            &mut row_scratch,
+        );
+        if config.uses_synergies() {
+            for &item in &instance.input {
+                row_scratch.fill(0.0);
+                pass.add_synergy_gradient(v_mat.row(item), instance.input.len(), &mut row_scratch);
+                grads.accumulate_scaled_row(params.v, item, &row_scratch, 1.0);
+            }
+        }
+        // … and ∂L/∂q through the pooling of the low-order window.
         if !instance.low.is_empty() {
-            route_pooling_gradient(grads, params, &instance.low, &argmax_low, &dq, config.pooling, &mut row_scratch);
+            route_pooling_gradient(
+                grads,
+                params,
+                &instance.low,
+                &pass.low_argmax,
+                &pass.dq,
+                config.pooling,
+                &mut row_scratch,
+            );
         }
     }
 
     total_loss * batch_scale as f64
-}
-
-/// The length-`d` slice of a per-instance arg-max buffer (empty when max
-/// pooling is not in use, so the mean-pooling path carries no buffer).
-fn argmax_slice(buf: &mut [usize], instance: usize, d: usize) -> &mut [usize] {
-    if buf.is_empty() {
-        &mut []
-    } else {
-        &mut buf[instance * d..(instance + 1) * d]
-    }
-}
-
-/// Pools the embeddings of `window` straight into `out` (no gathered-matrix
-/// temporary): sum-then-scale for mean pooling — the exact accumulation
-/// order of `mean_pool_rows` — or a strict-greater max with first-wins ties,
-/// recording per-dimension arg-max window positions into `argmax`.
-fn pool_window_into(v_mat: &Matrix, window: &[usize], pooling: Pooling, out: &mut [f32], argmax: &mut [usize]) {
-    match pooling {
-        Pooling::Mean => {
-            out.fill(0.0);
-            for &item in window {
-                for (o, v) in out.iter_mut().zip(v_mat.row(item)) {
-                    *o += v;
-                }
-            }
-            let inv = 1.0 / window.len() as f32;
-            for o in out.iter_mut() {
-                *o *= inv;
-            }
-        }
-        Pooling::Max => {
-            out.copy_from_slice(v_mat.row(window[0]));
-            argmax.fill(0);
-            for (position, &item) in window.iter().enumerate().skip(1) {
-                for (c, &v) in v_mat.row(item).iter().enumerate() {
-                    if v > out[c] {
-                        out[c] = v;
-                        argmax[c] = position;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Distributes the pooled-vector gradient `dq` back onto the item embeddings
@@ -574,13 +486,34 @@ fn route_pooling_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HamConfig, HamVariant};
+    use crate::config::{HamConfig, HamVariant, TrainConfig};
     use crate::model::HamModel;
-    use crate::trainer::{autograd_ref, HamParams};
+    use crate::trainer::{compute_batch_gradients, HamParams, MANUAL_BLOCK};
+    use ham_autograd::gradcheck::check_gradient;
+    use proptest::prelude::*;
 
-    fn setup(variant: HamVariant, pooling_dims: (usize, usize, usize, usize)) -> (HamParams, HamConfig) {
-        let (d, n_h, n_l, n_p) = pooling_dims;
-        let config = HamConfig::for_variant(variant).with_dimensions(d, n_h, n_l, n_p, 1);
+    const VARIANTS: [HamVariant; 6] = [
+        HamVariant::HamX,
+        HamVariant::HamM,
+        HamVariant::HamSX,
+        HamVariant::HamSM,
+        HamVariant::HamSMNoLowOrder,
+        HamVariant::HamSMNoUser,
+    ];
+
+    /// The analytic path, as the trainer runs it.
+    fn batch_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
+        compute_batch_gradients(params, batch, config, &TrainConfig::default(), false, None)
+    }
+
+    /// The tape oracle, as the trainer runs it under `force_autograd`.
+    fn tape_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
+        let tc = TrainConfig { force_autograd: true, ..TrainConfig::default() };
+        compute_batch_gradients(params, batch, config, &tc, false, None)
+    }
+
+    fn setup(variant: HamVariant, order: usize) -> (HamParams, HamConfig) {
+        let config = HamConfig::for_variant(variant).with_dimensions(8, 4, 2, 2, order);
         let model = HamModel::new(4, 12, config, 17);
         (HamParams::from_model(&model), config)
     }
@@ -611,17 +544,7 @@ mod tests {
         ]
     }
 
-    /// A larger uniform batch (wraps the example instances with shifted ids)
-    /// spanning more than one GEMM tile.
-    fn large_batch() -> Vec<PreparedInstance> {
-        batch_of_reps(14)
-    }
-
-    /// A batch spanning more than one gradient chunk (> MANUAL_BLOCK).
-    fn huge_batch() -> Vec<PreparedInstance> {
-        batch_of_reps(100)
-    }
-
+    /// The example instances repeated `reps` times with shifted ids.
     fn batch_of_reps(reps: usize) -> Vec<PreparedInstance> {
         let mut batch = Vec::new();
         for rep in 0..reps {
@@ -639,6 +562,34 @@ mod tests {
         batch
     }
 
+    /// `len` uniform instances drawn from `seed` (windows may repeat items;
+    /// the low-order window is the input's suffix, as the sampler builds it).
+    fn random_batch(
+        len: usize,
+        config: &HamConfig,
+        num_users: usize,
+        num_items: usize,
+        seed: u64,
+    ) -> Vec<PreparedInstance> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut draws = |count: usize, bound: usize| -> Vec<usize> {
+            (0..count)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    ((state >> 33) % bound as u64) as usize
+                })
+                .collect()
+        };
+        (0..len)
+            .map(|_| {
+                let input = draws(config.n_h, num_items);
+                let low = input[config.n_h - config.n_l..].to_vec();
+                let (targets, negatives) = (draws(config.n_p, num_items), draws(config.n_p, num_items));
+                PreparedInstance { user: draws(1, num_users)[0], input, low, targets, negatives }
+            })
+            .collect()
+    }
+
     fn max_param_diff(a: &GradStore, b: &GradStore, params: &HamParams) -> f32 {
         let mut max_diff = 0.0f32;
         for id in [params.u, params.v, params.w] {
@@ -651,77 +602,126 @@ mod tests {
         max_diff
     }
 
-    #[test]
-    fn manual_matches_autograd_for_mean_pooling() {
-        let (params, config) = setup(HamVariant::HamM, (8, 4, 2, 2));
-        let batch = example_batch();
-        let (manual_grads, manual_loss) = batch_gradients(&params, &batch, &config);
-        let (auto_grads, auto_loss) = autograd_ref::batch_gradients(&params, &batch, &config);
-        assert!((manual_loss - auto_loss).abs() < 1e-5, "loss mismatch: {manual_loss} vs {auto_loss}");
-        let diff = max_param_diff(&manual_grads, &auto_grads, &params);
-        assert!(diff < 1e-5, "gradient mismatch between manual and autograd paths: {diff}");
+    fn assert_bit_identical(a: &GradStore, b: &GradStore, params: &HamParams, what: &str) {
+        for id in [params.u, params.v, params.w] {
+            let x = a.to_dense(id, params.store.value(id));
+            let y = b.to_dense(id, params.store.value(id));
+            for (p, q) in x.as_slice().iter().zip(y.as_slice()) {
+                assert_eq!(p.to_bits(), q.to_bits(), "{what}");
+            }
+        }
     }
 
-    #[test]
-    fn manual_matches_autograd_for_max_pooling() {
-        let (params, config) = setup(HamVariant::HamX, (8, 4, 2, 2));
-        let batch = example_batch();
-        let (manual_grads, _) = batch_gradients(&params, &batch, &config);
-        let (auto_grads, _) = autograd_ref::batch_gradients(&params, &batch, &config);
-        let diff = max_param_diff(&manual_grads, &auto_grads, &params);
-        assert!(diff < 1e-5, "max-pooling gradient mismatch: {diff}");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tape is the oracle: analytic loss and every parameter's
+        /// gradient agree with it within 1e-5 on every variant, synergy
+        /// order, pooling, window ablation and block shape (one instance,
+        /// two, a partial tape block, and a block and a half past
+        /// `MANUAL_BLOCK`).
+        #[test]
+        fn analytic_gradients_match_the_tape_oracle(
+            variant_idx in 0usize..6,
+            order in 1usize..5,
+            pooling_idx in 0usize..2,
+            n_l in 0usize..3,
+            user_idx in 0usize..2,
+            size_idx in 0usize..4,
+            seed in 0u64..1_000,
+        ) {
+            let variant = VARIANTS[variant_idx];
+            let mut config = HamConfig::for_variant(variant).with_dimensions(8, 4, n_l, 2, order);
+            config.pooling = [Pooling::Mean, Pooling::Max][pooling_idx];
+            config.use_user_term = user_idx == 1;
+            let params = HamParams::from_model(&HamModel::new(5, 30, config, seed));
+            let len = [1, 2, 37, MANUAL_BLOCK + 3][size_idx];
+            let batch = random_batch(len, &config, 5, 30, seed);
+            let (analytic, analytic_loss) = batch_gradients(&params, &batch, &config);
+            let (tape, tape_loss) = tape_gradients(&params, &batch, &config);
+            prop_assert!((analytic_loss - tape_loss).abs() <= 1e-5, "{config:?} b={len}: loss {analytic_loss} vs {tape_loss}");
+            let diff = max_param_diff(&analytic, &tape, &params);
+            prop_assert!(diff <= 1e-5, "{config:?} b={len}: gradients differ by {diff}");
+            prop_assert!(analytic.contains(params.u) == config.use_user_term, "user-term gradients follow the ablation");
+        }
     }
 
+    /// Central finite differences of the analytic path's own loss confirm
+    /// its order-3 synergy gradients, for both poolings.
     #[test]
-    fn manual_matches_autograd_beyond_one_gemm_block() {
-        for variant in [HamVariant::HamM, HamVariant::HamX] {
-            let (params, config) = setup(variant, (8, 4, 2, 2));
-            let batch = large_batch();
-            assert!(batch.len() > GEMM_TILE, "batch must span multiple GEMM tiles");
-            let (manual_grads, manual_loss) = batch_gradients(&params, &batch, &config);
-            let (auto_grads, auto_loss) = autograd_ref::batch_gradients(&params, &batch, &config);
-            assert!((manual_loss - auto_loss).abs() < 1e-5, "{variant:?} loss: {manual_loss} vs {auto_loss}");
-            let diff = max_param_diff(&manual_grads, &auto_grads, &params);
-            assert!(diff < 1e-5, "{variant:?} manual/autograd mismatch at batch > 1 block: {diff}");
+    fn analytic_synergy_gradients_pass_finite_difference_check() {
+        for variant in [HamVariant::HamSM, HamVariant::HamSX] {
+            let config = HamConfig::for_variant(variant).with_dimensions(6, 4, 2, 2, 3);
+            let mut params = HamParams::from_model(&HamModel::new(4, 12, config, 23));
+            let batch = example_batch();
+            let (grads, _) = batch_gradients(&params, &batch, &config);
+            let ids = (params.u, params.v, params.w);
+            for id in [params.u, params.v, params.w] {
+                let analytic = grads.to_dense(id, params.store.value(id));
+                let report = check_gradient(&mut params.store, id, &analytic, 24, 1e-3, |store| {
+                    let p = HamParams { store: store.clone(), u: ids.0, v: ids.1, w: ids.2 };
+                    batch_gradients(&p, &batch, &config).1
+                });
+                assert!(report.passes(2e-2), "{variant:?} {id:?}: finite-difference check failed: {report:?}");
+            }
+        }
+    }
+
+    /// The trainer's forward pass builds the served query bit for bit: one
+    /// statement of Eq. 5–6 for training and inference.
+    #[test]
+    fn trainer_query_is_the_served_query_bit_for_bit() {
+        for variant in VARIANTS {
+            for order in 1..=4 {
+                let mut config = HamConfig::for_variant(variant).with_dimensions(8, 4, 2, 2, order);
+                if matches!(variant, HamVariant::HamSMNoLowOrder) {
+                    config.n_l = 0;
+                }
+                let model = HamModel::new(4, 30, config, 5 + order as u64);
+                let params = HamParams::from_model(&model);
+                let mut pass = InstancePass::new(&config);
+                for instance in random_batch(16, &config, 4, 30, order as u64) {
+                    pass.forward(params.store.value(params.u), params.store.value(params.v), &config, &instance);
+                    let served = model.query_vector(instance.user, &instance.input);
+                    let trained: Vec<u32> = pass.q.iter().map(|x| x.to_bits()).collect();
+                    let served: Vec<u32> = served.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(trained, served, "{variant:?} order {order}");
+                }
+            }
         }
     }
 
     #[test]
-    fn gemm_path_matches_reference_path() {
-        for variant in [HamVariant::HamM, HamVariant::HamX, HamVariant::HamSMNoUser] {
-            let (params, config) = setup(variant, (8, 4, 2, 2));
-            let config = HamConfig { synergy_order: 1, ..config };
-            for batch in [example_batch(), large_batch()] {
+    fn block_path_matches_reference_path() {
+        for variant in VARIANTS {
+            let (params, config) = setup(variant, 2);
+            for batch in [example_batch(), batch_of_reps(14), batch_of_reps(100)] {
                 let (fast, fast_loss) = batch_gradients(&params, &batch, &config);
                 let (reference, ref_loss) = batch_gradients_reference(&params, &batch, &config);
                 assert!((fast_loss - ref_loss).abs() < 1e-5, "{variant:?} loss: {fast_loss} vs {ref_loss}");
                 let diff = max_param_diff(&fast, &reference, &params);
-                assert!(diff < 1e-5, "{variant:?} GEMM vs reference gradients diverged: {diff}");
+                assert!(diff < 1e-5, "{variant:?} blocked vs reference gradients diverged: {diff}");
             }
         }
     }
 
     #[test]
     fn single_instance_batch_bit_matches_the_reference_path() {
-        let (params, config) = setup(HamVariant::HamM, (8, 4, 2, 2));
-        let batch = vec![example_batch().remove(1)];
-        let (fast, fast_loss) = batch_gradients(&params, &batch, &config);
-        let (reference, ref_loss) = batch_gradients_reference(&params, &batch, &config);
-        assert_eq!(fast_loss.to_bits(), ref_loss.to_bits());
-        for id in [params.u, params.v, params.w] {
-            let a = fast.to_dense(id, params.store.value(id));
-            let b = reference.to_dense(id, params.store.value(id));
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "batch-of-1 gradients must be bit-identical");
-            }
+        for variant in [HamVariant::HamM, HamVariant::HamSM, HamVariant::HamSX] {
+            let (params, config) = setup(variant, if variant == HamVariant::HamM { 1 } else { 3 });
+            let batch = vec![example_batch().remove(1)];
+            let (fast, fast_loss) = batch_gradients(&params, &batch, &config);
+            let (reference, ref_loss) = batch_gradients_reference(&params, &batch, &config);
+            assert_eq!(fast_loss.to_bits(), ref_loss.to_bits());
+            assert_bit_identical(&fast, &reference, &params, "batch-of-1 gradients must be bit-identical");
         }
     }
 
     #[test]
     fn block_gradients_merge_to_the_sequential_result() {
-        let (params, config) = setup(HamVariant::HamM, (8, 4, 2, 2));
-        let batch = huge_batch();
-        assert!(batch.len() > MANUAL_BLOCK, "batch must span multiple gradient chunks");
+        let (params, config) = setup(HamVariant::HamSM, 2);
+        let batch = batch_of_reps(100);
+        assert!(batch.len() > MANUAL_BLOCK, "batch must span multiple gradient blocks");
         let batch_scale = 1.0 / batch.len() as f32;
         let (sequential, seq_loss) = batch_gradients(&params, &batch, &config);
         let mut merged = GradStore::new();
@@ -732,39 +732,34 @@ mod tests {
             loss += l;
         }
         assert_eq!((loss as f32).to_bits(), seq_loss.to_bits());
-        for id in [params.u, params.v, params.w] {
-            let a = sequential.to_dense(id, params.store.value(id));
-            let b = merged.to_dense(id, params.store.value(id));
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "block merge must be bit-identical to sequential blocks");
-            }
-        }
+        assert_bit_identical(&sequential, &merged, &params, "block merge must be bit-identical to sequential blocks");
     }
 
     #[test]
     fn ablated_user_term_receives_no_gradient() {
-        let (params, config) = setup(HamVariant::HamSMNoUser, (8, 4, 2, 2));
-        // strip synergies so the manual path applies
-        let config = HamConfig { synergy_order: 1, ..config };
-        let batch = example_batch();
-        let (grads, _) = batch_gradients(&params, &batch, &config);
+        let (params, config) = setup(HamVariant::HamSMNoUser, 2);
+        let (grads, _) = batch_gradients(&params, &example_batch(), &config);
         assert!(!grads.contains(params.u), "user embedding must not receive gradients when ablated");
         assert!(grads.contains(params.v) && grads.contains(params.w));
     }
 
     #[test]
     fn loss_is_positive_and_finite() {
-        let (params, config) = setup(HamVariant::HamM, (8, 4, 2, 2));
+        let (params, config) = setup(HamVariant::HamM, 1);
         let (_, loss) = batch_gradients(&params, &example_batch(), &config);
         assert!(loss.is_finite() && loss > 0.0);
     }
 
+    /// Synergy configurations train on the analytic path — no tape — and
+    /// land on the oracle's gradients.
     #[test]
-    #[should_panic(expected = "synergy_order == 1")]
-    fn synergy_config_is_rejected() {
-        let config = HamConfig::for_variant(HamVariant::HamSM).with_dimensions(8, 4, 2, 2, 2);
-        let model = HamModel::new(2, 10, config, 1);
-        let params = HamParams::from_model(&model);
-        let _ = batch_gradients(&params, &example_batch(), &config);
+    fn synergy_config_is_trained_analytically() {
+        let (params, config) = setup(HamVariant::HamSM, 2);
+        assert!(config.uses_synergies());
+        let batch = batch_of_reps(14);
+        let (grads, loss) = block_gradients(&params, &batch, &config, 1.0 / batch.len() as f32);
+        let (tape, tape_loss) = tape_gradients(&params, &batch, &config);
+        assert!((loss as f32 - tape_loss).abs() < 1e-5, "loss: {loss} vs {tape_loss}");
+        assert!(max_param_diff(&grads, &tape, &params) < 1e-5);
     }
 }

@@ -4,30 +4,31 @@
 //! [`ham_data::batch::BatchSampler`] shuffles the sliding windows and packs
 //! them — negatives included — into fixed-size mini-batches from one seeded
 //! RNG stream (the instance stream is independent of the batch size), each
-//! batch is split into fixed gradient blocks (`MANUAL_BLOCK` /
-//! `TRAIN_BLOCK` instances) whose
-//! gradients route through the `Q·Wᵀ` GEMM and rank-1 `axpy_rows` kernels,
-//! and one sparse-row Adam step applies the merged, duplicate-row-coalesced
-//! gradients per batch. With `TrainConfig::num_threads > 1` the blocks of a
-//! batch are computed in parallel on the shared work-stealing pool and merged
-//! in block order, so the result is bit-identical to the single-threaded run.
+//! batch is split into fixed gradient blocks (`MANUAL_BLOCK` instances)
+//! whose gradients are computed analytically, and one sparse-row Adam step
+//! applies the merged, duplicate-row-coalesced gradients per batch. With
+//! `TrainConfig::num_threads > 1` the blocks of a batch are computed in
+//! parallel on the shared work-stealing pool and merged in block order, so
+//! the result is bit-identical to the single-threaded run.
 //!
-//! Two gradient paths produce identical gradients (verified by tests in
-//! [`manual`]):
+//! Two gradient paths compute the same objective:
 //!
-//! * [`manual`] — analytic gradients of the BPR objective, the fast path used
-//!   for the pooling-only variants (`synergy_order == 1`);
+//! * [`manual`] — closed-form gradients of the BPR objective, Eq. 5's
+//!   synergies and Eq. 6's latent cross included. It trains every HAM
+//!   variant.
 //! * [`autograd_ref`] — the same objective expressed on the
-//!   [`ham_autograd::Graph`] tape (one batched tape per block); required for
-//!   the synergy variants and used as the reference implementation in tests.
+//!   [`ham_autograd::Graph`] tape (one batched tape per `TRAIN_BLOCK`
+//!   instances). It is the test oracle for [`manual`] on every variant and
+//!   synergy order, and runs in training only when
+//!   [`TrainConfig::force_autograd`] is set.
 //!
 //! [`resume::TrainerState`] wraps the same pipeline in a resumable handle —
 //! parameters and Adam moments kept alive across training rounds, tables
 //! grown row-wise — for the online trainer (`ham-online`).
 //!
-//! A batch of **one** instance takes the exact legacy per-instance path in
-//! both, so `batch_size = 1` reproduces instance-at-a-time training bit for
-//! bit — pinned, together with GEMM-vs-reference agreement at every batch
+//! A batch of **one** instance takes the exact per-instance path on either
+//! side, so `batch_size = 1` reproduces instance-at-a-time training bit for
+//! bit — pinned, together with blocked-vs-reference agreement at every batch
 //! size, by the batch-size-invariance proptests below.
 
 pub mod autograd_ref;
@@ -48,27 +49,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Instances per autograd gradient block: the span of one batched tape and
-/// the unit of work the threaded trainer schedules for the synergy variants.
-/// Fixed (rather than derived from the batch or thread count) so results
-/// never depend on either.
+/// the unit of work the threaded trainer schedules when
+/// [`TrainConfig::force_autograd`] is set. Fixed (rather than derived from the
+/// batch or thread count) so results never depend on either.
 pub(crate) const TRAIN_BLOCK: usize = 32;
 
-/// Instances per manual-path GEMM block. The score GEMM is `block × unique
-/// candidates`, and the unique-candidate count grows with the block, so the
-/// wasted rectangle grows quadratically — a smaller block keeps the
-/// `Q·Cᵀ` product tight while gradient coalescing still happens batch-wide
-/// in the merged `GradStore`. Fixed for the same determinism reason as
+/// Instances per analytic gradient block: the span over which candidate and
+/// window rows coalesce into dense gradient matrices before the sparse
+/// `GradStore` sees them. Fixed for the same determinism reason as
 /// [`TRAIN_BLOCK`].
 pub(crate) const MANUAL_BLOCK: usize = 256;
-
-/// The block length a batch is partitioned into for the given gradient path.
-pub(crate) fn block_len(use_autograd: bool) -> usize {
-    if use_autograd {
-        TRAIN_BLOCK
-    } else {
-        MANUAL_BLOCK
-    }
-}
 
 /// Per-epoch and per-step training metrics, resolved from the process-global
 /// [`ham_telemetry`] handle ([`ham_telemetry::global`]). `None` when no
@@ -80,6 +70,7 @@ pub(crate) struct TrainMetrics {
     epochs_total: Counter,
     epoch_pairs_per_sec: Histogram,
     optimizer_step_nanos: Histogram,
+    block_gradient_nanos: Histogram,
 }
 
 impl TrainMetrics {
@@ -91,7 +82,20 @@ impl TrainMetrics {
             epochs_total: registry.counter("train_epochs_total"),
             epoch_pairs_per_sec: registry.histogram("train_epoch_pairs_per_sec"),
             optimizer_step_nanos: registry.histogram("train_optimizer_step_nanos"),
+            block_gradient_nanos: registry.histogram("train_block_gradient_nanos"),
         })
+    }
+
+    /// Runs one gradient block, recording its wall time in
+    /// `train_block_gradient_nanos` when `metrics` is enabled (no clock read
+    /// otherwise). Safe to call from pool tasks: the histogram is sharded.
+    fn timed_block<T>(metrics: Option<&Self>, block: impl FnOnce() -> T) -> T {
+        let started = metrics.map(|_| Instant::now());
+        let out = block();
+        if let (Some(metrics), Some(started)) = (metrics, started) {
+            metrics.block_gradient_nanos.record(started.elapsed().as_nanos() as u64);
+        }
+        out
     }
 
     /// Applies one batch's gradients with `adam`, recording the step's wall
@@ -154,7 +158,7 @@ impl HamParams {
 }
 
 /// Whether every instance of the batch has the same window/target widths (the
-/// precondition of the blocked GEMM and batched-tape paths; always true for
+/// precondition of the blocked analytic and batched-tape paths; always true for
 /// batches from [`BatchSampler`]).
 pub(crate) fn uniform_shapes(batch: &[PreparedInstance]) -> bool {
     let Some(first) = batch.first() else { return false };
@@ -193,7 +197,7 @@ pub fn train_with_history(
     train_impl(train_sequences, num_items, config, train_config, seed, false)
 }
 
-/// The training pipeline; `force_reference` swaps the blocked GEMM /
+/// The training pipeline; `force_reference` swaps the blocked analytic /
 /// batched-tape gradients for the legacy per-instance paths (the batch-size-
 /// invariance tests train both ways and compare the resulting models).
 pub(crate) fn train_impl(
@@ -223,7 +227,6 @@ pub(crate) fn train_impl(
         seed ^ 0x7A21_55ED,
     );
 
-    let use_autograd = config.uses_synergies() || train_config.force_autograd;
     let mut adam = Adam::new(AdamConfig {
         learning_rate: train_config.learning_rate,
         weight_decay: train_config.weight_decay,
@@ -240,7 +243,7 @@ pub(crate) fn train_impl(
         let mut pairs = 0usize;
         while let Some(batch) = sampler.next_batch() {
             let (grads, loss) =
-                compute_batch_gradients(&params, batch, config, train_config, use_autograd, force_reference);
+                compute_batch_gradients(&params, batch, config, train_config, force_reference, metrics.as_ref());
             TrainMetrics::timed_step(metrics.as_ref(), &mut adam, &mut params.store, &grads);
             epoch_loss += loss as f64 * batch.len() as f64;
             instances += batch.len();
@@ -264,62 +267,81 @@ pub(crate) fn train_impl(
     (model, history)
 }
 
-/// Gradients and mean loss of one batch, optionally chunking the gradient
-/// blocks onto the shared worker pool. Blocks are always [`block_len`]
-/// instances and always merge in block order, so the thread count never
-/// changes the result; at most `num_threads` tasks run concurrently (blocks
-/// are grouped into `num_threads` contiguous spans, one pool task each).
-fn compute_batch_gradients(
+/// Gradients and mean loss of one batch on the path `train_config` selects
+/// (analytic, or the tape when [`TrainConfig::force_autograd`] is set).
+///
+/// A uniform batch of more than one instance is split into fixed blocks
+/// ([`MANUAL_BLOCK`] or [`TRAIN_BLOCK`] instances), computed inline or —
+/// with `num_threads > 1` — on the shared worker pool, and always merged in
+/// block order, so the thread count never changes the result; at most
+/// `num_threads` tasks run concurrently (blocks are grouped into
+/// `num_threads` contiguous spans, one pool task each). A batch of one
+/// instance, a non-uniform batch and every `force_reference` batch take the
+/// per-instance reference path as a single block. Each block is timed into
+/// `train_block_gradient_nanos` when `metrics` is enabled.
+pub(crate) fn compute_batch_gradients(
     params: &HamParams,
     batch: &[PreparedInstance],
     config: &HamConfig,
     train_config: &TrainConfig,
-    use_autograd: bool,
     force_reference: bool,
+    metrics: Option<&TrainMetrics>,
 ) -> (GradStore, f32) {
-    if force_reference {
-        return if use_autograd {
-            autograd_ref::batch_gradients_reference(params, batch, config)
-        } else {
-            manual::batch_gradients_reference(params, batch, config)
-        };
+    assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
+    let use_autograd = train_config.force_autograd;
+    if force_reference || batch.len() == 1 || !uniform_shapes(batch) {
+        return TrainMetrics::timed_block(metrics, || {
+            if use_autograd {
+                autograd_ref::batch_gradients_reference(params, batch, config)
+            } else {
+                manual::batch_gradients_reference(params, batch, config)
+            }
+        });
     }
+    let batch_scale = 1.0f32 / batch.len() as f32;
+    let block_gradients = |block: &[PreparedInstance]| {
+        TrainMetrics::timed_block(metrics, || {
+            if use_autograd {
+                autograd_ref::block_gradients(params, block, config, batch_scale)
+            } else {
+                manual::block_gradients(params, block, config, batch_scale)
+            }
+        })
+    };
+    let block_len = if use_autograd { TRAIN_BLOCK } else { MANUAL_BLOCK };
+    let blocks: Vec<&[PreparedInstance]> = batch.chunks(block_len).collect();
     let threads = train_config.num_threads.max(1);
-    let block = block_len(use_autograd);
-    if threads > 1 && batch.len() > block && uniform_shapes(batch) {
-        let batch_scale = 1.0f32 / batch.len() as f32;
-        let blocks: Vec<&[PreparedInstance]> = batch.chunks(block).collect();
+    let mut grads = GradStore::new();
+    let mut loss = 0.0f64;
+    if threads > 1 && blocks.len() > 1 {
         let mut results: Vec<Option<(GradStore, f64)>> = blocks.iter().map(|_| None).collect();
         // One pool task per contiguous group of blocks bounds concurrency at
         // `num_threads`; the grouping cannot affect results because every
         // block is computed independently and merged by batch position.
         let group = blocks.len().div_ceil(threads);
+        let block_gradients = &block_gradients;
         ham_tensor::pool::global_pool().scope(|scope| {
             for (slots, group_blocks) in results.chunks_mut(group).zip(blocks.chunks(group)) {
                 scope.spawn(move || {
                     for (slot, &block) in slots.iter_mut().zip(group_blocks) {
-                        *slot = Some(if use_autograd {
-                            autograd_ref::block_gradients(params, block, config, batch_scale)
-                        } else {
-                            manual::block_gradients(params, block, config, batch_scale)
-                        });
+                        *slot = Some(block_gradients(block));
                     }
                 });
             }
         });
-        let mut grads = GradStore::new();
-        let mut loss = 0.0f64;
         for result in results {
             let (block_grads, block_loss) = result.expect("every block task writes its slot");
             grads.merge(block_grads);
             loss += block_loss;
         }
-        (grads, loss as f32)
-    } else if use_autograd {
-        autograd_ref::batch_gradients(params, batch, config)
     } else {
-        manual::batch_gradients(params, batch, config)
+        for block in blocks {
+            let (block_grads, block_loss) = block_gradients(block);
+            grads.merge(block_grads);
+            loss += block_loss;
+        }
     }
+    (grads, loss as f32)
 }
 
 #[cfg(test)]
@@ -410,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn synergy_variant_trains_via_autograd_and_stays_finite() {
+    fn synergy_variant_trains_analytically_and_stays_finite() {
         let (seqs, num_items) = tiny_training_setup();
         let config = HamConfig::for_variant(HamVariant::HamSM).with_dimensions(8, 4, 1, 2, 2);
         let tc = TrainConfig { epochs: 2, batch_size: 64, ..TrainConfig::default() };
@@ -478,7 +500,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Batch-size invariance: for any batch size, one epoch through the
-        /// batched GEMM / batched-tape pipeline lands within 1e-5 of one
+        /// blocked analytic / batched-tape pipeline lands within 1e-5 of one
         /// epoch through the legacy per-instance reference paths, for every
         /// HAM variant (identical instance stream by the sampler's
         /// determinism contract; batch_size = 1 is additionally bit-exact —

@@ -8,10 +8,11 @@
 //! moments (warm start), and the embedding tables must be able to grow when
 //! the interaction stream mentions unseen users or items.
 //! [`TrainerState`] keeps exactly that state alive between rounds while
-//! routing every batch through the same chunked gradient pipeline
-//! (`compute_batch_gradients`) the offline trainer uses — GEMM-blocked
-//! manual gradients or batched autograd tapes, optionally fanned out on the
-//! shared worker pool.
+//! routing every batch through the same blocked gradient pipeline
+//! (`compute_batch_gradients`) the offline trainer uses — analytic gradients
+//! for every variant (batched autograd tapes only under
+//! `TrainConfig::force_autograd`), optionally fanned out on the shared
+//! worker pool.
 //!
 //! Two properties the online loop leans on, both pinned by tests:
 //!
@@ -48,7 +49,6 @@ pub struct TrainerState {
     config: HamConfig,
     train_config: TrainConfig,
     seed: u64,
-    use_autograd: bool,
 }
 
 impl TrainerState {
@@ -99,14 +99,7 @@ impl TrainerState {
 
     fn from_model_impl(model: &HamModel, train_config: &TrainConfig, adam: Adam, seed: u64) -> Self {
         model.config().validate();
-        Self {
-            params: HamParams::from_model(model),
-            adam,
-            config: *model.config(),
-            train_config: *train_config,
-            seed,
-            use_autograd: model.config().uses_synergies() || train_config.force_autograd,
-        }
+        Self { params: HamParams::from_model(model), adam, config: *model.config(), train_config: *train_config, seed }
     }
 
     /// Number of user rows currently held.
@@ -186,8 +179,8 @@ impl TrainerState {
                     batch,
                     &self.config,
                     &self.train_config,
-                    self.use_autograd,
                     false,
+                    metrics.as_ref(),
                 );
                 super::TrainMetrics::timed_step(metrics.as_ref(), &mut self.adam, &mut self.params.store, &grads);
                 epoch_loss += loss as f64 * batch.len() as f64;
@@ -228,7 +221,7 @@ impl std::fmt::Debug for TrainerState {
             .field("num_users", &self.num_users())
             .field("num_items", &self.num_items())
             .field("optimizer_steps", &self.optimizer_steps())
-            .field("use_autograd", &self.use_autograd)
+            .field("force_autograd", &self.train_config.force_autograd)
             .finish()
     }
 }

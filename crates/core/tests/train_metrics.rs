@@ -2,31 +2,67 @@
 //! handle. A test binary of its own: the global handle is installed once per
 //! process, and no other test should train with it enabled.
 
-use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig, TrainerState};
+use ham_core::{train_with_history, EpochStats, HamConfig, HamVariant, TrainConfig, TrainerState};
 use ham_data::batch::BatchSampler;
 use ham_data::synthetic::DatasetProfile;
 use ham_telemetry::Telemetry;
 
+/// The trainer's fixed gradient-block sizes: analytic blocks, and the tape
+/// blocks `force_autograd` trains with.
+const ANALYTIC_BLOCK: usize = 256;
+const TAPE_BLOCK: usize = 32;
+
+/// Gradient blocks of one run: every batch splits into `block`-instance
+/// blocks (a batch of one instance is one block on the reference path).
+fn blocks(history: &[EpochStats], batch_size: usize, block: usize) -> u64 {
+    history
+        .iter()
+        .map(|epoch| {
+            let (full, rest) = (epoch.num_instances / batch_size, epoch.num_instances % batch_size);
+            (full * batch_size.div_ceil(block) + rest.div_ceil(block)) as u64
+        })
+        .sum()
+}
+
 #[test]
-fn every_optimizer_step_is_timed_once_when_telemetry_is_enabled() {
+fn every_optimizer_step_and_gradient_block_is_timed_once_when_telemetry_is_enabled() {
     assert!(ham_telemetry::install_global(Telemetry::enabled()), "the first global install in this process");
     let data = DatasetProfile::tiny("train-metrics").generate(3);
     let config = HamConfig::for_variant(HamVariant::HamSM).with_dimensions(8, 4, 2, 2, 2);
     let tc = TrainConfig { epochs: 2, batch_size: 32, ..TrainConfig::default() };
 
-    // The offline trainer: one Adam step per batch of every epoch.
-    let (_, history) = train_with_history(&data.sequences, data.num_items, &config, &tc, 1);
-    let offline_steps: usize = history.iter().map(|epoch| epoch.num_instances.div_ceil(tc.batch_size)).sum();
+    // The offline trainer on each gradient path: analytic inline, analytic
+    // on two pool threads with batches spanning two blocks, and the tape.
+    let mut steps = 0u64;
+    let mut expected_blocks = 0u64;
+    let threaded = TrainConfig { batch_size: ANALYTIC_BLOCK + 44, num_threads: 2, ..tc };
+    let tape = TrainConfig { batch_size: 3 * TAPE_BLOCK, force_autograd: true, ..tc };
+    for (run, block) in [(tc, ANALYTIC_BLOCK), (threaded, ANALYTIC_BLOCK), (tape, TAPE_BLOCK)] {
+        let (_, history) = train_with_history(&data.sequences, data.num_items, &config, &run, 1);
+        assert!(
+            history[0].num_instances > run.batch_size,
+            "the dataset must span more than one batch of {}",
+            run.batch_size
+        );
+        steps += history.iter().map(|epoch| epoch.num_instances.div_ceil(run.batch_size) as u64).sum::<u64>();
+        expected_blocks += blocks(&history, run.batch_size, block);
+    }
 
     // The resumable trainer the online loop drives.
     let mut state = TrainerState::new(data.sequences.len(), data.num_items, &config, &tc, 1);
     let mut sampler =
         BatchSampler::new(&data.sequences, data.num_items, config.n_h, config.n_p, config.n_l, tc.batch_size, 2);
-    state.train_round(&mut sampler, 1);
+    let round = state.train_round(&mut sampler, 1);
+    expected_blocks += blocks(&round, tc.batch_size, ANALYTIC_BLOCK);
 
     let snapshot = ham_telemetry::global().snapshot().expect("the global handle is enabled");
-    let steps = snapshot.histogram("train_optimizer_step_nanos").expect("the optimizer-step histogram is registered");
-    assert_eq!(steps.count, offline_steps as u64 + state.optimizer_steps());
-    assert!(steps.sum > 0, "optimizer steps take measurable time");
-    assert_eq!(snapshot.counter("train_epochs_total"), Some(tc.epochs as u64 + 1));
+    let step_nanos =
+        snapshot.histogram("train_optimizer_step_nanos").expect("the optimizer-step histogram is registered");
+    assert_eq!(step_nanos.count, steps + state.optimizer_steps());
+    assert!(step_nanos.sum > 0, "optimizer steps take measurable time");
+    let block_nanos =
+        snapshot.histogram("train_block_gradient_nanos").expect("the gradient-block histogram is registered");
+    assert_eq!(block_nanos.count, expected_blocks, "one sample per gradient block on every path");
+    assert!(block_nanos.sum > 0, "gradient blocks take measurable time");
+    assert_eq!(snapshot.counter("train_epochs_total"), Some(3 * tc.epochs as u64 + 1));
 }

@@ -35,7 +35,7 @@
 //! 2. [`BatchSampler::over_delta`] packs mini-batches from exactly the
 //!    sliding windows the watermark has not covered — negatives drawn
 //!    against each user's full history,
-//! 3. [`TrainerState::train_round`] runs the PR 4 chunked GEMM/tape gradient
+//! 3. [`TrainerState::train_round`] runs the blocked analytic gradient
 //!    pipeline for the configured epochs, warm-starting from the previous
 //!    round's Adam moments with **per-row bias correction** (a cold row
 //!    first touched at global step 10 000 gets the same damped first update
