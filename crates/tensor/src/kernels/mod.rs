@@ -36,10 +36,8 @@
 //! * [`matmul`] — cache-blocked `A · B` with a branch-free dense inner loop;
 //!   rows that are mostly zero (the one-hot and masked matrices the autograd
 //!   tape produces) take a bit-identical skip path instead.
-//! * [`axpy`] / [`axpy_rows`] — scaled row update `out += α·x` and its
-//!   batched scatter form `dst[i_p] += α_p · src[j_p]` (the rank-1 updates
-//!   the mini-batched BPR trainer accumulates embedding gradients with: one
-//!   call covers every (positive, negative) pair of a training batch).
+//! * [`axpy`] — scaled row update `out += α·x` (the rank-1 updates the
+//!   mini-batched BPR trainer accumulates embedding gradients with).
 //!
 //! ## Tiers and runtime dispatch
 //!
@@ -625,7 +623,7 @@ fn matmul_impl(tier: KernelTier, a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// The training-side sibling of the scoring kernels: the batched BPR trainer
 /// uses it to fold `g · q` into embedding-gradient rows without materialising
-/// scaled copies. Prefer [`axpy_rows`] when many updates land in one matrix.
+/// scaled copies.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -647,67 +645,6 @@ fn axpy_impl(tier: KernelTier, out: &mut [f32], alpha: f32, x: &[f32]) {
     assert_eq!(out.len(), x.len(), "axpy: length mismatch {} vs {}", out.len(), x.len());
     counters::note(tier, 12 * x.len() as u64);
     on_tier!(tier, axpy(out, alpha, x))
-}
-
-/// Batched scatter of rank-1 row updates:
-/// `dst.row(dst_rows[p]) += scales[p] * src.row(src_rows[p])` for every `p`,
-/// in order.
-///
-/// This is the gradient-accumulation kernel of the mini-batched BPR trainer:
-/// with `src = Q` (the batch's query matrix) one call accumulates
-/// `±g_p · q_i` into every candidate-gradient row of the batch, and with
-/// `src` the gathered candidate rows the same call shape accumulates
-/// `∂L/∂q`. Updates apply sequentially, so repeated `dst_rows` coalesce
-/// deterministically in pair order.
-///
-/// # Panics
-/// Panics if the index/scale lengths differ, the column counts differ, or an
-/// index is out of bounds.
-#[inline]
-pub fn axpy_rows(dst: &mut Matrix, dst_rows: &[usize], scales: &[f32], src: &Matrix, src_rows: &[usize]) {
-    axpy_rows_impl(dispatch(), dst, dst_rows, scales, src, src_rows)
-}
-
-/// [`axpy_rows`] on an explicit tier.
-///
-/// # Panics
-/// Panics on shape mismatch or an unsupported tier.
-pub fn axpy_rows_with_tier(
-    tier: KernelTier,
-    dst: &mut Matrix,
-    dst_rows: &[usize],
-    scales: &[f32],
-    src: &Matrix,
-    src_rows: &[usize],
-) {
-    axpy_rows_impl(checked(tier), dst, dst_rows, scales, src, src_rows)
-}
-
-fn axpy_rows_impl(
-    tier: KernelTier,
-    dst: &mut Matrix,
-    dst_rows: &[usize],
-    scales: &[f32],
-    src: &Matrix,
-    src_rows: &[usize],
-) {
-    debug_assert_dispatchable(tier);
-    assert_eq!(dst.cols(), src.cols(), "axpy_rows: dst has {} columns, src has {}", dst.cols(), src.cols());
-    assert!(
-        dst_rows.len() == scales.len() && dst_rows.len() == src_rows.len(),
-        "axpy_rows: {} destination rows, {} scales, {} source rows",
-        dst_rows.len(),
-        scales.len(),
-        src_rows.len()
-    );
-    if let Some(&bad) = dst_rows.iter().find(|&&r| r >= dst.rows()) {
-        panic!("axpy_rows: destination row {bad} out of bounds for {} rows", dst.rows());
-    }
-    if let Some(&bad) = src_rows.iter().find(|&&r| r >= src.rows()) {
-        panic!("axpy_rows: source row {bad} out of bounds for {} rows", src.rows());
-    }
-    counters::note(tier, 12 * (dst_rows.len() * dst.cols()) as u64);
-    on_tier!(tier, axpy_rows(dst, dst_rows, scales, src, src_rows))
 }
 
 /// Scores one row of a quantized candidate panel against a quantized query:
@@ -1062,28 +999,6 @@ mod tests {
                 assert_eq!(*o, (j % 5) as f32 + 2.0 * ((j % 7) as f32 - 3.0), "{tier} j={j}");
             }
         }
-    }
-
-    #[test]
-    fn axpy_rows_scatters_and_coalesces_duplicates() {
-        let src = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]]);
-        for tier in available_tiers() {
-            let mut dst = Matrix::zeros(4, 3);
-            // two updates land on row 2 (coalesce in order), one on row 0
-            axpy_rows_with_tier(tier, &mut dst, &[2, 0, 2], &[1.0, 0.5, -2.0], &src, &[0, 1, 1]);
-            assert_eq!(dst.row(0), &[5.0, 10.0, 15.0], "{tier}");
-            assert_eq!(dst.row(2), &[1.0 - 20.0, 2.0 - 40.0, 3.0 - 60.0], "{tier}");
-            assert_eq!(dst.row(1), &[0.0; 3], "{tier}");
-            assert_eq!(dst.row(3), &[0.0; 3], "{tier}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn axpy_rows_rejects_out_of_range_destination() {
-        let src = Matrix::zeros(1, 2);
-        let mut dst = Matrix::zeros(2, 2);
-        axpy_rows(&mut dst, &[2], &[1.0], &src, &[0]);
     }
 
     #[test]

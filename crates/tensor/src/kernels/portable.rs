@@ -143,19 +143,6 @@ pub(super) fn axpy(out: &mut [f32], alpha: f32, b: &[f32]) {
     }
 }
 
-/// Batched scatter of rank-1 row updates:
-/// `dst.row(dst_rows[p]) += scales[p] * src.row(src_rows[p])` for every `p`.
-/// The shapes were validated by the dispatcher.
-// ham-lint: hot-path
-pub(super) fn axpy_rows(dst: &mut Matrix, dst_rows: &[usize], scales: &[f32], src: &Matrix, src_rows: &[usize]) {
-    let d = src.cols();
-    let src_data = src.as_slice();
-    let dst_data = dst.as_mut_slice();
-    for ((&dr, &scale), &sr) in dst_rows.iter().zip(scales).zip(src_rows) {
-        axpy(&mut dst_data[dr * d..(dr + 1) * d], scale, &src_data[sr * d..(sr + 1) * d]);
-    }
-}
-
 /// Exact integer core of the quantized kernels: `Σ_k p[k] · s[k]` in `i32`.
 ///
 /// Four independent partial sums so the widening multiply-accumulate

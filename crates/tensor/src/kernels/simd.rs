@@ -260,25 +260,6 @@ macro_rules! simd_tier_kernels {
             }
         }
 
-        /// Batched scatter of rank-1 row updates (see the portable tier);
-        /// every row update is one [`axpy`] over `d` columns.
-        #[target_feature(enable = $features)]
-        // ham-lint: hot-path
-        pub(super) fn axpy_rows(
-            dst: &mut Matrix,
-            dst_rows: &[usize],
-            scales: &[f32],
-            src: &Matrix,
-            src_rows: &[usize],
-        ) {
-            let d = src.cols();
-            let src_data = src.as_slice();
-            let dst_data = dst.as_mut_slice();
-            for ((&dr, &scale), &sr) in dst_rows.iter().zip(scales).zip(src_rows) {
-                axpy(&mut dst_data[dr * d..(dr + 1) * d], scale, &src_data[sr * d..(sr + 1) * d]);
-            }
-        }
-
         /// `a · b` into `out` (overwrites): per-row `4 * LANES`-wide FMA
         /// register tiles over the output, with the same dense/sparse row
         /// split as the portable tier — the dense inner loop has no zero

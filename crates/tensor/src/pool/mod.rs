@@ -29,18 +29,6 @@ pub enum Pooling {
 }
 
 impl Pooling {
-    /// Pools the rows of `m` into a single length-`cols` vector.
-    ///
-    /// For [`Pooling::Max`] the second return value of
-    /// [`max_pool_rows`] (the arg-max rows) is discarded; use that function
-    /// directly when the gradient routing information is needed.
-    pub fn pool(&self, m: &Matrix) -> Vec<f32> {
-        match self {
-            Pooling::Mean => mean_pool_rows(m),
-            Pooling::Max => max_pool_rows(m).0,
-        }
-    }
-
     /// Short lowercase name used in experiment configuration and reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -194,10 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn pooling_enum_dispatch() {
-        let m = Matrix::from_rows(&[&[1.0, 4.0], &[3.0, 2.0]]);
-        assert_eq!(Pooling::Mean.pool(&m), vec![2.0, 3.0]);
-        assert_eq!(Pooling::Max.pool(&m), vec![3.0, 4.0]);
+    fn pooling_enum_names() {
         assert_eq!(Pooling::Mean.name(), "mean");
         assert_eq!(Pooling::Max.name(), "max");
     }
@@ -237,7 +222,7 @@ mod tests {
     #[test]
     fn matrix_convenience_methods_agree() {
         let m = Matrix::from_rows(&[&[1.0, 4.0], &[3.0, 2.0]]);
-        assert_eq!(m.mean_rows(), Pooling::Mean.pool(&m));
-        assert_eq!(m.max_rows(), Pooling::Max.pool(&m));
+        assert_eq!(m.mean_rows(), vec![2.0, 3.0]);
+        assert_eq!(m.max_rows(), vec![3.0, 4.0]);
     }
 }
