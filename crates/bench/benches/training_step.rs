@@ -1,6 +1,6 @@
 //! Cost of one epoch of mini-batched BPR training per method, across the
 //! batch sizes the pipeline is designed around (1 = the bit-exact legacy
-//! per-instance path, 32 = one GEMM block per batch, 256 = multi-block
+//! per-instance path, 32 = one gradient block per batch, 256 = multi-block
 //! batches), plus the manual vs autograd gradient paths for HAM (the
 //! fast-path ablation called out in DESIGN.md §5).
 
@@ -33,6 +33,9 @@ fn training_benchmarks(c: &mut Criterion) {
         });
         group.bench_function(format!("HAMm_autograd_reference_b{batch_size}"), |b| {
             b.iter(|| one_epoch(&data, &plain, batch_size, true))
+        });
+        group.bench_function(format!("HAMs_m_manual_gradients_b{batch_size}"), |b| {
+            b.iter(|| one_epoch(&data, &synergy, batch_size, false))
         });
         group.bench_function(format!("HAMs_m_autograd_b{batch_size}"), |b| {
             b.iter(|| one_epoch(&data, &synergy, batch_size, true))

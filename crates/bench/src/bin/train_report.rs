@@ -1,16 +1,24 @@
 //! Generates `BENCH_training.json`: BPR training throughput (pairs/s) of the
-//! mini-batched pipeline vs batch size, per kernel tier.
+//! mini-batched pipeline vs batch size, per kernel tier, and the analytic
+//! path's speed against the autograd tape.
 //!
-//! `batch_size = 1` is the bit-exact legacy per-instance path (one Adam step
-//! per sliding window, scalar dot scores); `32` packs exactly one GEMM block
-//! per batch (`Q·Cᵀ` via `matmul_transposed`, gradients via the rank-1
-//! `axpy_rows` scatter, one coalesced sparse Adam step); `256` spans several
-//! blocks per step. The pooling-only variant (HAMm, manual gradients) is the
-//! headline row; HAMs_m exercises the batched autograd tape the synergy
-//! variants train on. Tiers are forced in-process with `force_tier`, so one
-//! run compares every tier the CPU supports (portable reference, AVX2+FMA,
-//! AVX-512) on identical data; throughput is read from the trainer's own
-//! `EpochStats::pairs_per_sec` (warm epochs only).
+//! `batch_size = 1` is the bit-exact per-instance path (one Adam step per
+//! sliding window, scalar dot scores); `32` packs one analytic gradient block
+//! per batch (pair scores by two dots, gradients folded with `axpy` into the
+//! block's coalesced candidate and window rows, one sparse Adam step); `256`
+//! and `1024` fill one and four blocks. The pooling-only variant (HAMm) is
+//! the headline row; HAMs_m adds the closed-form synergy gradients. Tiers are
+//! forced in-process with `force_tier`, so one run compares every tier the
+//! CPU supports (portable reference, AVX2+FMA, AVX-512) on identical data;
+//! throughput is read from the trainer's own `EpochStats::pairs_per_sec`
+//! (warm epochs only).
+//!
+//! The `hams_m_manual_over_tape` cell trains HAMs_m at batch 256 on the
+//! analytic path and on the tape (`TrainConfig::force_autograd`) in
+//! alternation, on identical data and seeds, and reports the median
+//! analytic/tape wall-time ratio with its quartiles. The bin exits non-zero
+//! when that median is ≥ 1.0, so a CI run fails once the analytic path stops
+//! beating the tape.
 //!
 //! Run from the repository root (`--quick` shrinks the workload for CI):
 //! `cargo run --release -p ham-bench --bin train_report [-- --quick]`.
@@ -18,8 +26,13 @@
 use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig};
 use ham_data::synthetic::DatasetProfile;
 use ham_tensor::kernels::{force_tier, KernelTier};
+use ham_tensor::stats::percentile;
+use std::time::Instant;
 
 const BATCH_SIZES: [usize; 4] = [1, 32, 256, 1024];
+
+/// Paired analytic/tape runs behind `hams_m_manual_over_tape`.
+const ALTERNATIONS: usize = 7;
 
 struct Row {
     variant: &'static str,
@@ -34,6 +47,31 @@ fn measure(sequences: &[Vec<usize>], num_items: usize, config: &HamConfig, batch
     // skip the first (cold) epoch when there is more than one
     let warm = if history.len() > 1 { &history[1..] } else { &history[..] };
     warm.iter().map(|e| e.pairs_per_sec).fold(0.0, f64::max)
+}
+
+/// One analytic/tape wall-time ratio per alternation: HAMs_m at batch 256
+/// trained on each path with the same data and seed, the first side
+/// alternating so slow drift of the host does not always tax the same path.
+fn manual_over_tape(sequences: &[Vec<usize>], num_items: usize, config: &HamConfig, epochs: usize) -> Vec<f64> {
+    let manual = TrainConfig { epochs, batch_size: 256, ..TrainConfig::default() };
+    let tape = TrainConfig { force_autograd: true, ..manual };
+    let seconds = |tc: &TrainConfig| {
+        let started = Instant::now();
+        std::hint::black_box(train_with_history(sequences, num_items, config, tc, 42));
+        started.elapsed().as_secs_f64()
+    };
+    (0..ALTERNATIONS)
+        .map(|alternation| {
+            let (manual_s, tape_s) = if alternation % 2 == 0 {
+                let manual_s = seconds(&manual);
+                (manual_s, seconds(&tape))
+            } else {
+                let tape_s = seconds(&tape);
+                (seconds(&manual), tape_s)
+            };
+            manual_s / tape_s
+        })
+        .collect()
 }
 
 fn main() {
@@ -66,6 +104,10 @@ fn main() {
     }
     force_tier(None);
 
+    eprintln!("measuring HAMs_m analytic vs tape ({ALTERNATIONS} alternations)...");
+    let ratios = manual_over_tape(&data.sequences, data.num_items, &variants[1].1, epochs);
+    let (q1, median, q3) = (percentile(&ratios, 0.25), percentile(&ratios, 0.5), percentile(&ratios, 0.75));
+
     let throughput = |variant: &str, tier: KernelTier, batch: usize| -> f64 {
         rows.iter()
             .find(|r| r.variant == variant && r.tier == tier && r.batch_size == batch)
@@ -87,7 +129,7 @@ fn main() {
 
     let mut out = String::from("{\n");
     out.push_str(
-        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = legacy per-instance path, 32/256/1024 = GEMM-tiled batches, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only manual gradients (the headline), HAMs_m = batched autograd tape. Generated by train_report.\",\n",
+        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_manual_over_tape = median wall-time ratio of HAMs_m trained on the analytic path vs the autograd tape (force_autograd) at batch 256, alternating runs on identical data; the bin fails when it is >= 1. Generated by train_report.\",\n",
     );
     out.push_str(&format!(
         "  \"users\": {},\n  \"items\": {},\n  \"d\": 32,\n  \"epochs\": {},\n  \"avx2_tier_available\": {},\n  \"avx512_tier_available\": {},\n",
@@ -112,10 +154,20 @@ fn main() {
     }
     out.push_str("  ],\n");
     out.push_str(&format!("  \"min_best_speedup_batch_ge32_pooling_only\": {min_best_speedup_pooling:.3},\n"));
+    let listed: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
+    out.push_str(&format!(
+        "  \"hams_m_manual_over_tape\": {{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}, \"iqr\": {:.3}, \"alternations\": {ALTERNATIONS}, \"batch_size\": 256, \"ratios\": [{}]}},\n",
+        q3 - q1,
+        listed.join(", ")
+    ));
     out.push_str(&format!("  \"quick\": {quick}\n"));
     out.push_str("}\n");
 
     std::fs::write("BENCH_training.json", &out).expect("failed to write BENCH_training.json");
     println!("{out}");
     eprintln!("wrote BENCH_training.json");
+    if median >= 1.0 {
+        eprintln!("hams_m_manual_over_tape: median {median:.3} >= 1.0 — the analytic path no longer beats the tape");
+        std::process::exit(1);
+    }
 }
