@@ -20,11 +20,10 @@
 use crate::append::DeltaView;
 use crate::dataset::ItemId;
 use crate::negative::NegativeSampler;
-use crate::window::{sliding_windows, TrainingInstance};
+use crate::window::WindowStore;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// One sliding-window instance with its low-order sub-window and sampled
 /// negatives, ready for a gradient step.
@@ -50,14 +49,16 @@ pub struct PreparedInstance {
 /// per epoch.
 #[derive(Debug)]
 pub struct BatchSampler {
-    windows: Vec<TrainingInstance>,
+    /// The windows of every non-saturated user.
+    windows: WindowStore,
     /// Per-user negative samplers, indexed by dense user id; `None` for
     /// users whose windows were excluded.
     samplers: Vec<Option<NegativeSampler>>,
     n_l: usize,
     batch_size: usize,
     rng: StdRng,
-    order: Vec<usize>,
+    /// This epoch's window order (indices into `windows`).
+    order: Vec<u32>,
     cursor: usize,
     /// Reused instance buffers (capacity `batch_size`).
     batch: Vec<PreparedInstance>,
@@ -136,16 +137,11 @@ impl BatchSampler {
         assert!(num_items > 0, "BatchSampler: num_items must be positive");
         let seen_sequences = seen_override.unwrap_or(train_sequences);
         assert_eq!(seen_sequences.len(), train_sequences.len(), "BatchSampler: one seen set per sequence");
-        let samplers: Vec<Option<NegativeSampler>> = seen_sequences
-            .iter()
-            .map(|seq| {
-                let distinct: HashSet<ItemId> = seq.iter().copied().collect();
-                (distinct.len() < num_items).then(|| NegativeSampler::new(num_items, distinct))
-            })
-            .collect();
-        let windows: Vec<TrainingInstance> =
-            sliding_windows(train_sequences, n_h, n_p).into_iter().filter(|w| samplers[w.user].is_some()).collect();
-        let order: Vec<usize> = (0..windows.len()).collect();
+        let samplers: Vec<Option<NegativeSampler>> =
+            seen_sequences.iter().map(|seq| NegativeSampler::try_new(num_items, seq.iter().copied())).collect();
+        let windows = WindowStore::new(train_sequences, n_h, n_p, |user| samplers[user].is_some());
+        let num_windows = u32::try_from(windows.len()).expect("BatchSampler: window count exceeds u32");
+        let order: Vec<u32> = (0..num_windows).collect();
         Self {
             windows,
             samplers,
@@ -182,27 +178,30 @@ impl BatchSampler {
 
     /// Packs the next mini-batch into the reused buffers and returns it, or
     /// `None` when the epoch is exhausted.
+    // ham-lint: hot-path
     pub fn next_batch(&mut self) -> Option<&[PreparedInstance]> {
         if self.cursor >= self.order.len() {
             return None;
         }
         let take = self.batch_size.min(self.order.len() - self.cursor);
         while self.batch.len() < take {
+            // ham-lint: allow(alloc, "grow-once: the slots and their buffers are reused from the second batch on")
             self.batch.push(PreparedInstance::default());
         }
-        for (slot, &idx) in self.batch.iter_mut().zip(&self.order[self.cursor..self.cursor + take]) {
-            let window = &self.windows[idx];
-            let sampler = self.samplers[window.user].as_ref().expect("samplerless windows are filtered out");
-            slot.user = self.user_ids.as_ref().map_or(window.user, |ids| ids[window.user]);
+        for (slot, &window) in self.batch.iter_mut().zip(&self.order[self.cursor..self.cursor + take]) {
+            let window = window as usize;
+            let user = self.windows.user(window);
+            let sampler = self.samplers[user].as_ref().expect("samplerless windows are filtered out");
+            slot.user = self.user_ids.as_ref().map_or(user, |ids| ids[user]);
+            let input = self.windows.input(window);
             slot.input.clear();
-            slot.input.extend_from_slice(&window.input);
+            slot.input.extend_from_slice(input);
             slot.low.clear();
-            if self.n_l > 0 {
-                slot.low.extend_from_slice(&window.input[window.input.len() - self.n_l..]);
-            }
+            slot.low.extend_from_slice(&input[input.len() - self.n_l..]);
+            let targets = self.windows.targets(window);
             slot.targets.clear();
-            slot.targets.extend_from_slice(&window.targets);
-            slot.negatives.resize(window.targets.len(), 0);
+            slot.targets.extend_from_slice(targets);
+            slot.negatives.resize(targets.len(), 0);
             sampler.sample_batch(&mut slot.negatives, &mut self.rng);
         }
         self.cursor += take;
@@ -213,6 +212,177 @@ impl BatchSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::{sliding_windows, TrainingInstance};
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::collections::HashSet;
+
+    /// The sampler as it stood before the window store: one
+    /// `TrainingInstance` (two heap `Vec`s) per window and a `HashSet` seen
+    /// set per user, drawing negatives by the same rejection loop. The
+    /// reference the store and the sorted seen sets are held to.
+    struct ReferenceSampler {
+        windows: Vec<TrainingInstance>,
+        seen: Vec<Option<HashSet<ItemId>>>,
+        num_items: usize,
+        n_l: usize,
+        rng: StdRng,
+        order: Vec<usize>,
+        user_ids: Option<Vec<usize>>,
+    }
+
+    impl ReferenceSampler {
+        #[allow(clippy::too_many_arguments)]
+        fn new(
+            train_sequences: &[Vec<ItemId>],
+            seen_override: Option<&[Vec<ItemId>]>,
+            user_ids: Option<Vec<usize>>,
+            num_items: usize,
+            n_h: usize,
+            n_p: usize,
+            n_l: usize,
+            seed: u64,
+        ) -> Self {
+            let seen: Vec<Option<HashSet<ItemId>>> = seen_override
+                .unwrap_or(train_sequences)
+                .iter()
+                .map(|seq| {
+                    let distinct: HashSet<ItemId> = seq.iter().copied().collect();
+                    (distinct.len() < num_items).then_some(distinct)
+                })
+                .collect();
+            let windows: Vec<TrainingInstance> =
+                sliding_windows(train_sequences, n_h, n_p).into_iter().filter(|w| seen[w.user].is_some()).collect();
+            let order = (0..windows.len()).collect();
+            Self { windows, seen, num_items, n_l, rng: StdRng::seed_from_u64(seed), order, user_ids }
+        }
+
+        fn sample(&mut self, seen: &HashSet<ItemId>) -> ItemId {
+            for _ in 0..64 {
+                let candidate = self.rng.gen_range(0..self.num_items);
+                if !seen.contains(&candidate) {
+                    return candidate;
+                }
+            }
+            (0..self.num_items).find(|i| !seen.contains(i)).expect("a negative exists")
+        }
+
+        fn epoch(&mut self) -> Vec<PreparedInstance> {
+            self.order.shuffle(&mut self.rng);
+            let mut out = Vec::new();
+            for position in 0..self.order.len() {
+                let window = self.windows[self.order[position]].clone();
+                let seen = self.seen[window.user].take().expect("saturated users are filtered out");
+                let negatives = window.targets.iter().map(|_| self.sample(&seen)).collect();
+                self.seen[window.user] = Some(seen);
+                out.push(PreparedInstance {
+                    user: self.user_ids.as_ref().map_or(window.user, |ids| ids[window.user]),
+                    low: window.input[window.input.len() - self.n_l..].to_vec(),
+                    input: window.input,
+                    targets: window.targets,
+                    negatives,
+                });
+            }
+            out
+        }
+    }
+
+    /// FNV-1a over the integer instance stream of `epochs` epochs.
+    fn stream_hash(sampler: &mut BatchSampler, epochs: usize) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |x: usize| {
+            for byte in (x as u64).to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for _ in 0..epochs {
+            for inst in collect_epoch(sampler) {
+                feed(inst.user);
+                for &item in inst.input.iter().chain(&inst.low).chain(&inst.targets).chain(&inst.negatives) {
+                    feed(item);
+                }
+            }
+        }
+        hash
+    }
+
+    /// Two epochs of `sampler`, checking every batch's length on the way.
+    fn two_epochs(sampler: &mut BatchSampler) -> Vec<PreparedInstance> {
+        let (mut all, batch_size) = (Vec::new(), sampler.batch_size());
+        for _ in 0..2 {
+            sampler.start_epoch();
+            let mut left = sampler.num_instances();
+            while let Some(batch) = sampler.next_batch() {
+                assert_eq!(batch.len(), batch_size.min(left));
+                left -= batch.len();
+                all.extend_from_slice(batch);
+            }
+            assert_eq!(left, 0);
+        }
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_window_store_replays_the_reference_instance_stream(
+            num_items in 2usize..9,
+            sequences in proptest::collection::vec(proptest::collection::vec(0usize..num_items, 0..24), 1..7),
+            appended in proptest::collection::vec(0usize..num_items + 2, 0..12),
+            n_h in 1usize..5,
+            n_l in 0usize..n_h + 1,
+            n_p in 1usize..4,
+            batch_choice in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let batch_size = [1, 7, 10_000][batch_choice];
+            let mut sampler = BatchSampler::new(&sequences, num_items, n_h, n_p, n_l, batch_size, seed);
+            let mut reference = ReferenceSampler::new(&sequences, None, None, num_items, n_h, n_p, n_l, seed);
+            prop_assert_eq!(sampler.num_instances(), reference.windows.len());
+            let mut expected = reference.epoch();
+            expected.extend(reference.epoch());
+            prop_assert_eq!(two_epochs(&mut sampler), expected);
+
+            // The delta path: fresh appends spread over the users (and one
+            // past them), negatives drawn against the full histories.
+            let mut data = crate::append::AppendableDataset::from_sequences(sequences.clone(), num_items);
+            data.mark_trained();
+            for (k, &item) in appended.iter().enumerate() {
+                data.append((k * 5 + item) % (sequences.len() + 1), item);
+            }
+            let delta = data.delta_view(n_h, n_p);
+            let mut sampler = BatchSampler::over_delta(&delta, data.num_items(), n_h, n_p, n_l, batch_size, seed);
+            let mut reference = ReferenceSampler::new(
+                &delta.sequences,
+                Some(&delta.seen),
+                Some(delta.users.clone()),
+                data.num_items(),
+                n_h,
+                n_p,
+                n_l,
+                seed,
+            );
+            let mut expected = reference.epoch();
+            expected.extend(reference.epoch());
+            prop_assert_eq!(two_epochs(&mut sampler), expected);
+        }
+    }
+
+    #[test]
+    fn the_instance_stream_matches_its_golden_hash() {
+        // Taken from the sampler that stored one `TrainingInstance` per
+        // window and a `HashSet` per user; integers only, so the same on
+        // every kernel tier.
+        let data = crate::synthetic::DatasetProfile::tiny("instance-stream").generate(7);
+        for (n_h, n_p, n_l, batch_size, golden) in
+            [(5, 3, 2, 64, 0x004e_f8cd_3f91_a90c_u64), (4, 2, 0, 1, 0x6660_38c7_4687_745a)]
+        {
+            let mut sampler = BatchSampler::new(&data.sequences, data.num_items, n_h, n_p, n_l, batch_size, 11);
+            assert_eq!(stream_hash(&mut sampler, 2), golden, "n_h {n_h}, n_p {n_p}, n_l {n_l}, batch {batch_size}");
+        }
+    }
 
     fn sequences() -> Vec<Vec<ItemId>> {
         vec![(0..9).collect(), (3..12).collect(), vec![0, 5, 2, 7, 4, 9, 6], vec![1, 2]]

@@ -23,12 +23,16 @@
 //! ```
 //! use ham_data::synthetic::DatasetProfile;
 //! use ham_data::split::{EvalSetting, split_dataset};
-//! use ham_data::window::sliding_windows;
+//! use ham_data::batch::BatchSampler;
 //!
 //! let dataset = DatasetProfile::cds().with_scale(0.01).generate(42);
 //! let split = split_dataset(&dataset, EvalSetting::Cut8020);
-//! let instances = sliding_windows(&split.train, 5, 3);
-//! assert!(!instances.is_empty());
+//! // Windows of 5 input and 3 target items, the last 2 inputs as the
+//! // low-order window, 64 instances per batch.
+//! let mut sampler = BatchSampler::new(&split.train, dataset.num_items, 5, 3, 2, 64, 7);
+//! sampler.start_epoch();
+//! let batch = sampler.next_batch().expect("the split has windows");
+//! assert_eq!(batch[0].targets.len(), batch[0].negatives.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,4 +58,4 @@ pub use interaction::Interaction;
 pub use negative::NegativeSampler;
 pub use split::{split_dataset, DataSplit, EvalSetting};
 pub use stats::DatasetStats;
-pub use window::{sliding_windows, TrainingInstance};
+pub use window::WindowStore;

@@ -4,30 +4,46 @@
 //! and Caser, one negative item is sampled uniformly for every positive
 //! target item, rejecting items that appear anywhere in the user's training
 //! sequence.
+//!
+//! A user's seen set is one sorted, deduplicated slice tested with a binary
+//! search: one allocation per user, `size_of::<ItemId>()` bytes per distinct
+//! item, and no hashing on the rejection test.
 
 use crate::dataset::ItemId;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Samples negative items for a user, rejecting items the user has already
 /// interacted with.
 #[derive(Debug, Clone)]
 pub struct NegativeSampler {
     num_items: usize,
-    seen: HashSet<ItemId>,
+    /// The user's distinct items, ascending.
+    seen: Box<[ItemId]>,
 }
 
 impl NegativeSampler {
-    /// Creates a sampler for a user whose interaction history is `seen`.
+    /// Creates a sampler for a user whose interaction history is `seen`
+    /// (duplicates and order do not matter).
     ///
     /// # Panics
     /// Panics if `num_items == 0` or the user has interacted with every item
     /// (no negative exists).
     pub fn new(num_items: usize, seen: impl IntoIterator<Item = ItemId>) -> Self {
+        Self::try_new(num_items, seen)
+            .unwrap_or_else(|| panic!("NegativeSampler: the user interacted with every item; no negatives exist"))
+    }
+
+    /// [`Self::new`], or `None` when the user has interacted with every item
+    /// (a saturated user: no negative exists).
+    ///
+    /// # Panics
+    /// Panics if `num_items == 0`.
+    pub fn try_new(num_items: usize, seen: impl IntoIterator<Item = ItemId>) -> Option<Self> {
         assert!(num_items > 0, "NegativeSampler: num_items must be positive");
-        let seen: HashSet<ItemId> = seen.into_iter().collect();
-        assert!(seen.len() < num_items, "NegativeSampler: the user interacted with every item; no negatives exist");
-        Self { num_items, seen }
+        let mut seen: Vec<ItemId> = seen.into_iter().collect();
+        seen.sort_unstable();
+        seen.dedup();
+        (seen.len() < num_items).then(|| Self { num_items, seen: seen.into_boxed_slice() })
     }
 
     /// Number of candidate items that could be sampled.
@@ -42,11 +58,11 @@ impl NegativeSampler {
         // after one or two draws; a safety fallback scans linearly.
         for _ in 0..64 {
             let candidate = rng.gen_range(0..self.num_items);
-            if !self.seen.contains(&candidate) {
+            if !self.is_seen(candidate) {
                 return candidate;
             }
         }
-        (0..self.num_items).find(|i| !self.seen.contains(i)).expect("at least one negative exists by construction")
+        (0..self.num_items).find(|&i| !self.is_seen(i)).expect("at least one negative exists by construction")
     }
 
     /// Samples `k` negatives (with replacement across draws).
@@ -70,7 +86,7 @@ impl NegativeSampler {
 
     /// Whether the user has interacted with `item`.
     pub fn is_seen(&self, item: ItemId) -> bool {
-        self.seen.contains(&item)
+        self.seen.binary_search(&item).is_ok()
     }
 }
 
@@ -119,6 +135,20 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(sampler.sample(&mut rng), 7);
         }
+    }
+
+    #[test]
+    fn duplicates_and_order_do_not_change_the_seen_set() {
+        let sampler = NegativeSampler::new(10, vec![7, 2, 7, 0, 2]);
+        assert_eq!(sampler.num_candidates(), 7);
+        assert!([0, 2, 7].iter().all(|&i| sampler.is_seen(i)));
+        assert!([1, 3, 9].iter().all(|&i| !sampler.is_seen(i)));
+    }
+
+    #[test]
+    fn try_new_refuses_a_saturated_user() {
+        assert!(NegativeSampler::try_new(3, vec![2, 0, 1, 0]).is_none());
+        assert!(NegativeSampler::try_new(3, vec![2, 0]).is_some());
     }
 
     #[test]

@@ -4,8 +4,98 @@
 //! `n_h + n_p`: the first `n_h` items are the model input and the following
 //! `n_p` items are the prediction targets. Windows slide item by item and
 //! therefore overlap.
+//!
+//! [`WindowStore`] is how training holds the windows: every sequence once,
+//! and each window as a `(user, start)` pair of `u32`s into it.
+//! [`sliding_windows`] materialises the same windows as one
+//! [`TrainingInstance`] (two heap `Vec`s) each; it is the reference the store
+//! is tested against.
 
 use crate::dataset::ItemId;
+
+/// The sliding windows of a set of per-user sequences, held without a heap
+/// allocation per window.
+///
+/// One flat buffer holds every kept user's sequence back to back, each
+/// front-padded to `n_h + n_p` items the way [`user_windows`] pads it; a
+/// window is the `(user, start)` offset pair of its first input item. Window
+/// `i`'s input is `items[start..start + n_h]` and its targets are the `n_p`
+/// items after that. Windows are ordered by user, then by start — the order
+/// [`sliding_windows`] emits them in.
+#[derive(Debug, Clone, Default)]
+pub struct WindowStore {
+    n_h: usize,
+    n_p: usize,
+    items: Vec<ItemId>,
+    windows: Vec<(u32, u32)>,
+}
+
+impl WindowStore {
+    /// The windows of every user `u` of `sequences` for which `keep(u)`
+    /// holds (windows of `n_h` input and `n_p` target items). Builds the two
+    /// buffers at their exact sizes, so the allocation count does not depend
+    /// on the number of windows.
+    ///
+    /// # Panics
+    /// Panics if `n_h == 0`, `n_p == 0`, or a user index or buffer offset
+    /// does not fit in a `u32`.
+    pub fn new(sequences: &[Vec<ItemId>], n_h: usize, n_p: usize, keep: impl Fn(usize) -> bool) -> Self {
+        assert!(n_h > 0, "WindowStore: n_h must be positive");
+        assert!(n_p > 0, "WindowStore: n_p must be positive");
+        let window = n_h + n_p;
+        // A sequence needs one input item and `n_p` targets to form a window;
+        // a shorter-than-window one is front-padded to exactly one window.
+        let padded_len = |user: usize, seq: &[ItemId]| (seq.len() > n_p && keep(user)).then(|| seq.len().max(window));
+        let (mut num_items, mut num_windows) = (0, 0);
+        for (user, seq) in sequences.iter().enumerate() {
+            if let Some(len) = padded_len(user, seq) {
+                num_items += len;
+                num_windows += len - window + 1;
+            }
+        }
+        // Every user index and start offset narrows to `u32` below.
+        u32::try_from(sequences.len()).expect("WindowStore: user count exceeds u32");
+        u32::try_from(num_items).expect("WindowStore: padded item count exceeds u32");
+        let mut items = Vec::with_capacity(num_items);
+        let mut windows = Vec::with_capacity(num_windows);
+        for (user, seq) in sequences.iter().enumerate() {
+            let Some(len) = padded_len(user, seq) else { continue };
+            let offset = items.len();
+            items.resize(offset + len - seq.len(), seq[0]);
+            items.extend_from_slice(seq);
+            windows.extend((offset..=offset + len - window).map(|start| (user as u32, start as u32)));
+        }
+        Self { n_h, n_p, items, windows }
+    }
+
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Whether there are no windows.
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The user (index into the sequences the store was built from) of
+    /// window `index`.
+    pub fn user(&self, index: usize) -> usize {
+        self.windows[index].0 as usize
+    }
+
+    /// The `n_h` input items of window `index` (chronological order).
+    pub fn input(&self, index: usize) -> &[ItemId] {
+        let start = self.windows[index].1 as usize;
+        &self.items[start..start + self.n_h]
+    }
+
+    /// The `n_p` target items of window `index`.
+    pub fn targets(&self, index: usize) -> &[ItemId] {
+        let start = self.windows[index].1 as usize + self.n_h;
+        &self.items[start..start + self.n_p]
+    }
+}
 
 /// One training instance: a user, the `n_h` input items and the `n_p` target
 /// items immediately following them.
@@ -20,7 +110,8 @@ pub struct TrainingInstance {
 }
 
 /// Generates all sliding-window training instances from per-user training
-/// sequences.
+/// sequences, one heap-allocated [`TrainingInstance`] per window (training
+/// reads the same windows from a [`WindowStore`]).
 ///
 /// Users whose training sequence is shorter than `n_h + n_p` are padded by
 /// repeating their earliest item, mirroring the zero-padding used by the
@@ -124,6 +215,22 @@ mod tests {
         let (n_h, n_p) = (5, 3);
         let w = user_windows(0, &seq, n_h, n_p);
         assert_eq!(w.len(), 50 - (n_h + n_p) + 1);
+    }
+
+    #[test]
+    fn the_store_holds_the_materialised_windows_of_its_kept_users() {
+        let train = vec![(0..9).collect::<Vec<_>>(), vec![4], vec![7, 8, 9], (20..26).collect(), vec![], vec![1, 2]];
+        for (n_h, n_p) in [(3, 2), (4, 2), (1, 1), (2, 3)] {
+            let keep = |user: usize| user != 3;
+            let store = WindowStore::new(&train, n_h, n_p, keep);
+            let expected: Vec<TrainingInstance> =
+                sliding_windows(&train, n_h, n_p).into_iter().filter(|w| keep(w.user)).collect();
+            assert_eq!(store.len(), expected.len());
+            for (i, w) in expected.iter().enumerate() {
+                assert_eq!((store.user(i), store.input(i), store.targets(i)), (w.user, &w.input[..], &w.targets[..]));
+            }
+        }
+        assert!(WindowStore::new(&train, 3, 2, |_| false).is_empty());
     }
 
     #[test]
