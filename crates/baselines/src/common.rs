@@ -4,7 +4,7 @@
 use ham_autograd::{Adam, AdamConfig, Graph, Optimizer, ParamStore, VarId};
 use ham_data::dataset::ItemId;
 use ham_data::negative::NegativeSampler;
-use ham_data::window::sliding_windows;
+use ham_data::window::WindowStore;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -130,14 +130,11 @@ pub fn train_bpr(
     build_loss: impl Fn(&ParamStore, &mut Graph, &TrainInstance) -> VarId,
 ) -> Vec<f32> {
     assert!(!train_sequences.is_empty(), "train_bpr: need at least one user sequence");
-    let windows = sliding_windows(train_sequences, seq_len, targets);
-    let samplers: Vec<Option<NegativeSampler>> = train_sequences
-        .iter()
-        .map(|seq| {
-            let distinct: std::collections::HashSet<ItemId> = seq.iter().copied().collect();
-            (distinct.len() < num_items).then(|| NegativeSampler::new(num_items, distinct))
-        })
-        .collect();
+    // Every user's windows, saturated ones included: they stay in the shuffle
+    // and are skipped when a batch is packed.
+    let windows = WindowStore::new(train_sequences, seq_len, targets, |_| true);
+    let samplers: Vec<Option<NegativeSampler>> =
+        train_sequences.iter().map(|seq| NegativeSampler::try_new(num_items, seq.iter().copied())).collect();
 
     let mut adam = Adam::new(AdamConfig {
         learning_rate: config.learning_rate,
@@ -156,13 +153,13 @@ pub fn train_bpr(
             let batch: Vec<TrainInstance> = chunk
                 .iter()
                 .filter_map(|&idx| {
-                    let w = &windows[idx];
-                    let sampler = samplers[w.user].as_ref()?;
+                    let user = windows.user(idx);
+                    let sampler = samplers[user].as_ref()?;
                     Some(TrainInstance {
-                        user: w.user,
-                        input: w.input.clone(),
-                        targets: w.targets.clone(),
-                        negatives: sampler.sample_many(w.targets.len(), &mut rng),
+                        user,
+                        input: windows.input(idx).to_vec(),
+                        targets: windows.targets(idx).to_vec(),
+                        negatives: sampler.sample_many(targets, &mut rng),
                     })
                 })
                 .collect();
