@@ -71,10 +71,11 @@ pub(crate) struct TrainMetrics {
     epoch_pairs_per_sec: Histogram,
     optimizer_step_nanos: Histogram,
     block_gradient_nanos: Histogram,
+    batch_assembly_nanos: Histogram,
 }
 
 impl TrainMetrics {
-    pub(crate) fn resolve() -> Option<Self> {
+    fn resolve() -> Option<Self> {
         let telemetry = ham_telemetry::global();
         let registry = telemetry.registry()?;
         Some(Self {
@@ -83,7 +84,20 @@ impl TrainMetrics {
             epoch_pairs_per_sec: registry.histogram("train_epoch_pairs_per_sec"),
             optimizer_step_nanos: registry.histogram("train_optimizer_step_nanos"),
             block_gradient_nanos: registry.histogram("train_block_gradient_nanos"),
+            batch_assembly_nanos: registry.histogram("train_batch_assembly_nanos"),
         })
+    }
+
+    /// Packs `sampler`'s next batch, recording the wall time of each call
+    /// that yields one in `train_batch_assembly_nanos` when `metrics` is
+    /// enabled (no clock read otherwise).
+    fn timed_next_batch<'s>(metrics: Option<&Self>, sampler: &'s mut BatchSampler) -> Option<&'s [PreparedInstance]> {
+        let started = metrics.map(|_| Instant::now());
+        let batch = sampler.next_batch();
+        if let (Some(metrics), Some(started), Some(_)) = (metrics, started, batch) {
+            metrics.batch_assembly_nanos.record(started.elapsed().as_nanos() as u64);
+        }
+        batch
     }
 
     /// Runs one gradient block, recording its wall time in
@@ -101,7 +115,7 @@ impl TrainMetrics {
     /// Applies one batch's gradients with `adam`, recording the step's wall
     /// time in `train_optimizer_step_nanos` when `metrics` is enabled (no
     /// clock read otherwise).
-    pub(crate) fn timed_step(metrics: Option<&Self>, adam: &mut Adam, store: &mut ParamStore, grads: &GradStore) {
+    fn timed_step(metrics: Option<&Self>, adam: &mut Adam, store: &mut ParamStore, grads: &GradStore) {
         let started = metrics.map(|_| Instant::now());
         adam.step(store, grads);
         if let (Some(metrics), Some(started)) = (metrics, started) {
@@ -110,7 +124,7 @@ impl TrainMetrics {
     }
 
     /// Records one finished epoch: its BPR pair count and throughput.
-    pub(crate) fn record_epoch(&self, pairs: usize, pairs_per_sec: f64) {
+    fn record_epoch(&self, pairs: usize, pairs_per_sec: f64) {
         self.epochs_total.inc();
         self.pairs_total.add(pairs as u64);
         self.epoch_pairs_per_sec.record(pairs_per_sec as u64);
@@ -214,7 +228,6 @@ pub(crate) fn train_impl(
     let mut model = HamModel::new(num_users, num_items, *config, seed);
     let mut params = HamParams::from_model(&model);
 
-    let batch_size = train_config.batch_size.max(1);
     // Mix a fixed marker into the seed so training noise (shuffling, negative
     // sampling) is decoupled from the model-initialisation noise.
     let mut sampler = BatchSampler::new(
@@ -223,7 +236,7 @@ pub(crate) fn train_impl(
         config.n_h,
         config.n_p,
         config.n_l,
-        batch_size,
+        train_config.batch_size.max(1),
         seed ^ 0x7A21_55ED,
     );
 
@@ -232,19 +245,37 @@ pub(crate) fn train_impl(
         weight_decay: train_config.weight_decay,
         ..AdamConfig::default()
     });
-    let mut history = Vec::with_capacity(train_config.epochs);
-    let metrics = TrainMetrics::resolve();
+    let history =
+        train_epochs(&mut params, &mut adam, &mut sampler, train_config.epochs, config, train_config, force_reference);
+    params.write_back(&mut model);
+    (model, history)
+}
 
-    for epoch in 1..=train_config.epochs {
+/// The epoch loop of [`train`] and [`TrainerState::train_round`]: `epochs`
+/// passes of `sampler`'s batches, each batch's gradients from
+/// [`compute_batch_gradients`] applied with one sparse Adam step, continuing
+/// from `params` and `adam`'s moments.
+pub(crate) fn train_epochs(
+    params: &mut HamParams,
+    adam: &mut Adam,
+    sampler: &mut BatchSampler,
+    epochs: usize,
+    config: &HamConfig,
+    train_config: &TrainConfig,
+    force_reference: bool,
+) -> Vec<EpochStats> {
+    let metrics = TrainMetrics::resolve();
+    let mut history = Vec::with_capacity(epochs);
+    for epoch in 1..=epochs {
         let started = Instant::now();
         sampler.start_epoch();
         let mut epoch_loss = 0.0f64;
         let mut instances = 0usize;
         let mut pairs = 0usize;
-        while let Some(batch) = sampler.next_batch() {
+        while let Some(batch) = TrainMetrics::timed_next_batch(metrics.as_ref(), sampler) {
             let (grads, loss) =
-                compute_batch_gradients(&params, batch, config, train_config, force_reference, metrics.as_ref());
-            TrainMetrics::timed_step(metrics.as_ref(), &mut adam, &mut params.store, &grads);
+                compute_batch_gradients(params, batch, config, train_config, force_reference, metrics.as_ref());
+            TrainMetrics::timed_step(metrics.as_ref(), adam, &mut params.store, &grads);
             epoch_loss += loss as f64 * batch.len() as f64;
             instances += batch.len();
             pairs += batch.iter().map(|i| i.targets.len()).sum::<usize>();
@@ -258,13 +289,11 @@ pub(crate) fn train_impl(
             epoch,
             mean_loss: if instances > 0 { (epoch_loss / instances as f64) as f32 } else { 0.0 },
             num_instances: instances,
-            batch_size,
+            batch_size: sampler.batch_size(),
             pairs_per_sec,
         });
     }
-
-    params.write_back(&mut model);
-    (model, history)
+    history
 }
 
 /// Gradients and mean loss of one batch on the path `train_config` selects

@@ -24,7 +24,7 @@
 //!   the seed, the table and the row index, never on *when* the table grew,
 //!   so replaying the same append/round schedule reproduces the same model.
 
-use super::{compute_batch_gradients, EpochStats, HamParams};
+use super::{train_epochs, EpochStats, HamParams};
 use crate::config::{HamConfig, TrainConfig};
 use crate::model::HamModel;
 use ham_autograd::{Adam, AdamConfig, AdamState, ParamId};
@@ -32,7 +32,6 @@ use ham_data::batch::BatchSampler;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Table tags mixed into the growth seed so U/V/W rows draw from distinct
 /// streams (arbitrary odd constants).
@@ -165,42 +164,7 @@ impl TrainerState {
     /// The sampler's instances must only reference user/item rows the state
     /// already covers (call [`Self::grow_to`] first after appends).
     pub fn train_round(&mut self, sampler: &mut BatchSampler, epochs: usize) -> Vec<EpochStats> {
-        let mut history = Vec::with_capacity(epochs);
-        let metrics = super::TrainMetrics::resolve();
-        for epoch in 1..=epochs {
-            let started = Instant::now();
-            sampler.start_epoch();
-            let mut epoch_loss = 0.0f64;
-            let mut instances = 0usize;
-            let mut pairs = 0usize;
-            while let Some(batch) = sampler.next_batch() {
-                let (grads, loss) = compute_batch_gradients(
-                    &self.params,
-                    batch,
-                    &self.config,
-                    &self.train_config,
-                    false,
-                    metrics.as_ref(),
-                );
-                super::TrainMetrics::timed_step(metrics.as_ref(), &mut self.adam, &mut self.params.store, &grads);
-                epoch_loss += loss as f64 * batch.len() as f64;
-                instances += batch.len();
-                pairs += batch.iter().map(|i| i.targets.len()).sum::<usize>();
-            }
-            let seconds = started.elapsed().as_secs_f64();
-            let pairs_per_sec = if seconds > 0.0 { pairs as f64 / seconds } else { 0.0 };
-            if let Some(metrics) = &metrics {
-                metrics.record_epoch(pairs, pairs_per_sec);
-            }
-            history.push(EpochStats {
-                epoch,
-                mean_loss: if instances > 0 { (epoch_loss / instances as f64) as f32 } else { 0.0 },
-                num_instances: instances,
-                batch_size: sampler.batch_size(),
-                pairs_per_sec,
-            });
-        }
-        history
+        train_epochs(&mut self.params, &mut self.adam, sampler, epochs, &self.config, &self.train_config, false)
     }
 
     /// Freezes the current parameters into a [`HamModel`] snapshot (the

@@ -58,8 +58,13 @@ fn every_optimizer_step_and_gradient_block_is_timed_once_when_telemetry_is_enabl
     let snapshot = ham_telemetry::global().snapshot().expect("the global handle is enabled");
     let step_nanos =
         snapshot.histogram("train_optimizer_step_nanos").expect("the optimizer-step histogram is registered");
-    assert_eq!(step_nanos.count, steps + state.optimizer_steps());
+    let batches = steps + state.optimizer_steps();
+    assert_eq!(step_nanos.count, batches);
     assert!(step_nanos.sum > 0, "optimizer steps take measurable time");
+    let assembly_nanos =
+        snapshot.histogram("train_batch_assembly_nanos").expect("the batch-assembly histogram is registered");
+    assert_eq!(assembly_nanos.count, batches, "one sample per packed batch on every path");
+    assert!(assembly_nanos.sum > 0, "packing a batch takes measurable time");
     let block_nanos =
         snapshot.histogram("train_block_gradient_nanos").expect("the gradient-block histogram is registered");
     assert_eq!(block_nanos.count, expected_blocks, "one sample per gradient block on every path");
