@@ -8,6 +8,25 @@
 //! (negatives are drawn through [`NegativeSampler::sample_batch`] into the
 //! retained buffers).
 //!
+//! ## Layout
+//!
+//! The windows live in a [`WindowStore`]: every kept user's sequence once,
+//! front-padded, in one flat `ItemId` buffer, and each window as a
+//! `(user, start)` pair of `u32`s into it. The epoch order is a `Vec<u32>`
+//! of window indices, and each user's seen set is a sorted slice inside its
+//! [`NegativeSampler`]. With `n_h = 5`, `n_p = 3` and 8-byte item ids a
+//! window costs 8 B of offsets, 4 B of order and its share of the flat
+//! buffer (one item per window plus a window's worth per user, ≈ 9 B on
+//! ML-1M): ≈ 21 B. It used to cost ≈ 144 B: a 56-byte `TrainingInstance`
+//! holding two heap `Vec`s (40 and 24 bytes, 48 and 32 with the allocator's
+//! headers) and an 8-byte order slot, beside a SipHash `HashSet` per user.
+//! On the ML-1M profile (416,626 windows, 371,576 distinct user-item
+//! pairs) the sampler holds ≈ 11.8 MB where it held ≈ 65 MB, and the
+//! measured resident growth of [`BatchSampler::new`] fell from 61.5 MB to
+//! 8.8 MB (the large buffers partly reuse pages freed before).
+//! Construction makes a fixed number of allocations plus one or two per
+//! user (the seen set), none per window.
+//!
 //! ## Determinism contract
 //!
 //! For a fixed seed the shuffled instance order and the negative-sample

@@ -22,7 +22,7 @@ use crate::dataset::ItemId;
 /// `i`'s input is `items[start..start + n_h]` and its targets are the `n_p`
 /// items after that. Windows are ordered by user, then by start — the order
 /// [`sliding_windows`] emits them in.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WindowStore {
     n_h: usize,
     n_p: usize,
