@@ -157,8 +157,10 @@ type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 /// Every touched row lives in one contiguous buffer: `slots` maps a row id to
 /// its position in `rows` (first-touch order), and slot `s` owns
 /// `values[s * cols..(s + 1) * cols]`. Touching a new row appends `cols`
-/// zeros instead of allocating a row of its own, so a whole batch's gradient
-/// is a handful of allocations, freed in one go.
+/// zeros instead of allocating a row of its own, and [`Self::clear`] empties
+/// the gradient but keeps every buffer's capacity, so a trainer that clears
+/// and refills one gradient per batch allocates only while a batch touches
+/// more rows than any batch before it.
 #[derive(Debug, Clone, Default)]
 pub struct SparseGrad {
     slots: IdMap<usize>,
@@ -202,6 +204,19 @@ impl SparseGrad {
         self.values.reserve(rows * self.cols);
     }
 
+    /// Empties the gradient, keeping the capacity of the slot map and of
+    /// both buffers.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.rows.clear();
+        self.values.clear();
+    }
+
+    /// Whether no row has a gradient.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
     /// Number of distinct rows with a non-empty gradient.
     pub fn touched_rows(&self) -> usize {
         self.rows.len()
@@ -220,11 +235,12 @@ impl SparseGrad {
         self.rows.iter().enumerate().map(|(slot, &row)| (row, &self.values[slot * self.cols..][..self.cols]))
     }
 
-    /// Folds another sparse gradient into this one, row by row.
+    /// Folds another sparse gradient into this one, row by row, in the
+    /// other's first-touch order.
     ///
     /// # Panics
     /// Panics if the column counts differ.
-    pub fn merge(&mut self, other: SparseGrad) {
+    pub fn merge(&mut self, other: &SparseGrad) {
         assert_eq!(self.cols, other.cols, "SparseGrad::merge: width mismatch {} vs {}", self.cols, other.cols);
         for (row, grad) in other.iter() {
             match self.slots.get(&row) {
@@ -257,6 +273,11 @@ impl SparseGrad {
 }
 
 /// The gradients produced by one backward pass, keyed by [`ParamId`].
+///
+/// [`Self::clear`] keeps each sparse entry (empty, with its capacity) so a
+/// store refilled every batch stops allocating once it has seen its largest
+/// batch. An entry with no rows is not a gradient: [`Self::contains`],
+/// [`Self::sparse`] and [`Self::sparse_ids`] do not see it.
 #[derive(Debug, Default)]
 pub struct GradStore {
     dense: IdMap<Matrix>,
@@ -293,6 +314,31 @@ impl GradStore {
         }
     }
 
+    /// Accumulates a sparse gradient for `id` from a flat row-major buffer:
+    /// row `i` of `values` (`cols` wide) is the gradient of `indices[i]`.
+    /// The slice form of [`Self::accumulate_sparse`], for callers that keep
+    /// their coalesced rows in a reused buffer; it reserves nothing, so a
+    /// caller that knows its row count reserves it up front
+    /// ([`Self::reserve_rows`]).
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold `indices.len()` rows of `cols`.
+    pub fn accumulate_sparse_rows(&mut self, id: ParamId, indices: &[usize], values: &[f32], cols: usize) {
+        assert_eq!(values.len(), indices.len() * cols, "accumulate_sparse_rows: index / row count mismatch");
+        let entry = self.sparse.entry(id.0).or_insert_with(|| SparseGrad::new(cols));
+        for (&idx, row) in indices.iter().zip(values.chunks_exact(cols)) {
+            entry.add_row(idx, row);
+        }
+    }
+
+    /// Makes room for `rows` touched rows in total in the sparse gradient of
+    /// `id` (`cols` wide), creating it empty if absent. Filling it up to that
+    /// many rows then allocates nothing.
+    pub fn reserve_rows(&mut self, id: ParamId, cols: usize, rows: usize) {
+        let entry = self.sparse.entry(id.0).or_insert_with(|| SparseGrad::new(cols));
+        entry.reserve(rows.saturating_sub(entry.touched_rows()));
+    }
+
     /// Accumulates `scale * grad` into sparse row `row` of `id` directly from
     /// a slice — the zero-allocation path the manual trainer uses per
     /// training pair (no `Matrix::row_vector` temporary).
@@ -319,7 +365,7 @@ impl GradStore {
         }
         for (id, grad) in other.sparse {
             match self.sparse.get_mut(&id) {
-                Some(existing) => existing.merge(grad),
+                Some(existing) => existing.merge(&grad),
                 None => {
                     self.sparse.insert(id, grad);
                 }
@@ -327,19 +373,44 @@ impl GradStore {
         }
     }
 
+    /// Folds another gradient store into this one without consuming it —
+    /// the same sums in the same order as [`Self::merge`], so a caller can
+    /// keep `other`'s buffers for the next batch. Allocates only for rows
+    /// or parameters this store has no room for yet.
+    pub fn merge_from(&mut self, other: &GradStore) {
+        for (&id, grad) in &other.dense {
+            match self.dense.get_mut(&id) {
+                Some(existing) => existing.add_assign(grad),
+                None => {
+                    self.dense.insert(id, grad.clone());
+                }
+            }
+        }
+        for (&id, grad) in other.sparse.iter().filter(|(_, grad)| !grad.is_empty()) {
+            self.sparse.entry(id).or_insert_with(|| SparseGrad::new(grad.cols())).merge(grad);
+        }
+    }
+
+    /// Empties the store for reuse: dense gradients are dropped, sparse
+    /// entries are emptied with their capacity kept.
+    pub fn clear(&mut self) {
+        self.dense.clear();
+        self.sparse.values_mut().for_each(SparseGrad::clear);
+    }
+
     /// Dense gradient for `id`, if any was accumulated.
     pub fn dense(&self, id: ParamId) -> Option<&Matrix> {
         self.dense.get(&id.0)
     }
 
-    /// Sparse gradient for `id`, if any was accumulated.
+    /// Sparse gradient for `id`, if any row was accumulated.
     pub fn sparse(&self, id: ParamId) -> Option<&SparseGrad> {
-        self.sparse.get(&id.0)
+        self.sparse.get(&id.0).filter(|grad| !grad.is_empty())
     }
 
     /// Whether any gradient at all was recorded for `id`.
     pub fn contains(&self, id: ParamId) -> bool {
-        self.dense.contains_key(&id.0) || self.sparse.contains_key(&id.0)
+        self.dense.contains_key(&id.0) || self.sparse(id).is_some()
     }
 
     /// Total gradient of `id` as a dense matrix shaped like `shape_like`
@@ -362,7 +433,7 @@ impl GradStore {
 
     /// Iterates over parameter indices that received sparse gradients.
     pub fn sparse_ids(&self) -> impl Iterator<Item = ParamId> + '_ {
-        self.sparse.keys().map(|&k| ParamId(k))
+        self.sparse.iter().filter(|(_, grad)| !grad.is_empty()).map(|(&k, _)| ParamId(k))
     }
 }
 
@@ -468,7 +539,28 @@ mod tests {
     fn merge_rejects_a_gradient_of_the_wrong_width() {
         let mut a = SparseGrad::new(2);
         a.add_row(0, &[1.0, 2.0]);
-        a.merge(SparseGrad::new(3));
+        a.merge(&SparseGrad::new(3));
+    }
+
+    #[test]
+    fn a_cleared_store_keeps_its_buffers_and_hides_its_empty_entries() {
+        let (u, v) = (ParamId(0), ParamId(1));
+        let mut grads = GradStore::new();
+        grads.accumulate_scaled_row(v, 5, &[1.0, 2.0], 1.0);
+        grads.accumulate_sparse_rows(v, &[1, 5], &[3.0, 3.0, 1.0, 1.0], 2);
+        assert_eq!(grads.sparse(v).unwrap().to_dense(6).row(5), &[2.0, 3.0]);
+        let capacity = grads.sparse[&v.0].values.capacity();
+        grads.clear();
+        assert!(!grads.contains(v) && grads.sparse(v).is_none() && grads.sparse_ids().next().is_none());
+        assert_eq!(grads.sparse[&v.0].values.capacity(), capacity, "clear keeps the row buffer");
+        // A reserved, still empty entry is just as invisible.
+        grads.reserve_rows(u, 2, 8);
+        assert!(!grads.contains(u) && grads.sparse_ids().next().is_none());
+        assert!(grads.sparse[&u.0].values.capacity() >= 16);
+        // Merging an empty store in adds nothing either.
+        let mut other = GradStore::new();
+        other.merge_from(&grads);
+        assert!(!other.contains(u) && !other.contains(v));
     }
 
     /// The previous `SparseGrad`: one heap row per touched row id in a
@@ -544,7 +636,11 @@ mod tests {
         }
 
         fn accumulate_sparse(&mut self, param: usize, indices: &[usize], rows: &Matrix) {
-            self.store.accumulate_sparse(ParamId(param), indices, rows);
+            if indices.len().is_multiple_of(2) {
+                self.store.accumulate_sparse(ParamId(param), indices, rows);
+            } else {
+                self.store.accumulate_sparse_rows(ParamId(param), indices, rows.as_slice(), rows.cols());
+            }
             let entry = self.reference.entry(param).or_insert_with(|| ReferenceSparse::new(rows.cols()));
             for (i, &row) in indices.iter().enumerate() {
                 entry.add_scaled_row(row, rows.row(i), 1.0);
@@ -553,7 +649,19 @@ mod tests {
 
         fn merge(&mut self, other: Mirrored) {
             self.store.merge(other.store);
-            for (param, grad) in other.reference {
+            self.merge_reference(other.reference);
+        }
+
+        /// The borrowing merge, after which `other` is cleared for reuse
+        /// (the trainer's lane stores).
+        fn merge_from_and_clear(&mut self, other: &mut Mirrored) {
+            self.store.merge_from(&other.store);
+            other.store.clear();
+            self.merge_reference(std::mem::take(&mut other.reference));
+        }
+
+        fn merge_reference(&mut self, other: HashMap<usize, ReferenceSparse>) {
+            for (param, grad) in other {
                 match self.reference.get_mut(&param) {
                     Some(existing) => existing.merge(grad),
                     None => {
@@ -626,7 +734,8 @@ mod tests {
 
         /// The row buffer against the per-row-`Vec` map it replaced: random
         /// streams of single-row and block accumulations into a running store
-        /// and into block stores merged in (the trainer's per-block merge),
+        /// and into block stores merged in (the trainer's per-block merge,
+        /// consuming or borrowing and clearing the block store for reuse),
         /// across params of different widths. Every accumulated bit, the
         /// touched-row count and the first-touch iteration order must agree.
         #[test]
@@ -635,10 +744,11 @@ mod tests {
             let mut running = Mirrored::default();
             let mut block = Mirrored::default();
             for _ in 0..ops {
-                match rng.gen_range(0..5) {
+                match rng.gen_range(0..6) {
                     0 | 1 => accumulate_random(&mut running, &mut rng),
                     2 | 3 => accumulate_random(&mut block, &mut rng),
-                    _ => running.merge(std::mem::take(&mut block)),
+                    4 => running.merge(std::mem::take(&mut block)),
+                    _ => running.merge_from_and_clear(&mut block),
                 }
             }
             running.merge(block);

@@ -196,14 +196,14 @@ mod tests {
     use super::*;
     use crate::config::{HamConfig, HamVariant, TrainConfig};
     use crate::model::HamModel;
-    use crate::trainer::{compute_batch_gradients, HamParams, TRAIN_BLOCK};
+    use crate::trainer::{fresh_batch_gradients, HamParams, TRAIN_BLOCK};
     use ham_autograd::gradcheck::check_gradient;
 
     /// The tape's batched path, as the trainer runs it under
     /// `force_autograd`.
     fn batch_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
         let tc = TrainConfig { force_autograd: true, ..TrainConfig::default() };
-        compute_batch_gradients(params, batch, config, &tc, false, None)
+        fresh_batch_gradients(params, batch, config, &tc)
     }
 
     fn setup(config: HamConfig) -> HamParams {

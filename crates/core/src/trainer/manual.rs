@@ -29,18 +29,33 @@
 //!
 //! ## Blocked path
 //!
-//! `block_gradients` takes `MANUAL_BLOCK` instances at a time. It dedups
-//! the block's candidate items and window items (sort-based, no hashing)
-//! into dense per-block gradient matrices, then makes one pass per instance:
-//! build `q`, score each pair with two dots, fold `±g·q` into the pair's two
-//! candidate rows and `g·(w_j − w_k)` into `∂L/∂q` with four
+//! `block_gradients_into` takes `MANUAL_BLOCK` instances at a time. It
+//! gives the block's distinct candidate items and distinct window items one
+//! row each in two dense per-block gradient matrices, then makes one pass
+//! per instance: build `q`, score each pair with two dots, fold `±g·q` into
+//! the pair's two candidate rows and `g·(w_j − w_k)` into `∂L/∂q` with four
 //! [`axpy`](ham_tensor::kernels::axpy) calls, and write the window gradients
 //! straight into the block's coalesced `∂L/∂V` rows. Each table then gets
 //! one coalesced sparse accumulation per block. A block (or batch) of **one**
-//! instance takes the per-instance reference loop
-//! (`batch_gradients_reference`: scalar accumulation into the sparse store)
-//! instead, so `batch_size = 1` training is bit-identical to
-//! `force_reference` training.
+//! instance takes the per-instance reference loop (`reference_into`: scalar
+//! accumulation into the sparse store) instead, so `batch_size = 1`
+//! training is bit-identical to `force_reference` training.
+//!
+//! Rows are deduplicated through a stamped table: a dense `item → row` map
+//! holding `u32::MAX` for every item, as long as the item tables (it grows
+//! with the catalogue). Each draw of the block looks its item up, a new
+//! item takes the next row (first-seen order), and afterwards only the
+//! entries the block touched are reset — no sort, no hashing, a cost linear
+//! in the block's draws. The row order enters no sum: every row accumulates
+//! its contributions in instance order whatever its position, and the
+//! optimizer updates each row on its own.
+//!
+//! Every buffer of a block — the table, the per-draw row maps, the distinct
+//! item lists, the two gradient matrices (flat `Vec<f32>`s of which each
+//! block zeroes the prefix it uses), the instance pass and the row scratch
+//! — lives in a [`BlockWorkspace`] the trainer keeps for a whole run, one
+//! per lane. After the largest block has run once, a block allocates
+//! nothing.
 //!
 //! The `ham-autograd` tape ([`super::autograd_ref`]) is the oracle these
 //! gradients are tested against, on every variant and synergy order.
@@ -54,72 +69,130 @@ use ham_tensor::matrix::dot;
 use ham_tensor::ops::{log_sigmoid, sigmoid_scalar};
 use ham_tensor::{Matrix, Pooling};
 
-/// Bits of a packed dedup key reserved for the slot index; items use the
-/// remaining high bits, so keys sort by item first.
-const SLOT_BITS: u32 = 24;
+/// Marks an item with no row in the block being deduplicated.
+const NO_ROW: u32 = u32::MAX;
 
-/// Packs an `(item, slot)` draw into one sortable `u64` key.
-#[inline]
-fn dedup_key(item: usize, slot: u32) -> u64 {
-    debug_assert!(slot < (1 << SLOT_BITS), "dedup slot overflow");
-    debug_assert!((item as u64) < (1 << (64 - SLOT_BITS)), "dedup item overflow");
-    ((item as u64) << SLOT_BITS) | slot as u64
+/// The buffers one lane of the trainer reuses from block to block and batch
+/// to batch (see the module docs). Built for one `HamConfig`.
+pub(crate) struct BlockWorkspace {
+    /// `item → row` of the block being deduplicated, [`NO_ROW`] elsewhere.
+    row_of_item: Vec<u32>,
+    /// Row in `dcand` of each pair slot (`2p` positive, `2p + 1` negative).
+    pair_rows: Vec<u32>,
+    /// Row in `dv` of each dense window slot.
+    window_rows: Vec<u32>,
+    /// The block's distinct candidate items, in row order.
+    items: Vec<usize>,
+    /// The block's distinct dense-window items, in row order.
+    window_items: Vec<usize>,
+    /// `∂L/∂W` over `items`, `d` values per row.
+    dcand: Vec<f32>,
+    /// `∂L/∂V` over `window_items`, `d` values per row.
+    dv: Vec<f32>,
+    pass: InstancePass,
+    row_scratch: Vec<f32>,
 }
 
-/// Sort-based dedup of packed `(item, slot)` draws (see [`dedup_key`]):
-/// assigns one column per distinct item (ascending item order) and records
-/// each slot's column. Returns the distinct items; `col_of_slot[slot]`
-/// indexes into them. No hashing — the per-block cost is one
-/// `sort_unstable` of a few hundred integers, independent of the catalogue
-/// size.
-fn dedup_columns(keyed: &mut [u64], col_of_slot: &mut [u32]) -> Vec<usize> {
-    keyed.sort_unstable();
-    let mut items: Vec<usize> = Vec::with_capacity(keyed.len());
-    for &key in keyed.iter() {
-        let item = (key >> SLOT_BITS) as usize;
-        let slot = (key & ((1 << SLOT_BITS) - 1)) as usize;
-        if items.last() != Some(&item) {
+impl BlockWorkspace {
+    pub(crate) fn new(config: &HamConfig) -> Self {
+        Self {
+            row_of_item: Vec::new(),
+            pair_rows: Vec::new(),
+            window_rows: Vec::new(),
+            items: Vec::new(),
+            window_items: Vec::new(),
+            dcand: Vec::new(),
+            dv: Vec::new(),
+            pass: InstancePass::new(config),
+            row_scratch: vec![0.0; config.d],
+        }
+    }
+}
+
+/// Gives each distinct item of the `count` `draws` one row, in first-seen
+/// order: `rows[slot]` is draw `slot`'s row and `items[row]` its item.
+/// `row_of_item` must be [`NO_ROW`] for every item on entry; it is again on
+/// return, since only the entries of `items` are reset.
+// ham-lint: hot-path
+fn stamp_rows(
+    row_of_item: &mut [u32],
+    draws: impl Iterator<Item = usize>,
+    count: usize,
+    rows: &mut Vec<u32>,
+    items: &mut Vec<usize>,
+) {
+    rows.clear();
+    items.clear();
+    // Room for the worst case (every draw distinct, up to the table size),
+    // so the buffers stop growing at the first block of a given shape.
+    rows.reserve(count);
+    items.reserve(count.min(row_of_item.len()));
+    for item in draws {
+        let row = &mut row_of_item[item];
+        if *row == NO_ROW {
+            *row = items.len() as u32;
             items.push(item);
         }
-        col_of_slot[slot] = (items.len() - 1) as u32;
+        rows.push(*row);
     }
-    items
+    for &item in items.iter() {
+        row_of_item[item] = NO_ROW;
+    }
 }
 
-/// The per-instance reference loop over a whole batch: scalar [`dot`]
-/// scores and pair-by-pair accumulation into the sparse store. The exact
-/// path a batch or block of one instance takes.
-pub(crate) fn batch_gradients_reference(
-    params: &HamParams,
-    batch: &[PreparedInstance],
-    config: &HamConfig,
-) -> (GradStore, f32) {
-    assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
-    let batch_scale = 1.0f32 / batch.len() as f32;
-    let mut grads = GradStore::new();
-    let loss = reference_into(params, batch, config, batch_scale, &mut grads);
-    (grads, loss as f32)
+/// The first `len` values of `buf`, zeroed; a short `buf` grows to
+/// `bound ≥ len` values (the largest prefix the block's shape can need).
+fn zeroed_prefix(buf: &mut Vec<f32>, len: usize, bound: usize) -> &mut [f32] {
+    if buf.len() < len {
+        // ham-lint: allow(alloc, "grows once, to the bound of the block shape, and is kept")
+        buf.resize(bound.max(len), 0.0);
+    }
+    let prefix = &mut buf[..len];
+    prefix.fill(0.0);
+    prefix
 }
 
-/// Gradients of one uniform block of a larger batch into a fresh store (the
-/// trainer computes blocks inline or in parallel and merges them in block
-/// order). `batch_scale` is `1 / total batch size`, **not** `1 / block size`.
-/// Single-instance blocks take the bit-exact reference loop.
+/// Row `row` of a flat matrix of `d`-wide rows.
+#[inline]
+fn row_mut(matrix: &mut [f32], row: u32, d: usize) -> &mut [f32] {
+    &mut matrix[row as usize * d..][..d]
+}
+
+/// Makes room in `grads` for every row `instances` sampled instances of
+/// `config`'s shape can touch (each table capped at its size), so filling
+/// it allocates nothing once its buffers have grown to that bound.
+pub(crate) fn reserve_rows(params: &HamParams, config: &HamConfig, instances: usize, grads: &mut GradStore) {
+    let d = config.d;
+    let rows = |id| params.store.value(id).rows();
+    if config.use_user_term {
+        grads.reserve_rows(params.u, d, instances.min(rows(params.u)));
+    }
+    grads.reserve_rows(params.v, d, (instances * (config.n_h + config.n_l)).min(rows(params.v)));
+    grads.reserve_rows(params.w, d, (2 * instances * config.n_p).min(rows(params.w)));
+}
+
+/// Gradients of one uniform block of a larger batch, accumulated into
+/// `grads` (the trainer computes blocks inline or in parallel and merges
+/// them in block order). `batch_scale` is `1 / total batch size`, **not**
+/// `1 / block size`. Single-instance blocks take the bit-exact reference
+/// loop.
 ///
 /// Returns the block's contribution to the batch mean loss.
-pub(crate) fn block_gradients(
+// ham-lint: hot-path
+pub(crate) fn block_gradients_into(
     params: &HamParams,
     block: &[PreparedInstance],
     config: &HamConfig,
     batch_scale: f32,
-) -> (GradStore, f64) {
-    let mut grads = GradStore::new();
-    let loss = if block.len() == 1 {
-        reference_into(params, block, config, batch_scale, &mut grads)
+    ws: &mut BlockWorkspace,
+    grads: &mut GradStore,
+) -> f64 {
+    reserve_rows(params, config, block.len(), grads);
+    if block.len() == 1 {
+        reference_into(params, block, config, batch_scale, ws, grads)
     } else {
-        pair_block_into(params, block, config, batch_scale, &mut grads)
-    };
-    (grads, loss)
+        pair_block_into(params, block, config, batch_scale, ws, grads)
+    }
 }
 
 /// One instance's forward pass and the gradient buffers of its backward
@@ -236,11 +309,13 @@ impl InstancePass {
 /// block's dense gradient matrices (`∂L/∂C` over the block's unique
 /// candidates, `∂L/∂V` over its unique window items) — the sparse
 /// `GradStore` sees each table once per block, duplicate rows coalesced.
+// ham-lint: hot-path
 fn pair_block_into(
     params: &HamParams,
     block: &[PreparedInstance],
     config: &HamConfig,
     batch_scale: f32,
+    ws: &mut BlockWorkspace,
     grads: &mut GradStore,
 ) -> f64 {
     let u_mat = params.store.value(params.u);
@@ -252,21 +327,19 @@ fn pair_block_into(
     let n_p = block[0].targets.len();
     let is_mean = config.pooling == Pooling::Mean;
     let synergies = config.uses_synergies();
+    let BlockWorkspace { row_of_item, pair_rows, window_rows, items, window_items, dcand, dv, pass, row_scratch } = ws;
+    let table_rows = v_mat.rows().max(w_mat.rows());
+    if row_of_item.len() < table_rows {
+        // ham-lint: allow(alloc, "grows with the item tables only; reset entry by entry after every block")
+        row_of_item.resize(table_rows, NO_ROW);
+    }
 
     // Unique candidate items of the block: pair slot `2p` is pair `p`'s
-    // positive, `2p + 1` its negative; `pair_cols[slot]` is the item's row in
+    // positive, `2p + 1` its negative; `pair_rows[slot]` is the item's row in
     // the block's gradient matrix `dcand`.
-    let pairs = block.len() * n_p;
-    let mut keyed: Vec<u64> = Vec::with_capacity(2 * pairs);
-    for (i, instance) in block.iter().enumerate() {
-        for (t, (&pos, &neg)) in instance.targets.iter().zip(&instance.negatives).enumerate() {
-            let pair = (i * n_p + t) as u32;
-            keyed.push(dedup_key(pos, 2 * pair));
-            keyed.push(dedup_key(neg, 2 * pair + 1));
-        }
-    }
-    let mut pair_cols = vec![0u32; 2 * pairs];
-    let items = dedup_columns(&mut keyed, &mut pair_cols);
+    let candidates = block.iter().flat_map(|i| i.targets.iter().zip(&i.negatives).flat_map(|(&pos, &neg)| [pos, neg]));
+    let pair_slots = 2 * block.len() * n_p;
+    stamp_rows(row_of_item, candidates, pair_slots, pair_rows, items);
 
     // Window slots with a dense gradient row: every high-order slot under
     // mean pooling or synergies, every low-order slot under mean pooling.
@@ -276,21 +349,11 @@ fn pair_block_into(
     let high_slots = if is_mean || synergies { n_h } else { 0 };
     let low_slots = if is_mean { n_l } else { 0 };
     let slots = high_slots + low_slots;
-    let mut keyed_windows: Vec<u64> = Vec::with_capacity(block.len() * slots);
-    let mut slot = 0u32;
-    for instance in block {
-        for &item in instance.input[..high_slots].iter().chain(&instance.low[..low_slots]) {
-            keyed_windows.push(dedup_key(item, slot));
-            slot += 1;
-        }
-    }
-    let mut window_cols = vec![0u32; block.len() * slots];
-    let window_items = dedup_columns(&mut keyed_windows, &mut window_cols);
+    let windows = block.iter().flat_map(|i| i.input[..high_slots].iter().chain(&i.low[..low_slots]).copied());
+    stamp_rows(row_of_item, windows, block.len() * slots, window_rows, window_items);
 
-    let mut dcand = Matrix::zeros(items.len(), d);
-    let mut dv = Matrix::zeros(window_items.len(), d);
-    let mut pass = InstancePass::new(config);
-    let mut row_scratch = vec![0.0f32; d];
+    let dcand = zeroed_prefix(dcand, items.len() * d, pair_slots.min(w_mat.rows()) * d);
+    let dv = zeroed_prefix(dv, window_items.len() * d, (block.len() * slots).min(v_mat.rows()) * d);
     let pair_scale = batch_scale / n_p as f32;
     let high_scale = 1.0 / n_h as f32;
     let low_scale = if n_l > 0 { 1.0 / n_l as f32 } else { 0.0 };
@@ -306,8 +369,8 @@ fn pair_block_into(
             let g = (sigmoid_scalar(x) - 1.0) * pair_scale;
             let pair = i * n_p + t;
             // ±g·q into the pair's two candidate rows, g·(w_pos − w_neg) into ∂L/∂q.
-            kernels::axpy(dcand.row_mut(pair_cols[2 * pair] as usize), g, &pass.q);
-            kernels::axpy(dcand.row_mut(pair_cols[2 * pair + 1] as usize), -g, &pass.q);
+            kernels::axpy(row_mut(dcand, pair_rows[2 * pair], d), g, &pass.q);
+            kernels::axpy(row_mut(dcand, pair_rows[2 * pair + 1], d), -g, &pass.q);
             kernels::axpy(&mut pass.dq, g, w_pos);
             kernels::axpy(&mut pass.dq, -g, w_neg);
         }
@@ -317,9 +380,9 @@ fn pair_block_into(
             grads.accumulate_scaled_row(params.u, instance.user, &pass.dq, 1.0);
         }
         pass.latent_cross_backward(n_h);
-        let cols = &window_cols[i * slots..(i + 1) * slots];
-        for (&col, &item) in cols.iter().zip(&instance.input[..high_slots]) {
-            let row = dv.row_mut(col as usize);
+        let rows = &window_rows[i * slots..(i + 1) * slots];
+        for (&row, &item) in rows.iter().zip(&instance.input[..high_slots]) {
+            let row = row_mut(dv, row, d);
             if is_mean {
                 kernels::axpy(row, high_scale, pass.dh());
             }
@@ -327,8 +390,8 @@ fn pair_block_into(
                 pass.add_synergy_gradient(v_mat.row(item), n_h, row);
             }
         }
-        for &col in &cols[high_slots..] {
-            kernels::axpy(dv.row_mut(col as usize), low_scale, &pass.dq);
+        for &row in &rows[high_slots..] {
+            kernels::axpy(row_mut(dv, row, d), low_scale, &pass.dq);
         }
         if !is_mean {
             route_pooling_gradient(
@@ -338,7 +401,7 @@ fn pair_block_into(
                 &pass.high.argmax,
                 pass.dh(),
                 config.pooling,
-                &mut row_scratch,
+                row_scratch,
             );
             if n_l > 0 {
                 route_pooling_gradient(
@@ -348,34 +411,36 @@ fn pair_block_into(
                     &pass.low_argmax,
                     &pass.dq,
                     config.pooling,
-                    &mut row_scratch,
+                    row_scratch,
                 );
             }
         }
     }
 
-    grads.accumulate_sparse(params.w, &items, &dcand);
+    grads.accumulate_sparse_rows(params.w, items, dcand, d);
     if !window_items.is_empty() {
-        grads.accumulate_sparse(params.v, &window_items, &dv);
+        grads.accumulate_sparse_rows(params.v, window_items, dv, d);
     }
     loss_sum * batch_scale as f64
 }
 
-/// The per-instance loop with an explicit `batch_scale` so it can serve as
-/// a block of a larger batch. Returns the contribution to the batch mean
-/// loss (`Σ instance losses · batch_scale`).
-fn reference_into(
+/// The per-instance reference loop: scalar [`dot`] scores and pair-by-pair
+/// accumulation into the sparse store — the exact path a batch or block of
+/// one instance takes. `batch_scale` is explicit so it can serve as a block
+/// of a larger batch. Returns the contribution to the batch mean loss
+/// (`Σ instance losses · batch_scale`).
+pub(crate) fn reference_into(
     params: &HamParams,
     instances: &[PreparedInstance],
     config: &HamConfig,
     batch_scale: f32,
+    ws: &mut BlockWorkspace,
     grads: &mut GradStore,
 ) -> f64 {
     let u_mat = params.store.value(params.u);
     let v_mat = params.store.value(params.v);
     let w_mat = params.store.value(params.w);
-    let mut pass = InstancePass::new(config);
-    let mut row_scratch = vec![0.0f32; config.d];
+    let BlockWorkspace { pass, row_scratch, .. } = ws;
     let mut total_loss = 0.0f64;
 
     for instance in instances {
@@ -416,13 +481,13 @@ fn reference_into(
             &pass.high.argmax,
             pass.dh(),
             config.pooling,
-            &mut row_scratch,
+            row_scratch,
         );
         if config.uses_synergies() {
             for &item in &instance.input {
                 row_scratch.fill(0.0);
-                pass.add_synergy_gradient(v_mat.row(item), instance.input.len(), &mut row_scratch);
-                grads.accumulate_scaled_row(params.v, item, &row_scratch, 1.0);
+                pass.add_synergy_gradient(v_mat.row(item), instance.input.len(), row_scratch);
+                grads.accumulate_scaled_row(params.v, item, row_scratch, 1.0);
             }
         }
         // … and ∂L/∂q through the pooling of the low-order window.
@@ -434,7 +499,7 @@ fn reference_into(
                 &pass.low_argmax,
                 &pass.dq,
                 config.pooling,
-                &mut row_scratch,
+                row_scratch,
             );
         }
     }
@@ -488,7 +553,7 @@ mod tests {
     use super::*;
     use crate::config::{HamConfig, HamVariant, TrainConfig};
     use crate::model::HamModel;
-    use crate::trainer::{compute_batch_gradients, HamParams, MANUAL_BLOCK};
+    use crate::trainer::{fresh_batch_gradients, HamParams, MANUAL_BLOCK};
     use ham_autograd::gradcheck::check_gradient;
     use proptest::prelude::*;
 
@@ -503,13 +568,67 @@ mod tests {
 
     /// The analytic path, as the trainer runs it.
     fn batch_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
-        compute_batch_gradients(params, batch, config, &TrainConfig::default(), false, None)
+        fresh_batch_gradients(params, batch, config, &TrainConfig::default())
     }
 
     /// The tape oracle, as the trainer runs it under `force_autograd`.
     fn tape_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
         let tc = TrainConfig { force_autograd: true, ..TrainConfig::default() };
-        compute_batch_gradients(params, batch, config, &tc, false, None)
+        fresh_batch_gradients(params, batch, config, &tc)
+    }
+
+    /// The per-instance reference loop over a whole batch, into a fresh
+    /// store.
+    fn batch_gradients_reference(
+        params: &HamParams,
+        batch: &[PreparedInstance],
+        config: &HamConfig,
+    ) -> (GradStore, f32) {
+        let mut grads = GradStore::new();
+        let batch_scale = 1.0 / batch.len() as f32;
+        let loss = reference_into(params, batch, config, batch_scale, &mut BlockWorkspace::new(config), &mut grads);
+        (grads, loss as f32)
+    }
+
+    /// One block's gradients into a fresh store and workspace.
+    fn block_gradients(
+        params: &HamParams,
+        block: &[PreparedInstance],
+        config: &HamConfig,
+        batch_scale: f32,
+    ) -> (GradStore, f64) {
+        let mut grads = GradStore::new();
+        let loss =
+            block_gradients_into(params, block, config, batch_scale, &mut BlockWorkspace::new(config), &mut grads);
+        (grads, loss)
+    }
+
+    /// Bits of a packed dedup key reserved for the slot index; items use the
+    /// remaining high bits, so keys sort by item first.
+    const SLOT_BITS: u32 = 24;
+
+    /// Packs an `(item, slot)` draw into one sortable `u64` key.
+    fn dedup_key(item: usize, slot: u32) -> u64 {
+        assert!(slot < (1 << SLOT_BITS), "dedup slot overflow");
+        ((item as u64) << SLOT_BITS) | slot as u64
+    }
+
+    /// The sort-based dedup the stamped table replaced, kept as its
+    /// reference: sorts the packed `(item, slot)` keys, gives one column per
+    /// distinct item in ascending item order, records each slot's column in
+    /// `col_of_slot` and returns the distinct items.
+    fn dedup_columns(keyed: &mut [u64], col_of_slot: &mut [u32]) -> Vec<usize> {
+        keyed.sort_unstable();
+        let mut items: Vec<usize> = Vec::with_capacity(keyed.len());
+        for &key in keyed.iter() {
+            let item = (key >> SLOT_BITS) as usize;
+            let slot = (key & ((1 << SLOT_BITS) - 1)) as usize;
+            if items.last() != Some(&item) {
+                items.push(item);
+            }
+            col_of_slot[slot] = (items.len() - 1) as u32;
+        }
+        items
     }
 
     fn setup(variant: HamVariant, order: usize) -> (HamParams, HamConfig) {
@@ -643,6 +762,45 @@ mod tests {
             let diff = max_param_diff(&analytic, &tape, &params);
             prop_assert!(diff <= 1e-5, "{config:?} b={len}: gradients differ by {diff}");
             prop_assert!(analytic.contains(params.u) == config.use_user_term, "user-term gradients follow the ablation");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The stamped table against the sort-based dedup it replaced, on
+        /// draws with repeats, a single distinct item and all-distinct items:
+        /// both map every slot to its own item and find the same item set,
+        /// and the table is all `NO_ROW` again afterwards, so consecutive
+        /// blocks can share it.
+        #[test]
+        fn stamped_rows_match_the_sort_based_dedup(
+            draws in proptest::collection::vec(0usize..40, 1..300),
+            shape in 0usize..3,
+            table_len in 0usize..3,
+        ) {
+            let draws: Vec<usize> = match shape {
+                0 => draws,
+                1 => vec![draws[0]; draws.len()],
+                _ => (0..draws.len()).map(|slot| (draws[0] + slot) % 400).collect(),
+            };
+            let mut row_of_item = vec![NO_ROW; 400 + table_len];
+            let (mut rows, mut items) = (Vec::new(), Vec::new());
+            for _ in 0..2 {
+                stamp_rows(&mut row_of_item, draws.iter().copied(), draws.len(), &mut rows, &mut items);
+                prop_assert!(row_of_item.iter().all(|&row| row == NO_ROW), "the table is reset after a block");
+                let mut keyed: Vec<u64> = draws.iter().enumerate().map(|(slot, &item)| dedup_key(item, slot as u32)).collect();
+                let mut sorted_cols = vec![0u32; draws.len()];
+                let sorted_items = dedup_columns(&mut keyed, &mut sorted_cols);
+                for (slot, &item) in draws.iter().enumerate() {
+                    prop_assert_eq!(items[rows[slot] as usize], item);
+                    prop_assert_eq!(sorted_items[sorted_cols[slot] as usize], item);
+                }
+                let mut stamped = items.clone();
+                stamped.sort_unstable();
+                prop_assert_eq!(&stamped, &sorted_items, "the same distinct items");
+                prop_assert_eq!(items.first(), draws.first(), "rows in first-seen order");
+            }
         }
     }
 

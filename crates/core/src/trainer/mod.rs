@@ -9,7 +9,10 @@
 //! applies the merged, duplicate-row-coalesced gradients per batch. With
 //! `TrainConfig::num_threads > 1` the blocks of a batch are computed in
 //! parallel on the shared work-stealing pool and merged in block order, so
-//! the result is bit-identical to the single-threaded run.
+//! the result is bit-identical to the single-threaded run. A run keeps its
+//! gradient buffers — the batch's sparse store, one [`manual`] block
+//! workspace per lane and one store per later block — from batch to batch,
+//! so from the second batch on a training step allocates nothing.
 //!
 //! Two gradient paths compute the same objective:
 //!
@@ -254,7 +257,8 @@ pub(crate) fn train_impl(
 /// The epoch loop of [`train`] and [`TrainerState::train_round`]: `epochs`
 /// passes of `sampler`'s batches, each batch's gradients from
 /// [`compute_batch_gradients`] applied with one sparse Adam step, continuing
-/// from `params` and `adam`'s moments.
+/// from `params` and `adam`'s moments. The batch store and the
+/// [`GradientWorkspace`] live for the whole call.
 pub(crate) fn train_epochs(
     params: &mut HamParams,
     adam: &mut Adam,
@@ -266,6 +270,9 @@ pub(crate) fn train_epochs(
 ) -> Vec<EpochStats> {
     let metrics = TrainMetrics::resolve();
     let mut history = Vec::with_capacity(epochs);
+    let mut workspace = GradientWorkspace::default();
+    let mut grads = GradStore::new();
+    // ham-lint: hot-path
     for epoch in 1..=epochs {
         let started = Instant::now();
         sampler.start_epoch();
@@ -273,8 +280,16 @@ pub(crate) fn train_epochs(
         let mut instances = 0usize;
         let mut pairs = 0usize;
         while let Some(batch) = TrainMetrics::timed_next_batch(metrics.as_ref(), sampler) {
-            let (grads, loss) =
-                compute_batch_gradients(params, batch, config, train_config, force_reference, metrics.as_ref());
+            let loss = compute_batch_gradients(
+                params,
+                batch,
+                config,
+                train_config,
+                force_reference,
+                metrics.as_ref(),
+                &mut workspace,
+                &mut grads,
+            );
             TrainMetrics::timed_step(metrics.as_ref(), adam, &mut params.store, &grads);
             epoch_loss += loss as f64 * batch.len() as f64;
             instances += batch.len();
@@ -296,18 +311,54 @@ pub(crate) fn train_epochs(
     history
 }
 
+/// The gradient buffers a training run reuses from batch to batch: one
+/// [`manual::BlockWorkspace`] per lane (lane 0 inline, one per pool task
+/// when blocks run in parallel) and one sparse store per block after the
+/// first (block 0 writes straight into the batch store). Lanes and stores
+/// are added the first time a batch needs them; a workspace serves one
+/// `HamConfig`.
+#[derive(Default)]
+pub(crate) struct GradientWorkspace {
+    lanes: Vec<manual::BlockWorkspace>,
+    /// `block_stores[b]` holds block `b + 1`'s gradients until the merge.
+    block_stores: Vec<GradStore>,
+    block_losses: Vec<f64>,
+}
+
+impl GradientWorkspace {
+    /// Makes sure `lanes` lanes, `blocks - 1` block stores and `blocks` loss
+    /// slots exist.
+    fn ensure(&mut self, config: &HamConfig, lanes: usize, blocks: usize) {
+        while self.lanes.len() < lanes {
+            self.lanes.push(manual::BlockWorkspace::new(config));
+        }
+        if self.block_stores.len() + 1 < blocks {
+            self.block_stores.resize_with(blocks - 1, GradStore::new);
+        }
+        if self.block_losses.len() < blocks {
+            self.block_losses.resize(blocks, 0.0);
+        }
+    }
+}
+
 /// Gradients and mean loss of one batch on the path `train_config` selects
-/// (analytic, or the tape when [`TrainConfig::force_autograd`] is set).
+/// (analytic, or the tape when [`TrainConfig::force_autograd`] is set),
+/// written into `out` (cleared first; its buffers are kept) with `ws`'s
+/// buffers.
 ///
 /// A uniform batch of more than one instance is split into fixed blocks
 /// ([`MANUAL_BLOCK`] or [`TRAIN_BLOCK`] instances), computed inline or —
 /// with `num_threads > 1` — on the shared worker pool, and always merged in
 /// block order, so the thread count never changes the result; at most
 /// `num_threads` tasks run concurrently (blocks are grouped into
-/// `num_threads` contiguous spans, one pool task each). A batch of one
-/// instance, a non-uniform batch and every `force_reference` batch take the
+/// `num_threads` contiguous spans, one pool task and one lane each). Block 0
+/// accumulates straight into `out`; every later block into a store of its
+/// own, merged into `out` in block order — the same sums in the same order
+/// as merging every block into an empty store. A batch of one instance, a
+/// non-uniform batch and every `force_reference` batch take the
 /// per-instance reference path as a single block. Each block is timed into
 /// `train_block_gradient_nanos` when `metrics` is enabled.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_batch_gradients(
     params: &HamParams,
     batch: &[PreparedInstance],
@@ -315,62 +366,109 @@ pub(crate) fn compute_batch_gradients(
     train_config: &TrainConfig,
     force_reference: bool,
     metrics: Option<&TrainMetrics>,
-) -> (GradStore, f32) {
+    ws: &mut GradientWorkspace,
+    out: &mut GradStore,
+) -> f32 {
     assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
     let use_autograd = train_config.force_autograd;
+    out.clear();
+    if !use_autograd {
+        manual::reserve_rows(params, config, batch.len(), out);
+    }
     if force_reference || batch.len() == 1 || !uniform_shapes(batch) {
+        ws.ensure(config, 1, 1);
         return TrainMetrics::timed_block(metrics, || {
             if use_autograd {
-                autograd_ref::batch_gradients_reference(params, batch, config)
+                let (grads, loss) = autograd_ref::batch_gradients_reference(params, batch, config);
+                out.merge(grads);
+                loss
             } else {
-                manual::batch_gradients_reference(params, batch, config)
+                let batch_scale = 1.0f32 / batch.len() as f32;
+                manual::reference_into(params, batch, config, batch_scale, &mut ws.lanes[0], out) as f32
             }
         });
     }
+    let block_len = if use_autograd { TRAIN_BLOCK } else { MANUAL_BLOCK };
+    let blocks = batch.len().div_ceil(block_len);
+    let threads = train_config.num_threads.max(1).min(blocks);
+    ws.ensure(config, threads, blocks);
     let batch_scale = 1.0f32 / batch.len() as f32;
-    let block_gradients = |block: &[PreparedInstance]| {
+    let block_gradients = |lane: &mut manual::BlockWorkspace, block: &[PreparedInstance], grads: &mut GradStore| {
         TrainMetrics::timed_block(metrics, || {
             if use_autograd {
-                autograd_ref::block_gradients(params, block, config, batch_scale)
+                let (block_grads, loss) = autograd_ref::block_gradients(params, block, config, batch_scale);
+                grads.merge(block_grads);
+                loss
             } else {
-                manual::block_gradients(params, block, config, batch_scale)
+                manual::block_gradients_into(params, block, config, batch_scale, lane, grads)
             }
         })
     };
-    let block_len = if use_autograd { TRAIN_BLOCK } else { MANUAL_BLOCK };
-    let blocks: Vec<&[PreparedInstance]> = batch.chunks(block_len).collect();
-    let threads = train_config.num_threads.max(1);
-    let mut grads = GradStore::new();
-    let mut loss = 0.0f64;
-    if threads > 1 && blocks.len() > 1 {
-        let mut results: Vec<Option<(GradStore, f64)>> = blocks.iter().map(|_| None).collect();
+    let GradientWorkspace { lanes, block_stores, block_losses } = ws;
+    let (stores, losses) = (&mut block_stores[..blocks - 1], &mut block_losses[..blocks]);
+    if threads > 1 {
         // One pool task per contiguous group of blocks bounds concurrency at
         // `num_threads`; the grouping cannot affect results because every
         // block is computed independently and merged by batch position.
-        let group = blocks.len().div_ceil(threads);
+        let group = blocks.div_ceil(threads);
+        stores.iter_mut().for_each(GradStore::clear);
+        let (first_stores, later_stores) = stores.split_at_mut(group - 1);
+        let mut group_stores = std::iter::once(first_stores).chain(later_stores.chunks_mut(group));
         let block_gradients = &block_gradients;
+        let mut first = Some(&mut *out);
         ham_tensor::pool::global_pool().scope(|scope| {
-            for (slots, group_blocks) in results.chunks_mut(group).zip(blocks.chunks(group)) {
+            let tasks = batch.chunks(group * block_len).zip(lanes.iter_mut()).zip(losses.chunks_mut(group));
+            for ((group_batch, lane), losses) in tasks {
+                let (first, stores) = (first.take(), group_stores.next().expect("one store group per task"));
                 scope.spawn(move || {
-                    for (slot, &block) in slots.iter_mut().zip(group_blocks) {
-                        *slot = Some(block_gradients(block));
+                    // Block 0 of the batch (group 0's first) goes to the batch
+                    // store, every other block to its own store.
+                    let mut targets = first.into_iter().chain(stores.iter_mut());
+                    for (block, loss) in group_batch.chunks(block_len).zip(losses.iter_mut()) {
+                        *loss = block_gradients(lane, block, targets.next().expect("one store per block"));
                     }
                 });
             }
         });
-        for result in results {
-            let (block_grads, block_loss) = result.expect("every block task writes its slot");
-            grads.merge(block_grads);
-            loss += block_loss;
+        for store in stores.iter() {
+            out.merge_from(store);
         }
     } else {
-        for block in blocks {
-            let (block_grads, block_loss) = block_gradients(block);
-            grads.merge(block_grads);
-            loss += block_loss;
+        let lane = &mut lanes[0];
+        for (b, (block, loss)) in batch.chunks(block_len).zip(losses.iter_mut()).enumerate() {
+            if b == 0 {
+                *loss = block_gradients(lane, block, out);
+            } else {
+                let store = &mut stores[0];
+                store.clear();
+                *loss = block_gradients(lane, block, store);
+                out.merge_from(store);
+            }
         }
     }
-    (grads, loss as f32)
+    losses.iter().fold(0.0f64, |sum, &loss| sum + loss) as f32
+}
+
+/// [`compute_batch_gradients`] with a fresh workspace and store.
+#[cfg(test)]
+pub(crate) fn fresh_batch_gradients(
+    params: &HamParams,
+    batch: &[PreparedInstance],
+    config: &HamConfig,
+    train_config: &TrainConfig,
+) -> (GradStore, f32) {
+    let mut out = GradStore::new();
+    let loss = compute_batch_gradients(
+        params,
+        batch,
+        config,
+        train_config,
+        false,
+        None,
+        &mut GradientWorkspace::default(),
+        &mut out,
+    );
+    (out, loss)
 }
 
 #[cfg(test)]
