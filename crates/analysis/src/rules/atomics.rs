@@ -17,11 +17,12 @@ use crate::scan::{has_marker, justification, SourceFile};
 
 pub const RULE: &str = "atomic-ordering";
 
-/// Path fragments selecting the audited modules (the issue's list: the pool
-/// workers, all of telemetry, the serve dispatcher and degrade path, and
-/// the fault-injection registry).
+/// Path fragments selecting the audited modules: the pool workers, the
+/// kernel dispatch counters, all of telemetry, the serve dispatcher and
+/// degrade path, and the fault-injection registry.
 const AUDITED: &[&str] = &[
     "crates/tensor/src/pool/workers.rs",
+    "crates/tensor/src/kernels/counters.rs",
     "crates/telemetry/src/",
     "crates/serve/src/server.rs",
     "crates/serve/src/degrade.rs",
