@@ -307,11 +307,8 @@ impl GradStore {
     /// slot map or regrowing the value buffer.
     pub fn accumulate_sparse(&mut self, id: ParamId, indices: &[usize], rows: &Matrix) {
         assert_eq!(indices.len(), rows.rows(), "accumulate_sparse: index / row count mismatch");
-        let entry = self.sparse.entry(id.0).or_insert_with(|| SparseGrad::new(rows.cols()));
-        entry.reserve(indices.len());
-        for (i, &idx) in indices.iter().enumerate() {
-            entry.add_row(idx, rows.row(i));
-        }
+        self.sparse.entry(id.0).or_insert_with(|| SparseGrad::new(rows.cols())).reserve(indices.len());
+        self.accumulate_sparse_rows(id, indices, rows.as_slice(), rows.cols());
     }
 
     /// Accumulates a sparse gradient for `id` from a flat row-major buffer:

@@ -53,7 +53,7 @@
 //! Every buffer of a block — the table, the per-draw row maps, the distinct
 //! item lists, the two gradient matrices (flat `Vec<f32>`s of which each
 //! block zeroes the prefix it uses), the instance pass and the row scratch
-//! — lives in a [`BlockWorkspace`] the trainer keeps for a whole run, one
+//! — lives in a `BlockWorkspace` the trainer keeps for a whole run, one
 //! per lane. After the largest block has run once, a block allocates
 //! nothing.
 //!
