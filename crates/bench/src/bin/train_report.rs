@@ -20,6 +20,14 @@
 //! when that median is ≥ 1.0, so a CI run fails once the analytic path stops
 //! beating the tape.
 //!
+//! The `hams_m_minor_faults_per_batch` cell reads this process's minor page
+//! faults (`/proc/self/stat` field 10) around a 3-epoch and a 1-epoch HAMs_m
+//! run at batch 256 and divides the difference by the 2 extra epochs'
+//! batches. The trainer keeps its gradient buffers for the whole run, so a
+//! batch should fault no page in; the bin exits non-zero when the cell
+//! reads above 1.0 (a trainer that frees and re-faults its per-batch buffers
+//! reads dozens).
+//!
 //! Run from the repository root (`--quick` shrinks the workload for CI):
 //! `cargo run --release -p ham-bench --bin train_report [-- --quick]`.
 
@@ -33,6 +41,9 @@ const BATCH_SIZES: [usize; 4] = [1, 32, 256, 1024];
 
 /// Paired analytic/tape runs behind `hams_m_manual_over_tape`.
 const ALTERNATIONS: usize = 7;
+
+/// Most minor page faults one training batch may take.
+const MAX_FAULTS_PER_BATCH: f64 = 1.0;
 
 struct Row {
     variant: &'static str,
@@ -74,6 +85,29 @@ fn manual_over_tape(sequences: &[Vec<usize>], num_items: usize, config: &HamConf
         .collect()
 }
 
+/// This process's minor page faults so far: field 10 of `/proc/self/stat`
+/// (`None` where there is no such file).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name start at field 3.
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    after_comm.split_whitespace().nth(10 - 3)?.parse().ok()
+}
+
+/// Minor page faults per batch of the epochs a 3-epoch HAMs_m run at batch
+/// 256 trains beyond a 1-epoch one.
+fn faults_per_batch(sequences: &[Vec<usize>], num_items: usize, config: &HamConfig) -> Option<f64> {
+    let faults = |epochs: usize| {
+        let tc = TrainConfig { epochs, batch_size: 256, ..TrainConfig::default() };
+        let before = minor_faults()?;
+        let (_, history) = std::hint::black_box(train_with_history(sequences, num_items, config, &tc, 42));
+        Some((minor_faults()? - before, history[0].num_instances.div_ceil(256)))
+    };
+    let (short, batches) = faults(1)?;
+    let (long, _) = faults(3)?;
+    Some(long.saturating_sub(short) as f64 / (2 * batches) as f64)
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let epochs = if quick { 2 } else { 4 };
@@ -108,6 +142,9 @@ fn main() {
     let ratios = manual_over_tape(&data.sequences, data.num_items, &variants[1].1, epochs);
     let (q1, median, q3) = (percentile(&ratios, 0.25), percentile(&ratios, 0.5), percentile(&ratios, 0.75));
 
+    eprintln!("measuring HAMs_m minor page faults per batch...");
+    let faults = faults_per_batch(&data.sequences, data.num_items, &variants[1].1);
+
     let throughput = |variant: &str, tier: KernelTier, batch: usize| -> f64 {
         rows.iter()
             .find(|r| r.variant == variant && r.tier == tier && r.batch_size == batch)
@@ -129,7 +166,7 @@ fn main() {
 
     let mut out = String::from("{\n");
     out.push_str(
-        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_manual_over_tape = median wall-time ratio of HAMs_m trained on the analytic path vs the autograd tape (force_autograd) at batch 256, alternating runs on identical data; the bin fails when it is >= 1. Generated by train_report.\",\n",
+        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_manual_over_tape = median wall-time ratio of HAMs_m trained on the analytic path vs the autograd tape (force_autograd) at batch 256, alternating runs on identical data; the bin fails when it is >= 1. hams_m_minor_faults_per_batch = minor page faults (/proc/self/stat field 10) per batch of the 2 epochs a 3-epoch HAMs_m run at batch 256 trains beyond a 1-epoch one; the bin fails when it is > 1. Generated by train_report.\",\n",
     );
     out.push_str(&format!(
         "  \"users\": {},\n  \"items\": {},\n  \"d\": 32,\n  \"epochs\": {},\n  \"avx2_tier_available\": {},\n  \"avx512_tier_available\": {},\n",
@@ -160,14 +197,26 @@ fn main() {
         q3 - q1,
         listed.join(", ")
     ));
+    let faults_cell = faults.map_or_else(|| "null".to_string(), |f| format!("{f:.3}"));
+    out.push_str(&format!("  \"hams_m_minor_faults_per_batch\": {faults_cell},\n"));
     out.push_str(&format!("  \"quick\": {quick}\n"));
     out.push_str("}\n");
 
     std::fs::write("BENCH_training.json", &out).expect("failed to write BENCH_training.json");
     println!("{out}");
     eprintln!("wrote BENCH_training.json");
+    let mut failed = false;
     if median >= 1.0 {
         eprintln!("hams_m_manual_over_tape: median {median:.3} >= 1.0 — the analytic path no longer beats the tape");
+        failed = true;
+    }
+    if let Some(f) = faults.filter(|&f| f > MAX_FAULTS_PER_BATCH) {
+        eprintln!(
+            "hams_m_minor_faults_per_batch: {f:.3} > {MAX_FAULTS_PER_BATCH} — training faults pages in per batch"
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }
