@@ -18,14 +18,15 @@ use crate::scan::{has_marker, justification, SourceFile};
 pub const RULE: &str = "atomic-ordering";
 
 /// Path fragments selecting the audited modules: the pool workers, the
-/// kernel dispatch counters, all of telemetry, the serve dispatcher and
-/// degrade path, and the fault-injection registry.
+/// kernel dispatch counters, all of telemetry, the serve dispatcher, degrade
+/// path and model registry, and the fault-injection registry.
 const AUDITED: &[&str] = &[
     "crates/tensor/src/pool/workers.rs",
     "crates/tensor/src/kernels/counters.rs",
     "crates/telemetry/src/",
     "crates/serve/src/server.rs",
     "crates/serve/src/degrade.rs",
+    "crates/serve/src/registry.rs",
     "crates/faults/src/",
 ];
 

@@ -109,6 +109,12 @@ fn bare_ordering_in_an_audited_module_is_flagged() {
 }
 
 #[test]
+fn the_model_registry_is_audited() {
+    let findings = lint_source("crates/serve/src/registry.rs", include_str!("fixtures/atomic_bare.rs"));
+    assert_eq!(rules_hit(&findings), vec![atomics::RULE]);
+}
+
+#[test]
 fn unaudited_modules_are_out_of_scope_for_the_ordering_rule() {
     let findings = lint_source("crates/core/src/lib.rs", include_str!("fixtures/atomic_bare.rs"));
     assert!(findings.is_empty(), "unexpected: {findings:?}");

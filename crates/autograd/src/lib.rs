@@ -59,5 +59,5 @@ pub mod optim;
 pub mod params;
 
 pub use graph::{Graph, VarId};
-pub use optim::{Adam, AdamConfig, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamConfig, AdamState, Optimizer, RowSet, Sgd};
 pub use params::{GradStore, ParamId, ParamStore, SparseGrad};

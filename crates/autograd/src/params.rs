@@ -227,6 +227,18 @@ impl SparseGrad {
         self.cols
     }
 
+    /// The touched row ids in first-touch order; row `k`'s gradient is
+    /// `values()[k * cols..][..cols]`.
+    pub fn row_ids(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// The gradients of [`Self::row_ids`], one row of [`Self::cols`] values
+    /// each, in the same order.
+    pub fn values(&self) -> &[f32] {
+        &self.values
+    }
+
     /// Iterates over `(row index, row gradient)` pairs in first-touch order:
     /// rows appear in the order they were first accumulated (a merge appends
     /// the other gradient's new rows in its own first-touch order). Each

@@ -28,11 +28,21 @@
 //! reads above 1.0 (a trainer that frees and re-faults its per-batch buffers
 //! reads dozens).
 //!
+//! The `hams_m_ml1m_epoch_split` cell runs one HAMs_m epoch on the full
+//! `DatasetProfile::ml_1m()` at batch 256 with telemetry installed — the
+//! last cell, since the handle is process-global — and reads back the
+//! seconds spent in gradient blocks (`train_block_gradient_nanos`), batch
+//! assembly (`train_batch_assembly_nanos`) and Adam
+//! (`train_optimizer_step_nanos`), their sum and the epoch's wall time. The
+//! bin exits non-zero when the three parts cover less than 95% of the epoch:
+//! the parts of an epoch must compose to the whole.
+//!
 //! Run from the repository root (`--quick` shrinks the workload for CI):
 //! `cargo run --release -p ham-bench --bin train_report [-- --quick]`.
 
 use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig};
 use ham_data::synthetic::DatasetProfile;
+use ham_telemetry::Telemetry;
 use ham_tensor::kernels::{force_tier, KernelTier};
 use ham_tensor::stats::percentile;
 use std::time::Instant;
@@ -44,6 +54,9 @@ const ALTERNATIONS: usize = 7;
 
 /// Most minor page faults one training batch may take.
 const MAX_FAULTS_PER_BATCH: f64 = 1.0;
+
+/// Least share of an epoch's wall time its three timed parts must cover.
+const MIN_EPOCH_COVERAGE: f64 = 0.95;
 
 struct Row {
     variant: &'static str,
@@ -108,6 +121,43 @@ fn faults_per_batch(sequences: &[Vec<usize>], num_items: usize, config: &HamConf
     Some(long.saturating_sub(short) as f64 / (2 * batches) as f64)
 }
 
+/// Where one HAMs_m epoch on ML-1M goes, in seconds.
+struct EpochSplit {
+    blocks_s: f64,
+    assembly_s: f64,
+    adam_s: f64,
+    epoch_s: f64,
+}
+
+impl EpochSplit {
+    fn parts_s(&self) -> f64 {
+        self.blocks_s + self.assembly_s + self.adam_s
+    }
+
+    fn coverage(&self) -> f64 {
+        self.parts_s() / self.epoch_s
+    }
+}
+
+/// One HAMs_m epoch on the ML-1M profile at batch 256 on one thread, with an
+/// enabled telemetry handle installed for the rest of the process.
+fn epoch_split(config: &HamConfig) -> EpochSplit {
+    assert!(ham_telemetry::install_global(Telemetry::enabled()), "the first global install in this process");
+    let data = DatasetProfile::ml_1m().generate(1);
+    let tc = TrainConfig { epochs: 1, batch_size: 256, num_threads: 1, ..TrainConfig::default() };
+    let (_, history) = train_with_history(&data.sequences, data.num_items, config, &tc, 1);
+    let snapshot = ham_telemetry::global().snapshot().expect("the global handle is enabled");
+    let seconds = |name: &str| snapshot.histogram(name).map_or(0.0, |h| h.sum as f64 / 1e9);
+    // The trainer's own epoch clock: pairs over pairs per second.
+    let epoch = history[0];
+    EpochSplit {
+        blocks_s: seconds("train_block_gradient_nanos"),
+        assembly_s: seconds("train_batch_assembly_nanos"),
+        adam_s: seconds("train_optimizer_step_nanos"),
+        epoch_s: (epoch.num_instances * config.n_p) as f64 / epoch.pairs_per_sec,
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let epochs = if quick { 2 } else { 4 };
@@ -145,6 +195,9 @@ fn main() {
     eprintln!("measuring HAMs_m minor page faults per batch...");
     let faults = faults_per_batch(&data.sequences, data.num_items, &variants[1].1);
 
+    eprintln!("measuring the split of one HAMs_m epoch on ML-1M (telemetry installed)...");
+    let split = epoch_split(&variants[1].1);
+
     let throughput = |variant: &str, tier: KernelTier, batch: usize| -> f64 {
         rows.iter()
             .find(|r| r.variant == variant && r.tier == tier && r.batch_size == batch)
@@ -166,7 +219,7 @@ fn main() {
 
     let mut out = String::from("{\n");
     out.push_str(
-        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_manual_over_tape = median wall-time ratio of HAMs_m trained on the analytic path vs the autograd tape (force_autograd) at batch 256, alternating runs on identical data; the bin fails when it is >= 1. hams_m_minor_faults_per_batch = minor page faults (/proc/self/stat field 10) per batch of the 2 epochs a 3-epoch HAMs_m run at batch 256 trains beyond a 1-epoch one; the bin fails when it is > 1. Generated by train_report.\",\n",
+        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_manual_over_tape = median wall-time ratio of HAMs_m trained on the analytic path vs the autograd tape (force_autograd) at batch 256, alternating runs on identical data; the bin fails when it is >= 1. hams_m_minor_faults_per_batch = minor page faults (/proc/self/stat field 10) per batch of the 2 epochs a 3-epoch HAMs_m run at batch 256 trains beyond a 1-epoch one; the bin fails when it is > 1. hams_m_ml1m_epoch_split = seconds of one HAMs_m epoch on the full ML-1M profile at batch 256 (1 thread) spent in gradient blocks, batch assembly and Adam (telemetry histogram sums), their sum and the epoch wall time; the bin fails when the parts cover < 0.95 of the epoch. Generated by train_report.\",\n",
     );
     out.push_str(&format!(
         "  \"users\": {},\n  \"items\": {},\n  \"d\": 32,\n  \"epochs\": {},\n  \"avx2_tier_available\": {},\n  \"avx512_tier_available\": {},\n",
@@ -199,6 +252,15 @@ fn main() {
     ));
     let faults_cell = faults.map_or_else(|| "null".to_string(), |f| format!("{f:.3}"));
     out.push_str(&format!("  \"hams_m_minor_faults_per_batch\": {faults_cell},\n"));
+    out.push_str(&format!(
+        "  \"hams_m_ml1m_epoch_split\": {{\"gradient_blocks_s\": {:.3}, \"batch_assembly_s\": {:.3}, \"adam_s\": {:.3}, \"parts_s\": {:.3}, \"epoch_s\": {:.3}, \"coverage\": {:.3}}},\n",
+        split.blocks_s,
+        split.assembly_s,
+        split.adam_s,
+        split.parts_s(),
+        split.epoch_s,
+        split.coverage(),
+    ));
     out.push_str(&format!("  \"quick\": {quick}\n"));
     out.push_str("}\n");
 
@@ -213,6 +275,13 @@ fn main() {
     if let Some(f) = faults.filter(|&f| f > MAX_FAULTS_PER_BATCH) {
         eprintln!(
             "hams_m_minor_faults_per_batch: {f:.3} > {MAX_FAULTS_PER_BATCH} — training faults pages in per batch"
+        );
+        failed = true;
+    }
+    if split.coverage() < MIN_EPOCH_COVERAGE {
+        eprintln!(
+            "hams_m_ml1m_epoch_split: the timed parts cover {:.3} < {MIN_EPOCH_COVERAGE} of the epoch",
+            split.coverage()
         );
         failed = true;
     }

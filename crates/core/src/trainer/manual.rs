@@ -31,15 +31,27 @@
 //!
 //! `block_gradients_into` takes `MANUAL_BLOCK` instances at a time. It
 //! gives the block's distinct candidate items and distinct window items one
-//! row each in two dense per-block gradient matrices, then makes one pass
-//! per instance: build `q`, score each pair with two dots, fold `±g·q` into
-//! the pair's two candidate rows and `g·(w_j − w_k)` into `∂L/∂q` with four
-//! [`axpy`](ham_tensor::kernels::axpy) calls, and write the window gradients
-//! straight into the block's coalesced `∂L/∂V` rows. Each table then gets
-//! one coalesced sparse accumulation per block. A block (or batch) of **one**
+//! row each in two dense per-block gradient matrices (a `BlockRows`), then
+//! makes one pass per instance: build `q`, score each pair with two dots,
+//! fold `±g·q` into the pair's two candidate rows and `g·(w_j − w_k)` into
+//! `∂L/∂q` with four [`axpy`](ham_tensor::kernels::axpy) calls, and write the
+//! window gradients straight into the block's coalesced `∂L/∂V` rows. Max
+//! pooling's per-winner routes are summed in a sparse store of their own and
+//! folded into the block's `∂L/∂V` rows after the pass, so a row's block sum
+//! is (its routes) + (its dense sum). Only the user term goes to the sparse
+//! `GradStore`. Later blocks of a batch merge into block 0's rows in block
+//! order (`merge_block_rows`), and Adam reads the batch's `W` and `V` rows
+//! where they were summed ([`ham_autograd::Adam::step_with_rows`]): no row
+//! is copied into a hashed store on the way. A block (or batch) of **one**
 //! instance takes the per-instance reference loop (`reference_into`: scalar
-//! accumulation into the sparse store) instead, so `batch_size = 1`
-//! training is bit-identical to `force_reference` training.
+//! accumulation into the sparse store) instead, so `batch_size = 1` training
+//! is bit-identical to `force_reference` training; inside a larger batch,
+//! that block's `W` and `V` rows then move to its row sets as they are.
+//!
+//! The pass is software-pipelined: before instance `i` runs, the `V` rows of
+//! instance `i + 2`'s window, its `W` rows and its `U` row are prefetched
+//! ([`ham_tensor::prefetch`]), so the random row reads of the next instances
+//! overlap the arithmetic of this one. A prefetch changes no value.
 //!
 //! Rows are deduplicated through a stamped table: a dense `item → row` map
 //! holding `u32::MAX` for every item, as long as the item tables (it grows
@@ -47,15 +59,16 @@
 //! item takes the next row (first-seen order), and afterwards only the
 //! entries the block touched are reset — no sort, no hashing, a cost linear
 //! in the block's draws. The row order enters no sum: every row accumulates
-//! its contributions in instance order whatever its position, and the
-//! optimizer updates each row on its own.
+//! its contributions in instance order whatever its position, the merges
+//! add a later block's row to the earlier sum (`SparseGrad::merge`'s sums in
+//! its order), and the optimizer updates each row on its own.
 //!
-//! Every buffer of a block — the table, the per-draw row maps, the distinct
-//! item lists, the two gradient matrices (flat `Vec<f32>`s of which each
-//! block zeroes the prefix it uses), the instance pass and the row scratch
-//! — lives in a `BlockWorkspace` the trainer keeps for a whole run, one
-//! per lane. After the largest block has run once, a block allocates
-//! nothing.
+//! Every buffer of a block — the table, the per-draw row maps, the route
+//! store, the instance pass and the row scratch — lives in a
+//! `BlockWorkspace` the trainer keeps for a whole run, one per lane, and
+//! every block's rows in a `BlockRows` it keeps beside them (flat
+//! `Vec<f32>`s that only grow, to the bound of the block's shape). After the
+//! largest block has run once, a block allocates nothing.
 //!
 //! The `ham-autograd` tape ([`super::autograd_ref`]) is the oracle these
 //! gradients are tested against, on every variant and synergy order.
@@ -63,32 +76,38 @@
 use super::{HamParams, PreparedInstance};
 use crate::config::HamConfig;
 use crate::synergy::{pool_window_into, WindowAssociation};
-use ham_autograd::GradStore;
+use ham_autograd::{GradStore, RowSet, SparseGrad};
 use ham_tensor::kernels;
 use ham_tensor::matrix::dot;
 use ham_tensor::ops::{log_sigmoid, sigmoid_scalar};
-use ham_tensor::{Matrix, Pooling};
+use ham_tensor::{prefetch, Matrix, Pooling};
 
 /// Marks an item with no row in the block being deduplicated.
 const NO_ROW: u32 = u32::MAX;
 
+/// Instances ahead of the one being run whose `U`, `V` and `W` rows are
+/// prefetched. One instance's pass (≈ 1 µs at d = 32) already covers a
+/// miss; two keep the hint early when a pass runs short. A scratch sweep of
+/// 1, 2 and 4 (3 epochs of HAMs_m on the ML-1M profile, 2-vCPU AVX-512
+/// host) read all three within run-to-run noise.
+const INSTANCES_AHEAD: usize = 2;
+
 /// The buffers one lane of the trainer reuses from block to block and batch
 /// to batch (see the module docs). Built for one `HamConfig`.
 pub(crate) struct BlockWorkspace {
-    /// `item → row` of the block being deduplicated, [`NO_ROW`] elsewhere.
+    /// `item → row` of the rows being deduplicated, [`NO_ROW`] elsewhere.
     row_of_item: Vec<u32>,
-    /// Row in `dcand` of each pair slot (`2p` positive, `2p + 1` negative).
+    /// Row in the block's `W` rows of each pair slot (`2p` positive,
+    /// `2p + 1` negative).
     pair_rows: Vec<u32>,
-    /// Row in `dv` of each dense window slot.
+    /// Row in the block's `V` rows of each dense window slot.
     window_rows: Vec<u32>,
-    /// The block's distinct candidate items, in row order.
-    items: Vec<usize>,
-    /// The block's distinct dense-window items, in row order.
-    window_items: Vec<usize>,
-    /// `∂L/∂W` over `items`, `d` values per row.
-    dcand: Vec<f32>,
-    /// `∂L/∂V` over `window_items`, `d` values per row.
-    dv: Vec<f32>,
+    /// Max pooling's per-winner `∂L/∂V` rows of the block, summed apart
+    /// from the dense window rows and folded into them after the pass.
+    routes: SparseGrad,
+    /// A one-instance block's gradients from the reference loop, before its
+    /// `W` and `V` rows move to the block's row sets.
+    single: GradStore,
     pass: InstancePass,
     row_scratch: Vec<f32>,
 }
@@ -99,14 +118,141 @@ impl BlockWorkspace {
             row_of_item: Vec::new(),
             pair_rows: Vec::new(),
             window_rows: Vec::new(),
-            items: Vec::new(),
-            window_items: Vec::new(),
-            dcand: Vec::new(),
-            dv: Vec::new(),
+            routes: SparseGrad::new(config.d),
+            single: GradStore::new(),
             pass: InstancePass::new(config),
             row_scratch: vec![0.0; config.d],
         }
     }
+
+    /// Grows the `item → row` table to cover both item tables of `params`.
+    fn cover_tables(&mut self, params: &HamParams) {
+        let rows = params.store.value(params.v).rows().max(params.store.value(params.w).rows());
+        if self.row_of_item.len() < rows {
+            // ham-lint: allow(alloc, "grows with the item tables only; reset entry by entry after every use")
+            self.row_of_item.resize(rows, NO_ROW);
+        }
+    }
+}
+
+/// One table's coalesced gradient rows: `values[r * d..][..d]` is the
+/// gradient of `items[r]`, so `values` always holds `items.len()` rows.
+#[derive(Debug, Default)]
+pub(crate) struct GradRows {
+    items: Vec<usize>,
+    values: Vec<f32>,
+}
+
+impl GradRows {
+    fn clear(&mut self) {
+        self.items.clear();
+        self.values.clear();
+    }
+
+    /// Sets `values` to `items.len()` zero rows of `d`, with room for `bound`
+    /// rows: a buffer that has held `bound` rows once allocates no more.
+    fn zero_values(&mut self, d: usize, bound: usize) {
+        self.values.clear();
+        self.values.reserve(bound.max(self.items.len()) * d);
+        self.values.resize(self.items.len() * d, 0.0);
+    }
+}
+
+/// The `∂L/∂W` and `∂L/∂V` rows of one block — of a whole batch once the
+/// later blocks have merged into block 0's — summed in place for Adam.
+#[derive(Debug, Default)]
+pub(crate) struct BlockRows {
+    w: GradRows,
+    v: GradRows,
+}
+
+impl BlockRows {
+    pub(crate) fn clear(&mut self) {
+        self.w.clear();
+        self.v.clear();
+    }
+
+    /// The two tables' rows as Adam reads them.
+    pub(crate) fn row_sets(&self, params: &HamParams) -> [RowSet<'_>; 2] {
+        [
+            RowSet { id: params.w, rows: &self.w.items, values: &self.w.values },
+            RowSet { id: params.v, rows: &self.v.items, values: &self.v.values },
+        ]
+    }
+
+    /// Adds these rows into `grads`, as a store holding a whole batch's
+    /// gradients would hold them (for tests comparing gradients).
+    #[cfg(test)]
+    pub(crate) fn fold_into(&self, params: &HamParams, grads: &mut GradStore) {
+        let d = params.store.value(params.w).cols();
+        grads.accumulate_sparse_rows(params.w, &self.w.items, &self.w.values, d);
+        grads.accumulate_sparse_rows(params.v, &self.v.items, &self.v.values, d);
+    }
+}
+
+/// Folds row sets into `into`, set by set and row by row: a row `into`
+/// already holds gains the set's row (`into += row`), a new row is appended
+/// as a copy — `SparseGrad::merge`'s sums in its order. Reserves room for
+/// `bound` rows first. `row_of_item` must be [`NO_ROW`] for every item on
+/// entry; it is again on return.
+fn merge_rows<'a>(
+    row_of_item: &mut [u32],
+    into: &mut GradRows,
+    sets: impl Iterator<Item = (&'a [usize], &'a [f32])>,
+    d: usize,
+    bound: usize,
+) {
+    let room = bound.saturating_sub(into.items.len());
+    into.items.reserve(room);
+    into.values.reserve(room * d);
+    for (row, &item) in into.items.iter().enumerate() {
+        row_of_item[item] = row as u32;
+    }
+    for (items, values) in sets {
+        for (&item, grad) in items.iter().zip(values.chunks_exact(d)) {
+            let row = &mut row_of_item[item];
+            if *row == NO_ROW {
+                *row = into.items.len() as u32;
+                into.items.push(item);
+                into.values.extend_from_slice(grad);
+            } else {
+                for (e, g) in into.values[*row as usize * d..][..d].iter_mut().zip(grad) {
+                    *e += g;
+                }
+            }
+        }
+    }
+    for &item in into.items.iter() {
+        row_of_item[item] = NO_ROW;
+    }
+}
+
+/// Upper bounds on the distinct `W` and `V` rows `instances` instances of
+/// `config`'s shape can touch, each capped at its table's size.
+fn row_bounds(params: &HamParams, config: &HamConfig, instances: usize) -> (usize, usize) {
+    let rows = |id| params.store.value(id).rows();
+    ((2 * instances * config.n_p).min(rows(params.w)), (instances * (config.n_h + config.n_l)).min(rows(params.v)))
+}
+
+/// Merges the later blocks' rows of a batch into block 0's, in block order,
+/// through `ws`'s `item → row` table. `batch_len` bounds the merged rows.
+pub(crate) fn merge_block_rows(
+    ws: &mut BlockWorkspace,
+    params: &HamParams,
+    config: &HamConfig,
+    batch_len: usize,
+    batch: &mut BlockRows,
+    later: &[BlockRows],
+) {
+    if later.is_empty() {
+        return;
+    }
+    ws.cover_tables(params);
+    let (w_bound, v_bound) = row_bounds(params, config, batch_len);
+    let w_sets = later.iter().map(|rows| (&rows.w.items[..], &rows.w.values[..]));
+    merge_rows(&mut ws.row_of_item, &mut batch.w, w_sets, config.d, w_bound);
+    let v_sets = later.iter().map(|rows| (&rows.v.items[..], &rows.v.values[..]));
+    merge_rows(&mut ws.row_of_item, &mut batch.v, v_sets, config.d, v_bound);
 }
 
 /// Gives each distinct item of the `count` `draws` one row, in first-seen
@@ -140,18 +286,6 @@ fn stamp_rows(
     }
 }
 
-/// The first `len` values of `buf`, zeroed; a short `buf` grows to
-/// `bound ≥ len` values (the largest prefix the block's shape can need).
-fn zeroed_prefix(buf: &mut Vec<f32>, len: usize, bound: usize) -> &mut [f32] {
-    if buf.len() < len {
-        // ham-lint: allow(alloc, "grows once, to the bound of the block shape, and is kept")
-        buf.resize(bound.max(len), 0.0);
-    }
-    let prefix = &mut buf[..len];
-    prefix.fill(0.0);
-    prefix
-}
-
 /// Row `row` of a flat matrix of `d`-wide rows.
 #[inline]
 fn row_mut(matrix: &mut [f32], row: u32, d: usize) -> &mut [f32] {
@@ -162,20 +296,25 @@ fn row_mut(matrix: &mut [f32], row: u32, d: usize) -> &mut [f32] {
 /// `config`'s shape can touch (each table capped at its size), so filling
 /// it allocates nothing once its buffers have grown to that bound.
 pub(crate) fn reserve_rows(params: &HamParams, config: &HamConfig, instances: usize, grads: &mut GradStore) {
-    let d = config.d;
-    let rows = |id| params.store.value(id).rows();
-    if config.use_user_term {
-        grads.reserve_rows(params.u, d, instances.min(rows(params.u)));
-    }
-    grads.reserve_rows(params.v, d, (instances * (config.n_h + config.n_l)).min(rows(params.v)));
-    grads.reserve_rows(params.w, d, (2 * instances * config.n_p).min(rows(params.w)));
+    reserve_user_rows(params, config, instances, grads);
+    let (w_bound, v_bound) = row_bounds(params, config, instances);
+    grads.reserve_rows(params.v, config.d, v_bound);
+    grads.reserve_rows(params.w, config.d, w_bound);
 }
 
-/// Gradients of one uniform block of a larger batch, accumulated into
-/// `grads` (the trainer computes blocks inline or in parallel and merges
-/// them in block order). `batch_scale` is `1 / total batch size`, **not**
-/// `1 / block size`. Single-instance blocks take the bit-exact reference
-/// loop.
+/// [`reserve_rows`] for the user table alone: all a pair block writes into
+/// its store.
+fn reserve_user_rows(params: &HamParams, config: &HamConfig, instances: usize, grads: &mut GradStore) {
+    if config.use_user_term {
+        grads.reserve_rows(params.u, config.d, instances.min(params.store.value(params.u).rows()));
+    }
+}
+
+/// Gradients of one uniform block of a larger batch: the user term into
+/// `grads`, the `W` and `V` rows into `rows` (the trainer computes blocks
+/// inline or in parallel and merges them in block order). `batch_scale` is
+/// `1 / total batch size`, **not** `1 / block size`. Single-instance blocks
+/// take the bit-exact reference loop.
 ///
 /// Returns the block's contribution to the batch mean loss.
 // ham-lint: hot-path
@@ -186,12 +325,52 @@ pub(crate) fn block_gradients_into(
     batch_scale: f32,
     ws: &mut BlockWorkspace,
     grads: &mut GradStore,
+    rows: &mut BlockRows,
 ) -> f64 {
-    reserve_rows(params, config, block.len(), grads);
-    if block.len() == 1 {
-        reference_into(params, block, config, batch_scale, ws, grads)
-    } else {
-        pair_block_into(params, block, config, batch_scale, ws, grads)
+    reserve_user_rows(params, config, block.len(), grads);
+    if block.len() > 1 {
+        return pair_block_into(params, block, config, batch_scale, ws, grads, rows);
+    }
+    // The reference loop writes every table into a store: its user row goes
+    // on to `grads`, its `W` and `V` rows become the block's row sets as
+    // they are.
+    let mut single = std::mem::take(&mut ws.single);
+    single.clear();
+    reserve_rows(params, config, 1, &mut single);
+    let loss = reference_into(params, block, config, batch_scale, ws, &mut single);
+    rows.clear();
+    for (table, id) in [(&mut rows.w, params.w), (&mut rows.v, params.v)] {
+        if let Some(sparse) = single.sparse(id) {
+            table.items.extend_from_slice(sparse.row_ids());
+            table.values.extend_from_slice(sparse.values());
+        }
+    }
+    if let Some(user) = single.sparse(params.u) {
+        grads.accumulate_sparse_rows(params.u, user.row_ids(), user.values(), config.d);
+    }
+    ws.single = single;
+    loss
+}
+
+/// Starts loading the rows `instance`'s pass reads — its window's `V` rows,
+/// its targets' and negatives' `W` rows and its `U` row — into the cache.
+fn prefetch_instance_rows(
+    u_mat: &Matrix,
+    v_mat: &Matrix,
+    w_mat: &Matrix,
+    config: &HamConfig,
+    instance: &PreparedInstance,
+) {
+    // The low-order window is the input's suffix, so the input covers it.
+    for &item in &instance.input {
+        prefetch::slice(v_mat.row(item));
+    }
+    for (&pos, &neg) in instance.targets.iter().zip(&instance.negatives) {
+        prefetch::slice(w_mat.row(pos));
+        prefetch::slice(w_mat.row(neg));
+    }
+    if config.use_user_term {
+        prefetch::slice(u_mat.row(instance.user));
     }
 }
 
@@ -306,9 +485,9 @@ impl InstancePass {
 
 /// The pair-direct blocked path: one forward/backward pass per instance,
 /// scoring each pair with two dots and accumulating straight into the
-/// block's dense gradient matrices (`∂L/∂C` over the block's unique
-/// candidates, `∂L/∂V` over its unique window items) — the sparse
-/// `GradStore` sees each table once per block, duplicate rows coalesced.
+/// block's dense gradient rows in `rows` (`∂L/∂W` over the block's unique
+/// candidates, `∂L/∂V` over its unique window items, max pooling's routes
+/// folded in after the pass) — duplicate rows coalesced, no hashed store.
 // ham-lint: hot-path
 fn pair_block_into(
     params: &HamParams,
@@ -317,6 +496,7 @@ fn pair_block_into(
     batch_scale: f32,
     ws: &mut BlockWorkspace,
     grads: &mut GradStore,
+    rows: &mut BlockRows,
 ) -> f64 {
     let u_mat = params.store.value(params.u);
     let v_mat = params.store.value(params.v);
@@ -327,39 +507,42 @@ fn pair_block_into(
     let n_p = block[0].targets.len();
     let is_mean = config.pooling == Pooling::Mean;
     let synergies = config.uses_synergies();
-    let BlockWorkspace { row_of_item, pair_rows, window_rows, items, window_items, dcand, dv, pass, row_scratch } = ws;
-    let table_rows = v_mat.rows().max(w_mat.rows());
-    if row_of_item.len() < table_rows {
-        // ham-lint: allow(alloc, "grows with the item tables only; reset entry by entry after every block")
-        row_of_item.resize(table_rows, NO_ROW);
-    }
+    ws.cover_tables(params);
+    let BlockWorkspace { row_of_item, pair_rows, window_rows, routes, pass, row_scratch, .. } = ws;
+    let BlockRows { w: cand, v: window } = rows;
+    let (w_bound, v_bound) = row_bounds(params, config, block.len());
 
     // Unique candidate items of the block: pair slot `2p` is pair `p`'s
     // positive, `2p + 1` its negative; `pair_rows[slot]` is the item's row in
-    // the block's gradient matrix `dcand`.
+    // the block's `∂L/∂W` rows.
     let candidates = block.iter().flat_map(|i| i.targets.iter().zip(&i.negatives).flat_map(|(&pos, &neg)| [pos, neg]));
     let pair_slots = 2 * block.len() * n_p;
-    stamp_rows(row_of_item, candidates, pair_slots, pair_rows, items);
+    stamp_rows(row_of_item, candidates, pair_slots, pair_rows, &mut cand.items);
 
     // Window slots with a dense gradient row: every high-order slot under
     // mean pooling or synergies, every low-order slot under mean pooling.
     // Max pooling routes the pooled gradient to the per-dimension winners
-    // through the sparse store, so an item that wins nothing stays untouched
-    // (as on the reference path).
+    // through `routes`, so an item that wins nothing stays untouched (as on
+    // the reference path).
     let high_slots = if is_mean || synergies { n_h } else { 0 };
     let low_slots = if is_mean { n_l } else { 0 };
     let slots = high_slots + low_slots;
     let windows = block.iter().flat_map(|i| i.input[..high_slots].iter().chain(&i.low[..low_slots]).copied());
-    stamp_rows(row_of_item, windows, block.len() * slots, window_rows, window_items);
+    stamp_rows(row_of_item, windows, block.len() * slots, window_rows, &mut window.items);
 
-    let dcand = zeroed_prefix(dcand, items.len() * d, pair_slots.min(w_mat.rows()) * d);
-    let dv = zeroed_prefix(dv, window_items.len() * d, (block.len() * slots).min(v_mat.rows()) * d);
+    cand.zero_values(d, w_bound);
+    window.zero_values(d, v_bound);
+    routes.clear();
+    let (dcand, dv) = (&mut cand.values[..], &mut window.values[..]);
     let pair_scale = batch_scale / n_p as f32;
     let high_scale = 1.0 / n_h as f32;
     let low_scale = if n_l > 0 { 1.0 / n_l as f32 } else { 0.0 };
     let mut loss_sum = 0.0f64;
 
     for (i, instance) in block.iter().enumerate() {
+        if let Some(ahead) = block.get(i + INSTANCES_AHEAD) {
+            prefetch_instance_rows(u_mat, v_mat, w_mat, config, ahead);
+        }
         pass.forward(u_mat, v_mat, config, instance);
         let mut instance_loss = 0.0f32;
         for (t, (&pos, &neg)) in instance.targets.iter().zip(&instance.negatives).enumerate() {
@@ -394,9 +577,9 @@ fn pair_block_into(
             kernels::axpy(row_mut(dv, row, d), low_scale, &pass.dq);
         }
         if !is_mean {
+            let mut route = |item: usize, grad: &[f32], scale: f32| routes.add_scaled_row(item, grad, scale);
             route_pooling_gradient(
-                grads,
-                params,
+                &mut route,
                 &instance.input,
                 &pass.high.argmax,
                 pass.dh(),
@@ -405,8 +588,7 @@ fn pair_block_into(
             );
             if n_l > 0 {
                 route_pooling_gradient(
-                    grads,
-                    params,
+                    &mut route,
                     &instance.low,
                     &pass.low_argmax,
                     &pass.dq,
@@ -417,9 +599,9 @@ fn pair_block_into(
         }
     }
 
-    grads.accumulate_sparse_rows(params.w, items, dcand, d);
-    if !window_items.is_empty() {
-        grads.accumulate_sparse_rows(params.v, window_items, dv, d);
+    if !routes.is_empty() {
+        let routed = std::iter::once((routes.row_ids(), routes.values()));
+        merge_rows(row_of_item, window, routed, d, v_bound);
     }
     loss_sum * batch_scale as f64
 }
@@ -474,33 +656,19 @@ pub(crate) fn reference_into(
         // Route ∂L/∂h through the pooling of the high-order window, then the
         // synergy terms to every window slot …
         pass.latent_cross_backward(instance.input.len());
-        route_pooling_gradient(
-            grads,
-            params,
-            &instance.input,
-            &pass.high.argmax,
-            pass.dh(),
-            config.pooling,
-            row_scratch,
-        );
+        let mut route =
+            |item: usize, grad: &[f32], scale: f32| grads.accumulate_scaled_row(params.v, item, grad, scale);
+        route_pooling_gradient(&mut route, &instance.input, &pass.high.argmax, pass.dh(), config.pooling, row_scratch);
         if config.uses_synergies() {
             for &item in &instance.input {
                 row_scratch.fill(0.0);
                 pass.add_synergy_gradient(v_mat.row(item), instance.input.len(), row_scratch);
-                grads.accumulate_scaled_row(params.v, item, row_scratch, 1.0);
+                route(item, row_scratch, 1.0);
             }
         }
         // … and ∂L/∂q through the pooling of the low-order window.
         if !instance.low.is_empty() {
-            route_pooling_gradient(
-                grads,
-                params,
-                &instance.low,
-                &pass.low_argmax,
-                &pass.dq,
-                config.pooling,
-                row_scratch,
-            );
+            route_pooling_gradient(&mut route, &instance.low, &pass.low_argmax, &pass.dq, config.pooling, row_scratch);
         }
     }
 
@@ -508,10 +676,10 @@ pub(crate) fn reference_into(
 }
 
 /// Distributes the pooled-vector gradient `dq` back onto the item embeddings
-/// of `window`, reusing `row_scratch` (length `d`) instead of allocating.
+/// of `window`, reusing `row_scratch` (length `d`) instead of allocating:
+/// `add(item, grad, scale)` receives `scale · grad` for `item`'s row.
 fn route_pooling_gradient(
-    grads: &mut GradStore,
-    params: &HamParams,
+    add: &mut impl FnMut(usize, &[f32], f32),
     window: &[usize],
     argmax: &[usize],
     dq: &[f32],
@@ -524,7 +692,7 @@ fn route_pooling_gradient(
             // accumulate call, so no scaled copy of dq is materialised.
             let scale = 1.0 / window.len() as f32;
             for &item in window {
-                grads.accumulate_scaled_row(params.v, item, dq, scale);
+                add(item, dq, scale);
             }
         }
         Pooling::Max => {
@@ -541,7 +709,7 @@ fn route_pooling_gradient(
                     }
                 }
                 if any {
-                    grads.accumulate_scaled_row(params.v, item, row_scratch, 1.0);
+                    add(item, row_scratch, 1.0);
                 }
             }
         }
@@ -590,16 +758,18 @@ mod tests {
         (grads, loss as f32)
     }
 
-    /// One block's gradients into a fresh store and workspace.
+    /// One block's gradients into a fresh store and workspace, its rows
+    /// folded into the store.
     fn block_gradients(
         params: &HamParams,
         block: &[PreparedInstance],
         config: &HamConfig,
         batch_scale: f32,
     ) -> (GradStore, f64) {
-        let mut grads = GradStore::new();
-        let loss =
-            block_gradients_into(params, block, config, batch_scale, &mut BlockWorkspace::new(config), &mut grads);
+        let (mut grads, mut rows) = (GradStore::new(), BlockRows::default());
+        let mut ws = BlockWorkspace::new(config);
+        let loss = block_gradients_into(params, block, config, batch_scale, &mut ws, &mut grads, &mut rows);
+        rows.fold_into(params, &mut grads);
         (grads, loss)
     }
 

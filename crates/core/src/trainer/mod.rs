@@ -42,7 +42,7 @@ pub use resume::TrainerState;
 
 use crate::config::{HamConfig, TrainConfig};
 use crate::model::HamModel;
-use ham_autograd::{Adam, AdamConfig, GradStore, Optimizer, ParamId, ParamStore};
+use ham_autograd::{Adam, AdamConfig, GradStore, ParamId, ParamStore, RowSet};
 use ham_data::batch::BatchSampler;
 pub(crate) use ham_data::batch::PreparedInstance;
 use ham_data::dataset::ItemId;
@@ -115,12 +115,19 @@ impl TrainMetrics {
         out
     }
 
-    /// Applies one batch's gradients with `adam`, recording the step's wall
-    /// time in `train_optimizer_step_nanos` when `metrics` is enabled (no
-    /// clock read otherwise).
-    fn timed_step(metrics: Option<&Self>, adam: &mut Adam, store: &mut ParamStore, grads: &GradStore) {
+    /// Applies one batch's gradients — the store and the row sets — with
+    /// `adam`, recording the whole step's wall time in
+    /// `train_optimizer_step_nanos` when `metrics` is enabled (no clock read
+    /// otherwise).
+    fn timed_step(
+        metrics: Option<&Self>,
+        adam: &mut Adam,
+        store: &mut ParamStore,
+        grads: &GradStore,
+        row_sets: &[RowSet<'_>],
+    ) {
         let started = metrics.map(|_| Instant::now());
-        adam.step(store, grads);
+        adam.step_with_rows(store, grads, row_sets);
         if let (Some(metrics), Some(started)) = (metrics, started) {
             metrics.optimizer_step_nanos.record(started.elapsed().as_nanos() as u64);
         }
@@ -248,8 +255,17 @@ pub(crate) fn train_impl(
         weight_decay: train_config.weight_decay,
         ..AdamConfig::default()
     });
-    let history =
-        train_epochs(&mut params, &mut adam, &mut sampler, train_config.epochs, config, train_config, force_reference);
+    let mut workspace = GradientWorkspace::default();
+    let history = train_epochs(
+        &mut params,
+        &mut adam,
+        &mut sampler,
+        train_config.epochs,
+        config,
+        train_config,
+        force_reference,
+        &mut workspace,
+    );
     params.write_back(&mut model);
     (model, history)
 }
@@ -257,8 +273,10 @@ pub(crate) fn train_impl(
 /// The epoch loop of [`train`] and [`TrainerState::train_round`]: `epochs`
 /// passes of `sampler`'s batches, each batch's gradients from
 /// [`compute_batch_gradients`] applied with one sparse Adam step, continuing
-/// from `params` and `adam`'s moments. The batch store and the
-/// [`GradientWorkspace`] live for the whole call.
+/// from `params` and `adam`'s moments. The buffers come from `workspace`,
+/// which the caller keeps: for one run ([`train`]) or across rounds
+/// ([`TrainerState`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn train_epochs(
     params: &mut HamParams,
     adam: &mut Adam,
@@ -267,11 +285,10 @@ pub(crate) fn train_epochs(
     config: &HamConfig,
     train_config: &TrainConfig,
     force_reference: bool,
+    workspace: &mut GradientWorkspace,
 ) -> Vec<EpochStats> {
     let metrics = TrainMetrics::resolve();
     let mut history = Vec::with_capacity(epochs);
-    let mut workspace = GradientWorkspace::default();
-    let mut grads = GradStore::new();
     // ham-lint: hot-path
     for epoch in 1..=epochs {
         let started = Instant::now();
@@ -287,10 +304,10 @@ pub(crate) fn train_epochs(
                 train_config,
                 force_reference,
                 metrics.as_ref(),
-                &mut workspace,
-                &mut grads,
+                workspace,
             );
-            TrainMetrics::timed_step(metrics.as_ref(), adam, &mut params.store, &grads);
+            let row_sets = workspace.block_rows[0].row_sets(params);
+            TrainMetrics::timed_step(metrics.as_ref(), adam, &mut params.store, &workspace.grads, &row_sets);
             epoch_loss += loss as f64 * batch.len() as f64;
             instances += batch.len();
             pairs += batch.iter().map(|i| i.targets.len()).sum::<usize>();
@@ -311,29 +328,42 @@ pub(crate) fn train_epochs(
     history
 }
 
-/// The gradient buffers a training run reuses from batch to batch: one
-/// [`manual::BlockWorkspace`] per lane (lane 0 inline, one per pool task
-/// when blocks run in parallel) and one sparse store per block after the
-/// first (block 0 writes straight into the batch store). Lanes and stores
-/// are added the first time a batch needs them; a workspace serves one
-/// `HamConfig`.
+/// The gradient buffers a training run reuses from batch to batch: the
+/// batch's sparse store (the user term, or every table on the reference and
+/// tape paths), one [`manual::BlockWorkspace`] per lane (lane 0 inline, one
+/// per pool task when blocks run in parallel), one sparse store per block
+/// after the first (block 0 writes straight into the batch store), and one
+/// [`manual::BlockRows`] per block, of which block 0's becomes the batch's
+/// once the later blocks have merged into it. Lanes, stores and rows are
+/// added the first time a batch needs them; a workspace serves one
+/// `HamConfig`. [`train`] keeps one for a run, [`TrainerState`] one for
+/// all its rounds.
 #[derive(Default)]
 pub(crate) struct GradientWorkspace {
     lanes: Vec<manual::BlockWorkspace>,
-    /// `block_stores[b]` holds block `b + 1`'s gradients until the merge.
+    /// The batch's sparse gradients.
+    grads: GradStore,
+    /// `block_stores[b]` holds block `b + 1`'s sparse gradients until the
+    /// merge.
     block_stores: Vec<GradStore>,
+    /// `block_rows[b]` holds block `b`'s `W` and `V` rows; `block_rows[0]`
+    /// the batch's after the merge.
+    block_rows: Vec<manual::BlockRows>,
     block_losses: Vec<f64>,
 }
 
 impl GradientWorkspace {
-    /// Makes sure `lanes` lanes, `blocks - 1` block stores and `blocks` loss
-    /// slots exist.
+    /// Makes sure `lanes` lanes, `blocks - 1` block stores and `blocks` row
+    /// sets and loss slots exist.
     fn ensure(&mut self, config: &HamConfig, lanes: usize, blocks: usize) {
         while self.lanes.len() < lanes {
             self.lanes.push(manual::BlockWorkspace::new(config));
         }
         if self.block_stores.len() + 1 < blocks {
             self.block_stores.resize_with(blocks - 1, GradStore::new);
+        }
+        if self.block_rows.len() < blocks {
+            self.block_rows.resize_with(blocks, manual::BlockRows::default);
         }
         if self.block_losses.len() < blocks {
             self.block_losses.resize(blocks, 0.0);
@@ -343,8 +373,8 @@ impl GradientWorkspace {
 
 /// Gradients and mean loss of one batch on the path `train_config` selects
 /// (analytic, or the tape when [`TrainConfig::force_autograd`] is set),
-/// written into `out` (cleared first; its buffers are kept) with `ws`'s
-/// buffers.
+/// written into `ws`'s batch store and batch rows (cleared first; their
+/// buffers are kept) with `ws`'s buffers.
 ///
 /// A uniform batch of more than one instance is split into fixed blocks
 /// ([`MANUAL_BLOCK`] or [`TRAIN_BLOCK`] instances), computed inline or —
@@ -352,13 +382,13 @@ impl GradientWorkspace {
 /// block order, so the thread count never changes the result; at most
 /// `num_threads` tasks run concurrently (blocks are grouped into
 /// `num_threads` contiguous spans, one pool task and one lane each). Block 0
-/// accumulates straight into `out`; every later block into a store of its
-/// own, merged into `out` in block order — the same sums in the same order
-/// as merging every block into an empty store. A batch of one instance, a
-/// non-uniform batch and every `force_reference` batch take the
-/// per-instance reference path as a single block. Each block is timed into
+/// accumulates straight into the batch store and rows; every later block
+/// into a store and rows of its own, merged into the batch's in block order
+/// — the same sums in the same order as merging every block into an empty
+/// store. A batch of one instance, a non-uniform batch and every
+/// `force_reference` batch take the per-instance reference path as a single
+/// block, all of it in the store. Each block is timed into
 /// `train_block_gradient_nanos` when `metrics` is enabled.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_batch_gradients(
     params: &HamParams,
     batch: &[PreparedInstance],
@@ -367,24 +397,23 @@ pub(crate) fn compute_batch_gradients(
     force_reference: bool,
     metrics: Option<&TrainMetrics>,
     ws: &mut GradientWorkspace,
-    out: &mut GradStore,
 ) -> f32 {
     assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
     let use_autograd = train_config.force_autograd;
-    out.clear();
-    if !use_autograd {
-        manual::reserve_rows(params, config, batch.len(), out);
-    }
+    ws.grads.clear();
     if force_reference || batch.len() == 1 || !uniform_shapes(batch) {
         ws.ensure(config, 1, 1);
+        ws.block_rows[0].clear();
+        let GradientWorkspace { lanes, grads: out, .. } = ws;
         return TrainMetrics::timed_block(metrics, || {
             if use_autograd {
                 let (grads, loss) = autograd_ref::batch_gradients_reference(params, batch, config);
                 out.merge(grads);
                 loss
             } else {
+                manual::reserve_rows(params, config, batch.len(), out);
                 let batch_scale = 1.0f32 / batch.len() as f32;
-                manual::reference_into(params, batch, config, batch_scale, &mut ws.lanes[0], out) as f32
+                manual::reference_into(params, batch, config, batch_scale, &mut lanes[0], out) as f32
             }
         });
     }
@@ -393,19 +422,23 @@ pub(crate) fn compute_batch_gradients(
     let threads = train_config.num_threads.max(1).min(blocks);
     ws.ensure(config, threads, blocks);
     let batch_scale = 1.0f32 / batch.len() as f32;
-    let block_gradients = |lane: &mut manual::BlockWorkspace, block: &[PreparedInstance], grads: &mut GradStore| {
-        TrainMetrics::timed_block(metrics, || {
-            if use_autograd {
-                let (block_grads, loss) = autograd_ref::block_gradients(params, block, config, batch_scale);
-                grads.merge(block_grads);
-                loss
-            } else {
-                manual::block_gradients_into(params, block, config, batch_scale, lane, grads)
-            }
-        })
-    };
-    let GradientWorkspace { lanes, block_stores, block_losses } = ws;
+    let block_gradients =
+        |lane: &mut manual::BlockWorkspace, block: &[PreparedInstance], (grads, rows): BlockTarget<'_>| {
+            TrainMetrics::timed_block(metrics, || {
+                if use_autograd {
+                    let (block_grads, loss) = autograd_ref::block_gradients(params, block, config, batch_scale);
+                    grads.merge(block_grads);
+                    rows.clear();
+                    loss
+                } else {
+                    manual::block_gradients_into(params, block, config, batch_scale, lane, grads, rows)
+                }
+            })
+        };
+    let GradientWorkspace { lanes, grads: out, block_stores, block_rows, block_losses } = ws;
     let (stores, losses) = (&mut block_stores[..blocks - 1], &mut block_losses[..blocks]);
+    let (batch_rows, later_rows) = block_rows[..blocks].split_at_mut(1);
+    let batch_rows = &mut batch_rows[0];
     if threads > 1 {
         // One pool task per contiguous group of blocks bounds concurrency at
         // `num_threads`; the grouping cannot affect results because every
@@ -413,19 +446,21 @@ pub(crate) fn compute_batch_gradients(
         let group = blocks.div_ceil(threads);
         stores.iter_mut().for_each(GradStore::clear);
         let (first_stores, later_stores) = stores.split_at_mut(group - 1);
-        let mut group_stores = std::iter::once(first_stores).chain(later_stores.chunks_mut(group));
+        let (first_rows, later_group_rows) = later_rows.split_at_mut(group - 1);
+        let mut group_targets = std::iter::once((first_stores, first_rows))
+            .chain(later_stores.chunks_mut(group).zip(later_group_rows.chunks_mut(group)));
         let block_gradients = &block_gradients;
-        let mut first = Some(&mut *out);
+        let mut first = Some((&mut *out, &mut *batch_rows));
         ham_tensor::pool::global_pool().scope(|scope| {
             let tasks = batch.chunks(group * block_len).zip(lanes.iter_mut()).zip(losses.chunks_mut(group));
             for ((group_batch, lane), losses) in tasks {
-                let (first, stores) = (first.take(), group_stores.next().expect("one store group per task"));
+                let (first, (stores, rows)) = (first.take(), group_targets.next().expect("one target group per task"));
                 scope.spawn(move || {
                     // Block 0 of the batch (group 0's first) goes to the batch
-                    // store, every other block to its own store.
-                    let mut targets = first.into_iter().chain(stores.iter_mut());
+                    // store and rows, every other block to its own.
+                    let mut targets = first.into_iter().chain(stores.iter_mut().zip(rows.iter_mut()));
                     for (block, loss) in group_batch.chunks(block_len).zip(losses.iter_mut()) {
-                        *loss = block_gradients(lane, block, targets.next().expect("one store per block"));
+                        *loss = block_gradients(lane, block, targets.next().expect("one target per block"));
                     }
                 });
             }
@@ -437,19 +472,24 @@ pub(crate) fn compute_batch_gradients(
         let lane = &mut lanes[0];
         for (b, (block, loss)) in batch.chunks(block_len).zip(losses.iter_mut()).enumerate() {
             if b == 0 {
-                *loss = block_gradients(lane, block, out);
+                *loss = block_gradients(lane, block, (out, batch_rows));
             } else {
-                let store = &mut stores[0];
+                let store = &mut stores[b - 1];
                 store.clear();
-                *loss = block_gradients(lane, block, store);
+                *loss = block_gradients(lane, block, (store, &mut later_rows[b - 1]));
                 out.merge_from(store);
             }
         }
     }
+    manual::merge_block_rows(&mut lanes[0], params, config, batch.len(), batch_rows, later_rows);
     losses.iter().fold(0.0f64, |sum, &loss| sum + loss) as f32
 }
 
-/// [`compute_batch_gradients`] with a fresh workspace and store.
+/// Where one block's gradients go: its sparse store and its `W`/`V` rows.
+type BlockTarget<'a> = (&'a mut GradStore, &'a mut manual::BlockRows);
+
+/// [`compute_batch_gradients`] with a fresh workspace, the batch rows folded
+/// into the returned store.
 #[cfg(test)]
 pub(crate) fn fresh_batch_gradients(
     params: &HamParams,
@@ -457,17 +497,10 @@ pub(crate) fn fresh_batch_gradients(
     config: &HamConfig,
     train_config: &TrainConfig,
 ) -> (GradStore, f32) {
-    let mut out = GradStore::new();
-    let loss = compute_batch_gradients(
-        params,
-        batch,
-        config,
-        train_config,
-        false,
-        None,
-        &mut GradientWorkspace::default(),
-        &mut out,
-    );
+    let mut ws = GradientWorkspace::default();
+    let loss = compute_batch_gradients(params, batch, config, train_config, false, None, &mut ws);
+    let mut out = std::mem::take(&mut ws.grads);
+    ws.block_rows[0].fold_into(params, &mut out);
     (out, loss)
 }
 

@@ -24,7 +24,7 @@
 //!   the seed, the table and the row index, never on *when* the table grew,
 //!   so replaying the same append/round schedule reproduces the same model.
 
-use super::{train_epochs, EpochStats, HamParams};
+use super::{train_epochs, EpochStats, GradientWorkspace, HamParams};
 use crate::config::{HamConfig, TrainConfig};
 use crate::model::HamModel;
 use ham_autograd::{Adam, AdamConfig, AdamState, ParamId};
@@ -40,7 +40,8 @@ const GROW_TAG_V: u64 = 0xC3C3_7B21_55ED_0003;
 const GROW_TAG_W: u64 = 0xE1E1_4D59_A7F1_0005;
 
 /// Training state that survives across rounds: the parameter store, the Adam
-/// moments (with per-row step counts) and the configuration. See the module
+/// moments (with per-row step counts), the configuration and the gradient
+/// buffers, which a round grows once and later rounds reuse. See the module
 /// docs for the invariants.
 pub struct TrainerState {
     params: HamParams,
@@ -48,6 +49,7 @@ pub struct TrainerState {
     config: HamConfig,
     train_config: TrainConfig,
     seed: u64,
+    workspace: GradientWorkspace,
 }
 
 impl TrainerState {
@@ -98,7 +100,14 @@ impl TrainerState {
 
     fn from_model_impl(model: &HamModel, train_config: &TrainConfig, adam: Adam, seed: u64) -> Self {
         model.config().validate();
-        Self { params: HamParams::from_model(model), adam, config: *model.config(), train_config: *train_config, seed }
+        Self {
+            params: HamParams::from_model(model),
+            adam,
+            config: *model.config(),
+            train_config: *train_config,
+            seed,
+            workspace: GradientWorkspace::default(),
+        }
     }
 
     /// Number of user rows currently held.
@@ -159,12 +168,24 @@ impl TrainerState {
     /// Runs `epochs` passes of `sampler`'s batches through the chunked
     /// gradient pipeline, one coalesced sparse Adam step per batch —
     /// exactly the per-epoch loop of [`train`](super::train), continuing
-    /// from this state's parameters and moments.
+    /// from this state's parameters and moments. The gradient buffers are
+    /// the state's own, so a round after the first allocates only the
+    /// returned history (and whatever a larger batch or a grown table
+    /// needs).
     ///
     /// The sampler's instances must only reference user/item rows the state
     /// already covers (call [`Self::grow_to`] first after appends).
     pub fn train_round(&mut self, sampler: &mut BatchSampler, epochs: usize) -> Vec<EpochStats> {
-        train_epochs(&mut self.params, &mut self.adam, sampler, epochs, &self.config, &self.train_config, false)
+        train_epochs(
+            &mut self.params,
+            &mut self.adam,
+            sampler,
+            epochs,
+            &self.config,
+            &self.train_config,
+            false,
+            &mut self.workspace,
+        )
     }
 
     /// Freezes the current parameters into a [`HamModel`] snapshot (the

@@ -11,8 +11,13 @@
 //! run on pool workers, and which thread first grows a lane's buffers is up
 //! to the scheduler. The binary holds a single test so that no sibling test
 //! allocates while a run is counted.
+//!
+//! The online trainer's rounds keep their buffers too: on one sampler, a
+//! `TrainerState` round after the first allocates exactly as often as the
+//! one before it — only the returned epoch history.
 
-use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig};
+use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig, TrainerState};
+use ham_data::batch::BatchSampler;
 use ham_data::synthetic::DatasetProfile;
 use ham_tensor::pool::global_pool;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -91,6 +96,19 @@ fn scope_allocations(tasks: usize) -> u64 {
     counted(run).1
 }
 
+/// Allocations of the second and the third `TrainerState` round of one
+/// epoch each on one sampler.
+fn later_round_allocations(data: &ham_data::dataset::SequenceDataset, config: &HamConfig) -> (u64, u64) {
+    let tc = TrainConfig { batch_size: 256, ..TrainConfig::default() };
+    let mut state = TrainerState::new(data.sequences.len(), data.num_items, config, &tc, 3);
+    let mut sampler =
+        BatchSampler::new(&data.sequences, data.num_items, config.n_h, config.n_p, config.n_l, tc.batch_size, 4);
+    state.train_round(&mut sampler, 1);
+    let (_, second) = counted(|| state.train_round(&mut sampler, 1));
+    let (_, third) = counted(|| state.train_round(&mut sampler, 1));
+    (second, third)
+}
+
 #[test]
 fn training_allocates_nothing_per_batch() {
     let data = DatasetProfile::tiny("train-allocations").generate(6);
@@ -127,4 +145,10 @@ fn training_allocates_nothing_per_batch() {
             per_epoch_fan_out,
         );
     }
+
+    // The rounds of an online trainer: the third allocates as often as the
+    // second, and that is once — the returned history.
+    let (second, third) = later_round_allocations(&data, &config);
+    assert_eq!(third, second, "a later round allocated {third} times where the one before allocated {second}");
+    assert_eq!(second, 1, "a round after the first allocates only its epoch history, not {second} times");
 }

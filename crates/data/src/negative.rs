@@ -12,6 +12,10 @@
 use crate::dataset::ItemId;
 use rand::Rng;
 
+/// Cache lines up to which [`NegativeSampler::prefetch_seen`] loads a whole
+/// seen set (64 items of 8 bytes).
+const SEEN_PREFETCH_LINES: usize = 8;
+
 /// Samples negative items for a user, rejecting items the user has already
 /// interacted with.
 #[derive(Debug, Clone)]
@@ -87,6 +91,23 @@ impl NegativeSampler {
     /// Whether the user has interacted with `item`.
     pub fn is_seen(&self, item: ItemId) -> bool {
         self.seen.binary_search(&item).is_ok()
+    }
+
+    /// Starts loading the lines of the seen set a rejection test reads
+    /// first into the cache (a hint; see [`ham_tensor::prefetch`]): the
+    /// whole set when it spans at most 8 cache lines,
+    /// else the elements the first three levels of a binary search probe
+    /// (at 1/2, 1/4 and 3/4, then the eighths), so a heavy user's long set
+    /// costs seven lines, not all of them.
+    pub fn prefetch_seen(&self) {
+        let seen = &self.seen[..];
+        if std::mem::size_of_val(seen) <= SEEN_PREFETCH_LINES * 64 {
+            ham_tensor::prefetch::slice(seen);
+            return;
+        }
+        for eighths in [4, 2, 6, 1, 3, 5, 7] {
+            ham_tensor::prefetch::slice(&seen[seen.len() * eighths / 8..][..1]);
+        }
     }
 }
 

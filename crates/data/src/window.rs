@@ -95,6 +95,20 @@ impl WindowStore {
         let start = self.windows[index].1 as usize + self.n_h;
         &self.items[start..start + self.n_p]
     }
+
+    /// Starts loading window `index`'s `(user, start)` entry into the cache
+    /// (a hint; see [`ham_tensor::prefetch`]).
+    pub fn prefetch_entry(&self, index: usize) {
+        ham_tensor::prefetch::slice(&self.windows[index..=index]);
+    }
+
+    /// Starts loading window `index`'s `n_h + n_p` items into the cache.
+    /// Reads the window's entry, so it pays once [`Self::prefetch_entry`]
+    /// has brought that in.
+    pub fn prefetch_items(&self, index: usize) {
+        let start = self.windows[index].1 as usize;
+        ham_tensor::prefetch::slice(&self.items[start..start + self.n_h + self.n_p]);
+    }
 }
 
 /// One training instance: a user, the `n_h` input items and the `n_p` target

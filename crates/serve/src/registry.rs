@@ -93,6 +93,11 @@ impl ModelRegistry {
     /// version newer than the slot's occupant.
     pub fn publish(&self, model: ServingModel) -> u64 {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        // ordering: SeqCst, though the slot lock already orders every
+        // increment (each one runs under it) and the model reaches readers
+        // through that lock, never through this counter; the strongest
+        // ordering keeps `version()` obviously monotonic at a cost paid once
+        // per publish.
         let version = self.versions.fetch_add(1, Ordering::SeqCst) + 1;
         let published = Arc::new(PublishedModel { model: Arc::new(model), version, rollback_of: None });
         self.archive(&published);
@@ -119,6 +124,8 @@ impl ModelRegistry {
                 None => return Err(RollbackError { version, available: history.iter().map(|p| p.version).collect() }),
             }
         };
+        // ordering: SeqCst, as in `publish`: the increment runs under the
+        // slot lock, which orders it against every other publish.
         let new_version = self.versions.fetch_add(1, Ordering::SeqCst) + 1;
         let published = Arc::new(PublishedModel { model: target, version: new_version, rollback_of: Some(version) });
         self.archive(&published);
@@ -134,6 +141,11 @@ impl ModelRegistry {
 
     /// Version of the latest publish.
     pub fn version(&self) -> u64 {
+        // ordering: SeqCst pairs with the increments in `publish` and
+        // `rollback_to`; a reader sees the latest completed increment and
+        // never a version the slot has not reached (increment and swap
+        // happen under one lock hold). It guards no other data, so a weaker
+        // load would do; this is one load per call, off the request path.
         self.versions.load(Ordering::SeqCst)
     }
 

@@ -667,7 +667,10 @@ impl ShardedCatalog {
     /// Re-scores `candidates` with the exact f32 per-row dot (the same
     /// dispatched kernel chain as the exact GEMV path — bit-identical per
     /// row), re-applies the mask, and keeps the top `k` under the exact
-    /// comparator.
+    /// comparator. A candidate whose exact score is NaN (a NaN row the int8
+    /// pre-selection kept) is dropped before the sort: NaN never ranks, as
+    /// on the exact path, so the answer holds `min(k, non-NaN candidates)`
+    /// items.
     fn rerank_exact(
         &self,
         candidates: Vec<ScoredItem>,
@@ -682,6 +685,7 @@ impl ShardedCatalog {
                 let score = if masked { f32::NEG_INFINITY } else { kernels::dot(self.candidates.row(c.item), query) };
                 ScoredItem { item: c.item, score }
             })
+            .filter(|c| !c.score.is_nan())
             .collect();
         exact.sort_by(|a, b| better(b, a));
         exact.truncate(k);
@@ -947,11 +951,11 @@ pub(crate) fn select_widths(ks: &[usize], quantized: bool) -> Vec<usize> {
 }
 
 /// "Better recommendation" ordering: higher score wins, ties go to the lower
-/// global item id (the order of `top_k_indices`). NaN compares equal to
-/// everything; the shard selects keep NaN out of a shortlist whenever `k`
-/// real scores exist.
+/// global item id (the order of `top_k_indices`). NaN would compare equal to
+/// everything, but no caller hands it one: the shard selects never rank a
+/// NaN score, and `rerank_exact` drops NaN exact scores before it sorts.
 fn better(a: &ScoredItem, b: &ScoredItem) -> std::cmp::Ordering {
-    // ham-lint: allow(comparator, "shortlists never hold a NaN score, so partial_cmp is total on them; the ranking-order item in ROADMAP.md unifies this")
+    // ham-lint: allow(comparator, "no NaN reaches it: the shard selects skip NaN scores and rerank_exact drops NaN exact scores before sorting, so partial_cmp is total here; the ranking-order item in ROADMAP.md unifies this")
     a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal).then(b.item.cmp(&a.item))
 }
 

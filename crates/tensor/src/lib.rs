@@ -79,6 +79,7 @@ pub mod linalg;
 pub mod matrix;
 pub mod ops;
 pub mod pool;
+pub mod prefetch;
 pub mod quant;
 pub mod stats;
 
