@@ -9,10 +9,13 @@
 //! applies the merged, duplicate-row-coalesced gradients per batch. With
 //! `TrainConfig::num_threads > 1` the blocks of a batch are computed in
 //! parallel on the shared work-stealing pool and merged in block order, so
-//! the result is bit-identical to the single-threaded run. A run keeps its
-//! gradient buffers — the batch's sparse store, one [`manual`] block
-//! workspace per lane and one store per later block — from batch to batch,
-//! so from the second batch on a training step allocates nothing.
+//! the result is bit-identical to the single-threaded run. Adam reads the
+//! batch's `W` and `V` rows where the blocks summed them (the sparse store
+//! keeps the user term). A run keeps its gradient buffers — the batch's
+//! sparse store, one [`manual`] block workspace per lane, one store per
+//! later block and every block's rows — from batch to batch, so from the
+//! second batch on a training step allocates nothing; a
+//! [`TrainerState`] keeps them from round to round.
 //!
 //! Two gradient paths compute the same objective:
 //!

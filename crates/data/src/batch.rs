@@ -27,6 +27,19 @@
 //! Construction makes a fixed number of allocations plus one or two per
 //! user (the seen set), none per window.
 //!
+//! ## Pipelined packing
+//!
+//! Every read of a slot is a random one: the window's `(user, start)` entry,
+//! its items in the flat buffer, the user's sampler and the seen set the
+//! rejection test searches. Packed one after the other, each waits for
+//! memory. The epoch order is known ahead, so [`BatchSampler::next_batch`]
+//! prefetches in two stages ([`ham_tensor::prefetch`]): the window entry 16
+//! slots ahead, then — that entry cached by now — the window's items and
+//! its user's seen set 8 slots ahead ([`NegativeSampler::prefetch_seen`]
+//! bounds a long set to the lines a binary search probes first). The
+//! look-ahead runs on into the next batch. A prefetch changes no value, so
+//! the instance stream stays bit for bit what it was.
+//!
 //! ## Determinism contract
 //!
 //! For a fixed seed the shuffled instance order and the negative-sample
