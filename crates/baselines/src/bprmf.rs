@@ -1,8 +1,9 @@
 //! BPR matrix factorisation: a non-sequential personalised baseline
 //! (`r_ij = u_i · q_j`), trained with the shared BPR harness.
 
-use crate::common::{bpr_pairwise_loss, train_bpr, BaselineTrainConfig, SequentialRecommender};
+use crate::common::{bpr_pairwise_loss, train_bpr, BaselineTrainConfig};
 use ham_autograd::{ParamId, ParamStore};
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -32,7 +33,6 @@ pub struct BprMf {
     params: ParamStore,
     users: ParamId,
     items: ParamId,
-    num_items: usize,
 }
 
 impl BprMf {
@@ -62,7 +62,7 @@ impl BprMf {
                 bpr_pairwise_loss(g, store, items, u, inst)
             },
         );
-        Self { config: *config, params, users, items, num_items }
+        Self { config: *config, params, users, items }
     }
 
     /// The model's configuration.
@@ -71,37 +71,14 @@ impl BprMf {
     }
 }
 
-impl SequentialRecommender for BprMf {
-    fn name(&self) -> &'static str {
-        "BPR-MF"
+/// The user's factor row is the query; the history plays no part.
+impl Scorer for BprMf {
+    fn candidates(&self) -> &Matrix {
+        self.params.value(self.items)
     }
 
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn score_all(&self, user: usize, _sequence: &[ItemId]) -> Vec<f32> {
-        let u = self.params.value(self.users).row(user);
-        self.params.value(self.items).matvec_transposed(u)
-    }
-
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> ham_tensor::Matrix {
-        assert_eq!(
-            users.len(),
-            sequences.len(),
-            "score_batch: {} users but {} sequences",
-            users.len(),
-            sequences.len()
-        );
-        // Q is just the gathered user-factor rows; one GEMM scores the batch.
-        let queries = self.params.value(self.users).gather_rows(users);
-        queries.matmul_transposed(self.params.value(self.items))
-    }
-
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        Some(ham_core::LinearHead::new(self.params.value(self.items), move |u, _s| {
-            self.params.value(self.users).row(u).to_vec()
-        }))
+    fn query_vector(&self, user: usize, _history: &[ItemId]) -> Vec<f32> {
+        self.params.value(self.users).row(user).to_vec()
     }
 }
 
@@ -118,7 +95,6 @@ mod tests {
         let scores = model.score_all(2, &seqs[2]);
         assert_eq!(scores.len(), 20);
         assert!(scores.iter().all(|s| s.is_finite()));
-        assert_eq!(model.name(), "BPR-MF");
         assert_eq!(model.config().d, 8);
     }
 

@@ -14,8 +14,9 @@
 //! representation `z`, and scores candidates against `[z ; p_u]` where `p_u`
 //! is the user's long-term embedding.
 
-use crate::common::{bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, SequentialRecommender};
+use crate::common::{bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig};
 use ham_autograd::{Graph, ParamId, ParamStore, VarId};
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -62,7 +63,6 @@ pub struct Caser {
     config: CaserConfig,
     params: ParamStore,
     ids: CaserParams,
-    num_items: usize,
 }
 
 impl Caser {
@@ -112,7 +112,7 @@ impl Caser {
             },
         );
 
-        Self { config: *config, params, ids, num_items }
+        Self { config: *config, params, ids }
     }
 
     /// Builds the `[z ; p_u]` query representation on the tape.
@@ -162,38 +162,20 @@ impl Caser {
     pub fn config(&self) -> &CaserConfig {
         &self.config
     }
+}
 
-    /// Computes the query vector for a user and history with a forward-only
-    /// tape evaluation.
-    fn query_vector(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let window = fixed_window(sequence, self.config.seq_len);
+/// The tape's forward pass of `[z ; p_u]` is the query, scored against the
+/// output table `W`.
+impl Scorer for Caser {
+    fn candidates(&self) -> &Matrix {
+        self.params.value(self.ids.items_out)
+    }
+
+    fn query_vector(&self, user: usize, history: &[ItemId]) -> Vec<f32> {
+        let window = fixed_window(history, self.config.seq_len);
         let mut g = Graph::new();
         let q = Self::query_node(&self.params, &mut g, &self.ids, &self.config, user, &window);
         g.value(q).row(0).to_vec()
-    }
-}
-
-impl SequentialRecommender for Caser {
-    fn name(&self) -> &'static str {
-        "Caser"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn score_all(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let q = self.query_vector(user, sequence);
-        self.params.value(self.ids.items_out).matvec_transposed(&q)
-    }
-
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> ham_tensor::Matrix {
-        let w = self.params.value(self.ids.items_out);
-        crate::common::batched_query_scores(users, sequences, w.cols(), w, |u, s| self.query_vector(u, s))
-    }
-
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        Some(ham_core::LinearHead::new(self.params.value(self.ids.items_out), move |u, s| self.query_vector(u, s)))
     }
 }
 
@@ -215,7 +197,6 @@ mod tests {
         let scores = model.score_all(1, &seqs[1]);
         assert_eq!(scores.len(), model.num_items());
         assert!(scores.iter().all(|s| s.is_finite()));
-        assert_eq!(model.name(), "Caser");
         assert_eq!(model.config().horizontal_filters, 2);
     }
 

@@ -1,84 +1,14 @@
-//! Shared infrastructure for the baselines: the scoring trait used by the
-//! evaluation harness and the generic BPR training loop.
+//! Shared infrastructure for the baselines: the generic BPR training loop,
+//! its pairwise loss and the inference-time window convention. Scoring goes
+//! through `ham_core::Scorer`, which every baseline implements.
 
 use ham_autograd::{Adam, AdamConfig, Graph, Optimizer, ParamStore, VarId};
 use ham_data::dataset::ItemId;
 use ham_data::negative::NegativeSampler;
 use ham_data::window::WindowStore;
-use ham_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// A sequential recommender that can score every catalogue item for a user
-/// given the user's interaction history. Implemented by every baseline; the
-/// HAM models expose the same shape of API (the `Scorer` trait) in
-/// `ham-core`.
-pub trait SequentialRecommender {
-    /// Human-readable method name as used in the paper's tables.
-    fn name(&self) -> &'static str;
-    /// Number of items the model can score.
-    fn num_items(&self) -> usize;
-    /// Scores every item for `user` given the user's chronological history.
-    fn score_all(&self, user: usize, sequence: &[ItemId]) -> Vec<f32>;
-    /// Scores every item for a batch of users; row `i` equals
-    /// `score_all(users[i], sequences[i])` within float rounding (≤ 1e-5).
-    ///
-    /// The default loops over `score_all`; models with a linear scoring head
-    /// override it to build their query matrix once and answer with a single
-    /// blocked `Q · Wᵀ` GEMM.
-    ///
-    /// # Panics
-    /// Panics if `users` and `sequences` differ in length.
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> Matrix {
-        score_batch_rows(self.num_items(), users, sequences, |u, s| self.score_all(u, s))
-    }
-
-    /// The model's linear scoring head (`r = q · Wᵀ`), when it has one.
-    ///
-    /// Every baseline in this crate scores through such a head — even PopRec,
-    /// whose "query" is the constant `[1.0]` against an `n × 1` popularity
-    /// column — so all of them can be served from the sharded catalogue in
-    /// `ham-serve`. The default is `None` for future scorers without a
-    /// factorised head.
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        None
-    }
-}
-
-/// Assembles a batch score matrix from a per-user scoring closure (the
-/// default body of [`SequentialRecommender::score_batch`]).
-pub fn score_batch_rows(
-    num_items: usize,
-    users: &[usize],
-    sequences: &[&[ItemId]],
-    score_all: impl Fn(usize, &[ItemId]) -> Vec<f32>,
-) -> Matrix {
-    assert_eq!(users.len(), sequences.len(), "score_batch: {} users but {} sequences", users.len(), sequences.len());
-    let mut out = Matrix::zeros(users.len(), num_items);
-    for (i, (&user, sequence)) in users.iter().zip(sequences).enumerate() {
-        out.row_mut(i).copy_from_slice(&score_all(user, sequence));
-    }
-    out
-}
-
-/// Builds the query matrix `Q` (one query per user, via `query_vector`) and
-/// scores the whole batch against `candidates` with one blocked GEMM — the
-/// shared body of the baselines' `score_batch` overrides.
-pub fn batched_query_scores(
-    users: &[usize],
-    sequences: &[&[ItemId]],
-    d: usize,
-    candidates: &Matrix,
-    query_vector: impl Fn(usize, &[ItemId]) -> Vec<f32>,
-) -> Matrix {
-    assert_eq!(users.len(), sequences.len(), "score_batch: {} users but {} sequences", users.len(), sequences.len());
-    let mut queries = Matrix::zeros(users.len(), d);
-    for (i, (&user, sequence)) in users.iter().zip(sequences).enumerate() {
-        queries.row_mut(i).copy_from_slice(&query_vector(user, sequence));
-    }
-    queries.matmul_transposed(candidates)
-}
 
 /// Training hyper-parameters shared by all baselines.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -12,10 +12,9 @@
 //! shared BPR harness (the original paper's ranking losses — BPR / TOP1 —
 //! include BPR, so this matches one of its configurations).
 
-use crate::common::{
-    bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, SequentialRecommender, TrainInstance,
-};
+use crate::common::{bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, TrainInstance};
 use ham_autograd::{Graph, ParamId, ParamStore, VarId};
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -58,7 +57,6 @@ pub struct Gru4Rec {
     config: Gru4RecConfig,
     params: ParamStore,
     ids: GruParams,
-    num_items: usize,
 }
 
 impl Gru4Rec {
@@ -102,7 +100,7 @@ impl Gru4Rec {
             },
         );
 
-        Self { config: *config, params, ids, num_items }
+        Self { config: *config, params, ids }
     }
 
     /// Unrolls the GRU over the window and returns the final hidden state.
@@ -165,36 +163,20 @@ impl Gru4Rec {
     pub fn config(&self) -> &Gru4RecConfig {
         &self.config
     }
+}
 
-    fn hidden_state(&self, sequence: &[ItemId]) -> Vec<f32> {
-        let window = fixed_window(sequence, self.config.seq_len);
+/// The GRU's last hidden state is the query, scored against the shared item
+/// table.
+impl Scorer for Gru4Rec {
+    fn candidates(&self) -> &Matrix {
+        self.params.value(self.ids.items)
+    }
+
+    fn query_vector(&self, _user: usize, history: &[ItemId]) -> Vec<f32> {
+        let window = fixed_window(history, self.config.seq_len);
         let mut g = Graph::new();
         let h = Self::hidden_state_node(&self.params, &mut g, &self.ids, &self.config, &window);
         g.value(h).row(0).to_vec()
-    }
-}
-
-impl SequentialRecommender for Gru4Rec {
-    fn name(&self) -> &'static str {
-        "GRU4Rec"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn score_all(&self, _user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let h = self.hidden_state(sequence);
-        self.params.value(self.ids.items).matvec_transposed(&h)
-    }
-
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> ham_tensor::Matrix {
-        let e = self.params.value(self.ids.items);
-        crate::common::batched_query_scores(users, sequences, e.cols(), e, |_, s| self.hidden_state(s))
-    }
-
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        Some(ham_core::LinearHead::new(self.params.value(self.ids.items), move |_u, s| self.hidden_state(s)))
     }
 }
 
@@ -216,7 +198,6 @@ mod tests {
         let scores = model.score_all(0, &seqs[0]);
         assert_eq!(scores.len(), model.num_items());
         assert!(scores.iter().all(|s| s.is_finite()));
-        assert_eq!(model.name(), "GRU4Rec");
         assert_eq!(model.config().seq_len, 4);
     }
 

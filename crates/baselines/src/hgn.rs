@@ -17,10 +17,9 @@
 //! Figure 4 of the paper; [`Hgn::instance_gating_weights`] exposes them for
 //! the reproduction of that study.
 
-use crate::common::{
-    bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, SequentialRecommender, TrainInstance,
-};
+use crate::common::{bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, TrainInstance};
 use ham_autograd::{Graph, ParamId, ParamStore, VarId};
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
 use ham_tensor::matrix::dot;
 use ham_tensor::ops::sigmoid_scalar;
@@ -57,7 +56,6 @@ pub struct Hgn {
     feat_gate_user: ParamId,
     inst_gate_item: ParamId,
     inst_gate_user: ParamId,
-    num_items: usize,
 }
 
 impl Hgn {
@@ -102,7 +100,6 @@ impl Hgn {
             feat_gate_user,
             inst_gate_item,
             inst_gate_user,
-            num_items,
         }
     }
 
@@ -183,11 +180,17 @@ impl Hgn {
             .collect();
         (gated, weights)
     }
+}
 
-    /// The final query vector `q = u + agg + Σ e_l` scored against the output
-    /// item embeddings (shared by the per-user and batched scoring paths).
-    fn query_vector(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let window = fixed_window(sequence, self.config.seq_len);
+/// The query `q = u + agg + Σ e_l`, scored against the output item
+/// embeddings.
+impl Scorer for Hgn {
+    fn candidates(&self) -> &Matrix {
+        self.params.value(self.items_out)
+    }
+
+    fn query_vector(&self, user: usize, history: &[ItemId]) -> Vec<f32> {
+        let window = fixed_window(history, self.config.seq_len);
         let (gated, weights) = self.gated_window(user, &window);
 
         // agg = Σ_l a_l · gated_l / L
@@ -215,30 +218,6 @@ impl Hgn {
     }
 }
 
-impl SequentialRecommender for Hgn {
-    fn name(&self) -> &'static str {
-        "HGN"
-    }
-
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn score_all(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let q = self.query_vector(user, sequence);
-        self.params.value(self.items_out).matvec_transposed(&q)
-    }
-
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> ham_tensor::Matrix {
-        let w_out = self.params.value(self.items_out);
-        crate::common::batched_query_scores(users, sequences, w_out.cols(), w_out, |u, s| self.query_vector(u, s))
-    }
-
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        Some(ham_core::LinearHead::new(self.params.value(self.items_out), move |u, s| self.query_vector(u, s)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +236,6 @@ mod tests {
         let scores = model.score_all(3, &seqs[3]);
         assert_eq!(scores.len(), model.num_items());
         assert!(scores.iter().all(|s| s.is_finite()));
-        assert_eq!(model.name(), "HGN");
     }
 
     #[test]

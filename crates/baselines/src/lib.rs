@@ -20,6 +20,11 @@
 //! run-time and accuracy comparisons across methods exercise identical data
 //! paths.
 //!
+//! Every baseline scores through the same trait as the HAM models,
+//! [`ham_core::Scorer`]: each implements only its query vector and its
+//! candidate matrix `W`, and scoring, batching, top-k and serving
+//! (`ham_serve::ServingModel::from_scorer`) are provided once.
+//!
 //! These are architectural reproductions, not bit-exact ports of the authors'
 //! PyTorch code (see DESIGN.md §4, substitution 2): each model keeps the
 //! mechanism the paper credits it for (convolution / attention / gating) with
@@ -28,8 +33,9 @@
 //! ## Example
 //!
 //! ```
-//! use ham_baselines::{Hgn, HgnConfig, SequentialRecommender};
 //! use ham_baselines::common::BaselineTrainConfig;
+//! use ham_baselines::{Hgn, HgnConfig};
+//! use ham_core::Scorer;
 //! use ham_data::synthetic::DatasetProfile;
 //!
 //! let data = DatasetProfile::tiny("baseline-doc").generate(3);
@@ -53,7 +59,7 @@ pub mod sasrec;
 
 pub use bprmf::{BprMf, BprMfConfig};
 pub use caser::{Caser, CaserConfig};
-pub use common::{BaselineTrainConfig, SequentialRecommender};
+pub use common::BaselineTrainConfig;
 pub use gru4rec::{Gru4Rec, Gru4RecConfig};
 pub use hgn::{Hgn, HgnConfig};
 pub use poprec::PopRec;

@@ -4,18 +4,19 @@
 //! sequential model that does not beat popularity on the synthetic data has a
 //! training problem, so the integration tests use it as a floor.
 
-use crate::common::SequentialRecommender;
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
+use ham_tensor::Matrix;
 
 /// A non-personalised popularity recommender.
 ///
 /// The counts are stored as an `n × 1` matrix so popularity fits the same
-/// linear scoring head as every other model: the "query" is the constant
+/// `Scorer` shape as every other model: the "query" is the constant
 /// `[1.0]` and `r_j = 1.0 · count_j` reproduces the counts exactly, which
 /// lets the sharded serving layer treat PopRec like any factorised scorer.
 #[derive(Debug, Clone)]
 pub struct PopRec {
-    scores: ham_tensor::Matrix,
+    scores: Matrix,
 }
 
 impl PopRec {
@@ -27,7 +28,7 @@ impl PopRec {
                 counts[item] += 1.0;
             }
         }
-        Self { scores: ham_tensor::Matrix::from_vec(num_items, 1, counts) }
+        Self { scores: Matrix::from_vec(num_items, 1, counts) }
     }
 
     /// The raw popularity count of an item.
@@ -36,37 +37,15 @@ impl PopRec {
     }
 }
 
-impl SequentialRecommender for PopRec {
-    fn name(&self) -> &'static str {
-        "PopRec"
+/// The popularity column scored by the constant query `[1.0]`:
+/// `r_j = 1.0 · count_j` is the count itself, bit for bit.
+impl Scorer for PopRec {
+    fn candidates(&self) -> &Matrix {
+        &self.scores
     }
 
-    fn num_items(&self) -> usize {
-        self.scores.rows()
-    }
-
-    fn score_all(&self, _user: usize, _sequence: &[ItemId]) -> Vec<f32> {
-        self.scores.as_slice().to_vec()
-    }
-
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> ham_tensor::Matrix {
-        assert_eq!(
-            users.len(),
-            sequences.len(),
-            "score_batch: {} users but {} sequences",
-            users.len(),
-            sequences.len()
-        );
-        // Popularity is user-independent: tile the same score row.
-        let mut out = ham_tensor::Matrix::zeros(users.len(), self.scores.rows());
-        for i in 0..users.len() {
-            out.row_mut(i).copy_from_slice(self.scores.as_slice());
-        }
-        out
-    }
-
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        Some(ham_core::LinearHead::new(&self.scores, |_u, _s| vec![1.0]))
+    fn query_vector(&self, _user: usize, _history: &[ItemId]) -> Vec<f32> {
+        vec![1.0]
     }
 }
 
@@ -80,7 +59,6 @@ mod tests {
         assert_eq!(model.popularity(1), 3.0);
         assert_eq!(model.popularity(3), 0.0);
         assert_eq!(model.num_items(), 4);
-        assert_eq!(model.name(), "PopRec");
     }
 
     #[test]

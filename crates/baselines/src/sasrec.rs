@@ -11,10 +11,9 @@
 //! almost every dataset), no layer normalisation or dropout, and the BPR loss
 //! of the shared harness instead of per-position binary cross-entropy.
 
-use crate::common::{
-    bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, SequentialRecommender, TrainInstance,
-};
+use crate::common::{bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainConfig, TrainInstance};
 use ham_autograd::{Graph, ParamId, ParamStore, VarId};
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
 use ham_tensor::matrix::dot;
 use ham_tensor::Matrix;
@@ -57,7 +56,6 @@ pub struct SasRec {
     config: SasRecConfig,
     params: ParamStore,
     ids: SasRecParams,
-    num_items: usize,
 }
 
 impl SasRec {
@@ -98,7 +96,7 @@ impl SasRec {
             },
         );
 
-        Self { config: *config, params, ids, num_items }
+        Self { config: *config, params, ids }
     }
 
     /// Builds the last-position representation of the attention block.
@@ -167,13 +165,6 @@ impl SasRec {
         ham_tensor::ops::softmax_in_place(&mut scores);
         window.into_iter().zip(scores).collect()
     }
-
-    fn query_vector(&self, sequence: &[ItemId]) -> Vec<f32> {
-        let window = fixed_window(sequence, self.config.seq_len);
-        let mut g = Graph::new();
-        let q = Self::query_node(&self.params, &mut g, &self.ids, &self.config, &window);
-        g.value(q).row(0).to_vec()
-    }
 }
 
 /// Builds the additive causal mask: 0 on and below the diagonal, a large
@@ -188,27 +179,18 @@ fn causal_mask(len: usize) -> Matrix {
     mask
 }
 
-impl SequentialRecommender for SasRec {
-    fn name(&self) -> &'static str {
-        "SASRec"
+/// The attention block's output at the last position is the query, scored
+/// against the shared item table.
+impl Scorer for SasRec {
+    fn candidates(&self) -> &Matrix {
+        self.params.value(self.ids.items)
     }
 
-    fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    fn score_all(&self, _user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let q = self.query_vector(sequence);
-        self.params.value(self.ids.items).matvec_transposed(&q)
-    }
-
-    fn score_batch(&self, users: &[usize], sequences: &[&[ItemId]]) -> ham_tensor::Matrix {
-        let e = self.params.value(self.ids.items);
-        crate::common::batched_query_scores(users, sequences, e.cols(), e, |_, s| self.query_vector(s))
-    }
-
-    fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        Some(ham_core::LinearHead::new(self.params.value(self.ids.items), move |_u, s| self.query_vector(s)))
+    fn query_vector(&self, _user: usize, history: &[ItemId]) -> Vec<f32> {
+        let window = fixed_window(history, self.config.seq_len);
+        let mut g = Graph::new();
+        let q = Self::query_node(&self.params, &mut g, &self.ids, &self.config, &window);
+        g.value(q).row(0).to_vec()
     }
 }
 
@@ -239,7 +221,6 @@ mod tests {
         let scores = model.score_all(0, &seqs[0]);
         assert_eq!(scores.len(), model.num_items());
         assert!(scores.iter().all(|s| s.is_finite()));
-        assert_eq!(model.name(), "SASRec");
         assert_eq!(model.config().seq_len, 5);
     }
 

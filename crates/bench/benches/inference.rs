@@ -2,11 +2,9 @@
 //! Caser, SASRec and HGN baselines (all scoring the full catalogue).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ham_baselines::{
-    BaselineTrainConfig, Caser, CaserConfig, Hgn, HgnConfig, SasRec, SasRecConfig, SequentialRecommender,
-};
+use ham_baselines::{BaselineTrainConfig, Caser, CaserConfig, Hgn, HgnConfig, SasRec, SasRecConfig};
 use ham_bench::{bench_dataset, quick_ham};
-use ham_core::HamVariant;
+use ham_core::{HamVariant, Scorer};
 use std::hint::black_box;
 
 fn inference_benchmarks(c: &mut Criterion) {

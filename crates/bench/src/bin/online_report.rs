@@ -26,7 +26,7 @@
 //! Run from the repository root: `cargo run --release -p ham-bench --bin
 //! online_report` (append `-- --quick` for the CI smoke configuration).
 
-use ham_core::{train, HamConfig, HamModel, HamVariant, TrainConfig};
+use ham_core::{train, HamConfig, HamModel, HamVariant, Scorer, TrainConfig};
 use ham_data::synthetic::DatasetProfile;
 use ham_online::{OnlineConfig, OnlineTrainer, RoundReport};
 use ham_serve::{RecServer, RecommendRequest, ServerConfig};

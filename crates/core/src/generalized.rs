@@ -17,13 +17,15 @@
 
 use crate::config::{HamConfig, TrainConfig};
 use crate::model::HamModel;
+use crate::scorer::Scorer;
 use crate::synergy::WindowAssociation;
 use crate::trainer::train as train_base;
 use ham_data::dataset::ItemId;
 use ham_data::window::recent_window;
 use ham_tensor::matrix::dot;
-use ham_tensor::Pooling;
+use ham_tensor::{Matrix, Pooling};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of a multi-window HAM model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,8 +141,25 @@ impl GeneralizedHamModel {
         &self.base
     }
 
-    /// The multi-window query vector `q` such that `r_ij = q·w_j`.
-    pub fn query_vector(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
+    /// The extra inner product added by `w`-sized windows beyond the base
+    /// model (useful for analysing what the intermediate orders contribute).
+    pub fn window_contribution(&self, window_len: usize, sequence: &[ItemId], item: ItemId) -> f32 {
+        let v = self.base.input_item_embeddings();
+        let window = recent_window(sequence, window_len);
+        let mut association = WindowAssociation::new(self.config.d, self.config.pooling, 1);
+        association.compute(v, &window);
+        dot(&association.pooled, self.base.candidate_item_embeddings().row(item))
+    }
+}
+
+/// The multi-window query `q` (every window's association summed, plus the
+/// user term) against the base model's `W`, which a serving snapshot shares.
+impl Scorer for GeneralizedHamModel {
+    fn candidates(&self) -> &Matrix {
+        self.base.candidate_item_embeddings()
+    }
+
+    fn query_vector(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
         assert!(!sequence.is_empty(), "query_vector: the user's sequence must not be empty");
         let v = self.base.input_item_embeddings();
         let mut q = vec![0.0f32; self.config.d];
@@ -164,55 +183,8 @@ impl GeneralizedHamModel {
         q
     }
 
-    /// Scores every catalogue item for the user in one fused `W · q` pass.
-    pub fn score_all(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let q = self.query_vector(user, sequence);
-        self.base.candidate_item_embeddings().matvec_transposed(&q)
-    }
-
-    /// Scores every catalogue item for a batch of users with one blocked
-    /// `Q · Wᵀ` GEMM (row `i` matches `score_all(users[i], histories[i])`
-    /// within 1e-5).
-    ///
-    /// # Panics
-    /// Panics if `users` and `histories` differ in length.
-    pub fn score_batch(&self, users: &[usize], histories: &[&[ItemId]]) -> ham_tensor::Matrix {
-        crate::scorer::batched_query_scores(
-            users,
-            histories,
-            self.config.d,
-            self.base.candidate_item_embeddings(),
-            |u, h| self.query_vector(u, h),
-        )
-    }
-
-    /// Recommends the `k` highest-scoring items, optionally excluding already
-    /// seen items (skipped during the top-k scan through a catalogue bitmap —
-    /// the fused mask+select path — rather than written as `-inf` scores).
-    pub fn recommend_top_k(&self, user: usize, sequence: &[ItemId], k: usize, exclude_seen: bool) -> Vec<ItemId> {
-        let scores = self.score_all(user, sequence);
-        if exclude_seen {
-            let mut mask = crate::scorer::SeenMask::new(self.base.num_items());
-            mask.mark(sequence);
-            ham_tensor::ops::top_k_indices_masked(&scores, k, mask.bits())
-        } else {
-            ham_tensor::ops::top_k_indices(&scores, k)
-        }
-    }
-
-    /// The extra inner product added by `w`-sized windows beyond the base
-    /// model (useful for analysing what the intermediate orders contribute).
-    pub fn window_contribution(&self, window_len: usize, sequence: &[ItemId], item: ItemId) -> f32 {
-        let v = self.base.input_item_embeddings();
-        let window = recent_window(sequence, window_len);
-        let mut association = WindowAssociation::new(self.config.d, self.config.pooling, 1);
-        association.compute(v, &window);
-        dot(&association.pooled, self.base.candidate_item_embeddings().row(item))
-    }
-
-    /// Reference to a `Matrix` accessor used by integration tests.
-    pub fn num_items(&self) -> usize {
-        self.base.num_items()
+    fn shared_candidates(&self) -> Option<Arc<Matrix>> {
+        self.base.shared_candidates()
     }
 }
 

@@ -25,8 +25,9 @@
 //! * [`synergy`] — the closed form of the recursive order-`p` synergies.
 //! * [`trainer`] — BPR training: a fast manual-gradient path and an
 //!   autograd-backed reference path (the two are cross-checked in tests).
-//! * [`scorer`] — batch scoring and the seen-item mask shared with the
-//!   evaluation harness.
+//! * [`scorer`] — the [`Scorer`] trait every model in the workspace
+//!   implements (a query vector against a candidate matrix; scoring,
+//!   batching and top-k provided once) and the seen-item mask.
 //! * [`serialize`] — JSON snapshots of trained models.
 //!
 //! ## Quickstart
@@ -59,5 +60,5 @@ pub mod trainer;
 pub use config::{HamConfig, HamVariant, TrainConfig};
 pub use generalized::{GeneralizedHamConfig, GeneralizedHamModel};
 pub use model::HamModel;
-pub use scorer::{score_candidates, LinearHead, Scorer, SeenMask};
+pub use scorer::{Scorer, SeenMask};
 pub use trainer::{train, train_with_history, EpochStats, TrainerState};

@@ -2,12 +2,11 @@
 //! and top-k recommendation.
 
 use crate::config::HamConfig;
-use crate::scorer::SeenMask;
+use crate::scorer::Scorer;
 use crate::synergy::{pool_window_into, WindowAssociation};
 use ham_data::dataset::ItemId;
 use ham_data::window::recent_window;
 use ham_tensor::matrix::dot;
-use ham_tensor::ops::{top_k_indices, top_k_indices_masked};
 use ham_tensor::{Matrix, Pooling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,30 +172,25 @@ impl HamModel {
         q
     }
 
-    /// Scores every item in the catalogue for the user (Eq. 7/8).
-    ///
-    /// Computed as one fused `W · q` pass over the candidate-embedding matrix
-    /// ([`Matrix::matvec_transposed`]) instead of a per-item dot loop.
+    // `num_items`, `query_vector`, `score_all` and `score_batch` stay
+    // inherent besides the trait: callers that do not import `Scorer` (the
+    // benchmark package among them) name them directly. The last two are
+    // the trait's bodies.
+
+    /// Scores every item in the catalogue for the user (Eq. 7/8): one fused
+    /// `W · q` pass, [`Scorer::score_all`].
     pub fn score_all(&self, user: usize, sequence: &[ItemId]) -> Vec<f32> {
-        let q = self.query_vector(user, sequence);
-        self.item_emb_out.matvec_transposed(&q)
+        Scorer::score_all(self, user, sequence)
     }
 
-    /// Scores every catalogue item for a batch of users in one blocked GEMM.
-    ///
-    /// Builds the query matrix `Q` (one [`Self::query_vector`] per row) once
-    /// and computes `Q · Wᵀ`, returning a `users.len() × num_items` score
-    /// matrix whose row `i` equals `score_all(users[i], histories[i])` up to
-    /// float-rounding (≤ 1e-5). This is the test-time fast path behind
-    /// `ham_eval::protocol::evaluate_batch`.
+    /// Scores every catalogue item for a batch of users in one blocked GEMM,
+    /// [`Scorer::score_batch`].
     ///
     /// # Panics
     /// Panics if `users` and `histories` differ in length, any user is out of
     /// range, or any history is empty.
     pub fn score_batch(&self, users: &[usize], histories: &[&[ItemId]]) -> Matrix {
-        crate::scorer::batched_query_scores(users, histories, self.config.d, &self.item_emb_out, |u, h| {
-            self.query_vector(u, h)
-        })
+        Scorer::score_batch(self, users, histories)
     }
 
     /// Scores only the given candidate items.
@@ -205,45 +199,24 @@ impl HamModel {
         candidates.iter().map(|&j| dot(&q, self.item_emb_out.row(j))).collect()
     }
 
-    /// Recommends the `k` highest-scoring items, optionally excluding items
-    /// the user has already interacted with.
-    pub fn recommend_top_k(&self, user: usize, sequence: &[ItemId], k: usize, exclude_seen: bool) -> Vec<ItemId> {
-        let mut mask = SeenMask::new(self.num_items);
-        self.recommend_top_k_with(user, sequence, k, exclude_seen, &mut mask)
-    }
-
-    /// Like [`Self::recommend_top_k`], reusing a caller-owned [`SeenMask`] so
-    /// a serving loop recommending for many users allocates the catalogue
-    /// bitmap once instead of per call.
-    ///
-    /// The ranking runs through the fused mask+select kernel
-    /// ([`top_k_indices_masked`]): seen items are skipped during the top-k
-    /// scan via the bitmap instead of being overwritten with `-inf` in the
-    /// score buffer, which keeps the buffer clean and the masking cost at
-    /// O(history) marks plus O(history) clears.
-    pub fn recommend_top_k_with(
-        &self,
-        user: usize,
-        sequence: &[ItemId],
-        k: usize,
-        exclude_seen: bool,
-        mask: &mut SeenMask,
-    ) -> Vec<ItemId> {
-        let scores = self.score_all(user, sequence);
-        if exclude_seen {
-            mask.mark(sequence);
-            let top = top_k_indices_masked(&scores, k, mask.bits());
-            mask.clear(sequence);
-            top
-        } else {
-            top_k_indices(&scores, k)
-        }
-    }
-
     /// Returns true when every embedding value is finite; used as a training
     /// sanity check.
     pub fn is_finite(&self) -> bool {
         self.user_emb.all_finite() && self.item_emb_in.all_finite() && self.item_emb_out.all_finite()
+    }
+}
+
+impl Scorer for HamModel {
+    fn candidates(&self) -> &Matrix {
+        &self.item_emb_out
+    }
+
+    fn query_vector(&self, user: usize, history: &[ItemId]) -> Vec<f32> {
+        HamModel::query_vector(self, user, history)
+    }
+
+    fn shared_candidates(&self) -> Option<Arc<Matrix>> {
+        Some(Arc::clone(&self.item_emb_out))
     }
 }
 

@@ -19,9 +19,11 @@
 use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig, TrainerState};
 use ham_data::batch::BatchSampler;
 use ham_data::synthetic::DatasetProfile;
+use ham_tensor::kernels;
 use ham_tensor::pool::global_pool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// Allocations (fresh or resizing) made by any thread of the process.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -96,6 +98,28 @@ fn scope_allocations(tasks: usize) -> u64 {
     counted(run).1
 }
 
+/// Makes one kernel call on every worker of the global pool, so each
+/// worker's first-use thread-locals (its kernel counter cell, leased on its
+/// first kernel call) exist before anything is counted. A warm-up run alone
+/// does not do this: which workers take its tasks is up to the scheduler,
+/// and a worker left out leases its cell in whichever counted run first
+/// hands it a task. Each of the pool's `threads()` tasks waits at a barrier
+/// that opens only once all of them run, so every worker takes exactly one.
+fn warm_every_pool_worker() {
+    let pool = global_pool();
+    let barrier = Arc::new(Barrier::new(pool.threads() + 1));
+    for _ in 0..pool.threads() {
+        let barrier = Arc::clone(&barrier);
+        pool.spawn(move || {
+            barrier.wait();
+            std::hint::black_box(kernels::dot(&[1.0; 8], &[1.0; 8]));
+            barrier.wait();
+        });
+    }
+    barrier.wait();
+    barrier.wait();
+}
+
 /// Allocations of the second and the third `TrainerState` round of one
 /// epoch each on one sampler.
 fn later_round_allocations(data: &ham_data::dataset::SequenceDataset, config: &HamConfig) -> (u64, u64) {
@@ -114,13 +138,14 @@ fn training_allocates_nothing_per_batch() {
     let data = DatasetProfile::tiny("train-allocations").generate(6);
     let config = HamConfig::for_variant(HamVariant::HamSM).with_dimensions(16, 5, 2, 3, 2);
     let cases = [(256, 1), (600, 1), (600, 2)];
+    warm_every_pool_worker();
     for (batch_size, num_threads) in cases {
         let run = |epochs: usize| {
             let tc = TrainConfig { epochs, batch_size, num_threads, ..TrainConfig::default() };
             counted(|| train_with_history(&data.sequences, data.num_items, &config, &tc, 3))
         };
-        // A first run pays the process's one-time costs (the pool's
-        // workers, per-thread kernel counters).
+        // A first run pays the process's other one-time costs (the
+        // calling thread's counter cell, lazily built state).
         run(1);
         let ((_, short), short_allocations) = run(2);
         let ((_, long), long_allocations) = run(4);

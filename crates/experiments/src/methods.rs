@@ -4,9 +4,8 @@
 use crate::runner::ExperimentConfig;
 use ham_baselines::{
     BaselineTrainConfig, Caser, CaserConfig, Gru4Rec, Gru4RecConfig, Hgn, HgnConfig, PopRec, SasRec, SasRecConfig,
-    SequentialRecommender,
 };
-use ham_core::{train as train_ham, HamConfig, HamVariant, TrainConfig};
+use ham_core::{train as train_ham, HamConfig, HamVariant, Scorer, TrainConfig};
 use ham_data::dataset::ItemId;
 
 /// A method column of Tables 3–8.
@@ -25,43 +24,6 @@ pub enum Method {
     PopRec,
     /// A HAM variant (the paper's contribution).
     Ham(HamVariant),
-}
-
-/// A trained method that can score the catalogue for a user.
-pub enum TrainedMethod {
-    /// A trained HAM model.
-    Ham(ham_core::HamModel),
-    /// A trained baseline behind the common scoring trait.
-    Baseline(Box<dyn SequentialRecommender + Send + Sync>),
-}
-
-impl TrainedMethod {
-    /// Scores every catalogue item for `user` given their history.
-    pub fn score_all(&self, user: usize, history: &[ItemId]) -> Vec<f32> {
-        match self {
-            TrainedMethod::Ham(model) => model.score_all(user, history),
-            TrainedMethod::Baseline(model) => model.score_all(user, history),
-        }
-    }
-
-    /// Scores every catalogue item for a batch of users (one blocked GEMM for
-    /// the linear-head methods; row `i` matches `score_all` within 1e-5).
-    pub fn score_batch(&self, users: &[usize], histories: &[&[ItemId]]) -> ham_tensor::Matrix {
-        match self {
-            TrainedMethod::Ham(model) => model.score_batch(users, histories),
-            TrainedMethod::Baseline(model) => model.score_batch(users, histories),
-        }
-    }
-
-    /// The method's linear scoring head (`r = q · Wᵀ`), used to package any
-    /// trained method into a sharded `ham-serve` serving snapshot. Every
-    /// method in this enum has one.
-    pub fn linear_head(&self) -> Option<ham_core::LinearHead<'_>> {
-        match self {
-            TrainedMethod::Ham(model) => ham_core::Scorer::linear_head(model),
-            TrainedMethod::Baseline(model) => model.linear_head(),
-        }
-    }
 }
 
 impl Method {
@@ -101,7 +63,8 @@ impl Method {
         matches!(self, Method::Ham(_))
     }
 
-    /// Trains the method on per-user training sequences.
+    /// Trains the method on per-user training sequences; every method comes
+    /// back behind the one scoring trait.
     ///
     /// `windows` is the `(n_h, n_l, n_p, p)` tuple from the paper's best
     /// parameters for the dataset (baselines use `n_h` as their window length
@@ -112,7 +75,7 @@ impl Method {
         num_items: usize,
         windows: (usize, usize, usize, usize),
         config: &ExperimentConfig,
-    ) -> TrainedMethod {
+    ) -> Box<dyn Scorer + Send + Sync> {
         let (n_h, n_l, n_p, p) = windows;
         let baseline_cfg = BaselineTrainConfig {
             epochs: config.epochs,
@@ -121,47 +84,23 @@ impl Method {
             weight_decay: config.weight_decay,
         };
         match self {
-            Method::PopRec => TrainedMethod::Baseline(Box::new(PopRec::fit(train_sequences, num_items))),
+            Method::PopRec => Box::new(PopRec::fit(train_sequences, num_items)),
             Method::Caser => {
                 let cfg =
                     CaserConfig { d: config.d, seq_len: n_h, targets: n_p, vertical_filters: 2, horizontal_filters: 4 };
-                TrainedMethod::Baseline(Box::new(Caser::fit(
-                    train_sequences,
-                    num_items,
-                    &cfg,
-                    &baseline_cfg,
-                    config.seed,
-                )))
+                Box::new(Caser::fit(train_sequences, num_items, &cfg, &baseline_cfg, config.seed))
             }
             Method::SasRec => {
                 let cfg = SasRecConfig { d: config.d, seq_len: n_h.max(2), targets: n_p };
-                TrainedMethod::Baseline(Box::new(SasRec::fit(
-                    train_sequences,
-                    num_items,
-                    &cfg,
-                    &baseline_cfg,
-                    config.seed,
-                )))
+                Box::new(SasRec::fit(train_sequences, num_items, &cfg, &baseline_cfg, config.seed))
             }
             Method::Hgn => {
                 let cfg = HgnConfig { d: config.d, seq_len: n_h, targets: n_p };
-                TrainedMethod::Baseline(Box::new(Hgn::fit(
-                    train_sequences,
-                    num_items,
-                    &cfg,
-                    &baseline_cfg,
-                    config.seed,
-                )))
+                Box::new(Hgn::fit(train_sequences, num_items, &cfg, &baseline_cfg, config.seed))
             }
             Method::Gru4Rec => {
                 let cfg = Gru4RecConfig { d: config.d, seq_len: n_h, targets: n_p };
-                TrainedMethod::Baseline(Box::new(Gru4Rec::fit(
-                    train_sequences,
-                    num_items,
-                    &cfg,
-                    &baseline_cfg,
-                    config.seed,
-                )))
+                Box::new(Gru4Rec::fit(train_sequences, num_items, &cfg, &baseline_cfg, config.seed))
             }
             Method::Ham(variant) => {
                 let mut ham_cfg = HamConfig::for_variant(*variant);
@@ -177,7 +116,7 @@ impl Method {
                     weight_decay: config.weight_decay,
                     ..TrainConfig::default()
                 };
-                TrainedMethod::Ham(train_ham(train_sequences, num_items, &ham_cfg, &train_cfg, config.seed))
+                Box::new(train_ham(train_sequences, num_items, &ham_cfg, &train_cfg, config.seed))
             }
         }
     }

@@ -54,7 +54,7 @@ pub fn run_param_study(profile: &DatasetProfile, config: &ExperimentConfig) -> V
             ..TrainConfig::default()
         };
         let model = train(&train_sequences, split.num_items, &ham_cfg, &train_cfg, config.seed);
-        let report = evaluate_trained(&crate::methods::TrainedMethod::Ham(model), &split, &eval_cfg);
+        let report = evaluate_trained(&model, &split, &eval_cfg);
         rows.push(ParamStudyRow {
             parameter,
             d,

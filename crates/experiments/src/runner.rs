@@ -2,7 +2,8 @@
 //! evaluation under one of the paper's three settings.
 
 use crate::configs::paper_best_params;
-use crate::methods::{Method, TrainedMethod};
+use crate::methods::Method;
+use ham_core::Scorer;
 use ham_data::dataset::SequenceDataset;
 use ham_data::split::{split_dataset, DataSplit, EvalSetting};
 use ham_data::synthetic::DatasetProfile;
@@ -116,7 +117,7 @@ pub fn run_methods_on_split(
             let start = Instant::now();
             let trained = method.fit(&train_sequences, split.num_items, windows, config);
             let train_seconds = start.elapsed().as_secs_f64();
-            let report = evaluate_trained(&trained, split, &eval_cfg);
+            let report = evaluate_trained(trained.as_ref(), split, &eval_cfg);
             MethodResult { method: method.name().to_string(), report, train_seconds }
         })
         .collect()
@@ -127,7 +128,7 @@ pub fn run_methods_on_split(
 /// `eval_threads > 1` the user chunks fan out over the shared worker pool —
 /// grid searches evaluating thousands of configurations reuse the same
 /// persistent workers instead of spawning scoped threads per call.
-pub fn evaluate_trained(trained: &TrainedMethod, split: &DataSplit, eval_cfg: &EvalConfig) -> EvalReport {
+pub fn evaluate_trained(trained: &(dyn Scorer + Sync), split: &DataSplit, eval_cfg: &EvalConfig) -> EvalReport {
     evaluate_batch(split, eval_cfg, |users, histories| trained.score_batch(users, histories))
 }
 

@@ -3,7 +3,8 @@
 //! and maximum sequence length.
 
 use crate::runner::{prepare_dataset, ExperimentConfig};
-use ham_baselines::{BaselineTrainConfig, SasRec, SasRecConfig, SequentialRecommender};
+use ham_baselines::{BaselineTrainConfig, SasRec, SasRecConfig};
+use ham_core::Scorer;
 use ham_data::split::{split_dataset, EvalSetting};
 use ham_data::synthetic::DatasetProfile;
 use ham_eval::protocol::{evaluate, EvalConfig};

@@ -690,8 +690,8 @@ fn shadow_evaluate(live: &ServingModel, candidate: &ServingModel, probes: &[Prob
 /// table — so publishing does not copy the embedding tables a second time.
 fn freeze(model: HamModel, shards: usize, quantize: bool, ivf: Option<IvfConfig>, round: u64) -> ServingModel {
     let serving = ServingModel::from_scorer(&format!("ham-online-r{round}"), Arc::new(model), shards.max(1))
-        // ham-lint: allow(panic, "HamModel::linear_head is total — every HAM model exposes its output embeddings")
-        .expect("HAM models always expose a linear head");
+        // ham-lint: allow(panic, "from_scorer is always Some")
+        .expect("from_scorer always builds a snapshot");
     let serving = if quantize { serving.with_quantized_catalog() } else { serving };
     match ivf {
         Some(config) => serving.with_cluster_index(&config),

@@ -11,7 +11,7 @@
 //!
 //! * [`shard`] — [`ShardedCatalog`]: the candidate matrix `W` split row-wise
 //!   into per-worker shards — row ranges of one shared `W`, the model's own
-//!   table when its head shares it, never a copy per shard. Each shard is
+//!   table when the model shares it, never a copy per shard. Each shard is
 //!   scored in place with the existing GEMV /
 //!   packed-panel GEMM kernels, seen items are masked shard-locally through
 //!   the fused mask+select top-k (no `-inf` writes), and the per-shard top-k
@@ -20,8 +20,8 @@
 //! * [`model`] — [`ServingModel`]: a frozen serving snapshot (sharded
 //!   catalogue + owned query builder; a HAM snapshot shares the model's
 //!   output table instead of copying it) constructed from any
-//!   [`ham_core::Scorer`] or anything else with a [`ham_core::LinearHead`]
-//!   (all `ham-baselines` recommenders qualify).
+//!   [`ham_core::Scorer`]: every HAM variant and every `ham-baselines`
+//!   recommender.
 //! * [`registry`] — [`ModelRegistry`]: versioned `Arc` hot-swap, so a
 //!   retrained model is published without pausing traffic; in-flight
 //!   requests finish on the snapshot they started with.

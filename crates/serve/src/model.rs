@@ -4,7 +4,7 @@ use crate::ivf::IvfConfig;
 use crate::request::RecommendRequest;
 use crate::shard::{quantize_rows, FlatScratch, ScoredItem, ShardRun, ShardTally, ShardedCatalog};
 use crate::trace::StageTrace;
-use ham_core::{LinearHead, Scorer};
+use ham_core::Scorer;
 use ham_data::dataset::ItemId;
 use ham_tensor::kernels;
 use ham_tensor::ops::ranked_ahead;
@@ -14,13 +14,13 @@ use std::sync::Arc;
 
 /// A model snapshot prepared for online serving.
 ///
-/// Construction freezes the model's linear head into (1) a [`ShardedCatalog`]
-/// — the candidate matrix split row-wise across shards, as row ranges of the
-/// model's own table when its head shares it — and (2) an owned
-/// query builder, so the serving loop needs no lifetime ties back into the
-/// training-side model types. Build one from any [`Scorer`]
-/// ([`Self::from_scorer`]) or from anything else exposing a [`LinearHead`]
-/// ([`Self::from_head_fn`], used for the `ham-baselines` recommenders).
+/// Construction freezes a [`Scorer`] into (1) a [`ShardedCatalog`] — the
+/// candidate matrix split row-wise across shards, as row ranges of the
+/// model's own table when the model shares it — and (2) an owned query
+/// builder, so the serving loop needs no lifetime ties back into the
+/// training-side model types. Every model in the workspace is a [`Scorer`],
+/// the baselines included ([`Self::from_scorer`]); [`Self::from_parts`] takes
+/// a bare matrix and query closure.
 ///
 /// Results are **exact**: the single-request path ([`Self::recommend`])
 /// scores each shard with the same GEMV kernel the single-node
@@ -40,7 +40,7 @@ use std::sync::Arc;
 pub struct ServingModel {
     name: String,
     catalog: ShardedCatalog,
-    query: ham_core::scorer::QueryFn<'static>,
+    query: QueryFn,
     /// The freeze-time plan for a lone request ([`solo_fans_out`]).
     solo_fan_out: bool,
 }
@@ -62,43 +62,30 @@ fn solo_fans_out(catalog: &ShardedCatalog) -> bool {
     !catalog.is_clustered() && catalog.num_items() * catalog.dim() * 4 >= SOLO_FAN_OUT_MIN_BYTES
 }
 
+/// A snapshot's query builder: `(user, history)` to the query vector `q`.
+type QueryFn = Box<dyn Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync>;
+
 impl ServingModel {
-    /// Packages a sharded snapshot of `model` (any [`Scorer`] with a linear
-    /// head). Returns `None` if the model has no linear head.
+    /// Packages a sharded snapshot of `model`, any [`Scorer`]: HAM,
+    /// generalized HAM or a baseline. Always `Some`; the `Option` is kept
+    /// for callers written when a model could lack a linear head.
+    ///
+    /// A model that shares its candidate matrix
+    /// ([`Scorer::shared_candidates`], as the HAM models do) is not copied:
+    /// the shards are row ranges of the model's own table. Any other model
+    /// (the baselines) has its rows copied once, here. The query builder
+    /// calls the model's own [`Scorer::query_vector`], so the `Arc`'d model
+    /// is the only other thing kept alive.
     pub fn from_scorer<S>(name: &str, model: Arc<S>, num_shards: usize) -> Option<Self>
     where
-        S: Scorer + Send + Sync + 'static,
+        S: Scorer + Send + Sync + ?Sized + 'static,
     {
-        Self::from_head_fn(name, model, num_shards, |m| m.linear_head())
-    }
-
-    /// Packages a sharded snapshot of any model for which `head_fn` can
-    /// produce a [`LinearHead`] — e.g.
-    /// `ham_baselines::SequentialRecommender::linear_head`. Returns `None`
-    /// when `head_fn` does.
-    ///
-    /// A head that shares its candidate matrix ([`LinearHead::shared`], as
-    /// the HAM models' do) is not copied: the shards are row ranges of the
-    /// model's own table. A head over a plain borrow (the baselines) has its
-    /// rows copied once, here. The query builder re-derives the (cheap) head
-    /// per call, so the `Arc`'d model is the only other thing kept alive.
-    pub fn from_head_fn<S, F>(name: &str, model: Arc<S>, num_shards: usize, head_fn: F) -> Option<Self>
-    where
-        S: Send + Sync + 'static,
-        F: for<'m> Fn(&'m S) -> Option<LinearHead<'m>> + Send + Sync + 'static,
-    {
-        let catalog = {
-            let head = head_fn(&model)?;
-            match head.shared_candidates() {
-                Some(w) => ShardedCatalog::from_shared(w, num_shards),
-                None => ShardedCatalog::from_matrix(head.candidates(), num_shards),
-            }
+        let catalog = match model.shared_candidates() {
+            Some(w) => ShardedCatalog::from_shared(w, num_shards),
+            None => ShardedCatalog::from_matrix(model.candidates(), num_shards),
         };
         let catalog = with_env_retrieval(catalog);
-        let query = Box::new(move |user: usize, history: &[ItemId]| {
-            // ham-lint: allow(panic, "head_fn returned Some at construction and is a pure fn of the immutable model")
-            head_fn(&model).expect("model's linear head disappeared after construction").query_vector(user, history)
-        });
+        let query = Box::new(move |user: usize, history: &[ItemId]| model.query_vector(user, history));
         Some(Self::freeze(name.to_string(), catalog, query))
     }
 
@@ -127,7 +114,7 @@ impl ServingModel {
 
     /// Every constructor ends here: a lone request's plan is made once, from
     /// what the snapshot contains.
-    fn freeze(name: String, catalog: ShardedCatalog, query: ham_core::scorer::QueryFn<'static>) -> Self {
+    fn freeze(name: String, catalog: ShardedCatalog, query: QueryFn) -> Self {
         let solo_fan_out = solo_fans_out(&catalog);
         Self { name, catalog, query, solo_fan_out }
     }
@@ -596,10 +583,10 @@ mod tests {
     }
 
     /// A HAM snapshot is row ranges of the model's own output table, not a
-    /// copy of it; a `from_parts` catalogue and a baseline's head (a plain
-    /// borrow of its table) are copied.
+    /// copy of it; a `from_parts` catalogue and a baseline's table (which it
+    /// does not share) are copied.
     #[test]
-    fn from_scorer_shares_the_models_table_and_plain_heads_are_copied() {
+    fn from_scorer_shares_the_models_table_and_unshared_tables_are_copied() {
         let model = ham();
         let w = model.candidate_item_embeddings();
         let d = w.cols();
@@ -614,12 +601,9 @@ mod tests {
         assert_eq!(first, &w.as_slice()[..first.len()]);
 
         let pop = Arc::new(ham_baselines::PopRec::fit(&[vec![1, 2, 3], vec![3, 4]], 30));
-        let head = ham_baselines::SequentialRecommender::linear_head(&*pop).unwrap();
-        assert!(head.shared_candidates().is_none(), "a baseline's head borrows its table");
-        let baseline =
-            ServingModel::from_head_fn("pop", Arc::clone(&pop), 3, ham_baselines::SequentialRecommender::linear_head)
-                .unwrap();
-        assert_ne!(baseline.catalog().shard_rows(0).as_ptr(), head.candidates().as_slice().as_ptr());
+        assert!(pop.shared_candidates().is_none(), "a baseline owns its table");
+        let baseline = ServingModel::from_scorer("pop", Arc::clone(&pop), 3).unwrap();
+        assert_ne!(baseline.catalog().shard_rows(0).as_ptr(), pop.candidates().as_slice().as_ptr());
     }
 
     /// The int8 and IVF tiers derive their panels from a shard's range at

@@ -11,7 +11,7 @@
 
 use ham_baselines::{
     BaselineTrainConfig, BprMf, BprMfConfig, Caser, CaserConfig, Gru4Rec, Gru4RecConfig, Hgn, HgnConfig, PopRec,
-    SasRec, SasRecConfig, SequentialRecommender,
+    SasRec, SasRecConfig,
 };
 use ham_core::{HamConfig, HamModel, HamVariant, Scorer};
 use ham_serve::{merge_top_k, RecommendRequest, ScoredItem, ServingModel, ShardedCatalog};
@@ -30,19 +30,18 @@ fn histories() -> Vec<Vec<usize>> {
 /// Asserts that the quantized serving path of `model` is bit-identical —
 /// ids, order and scores — to the exact serving path, across shard counts
 /// 1..8, on both the GEMV (single request) and GEMM (batch) paths.
-fn assert_quantized_parity<S, F>(label: &str, model: Arc<S>, head_fn: F)
+fn assert_quantized_parity<S>(label: &str, model: Arc<S>)
 where
-    S: Send + Sync + 'static,
-    F: for<'m> Fn(&'m S) -> Option<ham_core::LinearHead<'m>> + Send + Sync + Clone + 'static,
+    S: Scorer + Send + Sync + 'static,
 {
     let histories = histories();
     let requests: Vec<RecommendRequest> =
         (0..NUM_USERS).map(|u| RecommendRequest::new(u, histories[u].clone(), K)).collect();
 
     for shards in 1..=8 {
-        let exact = ServingModel::from_head_fn(label, Arc::clone(&model), shards, head_fn.clone())
+        let exact = ServingModel::from_scorer(label, Arc::clone(&model), shards)
             .unwrap_or_else(|| panic!("{label} must expose a linear head"));
-        let quantized = ServingModel::from_head_fn(label, Arc::clone(&model), shards, head_fn.clone())
+        let quantized = ServingModel::from_scorer(label, Arc::clone(&model), shards)
             .unwrap_or_else(|| panic!("{label} must expose a linear head"))
             .with_quantized_catalog();
         assert!(quantized.is_quantized() && !exact.is_quantized());
@@ -85,7 +84,7 @@ fn every_ham_variant_serves_identically_when_quantized() {
         let p = if base.uses_synergies() { 2 } else { 1 };
         let config = base.with_dimensions(12, 4, base.n_l.min(2), 2, p);
         let model = Arc::new(HamModel::new(NUM_USERS, NUM_ITEMS, config, 17));
-        assert_quantized_parity(variant.name(), model, |s| s.linear_head());
+        assert_quantized_parity(variant.name(), model);
     }
 }
 
@@ -93,7 +92,7 @@ fn every_ham_variant_serves_identically_when_quantized() {
 fn every_baseline_serves_identically_when_quantized() {
     let histories = histories();
     let pop = Arc::new(PopRec::fit(&histories, NUM_ITEMS));
-    assert_quantized_parity("PopRec", pop, SequentialRecommender::linear_head);
+    assert_quantized_parity("PopRec", pop);
 
     let mf = Arc::new(BprMf::fit(
         &histories,
@@ -102,7 +101,7 @@ fn every_baseline_serves_identically_when_quantized() {
         &quick_train_config(),
         3,
     ));
-    assert_quantized_parity("BPR-MF", mf, SequentialRecommender::linear_head);
+    assert_quantized_parity("BPR-MF", mf);
 
     let caser = Arc::new(Caser::fit(
         &histories,
@@ -111,7 +110,7 @@ fn every_baseline_serves_identically_when_quantized() {
         &quick_train_config(),
         5,
     ));
-    assert_quantized_parity("Caser", caser, SequentialRecommender::linear_head);
+    assert_quantized_parity("Caser", caser);
 
     let sasrec = Arc::new(SasRec::fit(
         &histories,
@@ -120,7 +119,7 @@ fn every_baseline_serves_identically_when_quantized() {
         &quick_train_config(),
         7,
     ));
-    assert_quantized_parity("SASRec", sasrec, SequentialRecommender::linear_head);
+    assert_quantized_parity("SASRec", sasrec);
 
     let gru = Arc::new(Gru4Rec::fit(
         &histories,
@@ -129,7 +128,7 @@ fn every_baseline_serves_identically_when_quantized() {
         &quick_train_config(),
         9,
     ));
-    assert_quantized_parity("GRU4Rec", gru, SequentialRecommender::linear_head);
+    assert_quantized_parity("GRU4Rec", gru);
 
     let hgn = Arc::new(Hgn::fit(
         &histories,
@@ -138,7 +137,7 @@ fn every_baseline_serves_identically_when_quantized() {
         &quick_train_config(),
         11,
     ));
-    assert_quantized_parity("HGN", hgn, SequentialRecommender::linear_head);
+    assert_quantized_parity("HGN", hgn);
 }
 
 proptest! {

@@ -11,7 +11,7 @@
 
 use ham_baselines::{
     BaselineTrainConfig, BprMf, BprMfConfig, Caser, CaserConfig, Gru4Rec, Gru4RecConfig, Hgn, HgnConfig, PopRec,
-    SasRec, SasRecConfig, SequentialRecommender,
+    SasRec, SasRecConfig,
 };
 use ham_core::{HamConfig, HamModel, HamVariant, Scorer};
 use ham_faults::FaultInjector;
@@ -49,17 +49,16 @@ fn single_node_top_k(scores: &[f32], history: &[usize], k: usize) -> Vec<usize> 
 
 /// Asserts GEMV-path serving parity for one model across shard counts 1..8,
 /// and GEMM batch parity against the unsharded GEMM reference.
-fn assert_parity<S, F>(label: &str, model: Arc<S>, head_fn: F, score_all: impl Fn(usize, &[usize]) -> Vec<f32>)
+fn assert_parity<S>(label: &str, model: Arc<S>, score_all: impl Fn(usize, &[usize]) -> Vec<f32>)
 where
-    S: Send + Sync + 'static,
-    F: for<'m> Fn(&'m S) -> Option<ham_core::LinearHead<'m>> + Send + Sync + Clone + 'static,
+    S: Scorer + Send + Sync + 'static,
 {
     let histories = histories();
     let requests: Vec<RecommendRequest> =
         (0..NUM_USERS).map(|u| RecommendRequest::new(u, histories[u].clone(), K)).collect();
 
     for shards in 1..=8 {
-        let serving = ServingModel::from_head_fn(label, Arc::clone(&model), shards, head_fn.clone())
+        let serving = ServingModel::from_scorer(label, Arc::clone(&model), shards)
             .unwrap_or_else(|| panic!("{label} must expose a linear head"));
 
         // GEMV path: bit-identical to the single-node ranking.
@@ -70,10 +69,9 @@ where
         }
 
         // GEMM batch path: bit-identical to the unsharded GEMM ranking.
-        let head = head_fn(&model).unwrap();
         let history_refs: Vec<&[usize]> = histories.iter().map(|h| h.as_slice()).collect();
         let users: Vec<usize> = (0..NUM_USERS).collect();
-        let full = head.batch_queries(&users, &history_refs).matmul_transposed(head.candidates());
+        let full = model.score_batch(&users, &history_refs);
         let batched = serving.recommend_batch(&requests, None);
         for (i, request) in requests.iter().enumerate() {
             let got: Vec<usize> = batched[i].iter().map(|s| s.item).collect();
@@ -118,7 +116,7 @@ fn every_ham_variant_serves_identically_to_recommend_top_k() {
         }
 
         let m = Arc::clone(&model);
-        assert_parity(variant.name(), Arc::clone(&model), |s| s.linear_head(), move |u, h| m.score_all(u, h));
+        assert_parity(variant.name(), Arc::clone(&model), move |u, h| m.score_all(u, h));
     }
 }
 
@@ -127,7 +125,7 @@ fn poprec_and_bprmf_serve_identically() {
     let histories = histories();
     let pop = Arc::new(PopRec::fit(&histories, NUM_ITEMS));
     let p = Arc::clone(&pop);
-    assert_parity("PopRec", pop, SequentialRecommender::linear_head, move |u, h| p.score_all(u, h));
+    assert_parity("PopRec", pop, move |u, h| p.score_all(u, h));
 
     let mf = Arc::new(BprMf::fit(
         &histories,
@@ -137,7 +135,7 @@ fn poprec_and_bprmf_serve_identically() {
         3,
     ));
     let m = Arc::clone(&mf);
-    assert_parity("BPR-MF", mf, SequentialRecommender::linear_head, move |u, h| m.score_all(u, h));
+    assert_parity("BPR-MF", mf, move |u, h| m.score_all(u, h));
 }
 
 #[test]
@@ -151,7 +149,7 @@ fn deep_baselines_serve_identically() {
         5,
     ));
     let c = Arc::clone(&caser);
-    assert_parity("Caser", caser, SequentialRecommender::linear_head, move |u, h| c.score_all(u, h));
+    assert_parity("Caser", caser, move |u, h| c.score_all(u, h));
 
     let sasrec = Arc::new(SasRec::fit(
         &histories,
@@ -161,7 +159,7 @@ fn deep_baselines_serve_identically() {
         7,
     ));
     let s = Arc::clone(&sasrec);
-    assert_parity("SASRec", sasrec, SequentialRecommender::linear_head, move |u, h| s.score_all(u, h));
+    assert_parity("SASRec", sasrec, move |u, h| s.score_all(u, h));
 
     let gru = Arc::new(Gru4Rec::fit(
         &histories,
@@ -171,7 +169,7 @@ fn deep_baselines_serve_identically() {
         9,
     ));
     let g = Arc::clone(&gru);
-    assert_parity("GRU4Rec", gru, SequentialRecommender::linear_head, move |u, h| g.score_all(u, h));
+    assert_parity("GRU4Rec", gru, move |u, h| g.score_all(u, h));
 
     let hgn = Arc::new(Hgn::fit(
         &histories,
@@ -181,7 +179,7 @@ fn deep_baselines_serve_identically() {
         11,
     ));
     let h = Arc::clone(&hgn);
-    assert_parity("HGN", hgn, SequentialRecommender::linear_head, move |u, h2| h.score_all(u, h2));
+    assert_parity("HGN", hgn, move |u, h2| h.score_all(u, h2));
 }
 
 /// Rows per packed GEMM panel in `ham_tensor::kernels` (tiles are whole

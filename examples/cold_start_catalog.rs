@@ -8,12 +8,12 @@
 //! cargo run --example cold_start_catalog --release
 //! ```
 
-use ham::core::{train, HamConfig, HamVariant, TrainConfig};
+use ham::core::{train, HamConfig, HamVariant, Scorer, TrainConfig};
 use ham::data::split::{split_dataset, EvalSetting};
 use ham::data::synthetic::DatasetProfile;
 use ham::eval::protocol::{evaluate, EvalConfig};
 use ham::eval::timing::measure_scoring_time;
-use ham_baselines::{BaselineTrainConfig, Hgn, HgnConfig, SequentialRecommender};
+use ham_baselines::{BaselineTrainConfig, Hgn, HgnConfig};
 
 fn main() {
     // The sparsest profile in the paper: Amazon CDs.

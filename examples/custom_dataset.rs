@@ -10,7 +10,7 @@
 //! cargo run --example custom_dataset --release
 //! ```
 
-use ham::core::HamVariant;
+use ham::core::{HamVariant, Scorer};
 use ham::data::loader::{load_interactions, parse_interactions};
 use ham::data::preprocess::{preprocess, PreprocessConfig};
 use ham::data::split::{split_dataset, EvalSetting};

@@ -8,7 +8,7 @@
 //! cargo run --example movie_recommender --release
 //! ```
 
-use ham::core::{train, HamConfig, HamVariant, TrainConfig};
+use ham::core::{train, HamConfig, HamVariant, Scorer, TrainConfig};
 use ham::data::split::{split_dataset, EvalSetting};
 use ham::data::synthetic::DatasetProfile;
 use ham::eval::protocol::{evaluate, EvalConfig};

@@ -6,11 +6,11 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use ham::core::{train_with_history, HamConfig, HamVariant, TrainConfig};
+use ham::core::{train_with_history, HamConfig, HamVariant, Scorer, TrainConfig};
 use ham::data::split::{split_dataset, EvalSetting};
 use ham::data::synthetic::DatasetProfile;
 use ham::eval::protocol::{evaluate, EvalConfig};
-use ham_baselines::{PopRec, SequentialRecommender};
+use ham_baselines::PopRec;
 
 fn main() {
     // 1. Data: a scaled-down Amazon-CDs-like dataset.

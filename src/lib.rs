@@ -24,7 +24,7 @@
 //! ```
 //! use ham::data::synthetic::DatasetProfile;
 //! use ham::data::split::{split_dataset, EvalSetting};
-//! use ham::core::{train, HamConfig, HamVariant, TrainConfig};
+//! use ham::core::{train, HamConfig, HamVariant, Scorer, TrainConfig};
 //!
 //! let data = DatasetProfile::tiny("facade-doc").generate(1);
 //! let split = split_dataset(&data, EvalSetting::Cut8020);

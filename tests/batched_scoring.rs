@@ -9,7 +9,7 @@ use ham::core::{HamConfig, HamModel, HamVariant};
 use ham::data::split::{split_dataset, EvalSetting};
 use ham::data::SequenceDataset;
 use ham::eval::protocol::{evaluate, evaluate_batch, EvalConfig};
-use ham_baselines::{BprMf, BprMfConfig, Hgn, HgnConfig, PopRec, SequentialRecommender};
+use ham_baselines::{BprMf, BprMfConfig, Hgn, HgnConfig, PopRec};
 use ham_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -80,8 +80,9 @@ proptest! {
         }
     }
 
-    /// The `Scorer`-trait default batch path (row-by-row fallback) and the
-    /// GEMM override agree, so callers can rely on either entry point.
+    /// The `Scorer`-trait batch path (one GEMM) agrees with its per-user
+    /// rows (`score_all`, one GEMV each), so callers can rely on either
+    /// entry point.
     #[test]
     fn scorer_trait_fallback_agrees_with_gemm_override(seed in 0u64..200) {
         let model = variant_model(HamVariant::HamSM, seed);
@@ -89,11 +90,11 @@ proptest! {
         let users = [0usize, 1, 2];
         let refs: Vec<&[usize]> = histories.iter().map(|h| h.as_slice()).collect();
         let gemm = Scorer::score_batch(&model, &users, &refs);
-        let fallback = ham::core::scorer::score_batch_fallback(
-            Scorer::num_items(&model), &users, &refs, |u, s| model.score_all(u, s));
-        for i in 0..users.len() {
-            for j in 0..NUM_ITEMS {
-                prop_assert!((gemm.get(i, j) - fallback.get(i, j)).abs() <= 1e-5);
+        for (i, (&user, history)) in users.iter().zip(&refs).enumerate() {
+            let row = Scorer::score_all(&model, user, history);
+            prop_assert_eq!(row.len(), NUM_ITEMS);
+            for (&g, &r) in gemm.row(i).iter().zip(&row) {
+                prop_assert!((g - r).abs() <= 1e-5);
             }
         }
     }
@@ -156,14 +157,14 @@ fn baseline_score_batch_matches_score_all() {
         Hgn::fit(&data.sequences, data.num_items, &HgnConfig { d: 8, seq_len: 4, targets: 2 }, &Default::default(), 3);
     let poprec = PopRec::fit(&data.sequences, data.num_items);
 
-    let models: [&dyn SequentialRecommender; 3] = [&bprmf, &hgn, &poprec];
-    for model in models {
+    let models: [(&str, &dyn Scorer); 3] = [("BPR-MF", &bprmf), ("HGN", &hgn), ("PopRec", &poprec)];
+    for (name, model) in models {
         let batch = model.score_batch(&users, &history_refs);
-        assert_eq!(batch.shape(), (users.len(), data.num_items), "{}", model.name());
+        assert_eq!(batch.shape(), (users.len(), data.num_items), "{name}");
         for (i, (&u, h)) in users.iter().zip(&history_refs).enumerate() {
             let single = model.score_all(u, h);
             for (j, &s) in single.iter().enumerate() {
-                assert!((batch.get(i, j) - s).abs() <= 1e-5, "{}: user {u} item {j}", model.name());
+                assert!((batch.get(i, j) - s).abs() <= 1e-5, "{name}: user {u} item {j}");
             }
         }
     }

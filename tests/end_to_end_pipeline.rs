@@ -1,7 +1,7 @@
 //! End-to-end integration test: synthetic data generation → split → training
 //! → evaluation → serialization, across every crate of the workspace.
 
-use ham::core::{serialize, train, HamConfig, HamVariant, TrainConfig};
+use ham::core::{serialize, train, HamConfig, HamVariant, Scorer, TrainConfig};
 use ham::data::split::{split_dataset, EvalSetting};
 use ham::data::synthetic::DatasetProfile;
 use ham::eval::protocol::{evaluate, EvalConfig};

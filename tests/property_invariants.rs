@@ -3,7 +3,7 @@
 //! closed form, on randomly generated inputs.
 
 use ham::core::synergy::{apply_latent_cross, synergy_vector};
-use ham::core::{HamConfig, HamModel, HamVariant};
+use ham::core::{HamConfig, HamModel, HamVariant, Scorer};
 use ham::data::split::{split_sequence, EvalSetting};
 use ham::eval::metrics::{ndcg_at_k, recall_at_k};
 use ham_tensor::ops::top_k_indices;

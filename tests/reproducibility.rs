@@ -48,7 +48,8 @@ fn different_seeds_produce_different_models() {
 
 #[test]
 fn baseline_training_is_seed_deterministic() {
-    use ham_baselines::{BaselineTrainConfig, Hgn, HgnConfig, SequentialRecommender};
+    use ham::core::Scorer;
+    use ham_baselines::{BaselineTrainConfig, Hgn, HgnConfig};
     let dataset = DatasetProfile::tiny("repro-hgn").generate(4);
     let cfg = HgnConfig { d: 8, seq_len: 4, targets: 2 };
     let tc = BaselineTrainConfig { epochs: 1, batch_size: 64, ..BaselineTrainConfig::default() };
