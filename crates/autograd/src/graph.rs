@@ -77,25 +77,6 @@ enum Op {
         a: VarId,
         argmax: Vec<usize>,
     },
-    /// Mean pooling over consecutive row blocks of size `block`
-    /// (`(b·block, d)` → `(b, d)`; the batched form of [`Op::MeanRows`]).
-    MeanRowBlocks {
-        a: VarId,
-        block: usize,
-    },
-    /// Max pooling over consecutive row blocks; `argmax[b·d + c]` is the
-    /// within-block row offset that attained the maximum of output `(b, c)`.
-    MaxRowBlocks {
-        a: VarId,
-        block: usize,
-        argmax: Vec<usize>,
-    },
-    /// Each row of `a` repeated `times` times consecutively
-    /// (`(b, d)` → `(b·times, d)`).
-    RepeatRows {
-        a: VarId,
-        times: usize,
-    },
     SumAll {
         a: VarId,
     },
@@ -120,11 +101,6 @@ enum Op {
     SliceRows {
         a: VarId,
         start: usize,
-    },
-    /// Row-wise dot product of two equally-shaped matrices → column vector.
-    DotRows {
-        a: VarId,
-        b: VarId,
     },
     /// Adds a `1 x d` row vector `b` to every row of `a`.
     AddRowBroadcast {
@@ -267,18 +243,6 @@ impl Graph {
         self.push(value, Op::Transpose { a })
     }
 
-    /// Row-wise dot product of two equally-shaped matrices, producing an
-    /// `n x 1` column of scores.
-    pub fn dot_rows(&mut self, a: VarId, b: VarId) -> VarId {
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.shape(), vb.shape(), "dot_rows: shape mismatch");
-        let mut out = Matrix::zeros(va.rows(), 1);
-        for r in 0..va.rows() {
-            out.set(r, 0, dot(va.row(r), vb.row(r)));
-        }
-        self.push(out, Op::DotRows { a, b })
-    }
-
     // ------------------------------------------------------------------
     // Non-linearities
     // ------------------------------------------------------------------
@@ -335,49 +299,6 @@ impl Graph {
     pub fn max_rows(&mut self, a: VarId) -> VarId {
         let (pooled, argmax) = ham_tensor::pool::max_pool_rows(self.value(a));
         self.push(Matrix::row_vector(&pooled), Op::MaxRows { a, argmax })
-    }
-
-    /// Mean pooling over consecutive row blocks of size `block`: pools a
-    /// `(b·block, d)` value into `(b, d)`, each output row the mean of one
-    /// block. This is the batched form of [`Self::mean_rows`] — one node
-    /// pools every instance window of a mini-batch (bit-identical to pooling
-    /// each block alone).
-    ///
-    /// # Panics
-    /// Panics if `block == 0` or the row count is not a multiple of `block`.
-    pub fn mean_pool_blocks(&mut self, a: VarId, block: usize) -> VarId {
-        let pooled = ham_tensor::pool::mean_pool_row_blocks(self.value(a), block);
-        self.push(pooled, Op::MeanRowBlocks { a, block })
-    }
-
-    /// Max pooling over consecutive row blocks of size `block` (the batched
-    /// form of [`Self::max_rows`]; see [`Self::mean_pool_blocks`]).
-    ///
-    /// # Panics
-    /// Panics if `block == 0` or the row count is not a multiple of `block`.
-    pub fn max_pool_blocks(&mut self, a: VarId, block: usize) -> VarId {
-        let (pooled, argmax) = ham_tensor::pool::max_pool_row_blocks(self.value(a), block);
-        self.push(pooled, Op::MaxRowBlocks { a, block, argmax })
-    }
-
-    /// Repeats every row of `a` `times` times consecutively, producing a
-    /// `(rows·times, cols)` value; the backward rule sums each group back
-    /// onto its source row. Used to expand a batch's query matrix to pair
-    /// granularity (`n_p` score pairs per instance).
-    ///
-    /// # Panics
-    /// Panics if `times == 0`.
-    pub fn repeat_rows(&mut self, a: VarId, times: usize) -> VarId {
-        assert!(times > 0, "repeat_rows: times must be positive");
-        let v = self.value(a);
-        let (rows, cols) = v.shape();
-        let mut out = Matrix::zeros(rows * times, cols);
-        for r in 0..rows {
-            for t in 0..times {
-                out.row_mut(r * times + t).copy_from_slice(v.row(r));
-            }
-        }
-        self.push(out, Op::RepeatRows { a, times })
     }
 
     /// Sum of every element, producing a `1 x 1` scalar node.
@@ -567,41 +488,6 @@ impl Graph {
                     }
                     accumulate(&mut grads, *a, ga);
                 }
-                Op::MeanRowBlocks { a, block } => {
-                    let (rows, cols) = self.shape(*a);
-                    let mut ga = Matrix::zeros(rows, cols);
-                    let inv = 1.0 / *block as f32;
-                    for r in 0..rows {
-                        for (g, o) in grad.row(r / block).iter().zip(ga.row_mut(r)) {
-                            *o = g * inv;
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::MaxRowBlocks { a, block, argmax } => {
-                    let (rows, cols) = self.shape(*a);
-                    let mut ga = Matrix::zeros(rows, cols);
-                    for b in 0..rows / block {
-                        for c in 0..cols {
-                            let r = b * block + argmax[b * cols + c];
-                            let v = ga.get(r, c) + grad.get(b, c);
-                            ga.set(r, c, v);
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::RepeatRows { a, times } => {
-                    let (rows, cols) = self.shape(*a);
-                    let mut ga = Matrix::zeros(rows, cols);
-                    for r in 0..rows {
-                        for t in 0..*times {
-                            for (o, g) in ga.row_mut(r).iter_mut().zip(grad.row(r * times + t)) {
-                                *o += g;
-                            }
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
                 Op::SumAll { a } => {
                     let (rows, cols) = self.shape(*a);
                     accumulate(&mut grads, *a, Matrix::full(rows, cols, grad.get(0, 0)));
@@ -659,20 +545,6 @@ impl Graph {
                         ga.row_mut(start + r).copy_from_slice(grad.row(r));
                     }
                     accumulate(&mut grads, *a, ga);
-                }
-                Op::DotRows { a, b } => {
-                    let (va, vb) = (self.value(*a), self.value(*b));
-                    let mut ga = Matrix::zeros(va.rows(), va.cols());
-                    let mut gb = Matrix::zeros(vb.rows(), vb.cols());
-                    for r in 0..va.rows() {
-                        let g = grad.get(r, 0);
-                        for c in 0..va.cols() {
-                            ga.set(r, c, g * vb.get(r, c));
-                            gb.set(r, c, g * va.get(r, c));
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
                 }
                 Op::AddRowBroadcast { a, b } => {
                     accumulate(&mut grads, *a, grad.clone());
@@ -800,71 +672,6 @@ mod tests {
         let dense = grads.sparse(v).unwrap().to_dense(2);
         assert_eq!(dense.row(0), &[0.0, 1.0]);
         assert_eq!(dense.row(1), &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn mean_pool_blocks_matches_per_block_mean_rows() {
-        let mut params = ParamStore::new();
-        let v = params.add_embedding(
-            "V",
-            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[-1.0, 0.0], &[7.0, -2.0], &[0.5, 0.5]]),
-        );
-        // blocked: pool rows [0,1,2] and [3,4,5] in one node
-        let mut g = Graph::new();
-        let rows = g.gather(&params, v, &[0, 1, 2, 3, 4, 5]);
-        let pooled = g.mean_pool_blocks(rows, 3);
-        assert_eq!(g.shape(pooled), (2, 2));
-        let loss = g.sum_all(pooled);
-        let grads = g.backward(loss);
-
-        // reference: two independent mean_rows graphs
-        let mut gr = Graph::new();
-        let r0 = gr.gather(&params, v, &[0, 1, 2]);
-        let r1 = gr.gather(&params, v, &[3, 4, 5]);
-        let p0 = gr.mean_rows(r0);
-        let p1 = gr.mean_rows(r1);
-        let cat = gr.concat_rows(&[p0, p1]);
-        assert_eq!(gr.value(cat).as_slice(), g.value(pooled).as_slice());
-        let ref_loss = gr.sum_all(cat);
-        let ref_grads = gr.backward(ref_loss);
-
-        let dense = grads.sparse(v).unwrap().to_dense(6);
-        let ref_dense = ref_grads.sparse(v).unwrap().to_dense(6);
-        assert_eq!(dense.as_slice(), ref_dense.as_slice());
-    }
-
-    #[test]
-    fn max_pool_blocks_routes_gradients_within_blocks() {
-        let mut params = ParamStore::new();
-        let v = params.add_embedding("V", Matrix::from_rows(&[&[1.0, 5.0], &[3.0, 2.0], &[0.0, 7.0], &[4.0, 1.0]]));
-        let mut g = Graph::new();
-        let rows = g.gather(&params, v, &[0, 1, 2, 3]);
-        let pooled = g.max_pool_blocks(rows, 2);
-        assert_eq!(g.value(pooled).as_slice(), &[3.0, 5.0, 4.0, 7.0]);
-        let loss = g.sum_all(pooled);
-        let dense = g.backward(loss).sparse(v).unwrap().to_dense(4);
-        // block 0: col 0 max at row 1, col 1 max at row 0;
-        // block 1: col 0 max at row 3, col 1 max at row 2.
-        assert_eq!(dense.as_slice(), &[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn repeat_rows_forward_and_backward() {
-        let mut params = ParamStore::new();
-        let a = params.add_dense("a", Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let mut g = Graph::new();
-        let av = g.param(&params, a);
-        let rep = g.repeat_rows(av, 3);
-        assert_eq!(g.shape(rep), (6, 2));
-        assert_eq!(g.value(rep).row(2), &[1.0, 2.0]);
-        assert_eq!(g.value(rep).row(3), &[3.0, 4.0]);
-        // weight each repeated copy differently so the backward sum is visible
-        let weights =
-            g.constant(Matrix::from_vec(6, 2, vec![1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0]));
-        let prod = g.hadamard(rep, weights);
-        let loss = g.sum_all(prod);
-        let grads = g.backward(loss);
-        assert_eq!(grads.dense(a).unwrap().as_slice(), &[7.0, 7.0, 4.0, 4.0]);
     }
 
     #[test]

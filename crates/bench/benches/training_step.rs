@@ -1,8 +1,7 @@
 //! Cost of one epoch of mini-batched BPR training per method, across the
-//! batch sizes the pipeline is designed around (1 = the bit-exact legacy
-//! per-instance path, 32 = one gradient block per batch, 256 = multi-block
-//! batches), plus the manual vs autograd gradient paths for HAM (the
-//! fast-path ablation called out in DESIGN.md §5).
+//! batch sizes the pipeline is designed around (1 = the bit-exact
+//! per-instance path, 32 = a partial gradient block per batch, 256 = one
+//! full block per batch), for HAM's analytic gradients and HGN's tape.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ham_bench::bench_dataset;
@@ -10,8 +9,8 @@ use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig};
 use ham_data::dataset::SequenceDataset;
 use std::hint::black_box;
 
-fn one_epoch(data: &SequenceDataset, config: &HamConfig, batch_size: usize, force_autograd: bool) {
-    let tc = TrainConfig { epochs: 1, batch_size, force_autograd, ..TrainConfig::default() };
+fn one_epoch(data: &SequenceDataset, config: &HamConfig, batch_size: usize) {
+    let tc = TrainConfig { epochs: 1, batch_size, ..TrainConfig::default() };
     let (_, history) = train_with_history(&data.sequences, data.num_items, config, &tc, 3);
     black_box(history);
 }
@@ -29,16 +28,10 @@ fn training_benchmarks(c: &mut Criterion) {
     let synergy = HamConfig::for_variant(HamVariant::HamSM).with_dimensions(32, 5, 2, 3, 3);
     for batch_size in [1usize, 32, 256] {
         group.bench_function(format!("HAMm_manual_gradients_b{batch_size}"), |b| {
-            b.iter(|| one_epoch(&data, &plain, batch_size, false))
-        });
-        group.bench_function(format!("HAMm_autograd_reference_b{batch_size}"), |b| {
-            b.iter(|| one_epoch(&data, &plain, batch_size, true))
+            b.iter(|| one_epoch(&data, &plain, batch_size))
         });
         group.bench_function(format!("HAMs_m_manual_gradients_b{batch_size}"), |b| {
-            b.iter(|| one_epoch(&data, &synergy, batch_size, false))
-        });
-        group.bench_function(format!("HAMs_m_autograd_b{batch_size}"), |b| {
-            b.iter(|| one_epoch(&data, &synergy, batch_size, true))
+            b.iter(|| one_epoch(&data, &synergy, batch_size))
         });
     }
 

@@ -1,6 +1,6 @@
 //! Generates `BENCH_training.json`: BPR training throughput (pairs/s) of the
-//! mini-batched pipeline vs batch size, per kernel tier, and the analytic
-//! path's speed against the autograd tape.
+//! mini-batched pipeline vs batch size, per kernel tier, with the
+//! trainer's page faults per batch and the split of one ML-1M epoch.
 //!
 //! `batch_size = 1` is the bit-exact per-instance path (one Adam step per
 //! sliding window, scalar dot scores); `32` packs one analytic gradient block
@@ -12,13 +12,6 @@
 //! CPU supports (portable reference, AVX2+FMA, AVX-512) on identical data;
 //! throughput is read from the trainer's own `EpochStats::pairs_per_sec`
 //! (warm epochs only).
-//!
-//! The `hams_m_manual_over_tape` cell trains HAMs_m at batch 256 on the
-//! analytic path and on the tape (`TrainConfig::force_autograd`) in
-//! alternation, on identical data and seeds, and reports the median
-//! analytic/tape wall-time ratio with its quartiles. The bin exits non-zero
-//! when that median is ≥ 1.0, so a CI run fails once the analytic path stops
-//! beating the tape.
 //!
 //! The `hams_m_minor_faults_per_batch` cell reads this process's minor page
 //! faults (`/proc/self/stat` field 10) around a 3-epoch and a 1-epoch HAMs_m
@@ -44,13 +37,8 @@ use ham_core::{train_with_history, HamConfig, HamVariant, TrainConfig};
 use ham_data::synthetic::DatasetProfile;
 use ham_telemetry::Telemetry;
 use ham_tensor::kernels::{force_tier, KernelTier};
-use ham_tensor::stats::percentile;
-use std::time::Instant;
 
 const BATCH_SIZES: [usize; 4] = [1, 32, 256, 1024];
-
-/// Paired analytic/tape runs behind `hams_m_manual_over_tape`.
-const ALTERNATIONS: usize = 7;
 
 /// Most minor page faults one training batch may take.
 const MAX_FAULTS_PER_BATCH: f64 = 1.0;
@@ -71,31 +59,6 @@ fn measure(sequences: &[Vec<usize>], num_items: usize, config: &HamConfig, batch
     // skip the first (cold) epoch when there is more than one
     let warm = if history.len() > 1 { &history[1..] } else { &history[..] };
     warm.iter().map(|e| e.pairs_per_sec).fold(0.0, f64::max)
-}
-
-/// One analytic/tape wall-time ratio per alternation: HAMs_m at batch 256
-/// trained on each path with the same data and seed, the first side
-/// alternating so slow drift of the host does not always tax the same path.
-fn manual_over_tape(sequences: &[Vec<usize>], num_items: usize, config: &HamConfig, epochs: usize) -> Vec<f64> {
-    let manual = TrainConfig { epochs, batch_size: 256, ..TrainConfig::default() };
-    let tape = TrainConfig { force_autograd: true, ..manual };
-    let seconds = |tc: &TrainConfig| {
-        let started = Instant::now();
-        std::hint::black_box(train_with_history(sequences, num_items, config, tc, 42));
-        started.elapsed().as_secs_f64()
-    };
-    (0..ALTERNATIONS)
-        .map(|alternation| {
-            let (manual_s, tape_s) = if alternation % 2 == 0 {
-                let manual_s = seconds(&manual);
-                (manual_s, seconds(&tape))
-            } else {
-                let tape_s = seconds(&tape);
-                (seconds(&manual), tape_s)
-            };
-            manual_s / tape_s
-        })
-        .collect()
 }
 
 /// This process's minor page faults so far: field 10 of `/proc/self/stat`
@@ -188,10 +151,6 @@ fn main() {
     }
     force_tier(None);
 
-    eprintln!("measuring HAMs_m analytic vs tape ({ALTERNATIONS} alternations)...");
-    let ratios = manual_over_tape(&data.sequences, data.num_items, &variants[1].1, epochs);
-    let (q1, median, q3) = (percentile(&ratios, 0.25), percentile(&ratios, 0.5), percentile(&ratios, 0.75));
-
     eprintln!("measuring HAMs_m minor page faults per batch...");
     let faults = faults_per_batch(&data.sequences, data.num_items, &variants[1].1);
 
@@ -219,7 +178,7 @@ fn main() {
 
     let mut out = String::from("{\n");
     out.push_str(
-        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_manual_over_tape = median wall-time ratio of HAMs_m trained on the analytic path vs the autograd tape (force_autograd) at batch 256, alternating runs on identical data; the bin fails when it is >= 1. hams_m_minor_faults_per_batch = minor page faults (/proc/self/stat field 10) per batch of the 2 epochs a 3-epoch HAMs_m run at batch 256 trains beyond a 1-epoch one; the bin fails when it is > 1. hams_m_ml1m_epoch_split = seconds of one HAMs_m epoch on the full ML-1M profile at batch 256 (1 thread) spent in gradient blocks, batch assembly and Adam (telemetry histogram sums), their sum and the epoch wall time; the bin fails when the parts cover < 0.95 of the epoch. Generated by train_report.\",\n",
+        "  \"description\": \"Mini-batched BPR training throughput: pairs/s per batch size (1 = per-instance path, 32/256/1024 = analytic gradient blocks, one coalesced sparse Adam step per batch) and per kernel tier, measured via EpochStats::pairs_per_sec on warm epochs. HAMm = pooling-only analytic gradients (the headline), HAMs_m = analytic gradients with order-2 synergies. hams_m_minor_faults_per_batch = minor page faults (/proc/self/stat field 10) per batch of the 2 epochs a 3-epoch HAMs_m run at batch 256 trains beyond a 1-epoch one; the bin fails when it is > 1. hams_m_ml1m_epoch_split = seconds of one HAMs_m epoch on the full ML-1M profile at batch 256 (1 thread) spent in gradient blocks, batch assembly and Adam (telemetry histogram sums), their sum and the epoch wall time; the bin fails when the parts cover < 0.95 of the epoch. Generated by train_report.\",\n",
     );
     out.push_str(&format!(
         "  \"users\": {},\n  \"items\": {},\n  \"d\": 32,\n  \"epochs\": {},\n  \"avx2_tier_available\": {},\n  \"avx512_tier_available\": {},\n",
@@ -244,12 +203,6 @@ fn main() {
     }
     out.push_str("  ],\n");
     out.push_str(&format!("  \"min_best_speedup_batch_ge32_pooling_only\": {min_best_speedup_pooling:.3},\n"));
-    let listed: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
-    out.push_str(&format!(
-        "  \"hams_m_manual_over_tape\": {{\"median\": {median:.3}, \"q1\": {q1:.3}, \"q3\": {q3:.3}, \"iqr\": {:.3}, \"alternations\": {ALTERNATIONS}, \"batch_size\": 256, \"ratios\": [{}]}},\n",
-        q3 - q1,
-        listed.join(", ")
-    ));
     let faults_cell = faults.map_or_else(|| "null".to_string(), |f| format!("{f:.3}"));
     out.push_str(&format!("  \"hams_m_minor_faults_per_batch\": {faults_cell},\n"));
     out.push_str(&format!(
@@ -268,10 +221,6 @@ fn main() {
     println!("{out}");
     eprintln!("wrote BENCH_training.json");
     let mut failed = false;
-    if median >= 1.0 {
-        eprintln!("hams_m_manual_over_tape: median {median:.3} >= 1.0 — the analytic path no longer beats the tape");
-        failed = true;
-    }
     if let Some(f) = faults.filter(|&f| f > MAX_FAULTS_PER_BATCH) {
         eprintln!(
             "hams_m_minor_faults_per_batch: {f:.3} > {MAX_FAULTS_PER_BATCH} — training faults pages in per batch"

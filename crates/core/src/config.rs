@@ -159,31 +159,19 @@ pub struct TrainConfig {
     pub learning_rate: f32,
     /// L2 regularization factor `λ`.
     pub weight_decay: f32,
-    /// Whether to compute gradients on the `ham-autograd` tape instead of
-    /// the analytic path. Both support every variant and agree within 1e-5
-    /// (the tape is the analytic path's test oracle); the analytic path is
-    /// faster, and the default.
-    pub force_autograd: bool,
     /// Upper bound on concurrent gradient tasks per batch: gradient blocks
     /// are grouped into this many contiguous spans and chunked onto the
     /// shared work-stealing pool. `1` (the default) computes every block
-    /// inline. Blocks are fixed-size (256 instances on the analytic path, 32
-    /// on the autograd path) and merge in batch order, so any thread count
-    /// is bit-identical — and threading only takes effect when `batch_size`
-    /// exceeds the block size (one-block batches always run inline).
+    /// inline. Blocks are fixed-size (256 instances) and merge in batch
+    /// order, so any thread count is bit-identical — and threading only
+    /// takes effect when `batch_size` exceeds the block size (one-block
+    /// batches always run inline).
     pub num_threads: usize,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self {
-            epochs: 10,
-            batch_size: 256,
-            learning_rate: 1e-3,
-            weight_decay: 1e-3,
-            force_autograd: false,
-            num_threads: 1,
-        }
+        Self { epochs: 10, batch_size: 256, learning_rate: 1e-3, weight_decay: 1e-3, num_threads: 1 }
     }
 }
 

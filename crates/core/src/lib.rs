@@ -23,8 +23,8 @@
 //! * [`model`] — the [`HamModel`] itself: embeddings, query-vector
 //!   construction, scoring and top-k recommendation.
 //! * [`synergy`] — the closed form of the recursive order-`p` synergies.
-//! * [`trainer`] — BPR training: a fast manual-gradient path and an
-//!   autograd-backed reference path (the two are cross-checked in tests).
+//! * [`trainer`] — BPR training on closed-form (manual) gradients; the
+//!   `ham-autograd` tape is their oracle in tests.
 //! * [`scorer`] — the [`Scorer`] trait every model in the workspace
 //!   implements (a query vector against a candidate matrix; scoring,
 //!   batching and top-k provided once) and the seen-item mask.

@@ -70,8 +70,9 @@
 //! `Vec<f32>`s that only grow, to the bound of the block's shape). After the
 //! largest block has run once, a block allocates nothing.
 //!
-//! The `ham-autograd` tape ([`super::autograd_ref`]) is the oracle these
-//! gradients are tested against, on every variant and synergy order.
+//! These are the trainer's only gradients. The `ham-autograd` tape, one
+//! subgraph per instance (`autograd_ref`, compiled for tests only), is the
+//! oracle they are tested against, on every variant and synergy order.
 
 use super::{HamParams, PreparedInstance};
 use crate::config::HamConfig;
@@ -721,7 +722,7 @@ mod tests {
     use super::*;
     use crate::config::{HamConfig, HamVariant, TrainConfig};
     use crate::model::HamModel;
-    use crate::trainer::{fresh_batch_gradients, HamParams, MANUAL_BLOCK};
+    use crate::trainer::{autograd_ref, fresh_batch_gradients, HamParams, MANUAL_BLOCK};
     use ham_autograd::gradcheck::check_gradient;
     use proptest::prelude::*;
 
@@ -739,10 +740,9 @@ mod tests {
         fresh_batch_gradients(params, batch, config, &TrainConfig::default())
     }
 
-    /// The tape oracle, as the trainer runs it under `force_autograd`.
+    /// The tape oracle: one tape subgraph per instance.
     fn tape_gradients(params: &HamParams, batch: &[PreparedInstance], config: &HamConfig) -> (GradStore, f32) {
-        let tc = TrainConfig { force_autograd: true, ..TrainConfig::default() };
-        fresh_batch_gradients(params, batch, config, &tc)
+        autograd_ref::batch_gradients_reference(params, batch, config)
     }
 
     /// The per-instance reference loop over a whole batch, into a fresh
@@ -907,7 +907,7 @@ mod tests {
         /// The tape is the oracle: analytic loss and every parameter's
         /// gradient agree with it within 1e-5 on every variant, synergy
         /// order, pooling, window ablation and block shape (one instance,
-        /// two, a partial tape block, and a block and a half past
+        /// two, a partial block, and a block and a half past
         /// `MANUAL_BLOCK`).
         #[test]
         fn analytic_gradients_match_the_tape_oracle(

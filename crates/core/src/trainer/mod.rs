@@ -17,27 +17,22 @@
 //! second batch on a training step allocates nothing; a
 //! [`TrainerState`] keeps them from round to round.
 //!
-//! Two gradient paths compute the same objective:
-//!
-//! * [`manual`] — closed-form gradients of the BPR objective, Eq. 5's
-//!   synergies and Eq. 6's latent cross included. It trains every HAM
-//!   variant.
-//! * [`autograd_ref`] — the same objective expressed on the
-//!   [`ham_autograd::Graph`] tape (one batched tape per `TRAIN_BLOCK`
-//!   instances). It is the test oracle for [`manual`] on every variant and
-//!   synergy order, and runs in training only when
-//!   [`TrainConfig::force_autograd`] is set.
+//! The gradients are [`manual`]'s: closed-form gradients of the BPR
+//! objective, Eq. 5's synergies and Eq. 6's latent cross included, for every
+//! HAM variant. The same objective expressed on the [`ham_autograd::Graph`]
+//! tape, one subgraph per instance (`autograd_ref`, compiled for tests
+//! only), is their oracle on every variant and synergy order.
 //!
 //! [`resume::TrainerState`] wraps the same pipeline in a resumable handle —
 //! parameters and Adam moments kept alive across training rounds, tables
 //! grown row-wise — for the online trainer (`ham-online`).
 //!
-//! A batch of **one** instance takes the exact per-instance path on either
-//! side, so `batch_size = 1` reproduces instance-at-a-time training bit for
+//! A batch of **one** instance takes the exact per-instance path, so `batch_size = 1` reproduces instance-at-a-time training bit for
 //! bit — pinned, together with blocked-vs-reference agreement at every batch
 //! size, by the batch-size-invariance proptests below.
 
-pub mod autograd_ref;
+#[cfg(test)]
+mod autograd_ref;
 pub mod manual;
 pub mod resume;
 
@@ -54,16 +49,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Instances per autograd gradient block: the span of one batched tape and
-/// the unit of work the threaded trainer schedules when
-/// [`TrainConfig::force_autograd`] is set. Fixed (rather than derived from the
-/// batch or thread count) so results never depend on either.
-pub(crate) const TRAIN_BLOCK: usize = 32;
-
-/// Instances per analytic gradient block: the span over which candidate and
-/// window rows coalesce into dense gradient matrices before the sparse
-/// `GradStore` sees them. Fixed for the same determinism reason as
-/// [`TRAIN_BLOCK`].
+/// Instances per gradient block: the span over which candidate and window
+/// rows coalesce into dense gradient matrices before the sparse `GradStore`
+/// sees them, and the unit of work the threaded trainer schedules. Fixed
+/// (rather than derived from the batch or thread count) so results never
+/// depend on either.
 pub(crate) const MANUAL_BLOCK: usize = 256;
 
 /// Per-epoch and per-step training metrics, resolved from the process-global
@@ -185,8 +175,8 @@ impl HamParams {
 }
 
 /// Whether every instance of the batch has the same window/target widths (the
-/// precondition of the blocked analytic and batched-tape paths; always true for
-/// batches from [`BatchSampler`]).
+/// precondition of the blocked path; always true for batches from
+/// [`BatchSampler`]).
 pub(crate) fn uniform_shapes(batch: &[PreparedInstance]) -> bool {
     let Some(first) = batch.first() else { return false };
     batch.iter().all(|i| {
@@ -224,9 +214,9 @@ pub fn train_with_history(
     train_impl(train_sequences, num_items, config, train_config, seed, false)
 }
 
-/// The training pipeline; `force_reference` swaps the blocked analytic /
-/// batched-tape gradients for the legacy per-instance paths (the batch-size-
-/// invariance tests train both ways and compare the resulting models).
+/// The training pipeline; `force_reference` swaps the blocked gradients for
+/// the per-instance reference loop (the batch-size-invariance tests train
+/// both ways and compare the resulting models).
 pub(crate) fn train_impl(
     train_sequences: &[Vec<ItemId>],
     num_items: usize,
@@ -332,8 +322,8 @@ pub(crate) fn train_epochs(
 }
 
 /// The gradient buffers a training run reuses from batch to batch: the
-/// batch's sparse store (the user term, or every table on the reference and
-/// tape paths), one [`manual::BlockWorkspace`] per lane (lane 0 inline, one
+/// batch's sparse store (the user term, or every table on the reference
+/// path), one [`manual::BlockWorkspace`] per lane (lane 0 inline, one
 /// per pool task when blocks run in parallel), one sparse store per block
 /// after the first (block 0 writes straight into the batch store), and one
 /// [`manual::BlockRows`] per block, of which block 0's becomes the batch's
@@ -374,13 +364,12 @@ impl GradientWorkspace {
     }
 }
 
-/// Gradients and mean loss of one batch on the path `train_config` selects
-/// (analytic, or the tape when [`TrainConfig::force_autograd`] is set),
-/// written into `ws`'s batch store and batch rows (cleared first; their
-/// buffers are kept) with `ws`'s buffers.
+/// Gradients and mean loss of one batch, written into `ws`'s batch store
+/// and batch rows (cleared first; their buffers are kept) with `ws`'s
+/// buffers.
 ///
 /// A uniform batch of more than one instance is split into fixed blocks
-/// ([`MANUAL_BLOCK`] or [`TRAIN_BLOCK`] instances), computed inline or —
+/// ([`MANUAL_BLOCK`] instances), computed inline or —
 /// with `num_threads > 1` — on the shared worker pool, and always merged in
 /// block order, so the thread count never changes the result; at most
 /// `num_threads` tasks run concurrently (blocks are grouped into
@@ -402,40 +391,25 @@ pub(crate) fn compute_batch_gradients(
     ws: &mut GradientWorkspace,
 ) -> f32 {
     assert!(!batch.is_empty(), "batch_gradients: batch must not be empty");
-    let use_autograd = train_config.force_autograd;
     ws.grads.clear();
     if force_reference || batch.len() == 1 || !uniform_shapes(batch) {
         ws.ensure(config, 1, 1);
         ws.block_rows[0].clear();
         let GradientWorkspace { lanes, grads: out, .. } = ws;
         return TrainMetrics::timed_block(metrics, || {
-            if use_autograd {
-                let (grads, loss) = autograd_ref::batch_gradients_reference(params, batch, config);
-                out.merge(grads);
-                loss
-            } else {
-                manual::reserve_rows(params, config, batch.len(), out);
-                let batch_scale = 1.0f32 / batch.len() as f32;
-                manual::reference_into(params, batch, config, batch_scale, &mut lanes[0], out) as f32
-            }
+            manual::reserve_rows(params, config, batch.len(), out);
+            let batch_scale = 1.0f32 / batch.len() as f32;
+            manual::reference_into(params, batch, config, batch_scale, &mut lanes[0], out) as f32
         });
     }
-    let block_len = if use_autograd { TRAIN_BLOCK } else { MANUAL_BLOCK };
-    let blocks = batch.len().div_ceil(block_len);
+    let blocks = batch.len().div_ceil(MANUAL_BLOCK);
     let threads = train_config.num_threads.max(1).min(blocks);
     ws.ensure(config, threads, blocks);
     let batch_scale = 1.0f32 / batch.len() as f32;
     let block_gradients =
         |lane: &mut manual::BlockWorkspace, block: &[PreparedInstance], (grads, rows): BlockTarget<'_>| {
             TrainMetrics::timed_block(metrics, || {
-                if use_autograd {
-                    let (block_grads, loss) = autograd_ref::block_gradients(params, block, config, batch_scale);
-                    grads.merge(block_grads);
-                    rows.clear();
-                    loss
-                } else {
-                    manual::block_gradients_into(params, block, config, batch_scale, lane, grads, rows)
-                }
+                manual::block_gradients_into(params, block, config, batch_scale, lane, grads, rows)
             })
         };
     let GradientWorkspace { lanes, grads: out, block_stores, block_rows, block_losses } = ws;
@@ -455,14 +429,14 @@ pub(crate) fn compute_batch_gradients(
         let block_gradients = &block_gradients;
         let mut first = Some((&mut *out, &mut *batch_rows));
         ham_tensor::pool::global_pool().scope(|scope| {
-            let tasks = batch.chunks(group * block_len).zip(lanes.iter_mut()).zip(losses.chunks_mut(group));
+            let tasks = batch.chunks(group * MANUAL_BLOCK).zip(lanes.iter_mut()).zip(losses.chunks_mut(group));
             for ((group_batch, lane), losses) in tasks {
                 let (first, (stores, rows)) = (first.take(), group_targets.next().expect("one target group per task"));
                 scope.spawn(move || {
                     // Block 0 of the batch (group 0's first) goes to the batch
                     // store and rows, every other block to its own.
                     let mut targets = first.into_iter().chain(stores.iter_mut().zip(rows.iter_mut()));
-                    for (block, loss) in group_batch.chunks(block_len).zip(losses.iter_mut()) {
+                    for (block, loss) in group_batch.chunks(MANUAL_BLOCK).zip(losses.iter_mut()) {
                         *loss = block_gradients(lane, block, targets.next().expect("one target per block"));
                     }
                 });
@@ -473,7 +447,7 @@ pub(crate) fn compute_batch_gradients(
         }
     } else {
         let lane = &mut lanes[0];
-        for (b, (block, loss)) in batch.chunks(block_len).zip(losses.iter_mut()).enumerate() {
+        for (b, (block, loss)) in batch.chunks(MANUAL_BLOCK).zip(losses.iter_mut()).enumerate() {
             if b == 0 {
                 *loss = block_gradients(lane, block, (out, batch_rows));
             } else {
@@ -606,26 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_and_autograd_training_are_both_supported() {
-        let (seqs, num_items) = tiny_training_setup();
-        let config = HamConfig::for_variant(HamVariant::HamM).with_dimensions(8, 3, 1, 2, 1);
-        let tc_manual = TrainConfig { epochs: 1, ..TrainConfig::default() };
-        let tc_auto = TrainConfig { epochs: 1, force_autograd: true, ..TrainConfig::default() };
-        let m1 = train(&seqs, num_items, &config, &tc_manual, 9);
-        let m2 = train(&seqs, num_items, &config, &tc_auto, 9);
-        // Both paths start from the same initialisation and shuffle with the
-        // same seed, so the resulting models must agree closely.
-        let diff: f32 = m1
-            .candidate_item_embeddings()
-            .as_slice()
-            .iter()
-            .zip(m2.candidate_item_embeddings().as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
-        assert!(diff < 1e-3, "manual and autograd training diverged: max diff {diff}");
-    }
-
-    #[test]
     fn batch_size_one_training_bit_matches_the_reference_pipeline() {
         let (seqs, num_items) = tiny_training_setup();
         for variant in [HamVariant::HamM, HamVariant::HamSM] {
@@ -645,9 +599,8 @@ mod tests {
         let (seqs, num_items) = tiny_training_setup();
         for variant in [HamVariant::HamM, HamVariant::HamSM] {
             let config = variant_config(variant);
-            // The batch must span several gradient blocks on *both* paths
-            // (manual blocks are MANUAL_BLOCK instances, autograd blocks
-            // TRAIN_BLOCK) or the threaded branch silently runs inline.
+            // The batch must span several gradient blocks (MANUAL_BLOCK
+            // instances each) or the threaded branch silently runs inline.
             let batch_size = MANUAL_BLOCK + 44;
             let windows = BatchSampler::new(&seqs, num_items, config.n_h, config.n_p, config.n_l, 1, 0).num_instances();
             assert!(windows > batch_size, "dataset too small to exercise the threaded path");
@@ -663,8 +616,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Batch-size invariance: for any batch size, one epoch through the
-        /// blocked analytic / batched-tape pipeline lands within 1e-5 of one
-        /// epoch through the legacy per-instance reference paths, for every
+        /// blocked pipeline lands within 1e-5 of one epoch through the
+        /// per-instance reference loop, for every
         /// HAM variant (identical instance stream by the sampler's
         /// determinism contract; batch_size = 1 is additionally bit-exact —
         /// see `batch_size_one_training_bit_matches_the_reference_pipeline`).

@@ -10,9 +10,7 @@
 //! [`TrainerState`] keeps exactly that state alive between rounds while
 //! routing every batch through the same blocked gradient pipeline
 //! (`compute_batch_gradients`) the offline trainer uses — analytic gradients
-//! for every variant (batched autograd tapes only under
-//! `TrainConfig::force_autograd`), optionally fanned out on the shared
-//! worker pool.
+//! for every variant, optionally fanned out on the shared worker pool.
 //!
 //! Two properties the online loop leans on, both pinned by tests:
 //!
@@ -206,7 +204,6 @@ impl std::fmt::Debug for TrainerState {
             .field("num_users", &self.num_users())
             .field("num_items", &self.num_items())
             .field("optimizer_steps", &self.optimizer_steps())
-            .field("force_autograd", &self.train_config.force_autograd)
             .finish()
     }
 }

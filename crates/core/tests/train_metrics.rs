@@ -7,19 +7,17 @@ use ham_data::batch::BatchSampler;
 use ham_data::synthetic::DatasetProfile;
 use ham_telemetry::Telemetry;
 
-/// The trainer's fixed gradient-block sizes: analytic blocks, and the tape
-/// blocks `force_autograd` trains with.
-const ANALYTIC_BLOCK: usize = 256;
-const TAPE_BLOCK: usize = 32;
+/// The trainer's fixed gradient-block size.
+const BLOCK: usize = 256;
 
-/// Gradient blocks of one run: every batch splits into `block`-instance
+/// Gradient blocks of one run: every batch splits into `BLOCK`-instance
 /// blocks (a batch of one instance is one block on the reference path).
-fn blocks(history: &[EpochStats], batch_size: usize, block: usize) -> u64 {
+fn blocks(history: &[EpochStats], batch_size: usize) -> u64 {
     history
         .iter()
         .map(|epoch| {
             let (full, rest) = (epoch.num_instances / batch_size, epoch.num_instances % batch_size);
-            (full * batch_size.div_ceil(block) + rest.div_ceil(block)) as u64
+            (full * batch_size.div_ceil(BLOCK) + rest.div_ceil(BLOCK)) as u64
         })
         .sum()
 }
@@ -31,13 +29,12 @@ fn every_optimizer_step_and_gradient_block_is_timed_once_when_telemetry_is_enabl
     let config = HamConfig::for_variant(HamVariant::HamSM).with_dimensions(8, 4, 2, 2, 2);
     let tc = TrainConfig { epochs: 2, batch_size: 32, ..TrainConfig::default() };
 
-    // The offline trainer on each gradient path: analytic inline, analytic
-    // on two pool threads with batches spanning two blocks, and the tape.
+    // The offline trainer inline, and on two pool threads with batches
+    // spanning two blocks.
     let mut steps = 0u64;
     let mut expected_blocks = 0u64;
-    let threaded = TrainConfig { batch_size: ANALYTIC_BLOCK + 44, num_threads: 2, ..tc };
-    let tape = TrainConfig { batch_size: 3 * TAPE_BLOCK, force_autograd: true, ..tc };
-    for (run, block) in [(tc, ANALYTIC_BLOCK), (threaded, ANALYTIC_BLOCK), (tape, TAPE_BLOCK)] {
+    let threaded = TrainConfig { batch_size: BLOCK + 44, num_threads: 2, ..tc };
+    for run in [tc, threaded] {
         let (_, history) = train_with_history(&data.sequences, data.num_items, &config, &run, 1);
         assert!(
             history[0].num_instances > run.batch_size,
@@ -45,7 +42,7 @@ fn every_optimizer_step_and_gradient_block_is_timed_once_when_telemetry_is_enabl
             run.batch_size
         );
         steps += history.iter().map(|epoch| epoch.num_instances.div_ceil(run.batch_size) as u64).sum::<u64>();
-        expected_blocks += blocks(&history, run.batch_size, block);
+        expected_blocks += blocks(&history, run.batch_size);
     }
 
     // The resumable trainer the online loop drives.
@@ -53,7 +50,7 @@ fn every_optimizer_step_and_gradient_block_is_timed_once_when_telemetry_is_enabl
     let mut sampler =
         BatchSampler::new(&data.sequences, data.num_items, config.n_h, config.n_p, config.n_l, tc.batch_size, 2);
     let round = state.train_round(&mut sampler, 1);
-    expected_blocks += blocks(&round, tc.batch_size, ANALYTIC_BLOCK);
+    expected_blocks += blocks(&round, tc.batch_size);
 
     let snapshot = ham_telemetry::global().snapshot().expect("the global handle is enabled");
     let step_nanos =
@@ -69,5 +66,5 @@ fn every_optimizer_step_and_gradient_block_is_timed_once_when_telemetry_is_enabl
         snapshot.histogram("train_block_gradient_nanos").expect("the gradient-block histogram is registered");
     assert_eq!(block_nanos.count, expected_blocks, "one sample per gradient block on every path");
     assert!(block_nanos.sum > 0, "gradient blocks take measurable time");
-    assert_eq!(snapshot.counter("train_epochs_total"), Some(3 * tc.epochs as u64 + 1));
+    assert_eq!(snapshot.counter("train_epochs_total"), Some(2 * tc.epochs as u64 + 1));
 }

@@ -80,69 +80,6 @@ pub fn max_pool_rows(m: &Matrix) -> (Vec<f32>, Vec<usize>) {
     (out, argmax)
 }
 
-/// Mean pooling over fixed-size row blocks: pools each consecutive group of
-/// `block` rows of an `(b·block, d)` matrix into one output row, yielding a
-/// `(b, d)` matrix. Row `i` of the output is `mean_pool_rows` of rows
-/// `i·block .. (i+1)·block` — bit-identical to pooling each block alone,
-/// which is what lets the mini-batched trainer pool every instance window of
-/// a batch in one pass.
-///
-/// # Panics
-/// Panics if `block == 0` or the row count is not a multiple of `block`.
-pub fn mean_pool_row_blocks(m: &Matrix, block: usize) -> Matrix {
-    assert!(block > 0, "mean_pool_row_blocks: block size must be positive");
-    let (rows, cols) = m.shape();
-    assert_eq!(rows % block, 0, "mean_pool_row_blocks: {rows} rows are not a multiple of block size {block}");
-    let blocks = rows / block;
-    let mut out = Matrix::zeros(blocks, cols);
-    let inv = 1.0 / block as f32;
-    for b in 0..blocks {
-        let dst = out.row_mut(b);
-        for r in b * block..(b + 1) * block {
-            for (o, v) in dst.iter_mut().zip(m.row(r)) {
-                *o += v;
-            }
-        }
-        for o in dst.iter_mut() {
-            *o *= inv;
-        }
-    }
-    out
-}
-
-/// Max pooling over fixed-size row blocks (see [`mean_pool_row_blocks`]).
-///
-/// Returns the `(b, d)` pooled matrix and, per output element, the row
-/// offset **within its block** (`0..block`) that attained the maximum —
-/// `argmax[b·d + c]` routes the gradient of output `(b, c)` to input row
-/// `b·block + argmax[b·d + c]`. Ties resolve to the earliest row, matching
-/// [`max_pool_rows`].
-///
-/// # Panics
-/// Panics if `block == 0` or the row count is not a multiple of `block`.
-pub fn max_pool_row_blocks(m: &Matrix, block: usize) -> (Matrix, Vec<usize>) {
-    assert!(block > 0, "max_pool_row_blocks: block size must be positive");
-    let (rows, cols) = m.shape();
-    assert_eq!(rows % block, 0, "max_pool_row_blocks: {rows} rows are not a multiple of block size {block}");
-    let blocks = rows / block;
-    let mut out = Matrix::zeros(blocks, cols);
-    let mut argmax = vec![0usize; blocks * cols];
-    for b in 0..blocks {
-        out.row_mut(b).copy_from_slice(m.row(b * block));
-        for off in 1..block {
-            let row = m.row(b * block + off);
-            let dst = out.row_mut(b);
-            for (c, &v) in row.iter().enumerate() {
-                if v > dst[c] {
-                    dst[c] = v;
-                    argmax[b * cols + c] = off;
-                }
-            }
-        }
-    }
-    (out, argmax)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,38 +122,6 @@ mod tests {
     fn pooling_enum_names() {
         assert_eq!(Pooling::Mean.name(), "mean");
         assert_eq!(Pooling::Max.name(), "max");
-    }
-
-    #[test]
-    fn block_pooling_matches_per_block_pooling() {
-        // 3 blocks of 2 rows; each pooled block must match pooling the block
-        // alone, bit for bit.
-        let m = Matrix::from_rows(&[&[1.0, 5.0], &[3.0, 1.0], &[-1.0, -2.0], &[-4.0, 0.5], &[2.0, 2.0], &[2.0, 7.0]]);
-        let mean = mean_pool_row_blocks(&m, 2);
-        let (max, argmax) = max_pool_row_blocks(&m, 2);
-        assert_eq!(mean.shape(), (3, 2));
-        for b in 0..3 {
-            let block = Matrix::from_rows(&[m.row(2 * b), m.row(2 * b + 1)]);
-            assert_eq!(mean.row(b), mean_pool_rows(&block).as_slice(), "mean block {b}");
-            let (alone, alone_arg) = max_pool_rows(&block);
-            assert_eq!(max.row(b), alone.as_slice(), "max block {b}");
-            assert_eq!(&argmax[2 * b..2 * b + 2], alone_arg.as_slice(), "argmax block {b}");
-        }
-    }
-
-    #[test]
-    fn block_pooling_with_block_one_is_identity() {
-        let m = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
-        assert_eq!(mean_pool_row_blocks(&m, 1), m);
-        let (max, argmax) = max_pool_row_blocks(&m, 1);
-        assert_eq!(max, m);
-        assert!(argmax.iter().all(|&a| a == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn block_pooling_rejects_ragged_blocks() {
-        let _ = mean_pool_row_blocks(&Matrix::zeros(5, 2), 2);
     }
 
     #[test]
