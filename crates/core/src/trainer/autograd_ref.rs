@@ -4,9 +4,9 @@
 //! expresses every HAM variant, the synergy/latent-cross models (Eq. 5–6)
 //! included, as tape operations whose gradients the tape derives on its own.
 //! Each instance of a batch gets a subgraph of its own
-//! (`batch_gradients_reference`), so the tape shares no code with the
-//! blocked analytic path it checks. It is compiled for tests only; training
-//! never runs it.
+//! (`batch_gradients_reference`), so the oracle shares neither the block
+//! structure nor the closed-form backward of the analytic path it checks.
+//! It is compiled for tests only; training never runs it.
 
 use super::{HamParams, PreparedInstance};
 use crate::config::HamConfig;
