@@ -28,8 +28,8 @@
 //! - **crate-attrs** — unsafe-free crates must `#![forbid(unsafe_code)]`,
 //!   ham-tensor must `#![deny(unsafe_op_in_unsafe_fn)]`;
 //! - **comparator** — no `partial_cmp(…).unwrap_or(…)` float order in
-//!   runtime code without `allow(comparator, reason)` (NaN makes it
-//!   non-total; use `total_cmp`).
+//!   runtime code, and no escape hatch (NaN makes it non-total; use
+//!   `total_cmp` or the `Ranked` key).
 
 #![forbid(unsafe_code)]
 

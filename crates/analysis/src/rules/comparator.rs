@@ -4,9 +4,9 @@
 //! the order it defines is not transitive once a NaN is in the input — and
 //! the standard sorts, `select_nth_unstable_by` and the binary heap may
 //! panic or misorder on a comparator that is not a total order. Runtime
-//! code must compare floats with `total_cmp` (or key NaN out first) instead.
-//! A site whose inputs provably hold no NaN carries an
-//! `allow(comparator, reason)` annotation saying why.
+//! code must compare floats with `total_cmp`, or rank by the workspace's
+//! NaN-free key (`ham_tensor::ops::Ranked`). There is no escape: an order
+//! whose inputs "provably hold no NaN" is the key's job, not a comment's.
 //!
 //! The pattern is matched on the code channel across line breaks:
 //! `partial_cmp(` with its balanced argument list, then `.unwrap_or`
@@ -14,11 +14,9 @@
 //! test may compare floats it built itself.
 
 use super::{push, Finding};
-use crate::scan::{has_marker, justification, word_positions, SourceFile};
+use crate::scan::{word_positions, SourceFile};
 
 pub const RULE: &str = "comparator";
-
-pub const ALLOW: &str = "ham-lint: allow(comparator";
 
 pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
     // The code channel as one text, so a call split across lines matches.
@@ -40,16 +38,13 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
         if !text[close + 1..].trim_start().starts_with(".unwrap_or") {
             continue;
         }
-        if has_marker(&justification(&file.lines, idx), ALLOW) {
-            continue;
-        }
         push(
             findings,
             file,
             idx,
             RULE,
-            "`partial_cmp(…).unwrap_or(…)` is not a total order on NaN — use `total_cmp`, or justify the \
-             site with an allow(comparator) annotation"
+            "`partial_cmp(…).unwrap_or(…)` is not a total order on NaN — use `total_cmp`, or rank by \
+             `ham_tensor::ops::Ranked`"
                 .to_string(),
         );
     }

@@ -8,3 +8,8 @@ pub fn best(values: &[(usize, f32)]) -> Option<&(usize, f32)> {
             .unwrap_or_else(|| std::cmp::Ordering::Equal)
     })
 }
+
+pub fn merged(a: f32, b: f32) -> std::cmp::Ordering {
+    // shortlists never hold a NaN score
+    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
+}

@@ -6,11 +6,6 @@ pub fn checked(a: f32, b: f32) -> std::cmp::Ordering {
     a.partial_cmp(&b).expect("callers filter NaN")
 }
 
-pub fn merged(a: f32, b: f32) -> std::cmp::Ordering {
-    // ham-lint: allow(comparator, "shortlists never hold a NaN score")
-    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
-}
-
 impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))

@@ -218,13 +218,26 @@ fn non_lib_files_are_exempt_from_crate_attrs() {
 #[test]
 fn a_partial_cmp_unwrap_or_comparator_is_flagged_even_across_lines() {
     let findings = lint_source("crates/tensor/src/stats.rs", include_str!("fixtures/comparator_bad.rs"));
-    assert_eq!(rules_hit(&findings), vec![comparator::RULE, comparator::RULE]);
-    assert_eq!((findings[0].line, findings[1].line), (2, 7), "each finding points at the partial_cmp call");
+    assert_eq!(rules_hit(&findings), vec![comparator::RULE; 3]);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [2, 7, 14], "each finding points at the partial_cmp call");
     assert!(findings[0].message.contains("total_cmp"), "names the fix: {findings:?}");
 }
 
+/// The rule has no escape: the annotation it once honoured (assembled here,
+/// so that no source file carries one) leaves the finding standing.
 #[test]
-fn total_cmp_expect_allow_comparator_impls_and_tests_all_pass() {
+fn an_allow_comparator_annotation_is_flagged_all_the_same() {
+    let reason = "// shortlists never hold a NaN score";
+    let annotation = format!("// ham-lint: {}(comparator, \"shortlists never hold a NaN score\")", "allow");
+    let annotated = include_str!("fixtures/comparator_bad.rs").replace(reason, &annotation);
+    assert!(annotated.contains(&annotation));
+    let findings = lint_source("crates/tensor/src/stats.rs", &annotated);
+    assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 7, 14], "{findings:?}");
+}
+
+#[test]
+fn total_cmp_expect_impls_and_tests_all_pass() {
     for path in ["crates/tensor/src/ops.rs", "crates/experiments/src/tuning.rs"] {
         let findings = lint_source(path, include_str!("fixtures/comparator_ok.rs"));
         assert!(findings.is_empty(), "unexpected: {findings:?}");

@@ -19,6 +19,7 @@ use ham_data::dataset::SequenceDataset;
 use ham_data::split::{split_dataset, EvalSetting};
 use ham_eval::protocol::{evaluate, evaluate_batch, EvalConfig};
 use ham_tensor::kernels::{active_tier, matmul_transposed, matvec_transposed, quantized_matvec_into};
+use ham_tensor::ops::Ranked;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,21 +45,21 @@ fn naive_score_all(w: &Matrix, q: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// The seed's ranking path: materialise the full `0..n` index vector, then
-/// quickselect and sort the head (no partial selection).
+/// The seed's ranking path, in the workspace's one ranking order: materialise
+/// a key for every score, then quickselect and sort the head (no partial
+/// selection).
 fn seed_top_k(scores: &[f32], k: usize) -> Vec<usize> {
-    let k = k.min(scores.len());
+    let mut keys: Vec<Ranked> = scores.iter().enumerate().filter_map(|(i, &score)| Ranked::new(score, i)).collect();
+    let k = k.min(keys.len());
     if k == 0 {
         return Vec::new();
     }
-    let cmp = |a: &usize, b: &usize| scores[*b].total_cmp(&scores[*a]).then(a.cmp(b));
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
     }
-    idx.sort_by(cmp);
-    idx
+    keys.sort_unstable();
+    keys.into_iter().map(Ranked::index).collect()
 }
 
 /// Best-of-`reps` wall time of `f`, in seconds.

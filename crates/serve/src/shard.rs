@@ -28,8 +28,9 @@
 //! * per-shard ranking uses the same fused mask+select kernel as the
 //!   single-node path (seen items participate with an effective `-inf`, so
 //!   even the degenerate "fewer than k unseen items" padding matches); and
-//! * the merge comparator is the same total preference (higher score first,
-//!   ties to the lower global item id) used by `top_k_indices`.
+//! * every select, the merge and the re-rank order by one key,
+//!   `ham_tensor::ops::Ranked`: higher score first, ties to the lower global
+//!   item id, and NaN never ranks.
 //!
 //! ## The shard driver: fused tile score→select
 //!
@@ -42,7 +43,7 @@
 //! caller only merges. Tiling is invisible in the results for the same two
 //! reasons sharding is: a GEMM element's bits do not depend on how rows are
 //! grouped, and the select keeps the exact top-k of every prefix under the
-//! shared comparator. Every path is this one driver — `rank_shard` fanned out
+//! shared key. Every path is this one driver — `rank_shard` fanned out
 //! over the shards, then one `merge_shortlists` over the shards that
 //! answered — exact or quantized, flat or clustered, batch or lone request (a
 //! batch of one row whose single tile is the whole shard, scored by the fused
@@ -86,9 +87,11 @@ use ham_core::SeenMask;
 use ham_data::dataset::ItemId;
 use ham_faults::FaultInjector;
 use ham_tensor::kernels;
-use ham_tensor::ops::{top_k_indices, top_k_indices_masked, TopKStream};
+use ham_tensor::ops::{top_k_indices, top_k_indices_masked, Ranked, TopKStream};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,6 +103,12 @@ pub struct ScoredItem {
     pub item: ItemId,
     /// The model score (`-inf` for masked items padding a degenerate tail).
     pub score: f32,
+}
+
+impl From<Ranked> for ScoredItem {
+    fn from(key: Ranked) -> Self {
+        Self { item: key.index(), score: key.score() }
+    }
 }
 
 /// A contiguous row range of the candidate matrix, served by one shard.
@@ -490,6 +499,11 @@ impl ShardedCatalog {
         let mut visits: Vec<(usize, usize)> = Vec::with_capacity(b * probe);
         for row in 0..b {
             index.centroids().matvec_transposed_into(queries.row(row), &mut route);
+            // A NaN centroid score still routes to real rows: it routes last,
+            // so `nprobe = all` visits every cluster.
+            for score in route.iter_mut().filter(|score| score.is_nan()) {
+                *score = f32::NEG_INFINITY;
+            }
             visits.extend(top_k_indices(&route, probe).into_iter().map(|j| (j, row)));
         }
         visits.sort_unstable();
@@ -597,10 +611,10 @@ impl ShardedCatalog {
     /// **exact f32 re-rank** of the merged candidates.
     ///
     /// The re-rank scores each candidate with the same dispatched per-row
-    /// dot kernel the exact GEMV path uses, and ranks with the same
-    /// comparator — so whenever every exact winner survives the quantized
-    /// 2k pre-selection (the recall guardrail the serving tests pin), the
-    /// result is bit-identical, ids and order, to [`Self::top_k`]. The
+    /// dot kernel the exact GEMV path uses, and ranks by the same key — so
+    /// whenever every exact winner survives the quantized 2k pre-selection
+    /// (the recall guardrail the serving tests pin), the result is
+    /// bit-identical, ids and order, to [`Self::top_k`]. The
     /// pre-selection itself is integer-accumulated and bit-identical across
     /// tiers and shard counts by construction.
     ///
@@ -666,10 +680,10 @@ impl ShardedCatalog {
 
     /// Re-scores `candidates` with the exact f32 per-row dot (the same
     /// dispatched kernel chain as the exact GEMV path — bit-identical per
-    /// row), re-applies the mask, and keeps the top `k` under the exact
-    /// comparator. A candidate whose exact score is NaN (a NaN row the int8
-    /// pre-selection kept) is dropped before the sort: NaN never ranks, as
-    /// on the exact path, so the answer holds `min(k, non-NaN candidates)`
+    /// row), re-applies the mask, and keeps the top `k` in [`Ranked`] order.
+    /// A candidate whose exact score is NaN (a NaN row the int8
+    /// pre-selection kept) has no key and is dropped: NaN never ranks, as on
+    /// the exact path, so the answer holds `min(k, non-NaN candidates)`
     /// items.
     fn rerank_exact(
         &self,
@@ -678,18 +692,16 @@ impl ShardedCatalog {
         k: usize,
         seen: Option<&[bool]>,
     ) -> Vec<ScoredItem> {
-        let mut exact: Vec<ScoredItem> = candidates
+        let mut exact: Vec<Ranked> = candidates
             .into_iter()
-            .map(|c| {
+            .filter_map(|c| {
                 let masked = seen.is_some_and(|bits| bits[c.item]);
                 let score = if masked { f32::NEG_INFINITY } else { kernels::dot(self.candidates.row(c.item), query) };
-                ScoredItem { item: c.item, score }
+                Ranked::new(score, c.item)
             })
-            .filter(|c| !c.score.is_nan())
             .collect();
-        exact.sort_by(|a, b| better(b, a));
-        exact.truncate(k);
-        exact
+        exact.sort_unstable();
+        exact.into_iter().take(k).map(ScoredItem::from).collect()
     }
 
     /// Batched [`Self::quantized_top_k_with_buf`]: every shard task (in
@@ -950,56 +962,28 @@ pub(crate) fn select_widths(ks: &[usize], quantized: bool) -> Vec<usize> {
     ks.iter().map(|&k| select_width(k, quantized)).collect()
 }
 
-/// "Better recommendation" ordering: higher score wins, ties go to the lower
-/// global item id (the order of `top_k_indices`). NaN would compare equal to
-/// everything, but no caller hands it one: the shard selects never rank a
-/// NaN score, and `rerank_exact` drops NaN exact scores before it sorts.
-fn better(a: &ScoredItem, b: &ScoredItem) -> std::cmp::Ordering {
-    // ham-lint: allow(comparator, "no NaN reaches it: the shard selects skip NaN scores and rerank_exact drops NaN exact scores before sorting, so partial_cmp is total here; the ranking-order item in ROADMAP.md unifies this")
-    a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal).then(b.item.cmp(&a.item))
+/// The merge heap's entry for list `list` at or after `pos`: its first
+/// entry with a key (NaN never ranks), reversed so that the max-heap pops
+/// the best head first.
+fn merge_head(per_shard: &[Vec<ScoredItem>], list: usize, pos: usize) -> Option<Reverse<(Ranked, usize, usize)>> {
+    let key = |entry: &ScoredItem| Ranked::new(entry.score, entry.item);
+    per_shard[list].iter().enumerate().skip(pos).find_map(|(pos, entry)| Some(Reverse((key(entry)?, list, pos))))
 }
 
-/// Head of one per-shard list inside the k-way merge heap.
-struct MergeHead {
-    entry: ScoredItem,
-    list: usize,
-    pos: usize,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        better(&self.entry, &other.entry) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for MergeHead {}
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        better(&self.entry, &other.entry)
-    }
-}
-
-/// Merges per-shard top-k lists (each sorted by descending preference) into
-/// the exact global top-k with a k-way heap: `O(total log s)` for `s` lists.
+/// Merges per-shard top-k lists (each in [`Ranked`] order) into the exact
+/// global top-k with a k-way heap: `O(total log s)` for `s` lists.
 ///
 /// Returns fewer than `k` items only when the lists hold fewer than `k`
-/// entries in total (k larger than the catalogue).
+/// entries with a non-NaN score in total (k larger than the catalogue, or
+/// NaN scores, which never rank).
 pub fn merge_top_k(per_shard: &[Vec<ScoredItem>], k: usize) -> Vec<ScoredItem> {
-    let mut heap: std::collections::BinaryHeap<MergeHead> = per_shard
-        .iter()
-        .enumerate()
-        .filter_map(|(list, items)| items.first().map(|&entry| MergeHead { entry, list, pos: 0 }))
-        .collect();
+    let mut heap: BinaryHeap<_> = (0..per_shard.len()).filter_map(|list| merge_head(per_shard, list, 0)).collect();
     let mut out = Vec::with_capacity(k.min(per_shard.iter().map(Vec::len).sum()));
     while out.len() < k {
-        let Some(head) = heap.pop() else { break };
-        out.push(head.entry);
-        if let Some(&next) = per_shard[head.list].get(head.pos + 1) {
-            heap.push(MergeHead { entry: next, list: head.list, pos: head.pos + 1 });
+        let Some(Reverse((key, list, pos))) = heap.pop() else { break };
+        out.push(ScoredItem::from(key));
+        if let Some(next) = merge_head(per_shard, list, pos + 1) {
+            heap.push(next);
         }
     }
     out

@@ -3,6 +3,7 @@
 //! example and by tests that inspect learned item embeddings.
 
 use crate::matrix::dot;
+use crate::ops::TopKStream;
 use crate::Matrix;
 
 /// The Euclidean (L2) norm of a vector.
@@ -36,18 +37,20 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The `k` rows of `embeddings` most cosine-similar to row `query` (excluding
-/// the query row itself), as `(row index, similarity)` pairs sorted by
-/// descending similarity, ties to the lower row. A NaN similarity (a row
-/// holding NaN) ranks after every real one, so the order is total and the
-/// sort cannot panic on it.
+/// the query row itself), as `(row index, similarity)` pairs in
+/// [`Ranked`](crate::ops::Ranked) order: descending similarity, ties to the
+/// lower row. A NaN similarity (a row holding NaN) never ranks, so fewer
+/// than `k` real similarities give a shorter list.
 pub fn most_similar_rows(embeddings: &Matrix, query: usize, k: usize) -> Vec<(usize, f32)> {
     assert!(query < embeddings.rows(), "most_similar_rows: query row out of bounds");
     let q = embeddings.row(query);
-    let mut sims: Vec<(usize, f32)> =
-        (0..embeddings.rows()).filter(|&r| r != query).map(|r| (r, cosine_similarity(q, embeddings.row(r)))).collect();
-    sims.sort_by(|a, b| a.1.is_nan().cmp(&b.1.is_nan()).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0)));
-    sims.truncate(k);
-    sims
+    let sims: Vec<f32> = (0..embeddings.rows()).map(|r| cosine_similarity(q, embeddings.row(r))).collect();
+    // The query row is skipped, not masked: the blocks before and after it
+    // are fed, so it can never pad the list.
+    let mut stream = TopKStream::new(k.min(sims.len() - 1));
+    stream.push_block(0, &sims[..query], |_| false);
+    stream.push_block(query + 1, &sims[query + 1..], |_| false);
+    stream.into_sorted()
 }
 
 #[cfg(test)]
@@ -81,12 +84,19 @@ mod tests {
         assert!(sims.iter().all(|&(r, _)| r != 0));
     }
 
-    /// A thousand random embeddings of 64–2 063 rows with about 10% NaN
-    /// entries: the NaN-equal comparator this sort used to take panicked on
-    /// most of them. Every ranking must come back with the real similarities
-    /// first, descending, and the NaN ones after them.
     #[test]
-    fn most_similar_ranks_nan_last_without_panicking() {
+    fn most_similar_never_pads_with_the_query_row() {
+        let m = Matrix::from_rows(&[&[f32::NAN, 0.0], &[1.0, 0.0], &[0.0, f32::NAN]]);
+        assert!(most_similar_rows(&m, 1, 3).is_empty(), "only NaN similarities besides the query");
+        assert!(most_similar_rows(&Matrix::from_rows(&[&[1.0, 0.0]]), 0, 1).is_empty());
+    }
+
+    /// A thousand random embeddings of 64–2 063 rows with about 10% NaN
+    /// entries: the NaN-equal comparator a full sort here once took panicked
+    /// on most of them. Every ranking must hold exactly the real
+    /// similarities of the other rows, descending, and no NaN.
+    #[test]
+    fn most_similar_never_ranks_nan() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(19);
@@ -97,10 +107,13 @@ mod tests {
             let m = Matrix::from_vec(rows, 2, data);
             let query = rng.gen_range(0..rows);
             let sims = most_similar_rows(&m, query, rows);
-            assert_eq!(sims.len(), rows - 1);
-            let real = sims.iter().take_while(|&&(_, s)| !s.is_nan()).count();
-            assert!(sims[real..].iter().all(|&(_, s)| s.is_nan()), "NaN similarities come last");
-            assert!(sims[..real].windows(2).all(|w| w[0].1 >= w[1].1), "real similarities descend");
+            let real = (0..rows).filter(|&r| r != query && !cosine_similarity(m.row(query), m.row(r)).is_nan()).count();
+            assert_eq!(sims.len(), real, "every real similarity ranks, no NaN one");
+            assert!(sims.iter().all(|&(r, s)| r != query && !s.is_nan()));
+            assert!(
+                sims.windows(2).all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)),
+                "real similarities descend, ties to the lower row"
+            );
         }
     }
 

@@ -1,6 +1,8 @@
 //! Scalar and slice-level numerical operations shared across the workspace:
 //! numerically stable sigmoid / log-sigmoid, softmax, and small helpers used
-//! by both the manual-gradient trainer and the autograd engine.
+//! by both the manual-gradient trainer and the autograd engine — and the
+//! workspace's one ranking order, the [`Ranked`] key, with the bounded top-k
+//! select ([`TopKStream`]) that every ranking runs on.
 
 use crate::Matrix;
 
@@ -71,16 +73,73 @@ pub fn relu(m: &Matrix) -> Matrix {
     m.map(|v| v.max(0.0))
 }
 
-/// Returns the indices that would sort `scores` in descending order,
-/// truncated to the top `k` entries. Ties are broken by the lower index,
-/// which keeps evaluation deterministic.
+/// One candidate's place in a ranking: the one ranking order of the
+/// workspace, which every select, merge, re-rank and count follows.
 ///
-/// For `k ≪ n` (ranking 10 recommendations out of a 50k catalogue) a bounded
-/// min-heap scans the scores once without materialising the full `0..n`
-/// index vector; otherwise the quickselect-then-sort path is used. NaN
-/// ranks below every real score, `-inf` included: the heap path never keeps
-/// one, and the sort places the NaN indices last in ascending order, so the
-/// two paths order identically for any input.
+/// The order is score descending, then index ascending, and `-0.0` ties
+/// with `0.0`. A key compares *less* when it ranks *ahead*, so an
+/// ascending sort of keys is a ranking, best first, and a max-heap of keys
+/// has the worst kept candidate at its root. A key never holds a NaN —
+/// [`Ranked::new`] refuses one — so the order is total by construction:
+/// NaN never ranks, and a ranking with fewer real scores than places comes
+/// back short.
+#[derive(Debug, Clone, Copy)]
+pub struct Ranked {
+    score: f32,
+    index: usize,
+}
+
+impl Ranked {
+    /// The key of candidate `index` at `score`, or `None` for a NaN score.
+    #[inline]
+    pub fn new(score: f32, index: usize) -> Option<Self> {
+        (!score.is_nan()).then_some(Self { score, index })
+    }
+
+    /// The candidate's score (never NaN; its bits as given).
+    #[inline]
+    pub fn score(self) -> f32 {
+        self.score
+    }
+
+    /// The candidate's index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.index
+    }
+}
+
+impl Ord for Ranked {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        if self.score > other.score {
+            Ordering::Less
+        } else if self.score < other.score {
+            Ordering::Greater
+        } else {
+            self.index.cmp(&other.index)
+        }
+    }
+}
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Ranked {}
+
+/// The indices of the top `k` entries of `scores` in [`Ranked`] order:
+/// descending score, ties to the lower index.
+///
+/// A bounded heap ([`TopKStream`]) scans the scores once without
+/// materialising the full `0..n` index vector. NaN never ranks, so fewer
+/// than `k` non-NaN scores give a shorter list.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     top_k_by_score(scores, k, |_| false)
 }
@@ -90,14 +149,14 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
 /// but without writing to (or copying) the score buffer.
 ///
 /// Masked items are not skipped outright — they participate with an
-/// effective score of `-inf` — so the result is bit-identical to the
-/// mask-then-select path, including the degenerate cases where fewer than
-/// `k` items are unmasked and masked items pad the tail of the ranking (in
-/// ascending index order, the `-inf` tie-break). Because the buffer stays
-/// immutable, a caller can rank straight out of a shared score buffer
-/// without cloning it first, and a serving loop can reuse one seen-bitmap
-/// across requests with O(history) mark/clear instead of O(catalogue)
-/// restores.
+/// effective score of `-inf`, whatever their raw score — so the result is
+/// bit-identical to the mask-then-select path, including the degenerate
+/// cases where fewer than `k` items are unmasked and masked items pad the
+/// tail of the ranking (in ascending index order, the `-inf` tie-break).
+/// Because the buffer stays immutable, a caller can rank straight out of a
+/// shared score buffer without cloning it first, and a serving loop can
+/// reuse one seen-bitmap across requests with O(history) mark/clear instead
+/// of O(catalogue) restores.
 ///
 /// # Panics
 /// Panics if `masked` and `scores` differ in length.
@@ -112,74 +171,13 @@ pub fn top_k_indices_masked(scores: &[f32], k: usize, masked: &[bool]) -> Vec<us
     top_k_by_score(scores, k, |i| masked[i])
 }
 
-/// Shared body of [`top_k_indices`] / [`top_k_indices_masked`]: ranks the
-/// indices of `scores` by their effective score — `-inf` where `masked(i)`
-/// — descending, ties to the lower index.
+/// Shared body of [`top_k_indices`] / [`top_k_indices_masked`]: the whole
+/// slice as one [`TopKStream`] block, so 32-score chunks with nothing above
+/// the kept worst never touch the heap.
 fn top_k_by_score(scores: &[f32], k: usize, masked: impl Fn(usize) -> bool) -> Vec<usize> {
-    let n = scores.len();
-    let k = k.min(n);
-    if k == 0 {
-        return Vec::new();
-    }
-    // Heap-based partial selection: O(n log k) time, O(k) extra space. The
-    // whole slice is one block, so 32-score chunks with nothing above the
-    // kept worst never touch the heap.
-    if k * 8 <= n {
-        let mut stream = TopKStream::new(k);
-        stream.push_block(0, scores, &masked);
-        if stream.len() == k {
-            return stream.into_sorted().into_iter().map(|(index, _)| index).collect();
-        }
-        // Rare: NaNs left fewer than k usable scores. Fall through to the
-        // full sort, which pads the ranking with the NaN indices.
-    }
-    let score = |i: usize| if masked(i) { f32::NEG_INFINITY } else { scores[i] };
-    // NaN sorts after every real score, so the order is total: the standard
-    // sorts may panic on a comparator that calls NaN equal to everything.
-    let cmp = |a: &usize, b: &usize| {
-        let (sa, sb) = (score(*a), score(*b));
-        // ham-lint: allow(comparator, "the is_nan key orders NaN last before partial_cmp sees it; the ranking-order item in ROADMAP.md unifies this")
-        sa.is_nan().cmp(&sb.is_nan()).then(sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)).then(a.cmp(b))
-    };
-    let mut idx: Vec<usize> = (0..n).collect();
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
-    }
-    idx.sort_by(cmp);
-    idx
-}
-
-/// A score/index pair ordered by "better recommendation": higher score wins,
-/// ties go to the lower index. [`TopKStream`] never keeps a NaN score, so
-/// the order is total on what it holds.
-struct RankedCandidate {
-    score: f32,
-    index: usize,
-}
-
-impl RankedCandidate {
-    fn better_than(&self, other: &Self) -> std::cmp::Ordering {
-        // ham-lint: allow(comparator, "the heap never holds a NaN score, so partial_cmp is total on it; the ranking-order item in ROADMAP.md unifies this")
-        self.score.partial_cmp(&other.score).unwrap_or(std::cmp::Ordering::Equal).then(other.index.cmp(&self.index))
-    }
-}
-
-impl PartialEq for RankedCandidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.better_than(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for RankedCandidate {}
-impl PartialOrd for RankedCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RankedCandidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.better_than(other)
-    }
+    let mut stream = TopKStream::new(k.min(scores.len()));
+    stream.push_block(0, scores, masked);
+    stream.into_sorted().into_iter().map(|(index, _)| index).collect()
 }
 
 /// Scores per chunk of the streaming select's skip test: two 16-lane (or
@@ -190,8 +188,8 @@ const SELECT_CHUNK: usize = 32;
 /// Streaming bounded top-k: the one heap-select body of the workspace.
 ///
 /// It keeps the best `k` `(index, score)` pairs of a score sequence seen so
-/// far in a bounded min-heap whose root and threshold carry over from call
-/// to call. Feed it blocks of consecutive scores with
+/// far in a bounded heap whose root (the worst kept) and threshold carry
+/// over from call to call. Feed it blocks of consecutive scores with
 /// [`push_block`](Self::push_block): a whole slice as one block (the scans
 /// behind [`top_k_indices`]) or one cache-hot GEMM tile at a time (the fused
 /// score→select driver of the serving layer). Because indices only grow, a
@@ -199,18 +197,18 @@ const SELECT_CHUNK: usize = 32;
 /// heap is full a plain `score > worst` filter is exact; `push_block` applies
 /// it a 32-score chunk at a time, and chunks with no score above the
 /// threshold are skipped without touching the heap. The kept set after any
-/// prefix is the top-`k` of that prefix under the (score desc, index asc)
-/// order, so how the sequence is cut into blocks never changes the result.
+/// prefix is the top-`k` of that prefix in [`Ranked`] order, so how the
+/// sequence is cut into blocks never changes the result.
 ///
-/// NaN scores are skipped entirely: they never enter the heap (a NaN root
-/// would make the `score > worst` filter always false and silently drop
-/// every later real score) and never displace a kept score. A sequence with
-/// fewer than `k` non-NaN scores therefore yields fewer than `k` entries.
+/// NaN scores are skipped entirely: a [`Ranked`] key cannot hold one, so
+/// they never enter the heap (a NaN root would make the `score > worst`
+/// filter always false and silently drop every later real score) and never
+/// displace a kept score. A sequence with fewer than `k` non-NaN scores
+/// therefore yields fewer than `k` entries.
 pub struct TopKStream {
     k: usize,
-    /// `Reverse` turns the max-heap into a min-heap over "betterness", so
-    /// the root is always the worst candidate currently kept.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<RankedCandidate>>,
+    /// A max-heap of keys: the root is always the worst candidate kept.
+    heap: std::collections::BinaryHeap<Ranked>,
     /// The root's score once `k` candidates are kept (`-inf` before).
     worst: f32,
 }
@@ -239,23 +237,20 @@ impl TopKStream {
     // ham-lint: hot-path
     #[inline]
     fn offer(&mut self, index: usize, score: f32) {
-        use std::cmp::Reverse;
+        let Some(candidate) = Ranked::new(score, index) else { return };
         if self.heap.len() < self.k {
-            if score.is_nan() {
-                return;
-            }
-            self.heap.push(Reverse(RankedCandidate { score, index }));
+            self.heap.push(candidate);
             if self.heap.len() < self.k {
                 return;
             }
         } else if score > self.worst {
             if let Some(mut root) = self.heap.peek_mut() {
-                *root = Reverse(RankedCandidate { score, index });
+                *root = candidate;
             }
         } else {
             return;
         }
-        self.worst = self.heap.peek().map_or(f32::NEG_INFINITY, |Reverse(c)| c.score);
+        self.worst = self.heap.peek().map_or(f32::NEG_INFINITY, |c| c.score);
     }
 
     /// Feeds the next block of the sequence: `scores[i]` is the score of
@@ -290,28 +285,26 @@ impl TopKStream {
         }
     }
 
-    /// The kept candidates as `(index, score)`, best first (descending
-    /// score, ascending index on ties; masked items report `-inf`).
+    /// The kept candidates as `(index, score)` in [`Ranked`] order, best
+    /// first (masked items report `-inf`).
     pub fn into_sorted(self) -> Vec<(usize, f32)> {
         let mut kept = self.heap.into_vec();
-        // `Reverse` flips the order back: ascending `Reverse` is descending
-        // betterness.
         kept.sort_unstable();
-        kept.into_iter().map(|std::cmp::Reverse(c)| (c.index, c.score)).collect()
+        kept.into_iter().map(|c| (c.index, c.score)).collect()
     }
 }
 
-/// How many items of a score block rank ahead of `target` under the order
-/// [`TopKStream`] keeps: score descending, then index ascending, and a NaN
-/// score never ranks. `scores[i]` is the score of index `base + i` and
-/// `target_score` is the target's own score; the target need not fall
-/// inside the block.
+/// How many items of a score block rank ahead of `target`: the count form
+/// of the [`Ranked`] order, without building a key per item. `scores[i]` is
+/// the score of index `base + i` and `target_score` is the target's own
+/// score; the target need not fall inside the block.
 ///
 /// An index below `target` ranks ahead when its score is `>= target_score`,
-/// one above it only when its score is `> target_score` (`-0.0` and `0.0`
-/// tie, as they do in the select). A NaN score compares false either way,
-/// so NaN items never count — and with a NaN `target_score` nothing does:
-/// such a target is unranked, which the caller must check itself.
+/// one above it only when its score is `> target_score` — the key's
+/// comparison, spelled out, with `-0.0` and `0.0` tied. A NaN score
+/// compares false either way, so NaN items never count, as no key holds
+/// one — and with a NaN `target_score` nothing does: such a target is
+/// unranked, which the caller must check itself.
 ///
 /// Summed over the blocks of a whole sequence, the count is the target's
 /// rank: for a non-NaN target, `count < k` exactly when the target is among
@@ -414,9 +407,21 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_select_paths_agree() {
-        // 200 scores with deliberate ties; k = 5 takes the heap path,
-        // k = 150 the quickselect path. Cross-check against a full sort.
+    fn ranked_orders_by_score_then_index_and_refuses_nan() {
+        let key = |score: f32, index: usize| Ranked::new(score, index).expect("not NaN");
+        assert!(key(2.0, 9) < key(1.0, 0), "a higher score ranks ahead");
+        assert!(key(1.0, 3) < key(1.0, 4), "a tie goes to the lower index");
+        assert!(key(-0.0, 1) < key(0.0, 2) && key(0.0, 1) < key(-0.0, 2), "-0.0 ties with 0.0");
+        assert!(key(f32::INFINITY, 5) < key(f32::MAX, 0) && key(f32::MIN, 5) < key(f32::NEG_INFINITY, 0));
+        assert_eq!(key(1.0, 3), key(1.0, 3));
+        assert!(Ranked::new(f32::NAN, 0).is_none() && Ranked::new(-f32::NAN, 0).is_none());
+        assert_eq!(key(-0.0, 7).score().to_bits(), (-0.0f32).to_bits(), "the score keeps its bits");
+    }
+
+    #[test]
+    fn top_k_matches_a_full_sort_for_every_k() {
+        // 200 scores with deliberate ties, k from 1 to the whole slice.
+        // Cross-check against a full sort.
         let scores: Vec<f32> = (0..200).map(|i| ((i * 7919) % 23) as f32 * 0.5).collect();
         let full_order = {
             let mut idx: Vec<usize> = (0..scores.len()).collect();
@@ -440,14 +445,14 @@ mod tests {
         let top = top_k_indices(&scores, 3);
         assert_eq!(top, vec![50, 7, 6]);
 
-        // All-NaN input still returns k indices (fallback path).
+        // All-NaN input ranks nothing: NaN never ranks.
         let all_nan = vec![f32::NAN; 64];
-        assert_eq!(top_k_indices(&all_nan, 4).len(), 4);
+        assert!(top_k_indices(&all_nan, 4).is_empty());
     }
 
     /// The fused mask+select path must agree with "write -inf, then select"
-    /// bit for bit on both the heap and the quickselect path, including when
-    /// the mask leaves fewer than k items and masked indices pad the tail.
+    /// bit for bit for every k, including when the mask leaves fewer than k
+    /// items and masked indices pad the tail.
     #[test]
     fn masked_top_k_matches_write_then_select() {
         let scores: Vec<f32> = (0..120).map(|i| ((i * 37) % 41) as f32 * 0.25).collect();
@@ -490,34 +495,27 @@ mod tests {
     }
 
     /// The per-candidate select the block-fed one replaced, kept as its
-    /// reference: every index offered to the heap one at a time, and where
-    /// that path does not apply, a full stable sort of the real scores
-    /// followed by the NaN indices.
+    /// reference: every index offered to the heap one at a time.
     fn offered_one_at_a_time(scores: &[f32], k: usize, masked: &[bool]) -> Vec<usize> {
+        let mut stream = TopKStream::new(k.min(scores.len()));
+        for (index, &score) in scores.iter().enumerate() {
+            stream.offer(index, if masked[index] { f32::NEG_INFINITY } else { score });
+        }
+        stream.into_sorted().into_iter().map(|(index, _)| index).collect()
+    }
+
+    /// The order by definition: the real effective scores (masked ones at
+    /// `-inf`) fully and stably sorted, so ties keep index order, then cut
+    /// to `k`. NaN never ranks, so few real scores give a short list.
+    fn fully_sorted(scores: &[f32], k: usize, masked: &[bool]) -> Vec<usize> {
         let score = |i: usize| if masked[i] { f32::NEG_INFINITY } else { scores[i] };
-        let n = scores.len();
-        let k = k.min(n);
-        if k == 0 {
-            return Vec::new();
-        }
-        if k * 8 <= n {
-            let mut stream = TopKStream::new(k);
-            for index in 0..n {
-                stream.offer(index, score(index));
-            }
-            if stream.len() == k {
-                return stream.into_sorted().into_iter().map(|(index, _)| index).collect();
-            }
-        }
-        let (mut ranked, nan): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| !score(i).is_nan());
+        let mut ranked: Vec<usize> = (0..scores.len()).filter(|&i| !score(i).is_nan()).collect();
         ranked.sort_by(|&a, &b| score(b).partial_cmp(&score(a)).expect("NaN-free"));
-        ranked.extend(nan);
         ranked.truncate(k);
         ranked
     }
 
-    /// Lengths around the 32-score chunk edges and the `k * 8 == n` heap
-    /// cut-off (`k = n / 8` at 8, 64 and 80).
+    /// Lengths around the 32-score chunk edges.
     const EDGE_LENGTHS: [usize; 12] = [0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 80, 700];
     /// Few distinct values, so ties are the rule, with both zeros and both
     /// infinities; NaN is drawn separately.
@@ -527,10 +525,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// `top_k_indices` and `top_k_indices_masked` against the
-        /// per-candidate reference, index vector for index vector: lengths
+        /// per-candidate reference, and that against a full sort, index
+        /// vector for index vector: lengths
         /// 0–700, `k` from 0 to `n + 2`, NaN rates from none to all (a NaN
         /// planted inside the first `k` on some cases; the high rates leave
-        /// fewer than `k` usable scores and force the fallback), and mask
+        /// fewer than `k` usable scores and a short list), and mask
         /// densities 0, 0.1, 0.5 and 1.
         #[test]
         fn block_fed_select_matches_the_per_candidate_reference(seed in 0u64..1 << 40) {
@@ -559,6 +558,11 @@ mod tests {
             prop_assert_eq!(
                 top_k_indices_masked(&scores, k, &masked),
                 offered_one_at_a_time(&scores, k, &masked),
+                "n = {n}, k = {k}, nan rate = {nan_rate}, mask density = {density}"
+            );
+            prop_assert_eq!(
+                offered_one_at_a_time(&scores, k, &masked),
+                fully_sorted(&scores, k, &masked),
                 "n = {n}, k = {k}, nan rate = {nan_rate}, mask density = {density}"
             );
         }
