@@ -29,7 +29,10 @@
 //!   ham-tensor must `#![deny(unsafe_op_in_unsafe_fn)]`;
 //! - **comparator** — no `partial_cmp(…).unwrap_or(…)` float order in
 //!   runtime code, and no escape hatch (NaN makes it non-total; use
-//!   `total_cmp` or the `Ranked` key).
+//!   `total_cmp` or the `Ranked` key);
+//! - **reader** — a library `pub fn` must be named in some other file
+//!   (tests, benches and examples count) or carry
+//!   `api("<who reads it>")`.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +45,7 @@ pub use rules::Finding;
 use scan::SourceFile;
 
 /// Runs the per-file rule families over one parsed file.
-pub fn lint_file(file: &SourceFile, findings: &mut Vec<Finding>) {
+fn lint_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     rules::unsafe_audit::check(file, findings);
     rules::atomics::check(file, findings);
     rules::hotpath::check(file, findings);
@@ -60,14 +63,17 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// Lints a set of parsed files: the per-file families plus the
-/// workspace-level crate-attribute check, sorted by path and line.
-pub fn lint_workspace_files(files: &[SourceFile]) -> Vec<Finding> {
+/// Lints the workspace: the per-file families over `linted` (the
+/// `crates/*/src` files), then the workspace-level crate-attribute and
+/// reader checks, sorted by path and line. `readers` are searched only for
+/// readers of public functions.
+pub fn lint_workspace_files(linted: &[SourceFile], readers: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for file in files {
+    for file in linted {
         lint_file(file, &mut findings);
     }
-    rules::crate_attrs::check(files, &mut findings);
+    rules::crate_attrs::check(linted, &mut findings);
+    rules::reader::check(linted, readers, &mut findings);
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     findings
 }

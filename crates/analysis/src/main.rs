@@ -1,4 +1,4 @@
-//! `ham-lint`: walk `crates/*/src`, run every rule, exit nonzero on
+//! `ham-lint`: walk the workspace, run every rule, exit nonzero on
 //! findings.
 //!
 //! Usage: `ham-lint [workspace-root]` (default `.`). CI runs it as the
@@ -7,67 +7,31 @@
 
 #![forbid(unsafe_code)]
 
-use ham_analysis::scan::SourceFile;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn main() {
-    let root = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
-    let root = PathBuf::from(root);
-    let crates_dir = root.join("crates");
-    if !crates_dir.is_dir() {
+    let root = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| ".".to_string()));
+    if !root.join("crates").is_dir() {
         eprintln!("ham-lint: no crates/ directory under {} — run from the workspace root", root.display());
         std::process::exit(2);
     }
-
-    let mut sources = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = match std::fs::read_dir(&crates_dir) {
-        Ok(entries) => entries.filter_map(|e| e.ok().map(|e| e.path())).filter(|p| p.is_dir()).collect(),
+    let sources = match ham_analysis::scan::workspace_sources(&root) {
+        Ok(sources) => sources,
         Err(err) => {
-            eprintln!("ham-lint: cannot read {}: {err}", crates_dir.display());
+            eprintln!("ham-lint: cannot read the workspace under {}: {err}", root.display());
             std::process::exit(2);
         }
     };
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut sources);
-        }
-    }
 
-    let mut files = Vec::new();
-    for path in &sources {
-        let rel = path.strip_prefix(&root).unwrap_or(path);
-        match std::fs::read_to_string(path) {
-            Ok(text) => files.push(SourceFile::parse(&rel.to_string_lossy(), &text)),
-            Err(err) => {
-                eprintln!("ham-lint: cannot read {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let findings = ham_analysis::lint_workspace_files(&files);
+    let findings = ham_analysis::lint_workspace_files(&sources.linted, &sources.readers);
     for finding in &findings {
         println!("{finding}");
     }
+    let files = sources.linted.len();
     if findings.is_empty() {
-        println!("ham-lint: {} files clean", files.len());
+        println!("ham-lint: {files} files clean");
     } else {
-        println!("ham-lint: {} finding(s) across {} files", findings.len(), files.len());
+        println!("ham-lint: {} finding(s) across {files} files", findings.len());
         std::process::exit(1);
-    }
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
     }
 }

@@ -32,7 +32,7 @@ const AUDITED: &[&str] = &[
 
 const ATOMIC_VARIANTS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-pub fn audited(path: &str) -> bool {
+fn audited(path: &str) -> bool {
     AUDITED.iter().any(|fragment| path.contains(fragment))
 }
 

@@ -1,13 +1,15 @@
 //! The rule families. Each rule takes a parsed [`SourceFile`] and appends
-//! [`Finding`]s; [`crate::lint_file`] runs them all. Workspace-level checks
-//! (crate attributes) live in [`crate_attrs`] and run over the whole file
-//! set at once.
+//! [`Finding`]s; [`crate::lint_workspace_files`] runs them all.
+//! Workspace-level checks (crate attributes, public-function readers) live
+//! in [`crate_attrs`] and [`reader`] and run over the whole file set at
+//! once.
 
 pub mod atomics;
 pub mod comparator;
 pub mod crate_attrs;
 pub mod hotpath;
 pub mod panics;
+pub mod reader;
 pub mod unsafe_audit;
 
 use crate::scan::SourceFile;

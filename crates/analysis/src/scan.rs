@@ -8,6 +8,8 @@
 //! trailing comment plus the contiguous comment block above, skipping the
 //! attribute lines that legally sit between a comment and its item).
 
+use std::path::{Path, PathBuf};
+
 use crate::lexer::{lex, Line};
 
 /// A lexed source file plus the structural masks the rules share.
@@ -17,7 +19,7 @@ pub struct SourceFile {
     pub path: String,
     pub lines: Vec<Line>,
     /// `test_mask[i]` is true when line `i` belongs to a `#[cfg(test)]`
-    /// item (the attribute line through the matching closing brace).
+    /// item (the attribute line through the item's closing brace or `;`).
     pub test_mask: Vec<bool>,
 }
 
@@ -29,12 +31,70 @@ impl SourceFile {
     }
 }
 
+/// The workspace's Rust sources as `ham-lint` reads them.
+#[derive(Debug)]
+pub struct WorkspaceSources {
+    /// `crates/*/src/**`: every rule runs over these.
+    pub linted: Vec<SourceFile>,
+    /// Crate `tests/` and `benches/` (minus the never-compiled lint
+    /// fixtures), root `src/`, `tests/` and `examples/`: searched only for
+    /// readers of public functions.
+    pub readers: Vec<SourceFile>,
+}
+
+/// Walks the workspace at `root`, sorted by path; every [`SourceFile`]
+/// carries its root-relative path.
+pub fn workspace_sources(root: &Path) -> std::io::Result<WorkspaceSources> {
+    let mut crates: Vec<PathBuf> =
+        std::fs::read_dir(root.join("crates"))?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
+    crates.sort();
+    let (mut linted, mut readers) = (Vec::new(), Vec::new());
+    for krate in &crates {
+        collect_rs(&krate.join("src"), &mut linted)?;
+        collect_rs(&krate.join("tests"), &mut readers)?;
+        collect_rs(&krate.join("benches"), &mut readers)?;
+    }
+    for dir in ["src", "tests", "examples"] {
+        collect_rs(&root.join(dir), &mut readers)?;
+    }
+    let parse = |paths: Vec<PathBuf>| -> std::io::Result<Vec<SourceFile>> {
+        paths
+            .iter()
+            .map(|p| {
+                let rel = p.strip_prefix(root).unwrap_or(p);
+                Ok(SourceFile::parse(&rel.to_string_lossy(), &std::fs::read_to_string(p)?))
+            })
+            .collect()
+    };
+    Ok(WorkspaceSources { linted: parse(linted)?, readers: parse(readers)? })
+}
+
+/// Appends every `.rs` file under `dir` (recursively, sorted) to `out`; a
+/// missing `dir` adds nothing, and `fixtures` directories are skipped.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
+    paths.sort();
+    for path in paths {
+        if path.is_dir() {
+            if !path.ends_with("fixtures") {
+                collect_rs(&path, out)?;
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
 fn test_mask(lines: &[Line]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0;
     while i < lines.len() {
         if lines[i].code.contains("#[cfg(test)]") || lines[i].code.contains("#[test]") {
-            match brace_close(lines, i) {
+            match item_end(lines, i) {
                 Some(close) => {
                     for m in &mut mask[i..=close] {
                         *m = true;
@@ -53,6 +113,25 @@ fn test_mask(lines: &[Line]) -> Vec<bool> {
         }
     }
     mask
+}
+
+/// Line index where the item whose attribute sits on line `start` ends: its
+/// first `;` outside parentheses and brackets when that comes before any
+/// `{` (`mod helpers;`, `use …;`), else the `}` matching its first `{`.
+fn item_end(lines: &[Line], start: usize) -> Option<usize> {
+    let mut nesting = 0i32;
+    for (idx, line) in lines.iter().enumerate().skip(start) {
+        for c in line.code.chars() {
+            match c {
+                '(' | '[' => nesting += 1,
+                ')' | ']' => nesting -= 1,
+                ';' if nesting == 0 => return Some(idx),
+                '{' => return brace_close(lines, idx),
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 /// Line index of the `}` matching the first `{` at or after line `start`.
@@ -160,6 +239,13 @@ mod tests {
         assert!(file.test_mask[4], "the attribute line is masked");
         assert!(file.test_mask[7], "the test body is masked");
         assert!(file.test_mask[9], "the closing brace is masked");
+    }
+
+    #[test]
+    fn a_braceless_cfg_test_item_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nmod helpers;\npub fn runtime(x: [u8; 2]) {\n    x.unwrap();\n}\n";
+        let file = SourceFile::parse("crates/x/src/lib.rs", src);
+        assert_eq!(file.test_mask, [true, true, false, false, false]);
     }
 
     #[test]

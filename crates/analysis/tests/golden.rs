@@ -5,7 +5,7 @@
 //! scope themselves by path (audited modules, tier-module placement, the
 //! serve/online panic surface).
 
-use ham_analysis::rules::{atomics, comparator, crate_attrs, hotpath, panics, unsafe_audit};
+use ham_analysis::rules::{atomics, comparator, crate_attrs, hotpath, panics, reader, unsafe_audit};
 use ham_analysis::scan::SourceFile;
 use ham_analysis::{lint_source, lint_workspace_files, Finding};
 
@@ -189,28 +189,28 @@ fn poison_recovery_allow_panic_and_tests_all_pass() {
 #[test]
 fn unsafe_free_crates_must_forbid_unsafe_code() {
     let missing = SourceFile::parse("crates/serve/src/lib.rs", "//! Serving.\npub mod server;\n");
-    let findings = lint_workspace_files(&[missing]);
+    let findings = lint_workspace_files(&[missing], &[]);
     assert_eq!(rules_hit(&findings), vec![crate_attrs::RULE]);
 
     let present = SourceFile::parse("crates/serve/src/lib.rs", "//! Serving.\n#![forbid(unsafe_code)]\n");
-    assert!(lint_workspace_files(&[present]).is_empty());
+    assert!(lint_workspace_files(&[present], &[]).is_empty());
 }
 
 #[test]
 fn ham_tensor_must_deny_unsafe_op_in_unsafe_fn() {
     let missing = SourceFile::parse("crates/tensor/src/lib.rs", "//! Tensors.\n");
-    let findings = lint_workspace_files(&[missing]);
+    let findings = lint_workspace_files(&[missing], &[]);
     assert_eq!(rules_hit(&findings), vec![crate_attrs::RULE]);
     assert!(findings[0].message.contains("unsafe_op_in_unsafe_fn"));
 
     let present = SourceFile::parse("crates/tensor/src/lib.rs", "#![deny(unsafe_op_in_unsafe_fn)]\n");
-    assert!(lint_workspace_files(&[present]).is_empty());
+    assert!(lint_workspace_files(&[present], &[]).is_empty());
 }
 
 #[test]
 fn non_lib_files_are_exempt_from_crate_attrs() {
-    let module = SourceFile::parse("crates/serve/src/server.rs", "pub fn run() {}\n");
-    assert!(lint_workspace_files(&[module]).is_empty());
+    let module = SourceFile::parse("crates/serve/src/server.rs", "fn run() {}\n");
+    assert!(lint_workspace_files(&[module], &[]).is_empty());
 }
 
 // --- rule family 6: comparator --------------------------------------------
@@ -241,5 +241,75 @@ fn total_cmp_expect_impls_and_tests_all_pass() {
     for path in ["crates/tensor/src/ops.rs", "crates/experiments/src/tuning.rs"] {
         let findings = lint_source(path, include_str!("fixtures/comparator_ok.rs"));
         assert!(findings.is_empty(), "unexpected: {findings:?}");
+    }
+}
+
+// --- rule family 7: reader (workspace-level) ------------------------------
+
+const LIB: &str = "crates/eval/src/ranking.rs";
+
+/// Lints `lib` as `crates/eval/src/ranking.rs` beside reader-only files;
+/// returns the lines flagged by the reader rule.
+fn reader_lines(lib: &str, readers: &[(&str, &str)]) -> Vec<usize> {
+    let linted = [SourceFile::parse(LIB, lib)];
+    let readers: Vec<SourceFile> = readers.iter().map(|(path, src)| SourceFile::parse(path, src)).collect();
+    let findings = lint_workspace_files(&linted, &readers);
+    assert!(findings.iter().all(|f| f.rule == reader::RULE), "only the reader rule: {findings:?}");
+    findings.iter().map(|f| f.line).collect()
+}
+
+#[test]
+fn a_pub_fn_named_only_in_its_own_file_is_flagged() {
+    let lib = "pub fn hit_rate() -> f64 {\n    0.0\n}\n\npub fn report() -> f64 {\n    hit_rate()\n}\n";
+    let findings = lint_workspace_files(&[SourceFile::parse(LIB, lib)], &[]);
+    assert_eq!(rules_hit(&findings), vec![reader::RULE, reader::RULE]);
+    assert!(findings[0].message.contains("`pub fn hit_rate`"), "names the function: {findings:?}");
+    assert!(findings[0].message.contains("pub(crate)"), "names the fix: {findings:?}");
+}
+
+#[test]
+fn a_pub_fn_named_only_by_its_own_unit_tests_is_flagged() {
+    let lib =
+        "pub fn hit_rate() -> f64 {\n    0.0\n}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+               super::hit_rate();\n    }\n}\n";
+    assert_eq!(reader_lines(lib, &[]), [1]);
+}
+
+#[test]
+fn comments_strings_and_pub_use_lines_are_not_readers() {
+    let other = "// hit_rate is documented here\nconst NAME: &str = \"hit_rate\";\npub use ranking::hit_rate;\n\
+                 pub use ranking::{\n    hit_rate,\n};\n";
+    assert_eq!(reader_lines("pub fn hit_rate() {}\n", &[("crates/eval/src/lib.rs", other)]), [1]);
+}
+
+#[test]
+fn an_empty_api_annotation_is_flagged() {
+    for annotation in ["// ham-lint: api()", "// ham-lint: api(\"\")", "// ham-lint: api( \" \" )"] {
+        let lib = format!("/// Hit rate.\n{annotation}\npub fn hit_rate() {{}}\n");
+        let findings = lint_workspace_files(&[SourceFile::parse(LIB, &lib)], &[]);
+        assert_eq!(rules_hit(&findings), vec![reader::RULE], "{annotation}");
+        assert!(findings[0].message.contains("empty api()"), "{findings:?}");
+    }
+}
+
+#[test]
+fn a_reader_in_another_crates_tests_passes() {
+    let test = "use ham_eval::ranking::hit_rate;\n#[test]\nfn t() {\n    assert_eq!(hit_rate(), 0.0);\n}\n";
+    assert!(reader_lines("pub fn hit_rate() -> f64 {\n    0.0\n}\n", &[("crates/serve/tests/t.rs", test)]).is_empty());
+}
+
+#[test]
+fn an_api_annotation_naming_its_reader_passes() {
+    let lib = "/// Hit rate.\n// ham-lint: api(\"README § Telemetry\")\n#[inline]\npub fn hit_rate() {}\n";
+    assert!(reader_lines(lib, &[]).is_empty());
+}
+
+#[test]
+fn crate_visible_test_only_and_bin_functions_are_out_of_scope() {
+    assert!(reader_lines("pub(crate) fn hit_rate() {}\nfn private() {}\n", &[]).is_empty());
+    assert!(reader_lines("#[cfg(test)]\npub fn hit_rate() {\n}\n", &[]).is_empty());
+    for bin in ["crates/bench/src/bin/report.rs", "crates/analysis/src/main.rs"] {
+        let findings = lint_workspace_files(&[SourceFile::parse(bin, "pub fn helper() {}\n")], &[]);
+        assert!(findings.is_empty(), "{bin}: {findings:?}");
     }
 }

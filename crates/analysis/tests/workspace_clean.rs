@@ -2,48 +2,19 @@
 //! same walk the `ham-lint` binary performs, run in-process so `cargo test`
 //! catches a regression even where CI's `static-analysis` job is skipped.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ham_analysis::lint_workspace_files;
-use ham_analysis::scan::SourceFile;
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let mut entries: Vec<_> = fs::read_dir(dir).expect("readable source dir").map(|e| e.expect("dir entry")).collect();
-    entries.sort_by_key(|e| e.path());
-    for entry in entries {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
+use ham_analysis::scan::workspace_sources;
 
 #[test]
 fn the_workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root");
-    let mut paths = Vec::new();
-    let mut crates: Vec<_> =
-        fs::read_dir(root.join("crates")).expect("crates/ dir").map(|e| e.expect("dir entry").path()).collect();
-    crates.sort();
-    for krate in crates {
-        let src = krate.join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut paths);
-        }
-    }
-    assert!(paths.len() >= 100, "the walk found only {} files — wrong root?", paths.len());
+    let sources = workspace_sources(&root).expect("readable workspace");
+    assert!(sources.linted.len() >= 100, "the walk found only {} files — wrong root?", sources.linted.len());
+    assert!(sources.readers.len() >= 20, "the walk found only {} reader files", sources.readers.len());
 
-    let files: Vec<SourceFile> = paths
-        .iter()
-        .map(|p| {
-            let logical = p.strip_prefix(&root).expect("under root").to_string_lossy().replace('\\', "/");
-            SourceFile::parse(&logical, &fs::read_to_string(p).expect("readable source file"))
-        })
-        .collect();
-    let findings = lint_workspace_files(&files);
+    let findings = lint_workspace_files(&sources.linted, &sources.readers);
     let rendered: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
     assert!(findings.is_empty(), "the workspace must lint clean:\n{}", rendered.join("\n"));
 }

@@ -26,7 +26,7 @@
 //!   value and enough information to run the backward rule.
 //! * [`Graph::backward`] walks the tape in reverse and produces a
 //!   [`GradStore`] holding a dense or sparse gradient per touched parameter.
-//! * [`optim::Adam`] / [`optim::Sgd`] apply a `GradStore` to a `ParamStore`.
+//! * [`optim::Adam`] applies a `GradStore` to a `ParamStore`.
 //! * [`gradcheck`] provides finite-difference checking used extensively by the
 //!   test-suites of this crate and of the model crates built on top of it.
 //!
@@ -59,5 +59,5 @@ pub mod optim;
 pub mod params;
 
 pub use graph::{Graph, VarId};
-pub use optim::{Adam, AdamConfig, AdamState, Optimizer, RowSet, Sgd};
+pub use optim::{Adam, AdamConfig, AdamState, RowSet};
 pub use params::{GradStore, ParamId, ParamStore, SparseGrad};

@@ -1,5 +1,5 @@
-//! Optimizers: Adam (with lazy/sparse updates for embedding tables, as the
-//! paper trains all models with Adam) and plain SGD used in tests.
+//! The optimizer: Adam, with lazy/sparse updates for embedding tables (the
+//! paper trains all models with Adam).
 //!
 //! Adam reads a sparse gradient as a *row set*: a table, its touched row ids
 //! and one flat buffer holding each row's gradient in the same order
@@ -32,12 +32,6 @@ pub struct RowSet<'a> {
     pub rows: &'a [usize],
     /// Their gradients, one row of the table's width each, in `rows` order.
     pub values: &'a [f32],
-}
-
-/// A gradient-descent optimizer over a [`ParamStore`].
-pub trait Optimizer {
-    /// Applies one update step using the gradients in `grads`.
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore);
 }
 
 /// Configuration of the [`Adam`] optimizer.
@@ -131,11 +125,6 @@ impl Adam {
         Self { config, step: 0, m: HashMap::new(), v: HashMap::new(), row_steps: HashMap::new() }
     }
 
-    /// Creates an Adam optimizer with [`AdamConfig::default`].
-    pub fn with_defaults() -> Self {
-        Self::new(AdamConfig::default())
-    }
-
     /// Recreates an optimizer from a state snapshot: stepping the resumed
     /// optimizer is bit-identical to stepping the one that exported `state`.
     pub fn resume(config: AdamConfig, state: AdamState) -> Self {
@@ -179,11 +168,16 @@ fn moments<'a>(
 }
 
 impl Adam {
+    /// Applies one update step using the gradients in `grads`.
+    pub fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
+        self.step_with_rows(params, grads, &[]);
+    }
+
     /// One step over `grads` and the row sets `row_sets` together: the step
     /// count rises once, and every dense gradient, sparse row of `grads` and
     /// row of `row_sets` is applied with that step's bias correction (or its
     /// row's own, under [`AdamConfig::per_row_bias_correction`]).
-    /// [`Optimizer::step`] is this with no row sets. A table may appear both
+    /// [`Adam::step`] is this with no row sets. A table may appear both
     /// in `grads` and in `row_sets`, and in several sets, as long as no row
     /// appears twice.
     ///
@@ -271,12 +265,6 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        self.step_with_rows(params, grads, &[]);
-    }
-}
-
 /// One Adam update over matching slices of a parameter, its two moments and
 /// its gradient. Each element is independent and computed by the same
 /// expression in the same order as an element-by-element loop, so zipping
@@ -292,55 +280,6 @@ fn adam_update(c: &AdamConfig, bias1: f32, bias2: f32, value: &mut [f32], m: &mu
         let m_hat = mi / bias1;
         let v_hat = vi / bias2;
         *x -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
-    }
-}
-
-/// Plain stochastic gradient descent; mainly used to keep optimizer behaviour
-/// observable in tests and ablation benches.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Step size.
-    pub learning_rate: f32,
-    /// Decoupled L2 weight decay.
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate and no decay.
-    pub fn new(learning_rate: f32) -> Self {
-        Self { learning_rate, weight_decay: 0.0 }
-    }
-
-    /// One SGD update over matching slices of a parameter and its gradient.
-    fn update(&self, value: &mut [f32], grad: &[f32]) {
-        for (x, &raw_g) in value.iter_mut().zip(grad) {
-            let g = raw_g + self.weight_decay * *x;
-            *x -= self.learning_rate * g;
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        for id in grads.dense_ids() {
-            let grad = grads.dense(id).expect("dense id must have a dense grad");
-            assert_eq!(
-                grad.shape(),
-                params.value(id).shape(),
-                "Sgd: dense gradient shape mismatch for {}",
-                params.name(id)
-            );
-            self.update(params.value_mut(id).as_mut_slice(), grad.as_slice());
-        }
-        for id in grads.sparse_ids() {
-            let sparse = grads.sparse(id).expect("sparse id must have a sparse grad");
-            let cols = params.value(id).cols();
-            assert_eq!(sparse.cols(), cols, "Sgd: sparse gradient width mismatch for {}", params.name(id));
-            let value = params.value_mut(id).as_mut_slice();
-            for (row, grad_row) in sparse.iter() {
-                self.update(&mut value[row * cols..(row + 1) * cols], grad_row);
-            }
-        }
     }
 }
 
@@ -374,23 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn sgd_moves_against_gradient() {
-        let mut params = ParamStore::new();
-        let w = params.add_dense("w", Matrix::full(1, 1, 1.0));
-        let mut grads = GradStore::new();
-        grads.accumulate_dense(w, &Matrix::full(1, 1, 2.0));
-        let mut sgd = Sgd::new(0.5);
-        sgd.step(&mut params, &grads);
-        assert_eq!(params.value(w).get(0, 0), 0.0);
-    }
-
-    #[test]
     fn sparse_adam_only_touches_gradient_rows() {
         let mut params = ParamStore::new();
         let v = params.add_embedding("V", Matrix::full(4, 2, 1.0));
         let mut grads = GradStore::new();
         grads.accumulate_sparse(v, &[1], &Matrix::row_vector(&[1.0, -1.0]));
-        let mut adam = Adam::with_defaults();
+        let mut adam = Adam::new(AdamConfig::default());
         adam.step(&mut params, &grads);
         let value = params.value(v);
         // untouched rows keep their original values exactly
@@ -591,32 +519,6 @@ mod tests {
         }
     }
 
-    /// The previous SGD step, element by element.
-    fn reference_sgd_step(sgd: &Sgd, params: &mut ParamStore, grads: &GradStore) {
-        let dense_ids: Vec<ParamId> = grads.dense_ids().collect();
-        for id in dense_ids {
-            let grad = grads.dense(id).unwrap().clone();
-            let value = params.value_mut(id);
-            for i in 0..value.len() {
-                let g = grad.as_slice()[i] + sgd.weight_decay * value.as_slice()[i];
-                value.as_mut_slice()[i] -= sgd.learning_rate * g;
-            }
-        }
-        let sparse_ids: Vec<ParamId> = grads.sparse_ids().collect();
-        for id in sparse_ids {
-            let sparse = grads.sparse(id).unwrap();
-            let cols = params.value(id).cols();
-            let value = params.value_mut(id);
-            for (row, grad_row) in sparse.iter() {
-                for (col, &raw_g) in grad_row.iter().enumerate() {
-                    let i = row * cols + col;
-                    let g = raw_g + sgd.weight_decay * value.as_slice()[i];
-                    value.as_mut_slice()[i] -= sgd.learning_rate * g;
-                }
-            }
-        }
-    }
-
     fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
         a.shape() == b.shape() && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
     }
@@ -754,23 +656,6 @@ mod tests {
             for (key, m) in &a.m {
                 prop_assert!(bits_equal(m, &b.m[key]), "first moment of parameter {key}");
                 prop_assert!(bits_equal(&a.v[key], &b.v[key]), "second moment of parameter {key}");
-            }
-        }
-
-        /// The slice-wise SGD against the element-by-element one.
-        #[test]
-        fn sgd_matches_the_element_loop_reference_bit_for_bit(seed in 0u64..1 << 40, steps in 1usize..40) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (mut params, w, e) = pin_params(&mut rng);
-            let mut reference_params = params.clone();
-            let mut sgd = Sgd { learning_rate: 0.1, weight_decay: 0.02 };
-            for _ in 0..steps {
-                let grads = random_grads(&mut rng, &params, w, e);
-                sgd.step(&mut params, &grads);
-                reference_sgd_step(&sgd, &mut reference_params, &grads);
-            }
-            for id in [w, e] {
-                prop_assert!(bits_equal(params.value(id), reference_params.value(id)), "{} drifted", params.name(id));
             }
         }
     }

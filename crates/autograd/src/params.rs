@@ -74,11 +74,6 @@ impl ParamStore {
         self.params.is_empty()
     }
 
-    /// Total number of scalar values across all parameters.
-    pub fn num_values(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// The value of a parameter.
     pub fn value(&self, id: ParamId) -> &Matrix {
         &self.params[id.0].value
@@ -113,12 +108,6 @@ impl ParamStore {
     /// Iterates over all parameter handles.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         (0..self.params.len()).map(ParamId)
-    }
-
-    /// Sum of squared values over all parameters (used for reporting the L2
-    /// term; the optimizers apply decoupled weight decay instead).
-    pub fn l2_norm_sq(&self) -> f32 {
-        self.params.iter().map(|p| p.value.frobenius_norm_sq()).sum()
     }
 }
 
@@ -459,7 +448,6 @@ mod tests {
         let a = store.add_dense("w", Matrix::zeros(2, 3));
         let b = store.add_embedding("V", Matrix::zeros(10, 4));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.num_values(), 6 + 40);
         assert_eq!(store.name(a), "w");
         assert_eq!(store.kind(b), ParamKind::SparseRows);
         assert_eq!(store.value(b).shape(), (10, 4));
@@ -525,14 +513,6 @@ mod tests {
         assert_eq!(dense.row(1), &[3.0, 2.0]);
         assert_eq!(dense.row(3), &[0.0, 4.0]);
         assert_eq!(dense.row(0), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn l2_norm_sums_all_params() {
-        let mut params = ParamStore::new();
-        params.add_dense("a", Matrix::full(1, 2, 2.0));
-        params.add_dense("b", Matrix::full(1, 1, 3.0));
-        assert_eq!(params.l2_norm_sq(), 8.0 + 9.0);
     }
 
     #[test]

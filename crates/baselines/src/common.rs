@@ -2,7 +2,7 @@
 //! its pairwise loss and the inference-time window convention. Scoring goes
 //! through `ham_core::Scorer`, which every baseline implements.
 
-use ham_autograd::{Adam, AdamConfig, Graph, Optimizer, ParamStore, VarId};
+use ham_autograd::{Adam, AdamConfig, Graph, ParamStore, VarId};
 use ham_data::dataset::ItemId;
 use ham_data::negative::NegativeSampler;
 use ham_data::window::WindowStore;

@@ -30,11 +30,6 @@ impl PopRec {
         }
         Self { scores: Matrix::from_vec(num_items, 1, counts) }
     }
-
-    /// The raw popularity count of an item.
-    pub fn popularity(&self, item: ItemId) -> f32 {
-        self.scores.get(item, 0)
-    }
 }
 
 /// The popularity column scored by the constant query `[1.0]`:
@@ -56,8 +51,8 @@ mod tests {
     #[test]
     fn popularity_counts_training_occurrences() {
         let model = PopRec::fit(&[vec![0, 1, 1], vec![1, 2]], 4);
-        assert_eq!(model.popularity(1), 3.0);
-        assert_eq!(model.popularity(3), 0.0);
+        assert_eq!(model.scores.get(1, 0), 3.0);
+        assert_eq!(model.scores.get(3, 0), 0.0);
         assert_eq!(model.num_items(), 4);
     }
 

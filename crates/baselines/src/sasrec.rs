@@ -15,7 +15,6 @@ use crate::common::{bpr_pairwise_loss, fixed_window, train_bpr, BaselineTrainCon
 use ham_autograd::{Graph, ParamId, ParamStore, VarId};
 use ham_core::Scorer;
 use ham_data::dataset::ItemId;
-use ham_tensor::matrix::dot;
 use ham_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,20 +150,6 @@ impl SasRec {
     pub fn config(&self) -> &SasRecConfig {
         &self.config
     }
-
-    /// The attention weights of the last position over the window items,
-    /// used by the attention-weight study (Figure 4 / Section 7.2).
-    pub fn attention_weights(&self, sequence: &[ItemId]) -> Vec<(ItemId, f32)> {
-        let window = fixed_window(sequence, self.config.seq_len);
-        let e = self.params.value(self.ids.items).gather_rows(&window);
-        let x = e.add(self.params.value(self.ids.positions));
-        let q = x.matmul(self.params.value(self.ids.w_query));
-        let k = x.matmul(self.params.value(self.ids.w_key));
-        let mut scores: Vec<f32> =
-            (0..window.len()).map(|l| dot(q.row(window.len() - 1), k.row(l)) / (self.config.d as f32).sqrt()).collect();
-        ham_tensor::ops::softmax_in_place(&mut scores);
-        window.into_iter().zip(scores).collect()
-    }
 }
 
 /// Builds the additive causal mask: 0 on and below the diagonal, a large
@@ -222,16 +207,6 @@ mod tests {
         assert_eq!(scores.len(), model.num_items());
         assert!(scores.iter().all(|s| s.is_finite()));
         assert_eq!(model.config().seq_len, 5);
-    }
-
-    #[test]
-    fn attention_weights_form_a_distribution() {
-        let (model, seqs) = small_model();
-        let weights = model.attention_weights(&seqs[0]);
-        assert_eq!(weights.len(), 5);
-        let sum: f32 = weights.iter().map(|(_, w)| w).sum();
-        assert!((sum - 1.0).abs() < 1e-4, "attention weights should sum to 1, got {sum}");
-        assert!(weights.iter().all(|(_, w)| *w >= 0.0));
     }
 
     #[test]

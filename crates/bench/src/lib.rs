@@ -6,8 +6,8 @@
 //!
 //! * `inference` — per-user test-time scoring latency of HAMs_m vs Caser,
 //!   SASRec and HGN (the shape of Table 14).
-//! * `training_step` — cost of one mini-batch training step per method, and
-//!   manual vs autograd gradients for HAM.
+//! * `training_step` — cost of one mini-batch training step per method
+//!   (HAM on its analytic gradients, HGN on the autograd tape).
 //! * `pooling_vs_attention` — the design-choice ablation the paper motivates:
 //!   mean/max pooling vs a parameterised attention layer over the same window.
 //! * `synergy_order` — cost of the recursive synergies for `p = 1..4`
@@ -16,12 +16,11 @@
 //!   extraction throughput.
 //! * `scoring_kernels` — the scoring-kernel ladder (naive per-item dot loop
 //!   vs fused `matvec_transposed` vs batched `Q·Wᵀ`) at catalogue sizes
-//!   1k / 10k / 50k; the `scoring_report` binary writes the same comparison
-//!   plus end-to-end evaluation numbers to `BENCH_scoring.json`.
+//!   1k / 10k / 50k.
 //!
-//! Report binaries under `src/bin/` write JSON artifacts: `scoring_report`
-//! (above), `serve_report` (`BENCH_serving.json`, the sharded online
-//! subsystem) and `kernel_report` (`BENCH_kernels.json`, portable vs
+//! Report binaries under `src/bin/` write JSON artifacts, among them
+//! `serve_report` (`BENCH_serving.json`, the sharded online subsystem) and
+//! `kernel_report` (`BENCH_kernels.json`, portable vs
 //! explicit-AVX2 kernel tiers in GFLOP/s — run it on a build without
 //! `-C target-cpu=native` to see what runtime dispatch buys a portable
 //! binary).

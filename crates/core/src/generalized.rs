@@ -22,7 +22,6 @@ use crate::synergy::WindowAssociation;
 use crate::trainer::train as train_base;
 use ham_data::dataset::ItemId;
 use ham_data::window::recent_window;
-use ham_tensor::matrix::dot;
 use ham_tensor::{Matrix, Pooling};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -140,16 +139,6 @@ impl GeneralizedHamModel {
     pub fn base(&self) -> &HamModel {
         &self.base
     }
-
-    /// The extra inner product added by `w`-sized windows beyond the base
-    /// model (useful for analysing what the intermediate orders contribute).
-    pub fn window_contribution(&self, window_len: usize, sequence: &[ItemId], item: ItemId) -> f32 {
-        let v = self.base.input_item_embeddings();
-        let window = recent_window(sequence, window_len);
-        let mut association = WindowAssociation::new(self.config.d, self.config.pooling, 1);
-        association.compute(v, &window);
-        dot(&association.pooled, self.base.candidate_item_embeddings().row(item))
-    }
 }
 
 /// The multi-window query `q` (every window's association summed, plus the
@@ -236,17 +225,6 @@ mod tests {
         assert_ne!(two.score_all(1, history), three.score_all(1, history));
         assert_eq!(three.config().windows, vec![6, 3, 1]);
         assert_eq!(three.num_items(), num_items);
-    }
-
-    #[test]
-    fn window_contribution_is_a_single_inner_product() {
-        let (seqs, num_items) = tiny_data();
-        let tc = TrainConfig { epochs: 1, batch_size: 64, ..TrainConfig::default() };
-        let plain_cfg = HamConfig::for_variant(HamVariant::HamM).with_dimensions(8, 4, 1, 2, 1);
-        let base = train_base(&seqs, num_items, &plain_cfg, &tc, 5);
-        let model = GeneralizedHamModel::from_base(base, vec![4, 1]);
-        let c = model.window_contribution(1, &seqs[0], 3);
-        assert!(c.is_finite());
     }
 
     #[test]

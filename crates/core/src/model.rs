@@ -97,11 +97,6 @@ impl HamModel {
         self.num_items
     }
 
-    /// Total number of trainable parameters.
-    pub fn num_parameters(&self) -> usize {
-        self.user_emb.len() + self.item_emb_in.len() + self.item_emb_out.len()
-    }
-
     /// Read access to the user embedding matrix `U`.
     pub fn user_embeddings(&self) -> &Matrix {
         &self.user_emb
@@ -123,7 +118,7 @@ impl HamModel {
     /// Evaluated by the [`synergy`](crate::synergy) module's
     /// `WindowAssociation`, the statement of Eq. 5–6 the trainer's forward
     /// pass shares.
-    pub fn association_vector(&self, window: &[ItemId]) -> Vec<f32> {
+    fn association_vector(&self, window: &[ItemId]) -> Vec<f32> {
         assert!(!window.is_empty(), "association_vector: window must not be empty");
         let config = &self.config;
         let mut association = WindowAssociation::new(config.d, config.pooling, config.synergy_order);
@@ -134,7 +129,7 @@ impl HamModel {
     }
 
     /// The low-order association embedding `o` for an explicit window.
-    pub fn low_order_vector(&self, window: &[ItemId]) -> Vec<f32> {
+    fn low_order_vector(&self, window: &[ItemId]) -> Vec<f32> {
         let mut o = vec![0.0; self.config.d];
         if !window.is_empty() {
             let mut argmax = vec![0; if self.config.pooling == Pooling::Max { self.config.d } else { 0 }];
@@ -241,7 +236,6 @@ mod tests {
         let m = model(HamVariant::HamSM);
         assert_eq!(m.num_users(), 5);
         assert_eq!(m.num_items(), 20);
-        assert_eq!(m.num_parameters(), 5 * 8 + 20 * 8 + 20 * 8);
         assert_eq!(m.user_embeddings().shape(), (5, 8));
         assert!(m.is_finite());
     }

@@ -1,4 +1,4 @@
-//! Saving and loading trained models as JSON snapshots.
+//! Trained models as JSON snapshots.
 //!
 //! A snapshot contains the full configuration and all three embedding
 //! matrices, so a trained model can be reloaded for serving or further
@@ -6,14 +6,10 @@
 
 use crate::model::HamModel;
 use std::fmt;
-use std::fs;
-use std::path::Path;
 
 /// Errors produced when persisting or restoring a model.
 #[derive(Debug)]
 pub enum SerializeError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// JSON (de)serialization failure.
     Json(serde_json::Error),
 }
@@ -21,19 +17,12 @@ pub enum SerializeError {
 impl fmt::Display for SerializeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SerializeError::Io(e) => write!(f, "i/o error: {e}"),
             SerializeError::Json(e) => write!(f, "json error: {e}"),
         }
     }
 }
 
 impl std::error::Error for SerializeError {}
-
-impl From<std::io::Error> for SerializeError {
-    fn from(e: std::io::Error) -> Self {
-        SerializeError::Io(e)
-    }
-}
 
 impl From<serde_json::Error> for SerializeError {
     fn from(e: serde_json::Error) -> Self {
@@ -49,18 +38,6 @@ pub fn to_json(model: &HamModel) -> Result<String, SerializeError> {
 /// Restores a model from a JSON string.
 pub fn from_json(json: &str) -> Result<HamModel, SerializeError> {
     Ok(serde_json::from_str(json)?)
-}
-
-/// Saves a model snapshot to disk.
-pub fn save_model(model: &HamModel, path: impl AsRef<Path>) -> Result<(), SerializeError> {
-    fs::write(path, to_json(model)?)?;
-    Ok(())
-}
-
-/// Loads a model snapshot from disk.
-pub fn load_model(path: impl AsRef<Path>) -> Result<HamModel, SerializeError> {
-    let text = fs::read_to_string(path)?;
-    from_json(&text)
 }
 
 #[cfg(test)]
@@ -83,24 +60,7 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("ham_core_serialize_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        let m = model();
-        save_model(&m, &path).unwrap();
-        let restored = load_model(&path).unwrap();
-        assert_eq!(restored.num_items(), m.num_items());
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn invalid_json_is_an_error() {
         assert!(matches!(from_json("not json"), Err(SerializeError::Json(_))));
-    }
-
-    #[test]
-    fn missing_file_is_an_io_error() {
-        assert!(matches!(load_model("/no/such/model.json"), Err(SerializeError::Io(_))));
     }
 }

@@ -68,7 +68,7 @@ impl TrainerState {
 
     /// [`Self::new`] with an explicit optimizer configuration (tests compare
     /// the global and per-row correction schemes through this).
-    pub fn with_adam(
+    fn with_adam(
         num_users: usize,
         num_items: usize,
         config: &HamConfig,

@@ -203,11 +203,6 @@ impl BatchSampler {
         self.windows.len()
     }
 
-    /// Number of batches per epoch (the last batch may be smaller).
-    pub fn num_batches(&self) -> usize {
-        self.windows.len().div_ceil(self.batch_size)
-    }
-
     /// The configured batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
@@ -462,7 +457,6 @@ mod tests {
         let expected = sampler.num_instances();
         let all = collect_epoch(&mut sampler);
         assert_eq!(all.len(), expected);
-        assert_eq!(sampler.num_batches(), expected.div_ceil(5));
         // instances carry the right shapes
         for inst in &all {
             assert_eq!(inst.input.len(), 4);

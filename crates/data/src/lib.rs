@@ -45,7 +45,6 @@ pub mod interaction;
 pub mod loader;
 pub mod negative;
 pub mod preprocess;
-pub mod sampling;
 pub mod split;
 pub mod stats;
 pub mod synthetic;

@@ -1,18 +1,15 @@
-//! Loading and saving datasets.
+//! Loading interaction logs.
 //!
 //! Real benchmark data (if available to a downstream user) can be loaded from
 //! a simple tab/comma-separated text format of `user, item, timestamp,
-//! rating` records and pushed through [`crate::preprocess::preprocess`];
-//! preprocessed [`SequenceDataset`]s can be saved to and loaded from JSON so
-//! experiments do not need to regenerate them.
+//! rating` records and pushed through [`crate::preprocess::preprocess`].
 
-use crate::dataset::SequenceDataset;
 use crate::interaction::Interaction;
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-/// Errors produced when loading or saving datasets.
+/// Errors produced when loading interactions.
 #[derive(Debug)]
 pub enum LoadError {
     /// Underlying I/O failure.
@@ -24,8 +21,6 @@ pub enum LoadError {
         /// Description of the problem.
         message: String,
     },
-    /// JSON (de)serialization failure.
-    Json(serde_json::Error),
 }
 
 impl fmt::Display for LoadError {
@@ -33,7 +28,6 @@ impl fmt::Display for LoadError {
         match self {
             LoadError::Io(e) => write!(f, "i/o error: {e}"),
             LoadError::Parse { line, message } => write!(f, "parse error on line {line}: {message}"),
-            LoadError::Json(e) => write!(f, "json error: {e}"),
         }
     }
 }
@@ -43,12 +37,6 @@ impl std::error::Error for LoadError {}
 impl From<std::io::Error> for LoadError {
     fn from(e: std::io::Error) -> Self {
         LoadError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for LoadError {
-    fn from(e: serde_json::Error) -> Self {
-        LoadError::Json(e)
     }
 }
 
@@ -93,19 +81,6 @@ pub fn load_interactions(path: impl AsRef<Path>) -> Result<Vec<Interaction>, Loa
     parse_interactions(&text)
 }
 
-/// Saves a preprocessed dataset as JSON.
-pub fn save_dataset(dataset: &SequenceDataset, path: impl AsRef<Path>) -> Result<(), LoadError> {
-    let json = serde_json::to_string(dataset)?;
-    fs::write(path, json)?;
-    Ok(())
-}
-
-/// Loads a preprocessed dataset from JSON.
-pub fn load_dataset(path: impl AsRef<Path>) -> Result<SequenceDataset, LoadError> {
-    let text = fs::read_to_string(path)?;
-    Ok(serde_json::from_str(&text)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,22 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn dataset_json_roundtrip() {
-        let dir = std::env::temp_dir().join("ham_data_loader_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.json");
-        let ds = SequenceDataset::new("toy", vec![vec![0, 1], vec![1, 2, 0]], 3);
-        save_dataset(&ds, &path).unwrap();
-        let loaded = load_dataset(&path).unwrap();
-        assert_eq!(loaded.name, "toy");
-        assert_eq!(loaded.sequences, ds.sequences);
-        assert_eq!(loaded.num_items, 3);
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn missing_file_is_an_io_error() {
-        let err = load_dataset("/definitely/not/a/real/path.json").unwrap_err();
+        let err = load_interactions("/definitely/not/a/real/path.tsv").unwrap_err();
         assert!(matches!(err, LoadError::Io(_)));
     }
 }

@@ -50,11 +50,6 @@ impl NegativeSampler {
         (seen.len() < num_items).then(|| Self { num_items, seen: seen.into_boxed_slice() })
     }
 
-    /// Number of candidate items that could be sampled.
-    pub fn num_candidates(&self) -> usize {
-        self.num_items - self.seen.len()
-    }
-
     /// Samples one item the user has not interacted with.
     pub fn sample(&self, rng: &mut impl Rng) -> ItemId {
         // Rejection sampling: the seen set is tiny compared to the catalogue
@@ -89,7 +84,7 @@ impl NegativeSampler {
     }
 
     /// Whether the user has interacted with `item`.
-    pub fn is_seen(&self, item: ItemId) -> bool {
+    fn is_seen(&self, item: ItemId) -> bool {
         self.seen.binary_search(&item).is_ok()
     }
 
@@ -133,7 +128,6 @@ mod tests {
         let sampler = NegativeSampler::new(10, vec![0]);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(sampler.sample_many(7, &mut rng).len(), 7);
-        assert_eq!(sampler.num_candidates(), 9);
     }
 
     #[test]
@@ -161,7 +155,7 @@ mod tests {
     #[test]
     fn duplicates_and_order_do_not_change_the_seen_set() {
         let sampler = NegativeSampler::new(10, vec![7, 2, 7, 0, 2]);
-        assert_eq!(sampler.num_candidates(), 7);
+        assert_eq!(sampler.seen.len(), 3);
         assert!([0, 2, 7].iter().all(|&i| sampler.is_seen(i)));
         assert!([1, 3, 9].iter().all(|&i| !sampler.is_seen(i)));
     }

@@ -78,16 +78,6 @@ impl DataSplit {
             })
             .collect()
     }
-
-    /// Number of users with a non-empty test segment.
-    pub fn users_with_test_items(&self) -> usize {
-        self.test.iter().filter(|t| !t.is_empty()).count()
-    }
-
-    /// Total number of test interactions.
-    pub fn num_test_interactions(&self) -> usize {
-        self.test.iter().map(Vec::len).sum()
-    }
 }
 
 /// Splits every user sequence of `dataset` according to `setting`.
@@ -210,10 +200,10 @@ mod tests {
         let split = split_dataset(&ds, EvalSetting::Cut8020);
         assert_eq!(split.num_users(), 3);
         assert_eq!(split.dataset_name, "t");
-        assert!(split.users_with_test_items() >= 2);
+        assert!(split.test.iter().filter(|t| !t.is_empty()).count() >= 2);
         let joined = split.train_with_val();
         assert_eq!(joined[0].len(), split.train[0].len() + split.val[0].len());
-        assert!(split.num_test_interactions() > 0);
+        assert!(split.test.iter().any(|t| !t.is_empty()));
     }
 
     #[test]

@@ -71,16 +71,6 @@ pub fn item_frequency_distribution(dataset: &SequenceDataset, bins: usize) -> (V
     (grid, hist)
 }
 
-/// Fraction of items whose frequency is at most `threshold` interactions;
-/// used in the discussion of attention weights on infrequent items (Fig. 4).
-pub fn infrequent_item_fraction(dataset: &SequenceDataset, threshold: usize) -> f64 {
-    let freqs = dataset.item_frequencies();
-    if freqs.is_empty() {
-        return 0.0;
-    }
-    freqs.iter().filter(|&&f| f <= threshold).count() as f64 / freqs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,13 +102,5 @@ mod tests {
         let empty = SequenceDataset::new("e", vec![], 0);
         let (_, hist) = item_frequency_distribution(&empty, 5);
         assert_eq!(hist, vec![0.0; 5]);
-    }
-
-    #[test]
-    fn infrequent_fraction() {
-        // frequencies: item0 = 5, item1 = 2, item2 = 1, item3 = 1
-        let f = infrequent_item_fraction(&toy(), 1);
-        assert!((f - 0.5).abs() < 1e-12);
-        assert_eq!(infrequent_item_fraction(&SequenceDataset::new("e", vec![], 0), 1), 0.0);
     }
 }

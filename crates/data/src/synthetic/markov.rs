@@ -73,14 +73,9 @@ impl ClusterDynamics {
         &self.synergies
     }
 
-    /// First-order transition distribution out of cluster `c`.
-    pub fn order1_row(&self, c: usize) -> &[f64] {
-        &self.order1[c]
-    }
-
     /// Preferred next cluster given the clusters two steps back and one step
     /// back.
-    pub fn order2_target(&self, two_back: usize, one_back: usize) -> usize {
+    fn order2_target(&self, two_back: usize, one_back: usize) -> usize {
         self.order2[two_back][one_back]
     }
 
@@ -142,9 +137,9 @@ mod tests {
     fn order1_rows_are_distributions() {
         let d = ClusterDynamics::new(8, 4, 3);
         for c in 0..8 {
-            let sum: f64 = d.order1_row(c).iter().sum();
+            let sum: f64 = d.order1[c].iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
-            assert!(d.order1_row(c).iter().all(|&v| v >= 0.0));
+            assert!(d.order1[c].iter().all(|&v| v >= 0.0));
         }
         assert_eq!(d.num_clusters(), 8);
         assert_eq!(d.synergies().len(), 4);
@@ -154,7 +149,7 @@ mod tests {
     fn dynamics_are_deterministic_in_the_seed() {
         let a = ClusterDynamics::new(6, 3, 42);
         let b = ClusterDynamics::new(6, 3, 42);
-        assert_eq!(a.order1_row(2), b.order1_row(2));
+        assert_eq!(a.order1[2], b.order1[2]);
         assert_eq!(a.synergies(), b.synergies());
         assert_eq!(a.order2_target(1, 4), b.order2_target(1, 4));
     }
@@ -163,7 +158,7 @@ mod tests {
     fn successor_cluster_dominates_first_order() {
         let d = ClusterDynamics::new(10, 0, 7);
         for c in 0..10 {
-            let row = d.order1_row(c);
+            let row = &d.order1[c];
             let successor = (c + 1) % 10;
             assert!(row[successor] >= 0.35, "successor mass too low for cluster {c}");
         }

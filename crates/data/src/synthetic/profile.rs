@@ -81,7 +81,7 @@ impl DatasetProfile {
     /// Amazon-Books (35.4 interactions/user); users have strong long-term
     /// preferences, mirroring the paper's observation that SASRec does well
     /// on Books.
-    pub fn books() -> Self {
+    fn books() -> Self {
         let mut p = Self::base("Books", 52_406, 41_264, 35.4, 0.25, 1.1);
         p.weight_user = 0.5;
         p.weight_order1 = 0.25;
@@ -105,7 +105,7 @@ impl DatasetProfile {
     }
 
     /// MovieLens-20M: dense, popularity-dominated.
-    pub fn ml_20m() -> Self {
+    fn ml_20m() -> Self {
         Self::base("ML-20M", 129_780, 13_663, 76.5, 0.20, 1.3)
     }
 

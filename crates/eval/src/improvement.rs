@@ -3,7 +3,7 @@
 
 /// Percentage improvement of `ours` over `baseline`
 /// (`(ours − baseline) / baseline · 100`). Returns 0.0 when the baseline is 0.
-pub fn percent_improvement(ours: f64, baseline: f64) -> f64 {
+fn percent_improvement(ours: f64, baseline: f64) -> f64 {
     if baseline == 0.0 {
         return 0.0;
     }

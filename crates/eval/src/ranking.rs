@@ -1,12 +1,7 @@
-//! Additional ranking metrics beyond the two the paper reports: hit rate,
-//! mean reciprocal rank (MRR), average precision and per-user AUC. They share
-//! the same call convention as [`crate::metrics`] (a ranked recommendation
-//! list plus the set of ground-truth items) and are exposed through the
-//! experiment harness for users who want a broader read-out than
-//! Recall@k / NDCG@k.
+//! The evaluation protocol's ranking step: a user's top-`k` with their
+//! history excluded.
 
 use ham_tensor::ops::top_k_indices_masked;
-use std::collections::HashSet;
 
 /// Ranks the top-`k` items while excluding the user's history, without
 /// writing `-inf` sentinels into the score buffer.
@@ -40,87 +35,9 @@ pub fn top_k_excluding(scores: &[f32], k: usize, history: &[usize], seen_scratch
     ranked
 }
 
-/// Hit rate @k: 1.0 if *any* ground-truth item appears in the top-`k`
-/// recommendations, 0.0 otherwise.
-pub fn hit_rate_at_k(recommended: &[usize], ground_truth: &HashSet<usize>, k: usize) -> f64 {
-    if ground_truth.is_empty() {
-        return 0.0;
-    }
-    if recommended.iter().take(k).any(|item| ground_truth.contains(item)) {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Mean reciprocal rank of the *first* relevant item within the top-`k`
-/// (0.0 when no relevant item appears).
-pub fn mrr_at_k(recommended: &[usize], ground_truth: &HashSet<usize>, k: usize) -> f64 {
-    if ground_truth.is_empty() {
-        return 0.0;
-    }
-    recommended.iter().take(k).position(|item| ground_truth.contains(item)).map_or(0.0, |pos| 1.0 / (pos + 1) as f64)
-}
-
-/// Average precision @k: the mean of precision@i over the positions `i` of
-/// relevant items within the top-`k`, normalised by `min(k, |truth|)`.
-pub fn average_precision_at_k(recommended: &[usize], ground_truth: &HashSet<usize>, k: usize) -> f64 {
-    if ground_truth.is_empty() {
-        return 0.0;
-    }
-    let mut hits = 0usize;
-    let mut precision_sum = 0.0;
-    for (pos, item) in recommended.iter().take(k).enumerate() {
-        if ground_truth.contains(item) {
-            hits += 1;
-            precision_sum += hits as f64 / (pos + 1) as f64;
-        }
-    }
-    let denom = ground_truth.len().min(k);
-    if denom == 0 {
-        0.0
-    } else {
-        precision_sum / denom as f64
-    }
-}
-
-/// Per-user AUC from raw scores: the probability that a uniformly chosen
-/// ground-truth item outscores a uniformly chosen non-relevant item (ties
-/// count one half). This is the metric the BPR objective optimises directly.
-pub fn auc_from_scores(scores: &[f32], ground_truth: &HashSet<usize>) -> f64 {
-    if ground_truth.is_empty() || ground_truth.len() >= scores.len() {
-        return 0.0;
-    }
-    let mut wins = 0.0f64;
-    let mut comparisons = 0.0f64;
-    for &pos_item in ground_truth {
-        let pos_score = scores[pos_item];
-        for (item, &neg_score) in scores.iter().enumerate() {
-            if ground_truth.contains(&item) {
-                continue;
-            }
-            comparisons += 1.0;
-            if pos_score > neg_score {
-                wins += 1.0;
-            } else if pos_score == neg_score {
-                wins += 0.5;
-            }
-        }
-    }
-    if comparisons == 0.0 {
-        0.0
-    } else {
-        wins / comparisons
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn truth(items: &[usize]) -> HashSet<usize> {
-        items.iter().copied().collect()
-    }
 
     #[test]
     fn top_k_excluding_matches_inf_masking_and_resets_scratch() {
@@ -132,63 +49,5 @@ mod tests {
         // Excluding everything still returns k indices (tail padding).
         assert_eq!(top_k_excluding(&scores, 2, &[0, 1, 2, 3, 4], &mut scratch), vec![0, 1]);
         assert!(scratch.iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn hit_rate_is_binary() {
-        let gt = truth(&[5]);
-        assert_eq!(hit_rate_at_k(&[1, 2, 5], &gt, 3), 1.0);
-        assert_eq!(hit_rate_at_k(&[1, 2, 5], &gt, 2), 0.0);
-        assert_eq!(hit_rate_at_k(&[1, 2], &HashSet::new(), 2), 0.0);
-    }
-
-    #[test]
-    fn mrr_rewards_early_hits() {
-        let gt = truth(&[7, 9]);
-        assert_eq!(mrr_at_k(&[7, 1, 2], &gt, 3), 1.0);
-        assert_eq!(mrr_at_k(&[1, 7, 2], &gt, 3), 0.5);
-        assert_eq!(mrr_at_k(&[1, 2, 3], &gt, 3), 0.0);
-    }
-
-    #[test]
-    fn average_precision_known_value() {
-        // relevant at positions 1 and 3 of the top-3, |truth| = 2
-        let gt = truth(&[10, 30]);
-        let ap = average_precision_at_k(&[10, 20, 30], &gt, 3);
-        let expected = (1.0 / 1.0 + 2.0 / 3.0) / 2.0;
-        assert!((ap - expected).abs() < 1e-12);
-        assert_eq!(average_precision_at_k(&[20, 40], &gt, 2), 0.0);
-    }
-
-    #[test]
-    fn ap_is_one_for_perfect_prefix() {
-        let gt = truth(&[1, 2, 3]);
-        assert!((average_precision_at_k(&[1, 2, 3, 9], &gt, 4) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auc_extremes_and_ties() {
-        // positive item has the highest score -> AUC 1
-        let gt = truth(&[0]);
-        assert_eq!(auc_from_scores(&[5.0, 1.0, 2.0], &gt), 1.0);
-        // positive item has the lowest score -> AUC 0
-        assert_eq!(auc_from_scores(&[-1.0, 1.0, 2.0], &gt), 0.0);
-        // all ties -> AUC 0.5
-        assert_eq!(auc_from_scores(&[1.0, 1.0, 1.0], &gt), 0.5);
-        // degenerate inputs
-        assert_eq!(auc_from_scores(&[1.0], &gt), 0.0);
-        assert_eq!(auc_from_scores(&[1.0, 2.0], &HashSet::new()), 0.0);
-    }
-
-    #[test]
-    fn metric_relationships_hold_on_a_random_like_example() {
-        let gt = truth(&[2, 4, 6]);
-        let rec = vec![9, 2, 8, 4, 7, 6];
-        let hit = hit_rate_at_k(&rec, &gt, 6);
-        let mrr = mrr_at_k(&rec, &gt, 6);
-        let ap = average_precision_at_k(&rec, &gt, 6);
-        assert_eq!(hit, 1.0);
-        assert!(mrr <= hit);
-        assert!(ap <= hit && ap > 0.0);
     }
 }

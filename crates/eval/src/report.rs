@@ -38,7 +38,7 @@ impl ResultsTable {
 
     /// Renders one metric (e.g. `"Recall@10"`) as a fixed-width text table,
     /// marking the best method per row with `*`.
-    pub fn render_metric(&self, metric: &str) -> String {
+    fn render_metric(&self, metric: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!("{metric}\n"));
         out.push_str(&format!("{:<10}", "Dataset"));

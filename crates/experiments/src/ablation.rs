@@ -18,7 +18,7 @@ pub struct AblationRow {
 }
 
 /// The three models of Table 13.
-pub fn ablation_methods() -> Vec<Method> {
+fn ablation_methods() -> Vec<Method> {
     vec![Method::Ham(HamVariant::HamSM), Method::Ham(HamVariant::HamSMNoLowOrder), Method::Ham(HamVariant::HamSMNoUser)]
 }
 

@@ -58,11 +58,6 @@ impl Method {
         vec![Method::Caser, Method::SasRec, Method::Hgn, Method::Ham(HamVariant::HamSM)]
     }
 
-    /// Whether this is one of the HAM variants.
-    pub fn is_ham(&self) -> bool {
-        matches!(self, Method::Ham(_))
-    }
-
     /// Trains the method on per-user training sequences; every method comes
     /// back behind the one scoring trait.
     ///
@@ -131,8 +126,6 @@ mod tests {
     fn paper_method_list_matches_table_columns() {
         let names: Vec<&str> = Method::paper_methods().iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["Caser", "SASRec", "HGN", "HAMx", "HAMm", "HAMs_x", "HAMs_m"]);
-        assert!(Method::Ham(HamVariant::HamSM).is_ham());
-        assert!(!Method::Hgn.is_ham());
         assert_eq!(Method::headline_methods().len(), 4);
     }
 
@@ -158,6 +151,5 @@ mod tests {
             assert_eq!(scores.len(), data.num_items, "{}", method.name());
         }
         assert_eq!(Method::Gru4Rec.name(), "GRU4Rec");
-        assert!(!Method::Gru4Rec.is_ham());
     }
 }

@@ -22,7 +22,7 @@ pub struct DatasetComparison {
 impl DatasetComparison {
     /// The `imp%` column of Tables 3–8 for a metric: improvement of the best
     /// HAM variant over the best non-HAM baseline.
-    pub fn improvement_percent(&self, metric: &str) -> f64 {
+    fn improvement_percent(&self, metric: &str) -> f64 {
         let (ham, baseline): (Vec<&MethodResult>, Vec<&MethodResult>) =
             self.results.iter().partition(|r| r.method.starts_with("HAM"));
         let ham_values: Vec<f64> = ham.iter().map(|r| r.report.mean.get(metric)).collect();
@@ -32,7 +32,7 @@ impl DatasetComparison {
 
     /// Whether the best HAM variant is significantly different from the best
     /// baseline at 95% confidence on the per-user values of `metric`.
-    pub fn improvement_significant(&self, metric: &str) -> bool {
+    fn improvement_significant(&self, metric: &str) -> bool {
         let best_of = |ham: bool| {
             self.results
                 .iter()

@@ -101,7 +101,7 @@ pub fn run_methods(
 
 /// Like [`run_methods`] but for an existing split (used by the parameter and
 /// ablation studies which reuse one split across many configurations).
-pub fn run_methods_on_split(
+fn run_methods_on_split(
     split: &DataSplit,
     dataset_name: &str,
     methods: &[Method],

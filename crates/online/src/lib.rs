@@ -404,7 +404,7 @@ impl OnlineTrainer {
     }
 
     /// [`Self::restore`] with an explicit [`Telemetry`] handle.
-    pub fn restore_with_telemetry(checkpoint: OnlineCheckpoint, config: OnlineConfig, telemetry: Telemetry) -> Self {
+    fn restore_with_telemetry(checkpoint: OnlineCheckpoint, config: OnlineConfig, telemetry: Telemetry) -> Self {
         let state = TrainerState::from_model(
             &checkpoint.model,
             &config.train,

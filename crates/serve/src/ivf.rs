@@ -93,7 +93,7 @@ impl IvfConfig {
     /// process environment): `retrieval` must be `ivf` (case-insensitive) to
     /// enable; `nprobe` accepts a positive integer or `all`, anything else
     /// (or absence) keeps the exact endpoint.
-    pub fn from_env_values(retrieval: Option<&str>, nprobe: Option<&str>) -> Option<Self> {
+    fn from_env_values(retrieval: Option<&str>, nprobe: Option<&str>) -> Option<Self> {
         if !retrieval.is_some_and(|v| v.trim().eq_ignore_ascii_case("ivf")) {
             return None;
         }

@@ -333,7 +333,7 @@ impl ServingModel {
     /// quantized path) the exact re-rank are clocked into it. The batch-of-1
     /// GEMV path is timed as one `solo` stage, query building included; when
     /// it fans out on `pool` the per-shard task times are reported under it.
-    pub fn recommend_batch_traced(
+    fn recommend_batch_traced(
         &self,
         requests: &[RecommendRequest],
         pool: Option<&ThreadPool>,

@@ -141,7 +141,7 @@ impl Shard {
     }
 
     /// The shard's rows as global item ids.
-    pub fn range(&self) -> Range<usize> {
+    fn range(&self) -> Range<usize> {
         self.offset..self.offset + self.len
     }
 
@@ -584,26 +584,16 @@ impl ShardedCatalog {
     /// On a flat catalogue — and on a clustered one at `nprobe = all` —
     /// bit-identical to scoring the unsharded matrix and ranking once, for
     /// any shard count.
-    pub fn top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
-        self.top_k_with_buf(query, k, seen, &mut Vec::new())
-    }
-
-    /// [`Self::top_k`] with a caller-provided score buffer: every shard task
-    /// scores into `scores_buf` (grown once to the largest shard, then
-    /// reused). A compatibility entry point — the driver masks from an item
-    /// list, so each call walks the bitmap (O(`num_items`)) to rebuild one; a
-    /// serving loop calls [`ServingModel::recommend_with`], which masks from
-    /// the request's history.
+    ///
+    /// A compatibility entry point, like every bitmap-taking one below: the
+    /// driver masks from an item list, so each call walks the bitmap
+    /// (O(`num_items`)) to rebuild one; a serving loop calls
+    /// [`ServingModel::recommend_with`], which masks from the request's
+    /// history.
     ///
     /// [`ServingModel::recommend_with`]: crate::ServingModel::recommend_with
-    pub fn top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-    ) -> Vec<ScoredItem> {
-        self.solo_from_bitmap(query, None, k, seen, scores_buf)
+    pub fn top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
+        self.solo_from_bitmap(query, None, k, seen, &mut Vec::new())
     }
 
     /// Global top-k through the quantized candidate path: per-shard int8
@@ -619,9 +609,10 @@ impl ShardedCatalog {
     /// tiers and shard counts by construction.
     ///
     /// `qquery` is the reusable query-quantization scratch
-    /// (re-quantized in place from `query` on every call). Like
-    /// [`Self::top_k_with_buf`], a compatibility entry point that walks the
-    /// bitmap per call.
+    /// (re-quantized in place from `query` on every call), and every shard
+    /// task scores into `scores_buf` (grown once to the largest shard, then
+    /// reused). Like [`Self::top_k`], a compatibility entry point that walks
+    /// the bitmap per call.
     ///
     /// # Panics
     /// Panics if the catalogue was not quantized
@@ -638,9 +629,10 @@ impl ShardedCatalog {
         self.solo_from_bitmap(query, Some(qquery), k, seen, scores_buf)
     }
 
-    /// [`Self::top_k_with_buf`] under the name and signature the benchmark's
-    /// per-layer replay calls on a clustered catalogue: the driver routes
-    /// inside each shard task, so `_route_buf` goes unused.
+    /// [`Self::top_k`] with a caller-provided score buffer (see
+    /// [`Self::quantized_top_k_with_buf`]), under the name and signature the
+    /// benchmark's per-layer replay calls on a clustered catalogue: the
+    /// driver routes inside each shard task, so `_route_buf` goes unused.
     pub fn ivf_top_k_with_buf(
         &self,
         query: &[f32],
@@ -649,7 +641,7 @@ impl ShardedCatalog {
         scores_buf: &mut Vec<f32>,
         _route_buf: &mut Vec<f32>,
     ) -> Vec<ScoredItem> {
-        self.top_k_with_buf(query, k, seen, scores_buf)
+        self.solo_from_bitmap(query, None, k, seen, scores_buf)
     }
 
     /// How the bitmap solo entry points run the shard driver: the marked

@@ -26,7 +26,7 @@ pub mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{CounterEntry, GaugeEntry, HistogramEntry, MetricsRegistry, MetricsSnapshot};
-pub use span::{FlightRecorder, SpanClock, SpanTree};
+pub use span::{FlightRecorder, SpanTree};
 
 use std::sync::{Arc, OnceLock};
 

@@ -259,7 +259,7 @@ impl HistogramSnapshot {
     }
 
     /// Median (bucket-resolution, see [`Self::quantile_per_mille`]).
-    pub fn p50(&self) -> u64 {
+    fn p50(&self) -> u64 {
         self.quantile_per_mille(500)
     }
 
@@ -269,7 +269,7 @@ impl HistogramSnapshot {
     }
 
     /// 99.9th percentile (bucket-resolution).
-    pub fn p999(&self) -> u64 {
+    fn p999(&self) -> u64 {
         self.quantile_per_mille(999)
     }
 

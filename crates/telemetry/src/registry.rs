@@ -167,16 +167,10 @@ impl MetricsSnapshot {
         self.counters.insert(at, CounterEntry { name: name.to_string(), value });
     }
 
-    /// Appends (or replaces) a gauge (see [`Self::push_counter`]).
-    pub fn push_gauge(&mut self, name: &str, value: i64) {
-        self.gauges.retain(|e| e.name != name);
-        let at = self.gauges.partition_point(|e| e.name.as_str() < name);
-        self.gauges.insert(at, GaugeEntry { name: name.to_string(), value });
-    }
-
     /// Serializes to JSON-lines: one self-describing object per metric per
     /// line (`{"type":"counter","name":…,"value":…}`), the shape an
     /// append-only metrics log ingests.
+    // ham-lint: api("README § Observability; ROADMAP item 7")
     pub fn to_json_lines(&self) -> String {
         // The vendored `Value` has no own `Serialize` impl; this wrapper
         // lets prebuilt values flow through `serde_json::to_string`.
@@ -213,6 +207,7 @@ impl MetricsSnapshot {
     /// Serializes to a Prometheus-style text exposition: counters as
     /// `name value` with `# TYPE` headers, histograms as cumulative
     /// `name_bucket{le="…"}` series plus `name_sum` / `name_count`.
+    // ham-lint: api("README § Observability; ROADMAP item 7")
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         for e in &self.counters {
@@ -367,8 +362,6 @@ mod tests {
         snap.push_counter("kernel_portable_calls_total", 5);
         snap.push_counter("kernel_portable_calls_total", 6);
         assert_eq!(snap.counter("kernel_portable_calls_total"), Some(6), "push replaces");
-        snap.push_gauge("staleness_seconds", 3);
-        assert_eq!(snap.gauge("staleness_seconds"), Some(3));
         let sorted: Vec<&str> = snap.counters.iter().map(|e| e.name.as_str()).collect();
         let mut expect = sorted.clone();
         expect.sort_unstable();

@@ -17,7 +17,6 @@
 use serde::{field, DeError, Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// One named span with its children, start offset and duration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,11 +41,6 @@ impl SpanTree {
     pub fn with_child(mut self, child: SpanTree) -> Self {
         self.children.push(child);
         self
-    }
-
-    /// Total spans in the tree (this node included).
-    pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(SpanTree::span_count).sum::<usize>()
     }
 
     /// Finds the first span with `name` in depth-first order.
@@ -110,26 +104,6 @@ impl Deserialize for SpanTree {
             duration_micros: field(obj, "duration_micros")?,
             children: field(obj, "children")?,
         })
-    }
-}
-
-/// A stopwatch that yields `(start_offset, duration)` pairs relative to one
-/// root instant — the builder-side helper for assembling [`SpanTree`]s from
-/// the serving loop's existing `Instant` measurements.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanClock {
-    root: Instant,
-}
-
-impl SpanClock {
-    /// A clock whose offsets are measured from `root`.
-    pub fn starting_at(root: Instant) -> Self {
-        Self { root }
-    }
-
-    /// Microseconds from the root to `at` (0 if `at` precedes the root).
-    pub fn offset_micros(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.root).as_micros() as u64
     }
 }
 
@@ -211,7 +185,6 @@ mod tests {
     #[test]
     fn span_tree_structure_and_lookup() {
         let tree = sample_tree(100);
-        assert_eq!(tree.span_count(), 4);
         assert_eq!(tree.find("batch_assembly").unwrap().duration_micros, 2);
         assert!(tree.find("missing").is_none());
         let rendered = tree.render();
@@ -247,14 +220,5 @@ mod tests {
         recorder.record(sample_tree(9));
         assert!(recorder.is_empty());
         assert!(recorder.slowest().is_none());
-    }
-
-    #[test]
-    fn span_clock_offsets_saturate() {
-        let root = Instant::now();
-        let clock = SpanClock::starting_at(root);
-        assert_eq!(clock.offset_micros(root), 0);
-        let later = root + std::time::Duration::from_micros(250);
-        assert_eq!(clock.offset_micros(later), 250);
     }
 }

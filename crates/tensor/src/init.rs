@@ -24,26 +24,6 @@ impl Matrix {
         let a = (6.0 / (rows as f32 + cols as f32)).sqrt();
         Self::uniform(rows, cols, -a, a, rng)
     }
-
-    /// Gaussian initialisation with the given mean and standard deviation,
-    /// sampled with the Box–Muller transform (keeps the dependency surface to
-    /// plain `Rng` without distribution helpers).
-    pub fn normal(rows: usize, cols: usize, mean: f32, std: f32, rng: &mut impl Rng) -> Self {
-        assert!(std >= 0.0, "normal: std must be non-negative");
-        let mut data = Vec::with_capacity(rows * cols);
-        while data.len() < rows * cols {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let mag = (-2.0 * u1.ln()).sqrt();
-            let z0 = mag * (2.0 * std::f32::consts::PI * u2).cos();
-            let z1 = mag * (2.0 * std::f32::consts::PI * u2).sin();
-            data.push(mean + std * z0);
-            if data.len() < rows * cols {
-                data.push(mean + std * z1);
-            }
-        }
-        Matrix::from_vec(rows, cols, data)
-    }
 }
 
 #[cfg(test)]
@@ -74,22 +54,5 @@ mod tests {
         let a = Matrix::xavier_uniform(5, 7, &mut StdRng::seed_from_u64(42));
         let b = Matrix::xavier_uniform(5, 7, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn normal_moments_are_roughly_right() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = Matrix::normal(200, 200, 1.0, 2.0, &mut rng);
-        let mean = m.mean();
-        let var = m.as_slice().iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / m.len() as f32;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean} too far from 1.0");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "std {} too far from 2.0", var.sqrt());
-    }
-
-    #[test]
-    fn normal_values_are_finite() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = Matrix::normal(50, 3, 0.0, 1.0, &mut rng);
-        assert!(m.all_finite());
     }
 }

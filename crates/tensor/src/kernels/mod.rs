@@ -657,6 +657,7 @@ fn axpy_impl(tier: KernelTier, out: &mut [f32], alpha: f32, x: &[f32]) {
 /// # Panics
 /// Panics if `row` is out of bounds or the query length differs from
 /// `w.cols()`.
+// ham-lint: api("README § Kernel tiers and runtime dispatch")
 #[inline]
 pub fn quantized_dot(w: &QuantizedMatrix, row: usize, q: &QuantizedQuery) -> f32 {
     quantized_dot_impl(dispatch(), w, row, q)

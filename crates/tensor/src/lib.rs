@@ -85,6 +85,6 @@ pub mod stats;
 
 pub use cluster::{kmeans_rows, KMeansResult};
 pub use matrix::Matrix;
-pub use ops::{sigmoid, sigmoid_scalar, softmax_in_place};
+pub use ops::{sigmoid, sigmoid_scalar};
 pub use pool::Pooling;
 pub use quant::{QuantizedMatrix, QuantizedQuery};

@@ -7,7 +7,7 @@ use crate::ops::TopKStream;
 use crate::Matrix;
 
 /// The Euclidean (L2) norm of a vector.
-pub fn l2_norm(v: &[f32]) -> f32 {
+fn l2_norm(v: &[f32]) -> f32 {
     dot(v, v).sqrt()
 }
 

@@ -192,23 +192,6 @@ impl Matrix {
         self.rows += other.rows;
     }
 
-    /// Adds each row of `updates` into the row of `self` given by `indices`
-    /// (the scatter-add primitive used by embedding gradients).
-    ///
-    /// # Panics
-    /// Panics if shapes are inconsistent or an index is out of bounds.
-    pub fn scatter_add_rows(&mut self, indices: &[usize], updates: &Matrix) {
-        assert_eq!(indices.len(), updates.rows(), "scatter_add_rows: index count must match update rows");
-        assert_eq!(self.cols, updates.cols(), "scatter_add_rows: column mismatch");
-        for (i, &idx) in indices.iter().enumerate() {
-            let dst = self.row_mut(idx);
-            let src = updates.row(i);
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-    }
-
     /// Returns the transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -310,13 +293,6 @@ impl Matrix {
         self.map(|v| v * alpha)
     }
 
-    /// In-place scaling by a scalar.
-    pub fn scale_in_place(&mut self, alpha: f32) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
-    }
-
     /// Applies a function element-wise, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
@@ -326,7 +302,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if shapes differ.
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+    fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "zip_map: shape mismatch {:?} vs {:?}", self.shape(), other.shape());
         Matrix {
             rows: self.rows,
@@ -358,11 +334,6 @@ impl Matrix {
     /// Sum of every element.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Squared Frobenius norm (used by L2 regularisation).
-    pub fn frobenius_norm_sq(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
     }
 
     /// Mean pooling over rows: returns a length-`cols` vector.
@@ -442,25 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_are_inverse_for_distinct_indices() {
+    fn gather_rows_picks_in_index_order() {
         let table = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
         let picked = table.gather_rows(&[2, 0]);
         assert_eq!(picked.row(0), &[3.0, 3.0]);
         assert_eq!(picked.row(1), &[1.0, 1.0]);
-
-        let mut grad = Matrix::zeros(3, 2);
-        grad.scatter_add_rows(&[2, 0], &picked);
-        assert_eq!(grad.row(0), &[1.0, 1.0]);
-        assert_eq!(grad.row(1), &[0.0, 0.0]);
-        assert_eq!(grad.row(2), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn scatter_add_accumulates_duplicate_indices() {
-        let mut acc = Matrix::zeros(2, 2);
-        let upd = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        acc.scatter_add_rows(&[1, 1], &upd);
-        assert_eq!(acc.row(1), &[4.0, 6.0]);
     }
 
     #[test]
@@ -493,7 +450,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.frobenius_norm_sq(), 30.0);
         assert_eq!(Matrix::zeros(0, 0).mean(), 0.0);
     }
 

@@ -37,7 +37,7 @@ pub fn sigmoid(m: &Matrix) -> Matrix {
 /// In-place, numerically stable softmax of a slice.
 ///
 /// An empty slice is left untouched.
-pub fn softmax_in_place(values: &mut [f32]) {
+fn softmax_in_place(values: &mut [f32]) {
     if values.is_empty() {
         return;
     }

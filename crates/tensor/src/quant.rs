@@ -186,13 +186,6 @@ impl QuantizedMatrix {
         let zp = self.zero_points[r];
         self.row(r).iter().map(|&p| scale * (p as i32 - zp) as f32).collect()
     }
-
-    /// Bytes of payload streamed per full-catalogue pass (the bandwidth
-    /// denominator reported by `kernel_report`; scales and zero-points ride
-    /// along but are one read per row, not per element).
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len() + self.rows * (std::mem::size_of::<f32>() + std::mem::size_of::<i32>())
-    }
 }
 
 /// A query vector quantized symmetrically to `i8` (see module docs).
@@ -343,11 +336,5 @@ mod tests {
         assert_eq!(qq.len(), 2);
         assert_eq!(qq.payload()[0], -127);
         assert_eq!(qq.payload()[1], 0);
-    }
-
-    #[test]
-    fn payload_bytes_counts_payload_plus_row_metadata() {
-        let qm = QuantizedMatrix::quantize(&Matrix::zeros(10, 16));
-        assert_eq!(qm.payload_bytes(), 10 * 16 + 10 * 8);
     }
 }

@@ -9,20 +9,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Unbiased sample variance (0.0 for fewer than two values).
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64
-}
-
-/// Sample standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// The `q`-th percentile (0.0..=1.0) using linear interpolation between
 /// closest ranks. Returns 0.0 for an empty slice. Values are ordered by
 /// `f64::total_cmp`, so a NaN input cannot panic the sort (a positive NaN
@@ -70,18 +56,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance_known_values() {
+    fn mean_known_value() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
-        assert!((variance(&v) - 32.0 / 7.0).abs() < 1e-12);
-        assert!((std_dev(&v) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton_edge_cases() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
-        assert_eq!(variance(&[3.0]), 0.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
